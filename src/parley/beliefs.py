@@ -11,10 +11,11 @@ is abandoned rather than merely doubted.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -462,30 +463,47 @@ class ReviseDetail:
     support_pieces: tuple[EvidencePiece, ...]
     attack_pieces: tuple[EvidencePiece, ...]
     prior_support: Optional[Belief]
-    prior_attack: Optional[Belief]
 
-    def winning_strength(self) -> StrengthLevel:
-        side = (
-            (self.support_pieces, self.prior_support)
-            if self.verdict.outcome is VerdictOutcome.ACCEPT
-            else (self.attack_pieces, self.prior_attack)
-        )
-        pieces, prior = side
-        ranks = [piece_strength(p) for p in pieces]
-        if prior is not None:
-            ranks.append(prior.endorsement.level)
+    def accepted_strength(self) -> Optional[StrengthLevel]:
+        """The strength the target is accepted at; None unless accepted."""
+        if self.verdict.outcome is not VerdictOutcome.ACCEPT:
+            return None
+        ranks = [piece_strength(p) for p in self.support_pieces]
+        if self.prior_support is not None:
+            ranks.append(self.prior_support.endorsement.level)
         if not ranks:
             raise ContractViolation("no credited evidence on the winning side")
         return min(max(ranks), StrengthLevel.WARRANTED)
 
 
-def _dedupe_side(pieces: list[EvidencePiece]) -> list[EvidencePiece]:
-    best: dict[tuple[str, str], EvidencePiece] = {}
-    for pc in pieces:
-        prev = best.get(pc.key())
-        if prev is None or piece_strength(pc) > piece_strength(prev):
-            best[pc.key()] = pc
-    return sorted(best.values(), key=lambda pc: pc.key())
+def record_verdict(
+    trace,
+    agent: str,
+    target: Proposition,
+    verdict: Verdict,
+    note: str = "",
+    *,
+    method: str = "",
+    removed: Optional[Iterable[Proposition]] = None,
+) -> None:
+    """Emit one verdict to ``trace``, if any: a ``predict`` record when
+    ``removed`` is given, otherwise a ``revise`` record reached by ``method``."""
+    if trace is None:
+        return
+    payload = {
+        "agent": agent,
+        "target": target.render(),
+        "supportScore": verdict.support_score,
+        "attackScore": verdict.attack_score,
+        "outcome": verdict.outcome.value,
+    }
+    if removed is None:
+        kind, payload["method"] = "revise", method
+    else:
+        kind, payload["removed"] = "predict", sorted(p.render() for p in removed)
+    if note:
+        payload["note"] = note
+    trace.emit(kind, **payload)
 
 
 def revise_detail(
@@ -525,8 +543,6 @@ def revise_detail(
         support = [pc for pc in support if pc.belief.prop != target]
     if n_counts:
         attack = [pc for pc in attack if pc.belief.prop != negated]
-    support = _dedupe_side(support)
-    attack = _dedupe_side(attack)
 
     support_score = sum(int(piece_strength(pc)) for pc in support)
     attack_score = sum(int(piece_strength(pc)) for pc in attack)
@@ -549,24 +565,12 @@ def revise_detail(
         outcome = VerdictOutcome.UNCERTAIN
 
     verdict = Verdict(outcome, support_score, attack_score)
-    if trace is not None:
-        payload = {
-            "agent": agent,
-            "target": target.render(),
-            "supportScore": support_score,
-            "attackScore": attack_score,
-            "outcome": outcome.value,
-            "method": method,
-        }
-        if note:
-            payload["note"] = note
-        trace.emit("revise", **payload)
+    record_verdict(trace, agent, target, verdict, note, method=method)
     return ReviseDetail(
         verdict,
         tuple(support),
         tuple(attack),
         prior_t if t_counts else None,
-        prior_n if n_counts else None,
     )
 
 
@@ -598,6 +602,52 @@ def revise(
         agent=agent,
         note=note,
     ).verdict
+
+
+# ---------------------------------------------------------------------------
+# hypothetical removal and minimal-subset search
+
+
+def removal_closure(model: KnowledgeBase, removed: Iterable[Proposition]) -> frozenset:
+    """Everything lost when ``removed`` goes: the set itself plus every
+    modelled belief derived solely from members of the growing set."""
+    closure = set(removed)
+    changed = True
+    while changed:
+        changed = False
+        for belief in model.own:
+            if belief.prop in closure:
+                continue
+            e = belief.endorsement
+            if e.kind is SourceKind.DERIVED and e.support <= closure:
+                closure.add(belief.prop)
+                changed = True
+    return frozenset(closure)
+
+
+def minimal_subsets(
+    items: Sequence, sufficient: Callable[[tuple], bool]
+) -> Iterator[list[tuple]]:
+    """The sufficient subsets of ``items`` that hold no smaller sufficient one.
+
+    Sizes run from 1 upwards, and each size tries its combinations in
+    ``itertools.combinations`` order.  A combination holding one already
+    found is skipped without calling ``sufficient``.  Yields, for each size
+    that has any, the list of combinations newly found at that size.
+    """
+    found: list[frozenset] = []
+    for size in range(1, len(items) + 1):
+        fresh: list[tuple] = []
+        for combo in itertools.combinations(range(len(items)), size):
+            members = frozenset(combo)
+            if any(f <= members for f in found):
+                continue
+            subset = tuple(items[i] for i in combo)
+            if sufficient(subset):
+                found.append(members)
+                fresh.append(subset)
+        if fresh:
+            yield fresh
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,14 @@ from .beliefs import (
     Expertise,
     KnowledgeBase,
     Proposition,
-    ReviseDetail,
     StrengthLevel,
     StructureError,
     Verdict,
     VerdictOutcome,
     assertion_piece,
-    assertion_strength,
+    assimilate,
     build_evidence_set,
+    record_verdict,
     revise_detail,
     supports_prop,
 )
@@ -140,7 +140,6 @@ class EvaluatedNode:
     verdict: Verdict
     accepted_strength: Optional[StrengthLevel]
     support_credited: tuple[EvidencePiece, ...]
-    attack_credited: tuple[EvidencePiece, ...]
     u_evid: tuple[EvidencePiece, ...]
     s_attack: tuple[EvidencePiece, ...]
     children: tuple[EvaluatedChild, ...]
@@ -223,16 +222,7 @@ def evaluate_proposal(
                     rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.rank)
                     rel_strength = None
                 lookup = True
-                if trace is not None:
-                    trace.emit(
-                        "revise",
-                        agent=agent,
-                        target=relation.render(),
-                        supportScore=rel_verdict.support_score,
-                        attackScore=rel_verdict.attack_score,
-                        outcome=rel_verdict.outcome.value,
-                        method="lookup",
-                    )
+                record_verdict(trace, agent, relation, rel_verdict, method="lookup")
             else:
                 detail = revise_detail(
                     kb,
@@ -245,11 +235,7 @@ def evaluate_proposal(
                 )
                 rel_verdict = detail.verdict
                 lookup = False
-                rel_strength = (
-                    detail.winning_strength()
-                    if rel_verdict.outcome is VerdictOutcome.ACCEPT
-                    else None
-                )
+                rel_strength = detail.accepted_strength()
             evaluated_children.append(
                 EvaluatedChild(
                     child_eval,
@@ -286,20 +272,14 @@ def evaluate_proposal(
         presented = [assertion_piece(node.prop, proposer, proposer_expertise)]
         presented.extend(child_pieces)
         detail = revise_detail(kb, node.prop, presented, (), tau, trace=trace, agent=agent)
-        accepted_strength = (
-            detail.winning_strength()
-            if detail.verdict.outcome is VerdictOutcome.ACCEPT
-            else None
-        )
         u_evid = (assertion_piece(node.prop, proposer, proposer_expertise),) + tuple(
             asserted_child_pieces
         )
         return EvaluatedNode(
             node=node,
             verdict=detail.verdict,
-            accepted_strength=accepted_strength,
+            accepted_strength=detail.accepted_strength(),
             support_credited=detail.support_pieces,
-            attack_credited=detail.attack_pieces,
             u_evid=u_evid,
             s_attack=_standing_attack(kb, node.prop, agent),
             children=tuple(evaluated_children),
@@ -318,8 +298,6 @@ def assimilate_evaluated(
     adopted as assertions; nothing is taken from rejected branches.
     Returns the updated store and every proposition now agreed to.
     """
-    from .beliefs import assimilate
-
     if not evaluated.accepted:
         raise ContractViolation("cannot assimilate a proposal that was not accepted")
     agreed: list[Proposition] = []

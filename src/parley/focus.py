@@ -9,7 +9,6 @@ focus of modification.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -18,9 +17,11 @@ from .beliefs import (
     EvidencePiece,
     KnowledgeBase,
     Proposition,
-    SourceKind,
     Verdict,
     VerdictOutcome,
+    minimal_subsets,
+    record_verdict,
+    removal_closure,
     revise,
 )
 from .evaluation import EvaluatedNode
@@ -28,23 +29,6 @@ from .evaluation import EvaluatedNode
 
 def flips(verdict: Verdict) -> bool:
     return verdict.outcome in (VerdictOutcome.REJECT, VerdictOutcome.ABANDON)
-
-
-def removal_closure(model: KnowledgeBase, removed: Iterable[Proposition]) -> frozenset:
-    """Everything lost when ``removed`` goes: the set itself plus every
-    modelled belief derived solely from members of the growing set."""
-    closure = set(removed)
-    changed = True
-    while changed:
-        changed = False
-        for belief in model.own:
-            if belief.prop in closure:
-                continue
-            e = belief.endorsement
-            if e.kind is SourceKind.DERIVED and e.support <= closure:
-                closure.add(belief.prop)
-                changed = True
-    return frozenset(closure)
 
 
 def predict(
@@ -66,6 +50,7 @@ def predict(
     never deleted, so a derivation left baseless is abandoned, not merely
     forgotten.
     """
+    removed = tuple(removed)
     closure = removal_closure(model, removed)
     hyp = [
         pc
@@ -79,18 +64,7 @@ def predict(
     support = [pc for pc in hyp if pc.consequent == target]
     attack = [pc for pc in hyp if pc.consequent == target.negate()]
     verdict = revise(pruned, target, support, attack, tau)
-    if trace is not None:
-        payload = {
-            "agent": agent,
-            "target": target.render(),
-            "supportScore": verdict.support_score,
-            "attackScore": verdict.attack_score,
-            "outcome": verdict.outcome.value,
-            "removed": sorted(p.render() for p in removed),
-        }
-        if note:
-            payload["note"] = note
-        trace.emit("predict", **payload)
+    record_verdict(trace, agent, target, verdict, note, removed=removed)
     return verdict
 
 
@@ -121,31 +95,29 @@ def select_min_set(
     def weight(prop: Proposition) -> int:
         return weights.get(prop, 0) if weights else 0
 
-    for size in range(1, len(cand) + 1):
-        qualifying = [
-            combo
-            for combo in itertools.combinations(cand, size)
-            if flips(predict(model, target, hypothesized, combo, tau))
-        ]
-        if qualifying:
-            chosen = min(
-                qualifying,
-                key=lambda combo: (
-                    -sum(weight(m) for m in combo),
-                    tuple(m.render() for m in combo),
-                ),
-            )
-            if trace is not None:
-                trace.emit(
-                    "minset",
-                    agent=agent,
-                    target=target.render(),
-                    candidates=[m.render() for m in cand],
-                    chosen=[m.render() for m in chosen],
-                    size=size,
-                )
-            return tuple(chosen)
-    raise ContractViolation("unreachable: full set flips but no subset found")
+    # the full set flips, so the search finds at least one subset
+    qualifying = next(
+        minimal_subsets(
+            cand, lambda combo: flips(predict(model, target, hypothesized, combo, tau))
+        )
+    )
+    chosen = min(
+        qualifying,
+        key=lambda combo: (
+            -sum(weight(m) for m in combo),
+            tuple(m.render() for m in combo),
+        ),
+    )
+    if trace is not None:
+        trace.emit(
+            "minset",
+            agent=agent,
+            target=target.render(),
+            candidates=[m.render() for m in cand],
+            chosen=[m.render() for m in chosen],
+            size=len(chosen),
+        )
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -189,32 +161,21 @@ def select_focus_modification(
             )
         return node
 
-    def relation_focus(child) -> Optional[frozenset]:
+    def flipped(prop: Proposition, hypothesized, removed, note: str) -> bool:
         verdict = predict(
-            model,
-            child.relation,
-            child.rel_u_evid + child.rel_s_attack,
-            (),
-            tau,
-            trace=trace,
-            agent=agent,
-            note="relation",
+            model, prop, hypothesized, removed, tau, trace=trace, agent=agent, note=note
         )
-        return frozenset({child.relation}) if flips(verdict) else None
+        return flips(verdict)
+
+    def relation_focus(child) -> Optional[frozenset]:
+        if flipped(child.relation, child.rel_u_evid + child.rel_s_attack, (), "relation"):
+            return frozenset({child.relation})
+        return None
 
     def walk(ev: EvaluatedNode) -> FociNode:
+        both_sides = ev.u_evid + ev.s_attack
         if not ev.children:
-            verdict = predict(
-                model,
-                ev.prop,
-                ev.u_evid + ev.s_attack,
-                (),
-                tau,
-                trace=trace,
-                agent=agent,
-                note="leaf",
-            )
-            focus = frozenset({ev.prop}) if flips(verdict) else None
+            focus = frozenset({ev.prop}) if flipped(ev.prop, both_sides, (), "leaf") else None
             return emit(FociNode(ev.prop, "leaf", focus))
 
         kids: list[FociNode] = []
@@ -240,60 +201,24 @@ def select_focus_modification(
         cand = tuple(sorted(member_focus))
         kids_t = tuple(kids)
 
-        if cand:
-            verdict = predict(
-                model, ev.prop, ev.u_evid, cand, tau, trace=trace, agent=agent, note="evidence"
+        def undermined(hypothesized, note: str, base: frozenset) -> Optional[frozenset]:
+            """``base`` plus the foci of the fewest members whose removal
+            flips the node, or None when removing them all does not."""
+            if not cand or not flipped(ev.prop, hypothesized, cand, note):
+                return None
+            chosen = select_min_set(
+                ev.prop, cand, model, tau, hypothesized=hypothesized, trace=trace, agent=agent
             )
-            if flips(verdict):
-                chosen = select_min_set(
-                    ev.prop,
-                    cand,
-                    model,
-                    tau,
-                    hypothesized=ev.u_evid,
-                    trace=trace,
-                    agent=agent,
-                )
-                focus = frozenset().union(*(member_focus[m] for m in chosen))
-                return emit(FociNode(ev.prop, "evidence", focus, cand, kids_t))
+            return base.union(*(member_focus[m] for m in chosen))
 
-        verdict = predict(
-            model,
-            ev.prop,
-            ev.u_evid + ev.s_attack,
-            (),
-            tau,
-            trace=trace,
-            agent=agent,
-            note="belief",
-        )
-        if flips(verdict):
+        focus = undermined(ev.u_evid, "evidence", frozenset())
+        if focus is not None:
+            return emit(FociNode(ev.prop, "evidence", focus, cand, kids_t))
+        if flipped(ev.prop, both_sides, (), "belief"):
             return emit(FociNode(ev.prop, "belief", frozenset({ev.prop}), cand, kids_t))
-
-        if cand:
-            verdict = predict(
-                model,
-                ev.prop,
-                ev.u_evid + ev.s_attack,
-                cand,
-                tau,
-                trace=trace,
-                agent=agent,
-                note="both",
-            )
-            if flips(verdict):
-                chosen = select_min_set(
-                    ev.prop,
-                    cand,
-                    model,
-                    tau,
-                    hypothesized=ev.u_evid + ev.s_attack,
-                    trace=trace,
-                    agent=agent,
-                )
-                focus = frozenset({ev.prop}).union(*(member_focus[m] for m in chosen))
-                return emit(FociNode(ev.prop, "both", focus, cand, kids_t))
-
+        focus = undermined(both_sides, "both", frozenset({ev.prop}))
+        if focus is not None:
+            return emit(FociNode(ev.prop, "both", focus, cand, kids_t))
         return emit(FociNode(ev.prop, "nil", None, cand, kids_t))
 
     return walk(evaluated)

@@ -9,9 +9,8 @@ to the hearer, then fewest beliefs, then canonical order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .beliefs import (
     Belief,
@@ -25,6 +24,7 @@ from .beliefs import (
     VerdictOutcome,
     assertion_piece,
     build_evidence_set,
+    minimal_subsets,
     revise,
 )
 
@@ -44,12 +44,19 @@ class JustificationLink:
     relation_level: StrengthLevel
     children: tuple["JustificationLink", ...] = ()
 
+    def walk(self) -> Iterator["JustificationLink"]:
+        """This link and every link beneath it, in preorder."""
+        stack = [self]
+        while stack:
+            link = stack.pop()
+            yield link
+            stack.extend(reversed(link.children))
+
     def min_confidence(self) -> StrengthLevel:
-        own = min(self.belief_level, self.relation_level)
-        return min([own] + [c.min_confidence() for c in self.children])
+        return min(min(link.belief_level, link.relation_level) for link in self.walk())
 
     def belief_count(self) -> int:
-        return 1 + sum(c.belief_count() for c in self.children)
+        return sum(1 for _ in self.walk())
 
 
 @dataclass(frozen=True)
@@ -71,21 +78,28 @@ class JustificationChain:
         )
 
     def key(self) -> tuple[str, ...]:
-        out: list[str] = []
-
-        def dfs(link: JustificationLink) -> None:
-            out.append(link.prop.render())
-            for child in link.children:
-                dfs(child)
-
-        dfs(self.link)
-        return tuple(out)
+        return tuple(link.prop.render() for link in self.link.walk())
 
 
 @dataclass(frozen=True)
 class JustificationChoice:
     claim: Proposition
     chains: tuple[JustificationChain, ...]
+
+
+def hearer_accepts(
+    model: KnowledgeBase,
+    claim: Proposition,
+    chains: Iterable[JustificationChain],
+    speaker: str,
+    expertise: Expertise,
+    tau: int,
+) -> bool:
+    """Would the hearer accept the claim, asserted together with the direct
+    evidence of ``chains``?"""
+    presented = [assertion_piece(claim, speaker, expertise)]
+    presented.extend(c.direct_piece() for c in chains)
+    return revise(model, claim, presented, tau=tau).outcome is VerdictOutcome.ACCEPT
 
 
 def needs_justification(
@@ -96,15 +110,7 @@ def needs_justification(
     tau: int = 1,
 ) -> bool:
     """Would the hearer decline the claim on the speaker's word alone?"""
-    verdict = revise(model, claim, [assertion_piece(claim, speaker, expertise)], tau=tau)
-    return verdict.outcome is not VerdictOutcome.ACCEPT
-
-
-def _bare_accept(
-    model: KnowledgeBase, prop: Proposition, speaker: str, expertise: Expertise, tau: int
-) -> bool:
-    verdict = revise(model, prop, [assertion_piece(prop, speaker, expertise)], tau=tau)
-    return verdict.outcome is VerdictOutcome.ACCEPT
+    return not hearer_accepts(model, claim, (), speaker, expertise, tau)
 
 
 def build_justification_chains(
@@ -129,7 +135,7 @@ def build_justification_chains(
         if prop == claim or prop in path or prop.negate() in path:
             continue
         levels = (piece.belief.endorsement.level, piece.relation.endorsement.level)
-        if _bare_accept(model, prop, speaker, expertise, tau):
+        if hearer_accepts(model, prop, (), speaker, expertise, tau):
             chains.append(
                 JustificationChain(claim, JustificationLink(prop, piece.relation.prop, *levels))
             )
@@ -158,12 +164,10 @@ def _sufficient_children(
 ) -> Optional[tuple[JustificationLink, ...]]:
     """Smallest bundle of sub-chains that gets ``prop`` accepted, trying
     canonical order within each size; None when nothing suffices."""
-    for size in range(1, len(sub) + 1):
-        for combo in itertools.combinations(sub, size):
-            presented = [assertion_piece(prop, speaker, expertise)]
-            presented.extend(c.direct_piece() for c in combo)
-            if revise(model, prop, presented, tau=tau).outcome is VerdictOutcome.ACCEPT:
-                return tuple(c.link for c in combo)
+    for found in minimal_subsets(
+        sub, lambda combo: hearer_accepts(model, prop, combo, speaker, expertise, tau)
+    ):
+        return tuple(c.link for c in found[0])
     return None
 
 
@@ -181,44 +185,25 @@ def select_justification(
     """Pick the bundle of chains to actually utter.
 
     A bundle survives when presenting its direct evidence with the claim
-    makes the hearer accept; surviving supersets of surviving bundles are
-    discarded.  Ties are broken by worst-link confidence, novelty to the
-    hearer, total size, and finally canonical order.
+    makes the hearer accept and no smaller surviving bundle lies inside it.
+    Ties are broken by worst-link confidence, novelty to the hearer, total
+    size, and finally canonical order.
     """
     pool = sorted(chains, key=lambda c: c.key())
-    survivors: list[tuple[JustificationChain, ...]] = []
-    for size in range(1, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            presented = [assertion_piece(claim, speaker, expertise)]
-            presented.extend(c.direct_piece() for c in combo)
-            if revise(model, claim, presented, tau=tau).outcome is VerdictOutcome.ACCEPT:
-                survivors.append(combo)
+    search = minimal_subsets(
+        pool, lambda combo: hearer_accepts(model, claim, combo, speaker, expertise, tau)
+    )
+    survivors = [combo for found in search for combo in found]
     if not survivors:
         raise NoSufficientJustification(f"no sufficient justification for {claim}")
 
-    def is_superset(combo, other) -> bool:
-        return combo != other and set(other) <= set(combo)
-
-    survivors = [c for c in survivors if not any(is_superset(c, o) for o in survivors)]
-
-    def combo_props(combo) -> list[Proposition]:
-        out: list[Proposition] = []
-
-        def dfs(link: JustificationLink) -> None:
-            out.append(link.prop)
-            for child in link.children:
-                dfs(child)
-
-        for chain in combo:
-            dfs(chain.link)
-        return out
-
     def score(combo):
-        props = combo_props(combo)
         fresh = sum(
             1
-            for p in props
-            if model.own_belief(p) is None and model.own_belief(p.negate()) is None
+            for chain in combo
+            for link in chain.link.walk()
+            if model.own_belief(link.prop) is None
+            and model.own_belief(link.prop.negate()) is None
         )
         return (
             -int(min(c.min_confidence() for c in combo)),
@@ -256,14 +241,9 @@ def realized_beliefs(
     presentation order, with relations included only when the hearer is not
     already modelled as holding them."""
     out: list[Proposition] = [choice.claim]
-
-    def dfs(link: JustificationLink) -> None:
-        out.append(link.prop)
-        if not model.holds(link.relation):
-            out.append(link.relation)
-        for child in link.children:
-            dfs(child)
-
     for chain in choice.chains:
-        dfs(chain.link)
+        for link in chain.link.walk():
+            out.append(link.prop)
+            if not model.holds(link.relation):
+                out.append(link.relation)
     return tuple(out)

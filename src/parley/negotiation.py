@@ -28,6 +28,7 @@ from .beliefs import (
     assertion_piece,
     assertion_strength,
     assimilate,
+    removal_closure,
     revise_detail,
 )
 from .evaluation import (
@@ -54,8 +55,6 @@ class ActKind(str, Enum):
     PROPOSE = "propose"
     INFORM = "inform"
     ACCEPT = "accept"
-    # defined for completeness; the current strategy corrects by informing
-    REJECT_WITH_PROPOSAL = "reject-with-proposal"
     INFO_SHARE_REQUEST = "info-share-request"
 
 
@@ -63,7 +62,6 @@ _VERBS = {
     ActKind.PROPOSE: "PROPOSE",
     ActKind.INFORM: "INFORM",
     ActKind.ACCEPT: "ACCEPT",
-    ActKind.REJECT_WITH_PROPOSAL: "REJECT",
     ActKind.INFO_SHARE_REQUEST: "INFOSHARE",
 }
 
@@ -178,10 +176,7 @@ def _asserted_level(kb: KnowledgeBase, prop: Proposition) -> StrengthLevel:
     held = kb.own_belief(prop)
     if held is not None:
         return held.endorsement.level
-    detail = revise_detail(kb, prop)
-    if detail.verdict.outcome is VerdictOutcome.ACCEPT:
-        return detail.winning_strength()
-    return assertion_strength(kb.expertise)
+    return revise_detail(kb, prop).accepted_strength() or assertion_strength(kb.expertise)
 
 
 def _claim_tree(kb: KnowledgeBase, choice: JustificationChoice) -> ProposalNode:
@@ -224,8 +219,6 @@ def _hypothetical_concession(
     model: KnowledgeBase, member: Proposition, claim: Proposition, level: StrengthLevel
 ) -> KnowledgeBase:
     """Working copy of the hearer model assuming the pending claim lands."""
-    from .focus import removal_closure
-
     for prop in sorted(removal_closure(model, (member,))):
         model = model.own_remove(prop)
     return model.own_add(Belief(claim, Endorsement.stereotype(level)))
@@ -242,6 +235,33 @@ def _observe_acceptance(session: _Session, observer: str, acceptor: str, props) 
             Belief(prop, Endorsement.assertion(level, acceptor, session.expertise(acceptor)))
         )
     session.kbs[observer] = kb
+
+
+def _hear(session: _Session, speaker: str, hearer: str, tree: ProposalNode) -> EvaluatedNode:
+    """The hearer notes what the speaker proposed and judges it."""
+    expertise = session.expertise(speaker)
+    kb = record_proposal(session.kbs[hearer], tree, speaker=speaker, expertise=expertise)
+    session.kbs[hearer] = kb
+    return evaluate_proposal(
+        kb,
+        tree,
+        session.config.tau,
+        proposer=speaker,
+        proposer_expertise=expertise,
+        trace=session.trace,
+        agent=hearer,
+    )
+
+
+def _agree(session: _Session, speaker: str, hearer: str, evaluated: EvaluatedNode) -> None:
+    """The hearer adopts the accepted proposal; the speaker sees it agree."""
+    session.kbs[hearer], agreed = assimilate_evaluated(
+        session.kbs[hearer],
+        evaluated,
+        proposer=speaker,
+        proposer_expertise=session.expertise(speaker),
+    )
+    _observe_acceptance(session, speaker, hearer, agreed)
 
 
 def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> _Step:
@@ -310,33 +330,13 @@ def _settle(
         if guard > 256:
             raise ContractViolation("negotiation round failed to terminate")
         session.rounds += 1
-        session.kbs[evaluator] = record_proposal(
-            session.kbs[evaluator],
-            current,
-            speaker=proposer,
-            expertise=session.expertise(proposer),
-        )
-        evaluated = evaluate_proposal(
-            session.kbs[evaluator],
-            current,
-            session.config.tau,
-            proposer=proposer,
-            proposer_expertise=session.expertise(proposer),
-            trace=session.trace,
-            agent=evaluator,
-        )
+        evaluated = _hear(session, proposer, evaluator, current)
         outcome = evaluated.verdict.outcome
 
         if outcome is VerdictOutcome.ACCEPT:
             if fresh:
                 session.act(ActKind.ACCEPT, evaluator, prop=current.prop)
-            session.kbs[evaluator], agreed = assimilate_evaluated(
-                session.kbs[evaluator],
-                evaluated,
-                proposer=proposer,
-                proposer_expertise=session.expertise(proposer),
-            )
-            _observe_acceptance(session, proposer, evaluator, agreed)
+            _agree(session, proposer, evaluator, evaluated)
             return _Result("settled", current.prop)
 
         if outcome is VerdictOutcome.UNCERTAIN:
@@ -479,29 +479,9 @@ def _handle_rejection(
     corrected_tree = ProposalNode(
         corrected, _asserted_level(session.kbs[evaluator], corrected)
     )
-    session.kbs[proposer] = record_proposal(
-        session.kbs[proposer],
-        corrected_tree,
-        speaker=evaluator,
-        expertise=session.expertise(evaluator),
-    )
-    ratified = evaluate_proposal(
-        session.kbs[proposer],
-        corrected_tree,
-        tau,
-        proposer=evaluator,
-        proposer_expertise=session.expertise(evaluator),
-        trace=session.trace,
-        agent=proposer,
-    )
+    ratified = _hear(session, evaluator, proposer, corrected_tree)
     if ratified.verdict.outcome is VerdictOutcome.ACCEPT:
-        session.kbs[proposer], agreed = assimilate_evaluated(
-            session.kbs[proposer],
-            ratified,
-            proposer=evaluator,
-            proposer_expertise=session.expertise(evaluator),
-        )
-        _observe_acceptance(session, evaluator, proposer, agreed)
+        _agree(session, evaluator, proposer, ratified)
         return _Step("settled", ratified=corrected)
     if ratified.verdict.outcome is VerdictOutcome.UNCERTAIN:
         session.act(ActKind.INFO_SHARE_REQUEST, proposer, prop=corrected)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from .beliefs import (
     Belief,
@@ -180,6 +180,13 @@ def _parse_node(value: Any, path: str) -> ProposalNode:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
+    try:
+        return _parse_document(text)
+    except RecursionError:
+        raise ScenarioError("$", "document nested too deeply") from None
+
+
+def _parse_document(text: str) -> Scenario:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

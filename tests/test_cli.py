@@ -106,6 +106,29 @@ def test_malformed_scenario_diagnostic(tmp_path):
     assert "$.agents" in result.stderr
 
 
+def test_deeply_nested_scenario_diagnostic(tmp_path):
+    # built by concatenation: json.dumps itself recurses at this depth
+    depth = 1200
+    proposal = (
+        "".join(
+            f'{{"prop": "p{i}", "assertedLevel": "strong", "children": [' for i in range(depth)
+        )
+        + '{"prop": "q", "assertedLevel": "strong"}'
+        + "]}" * depth
+    )
+    agents = (
+        '[{"id": "U", "expertise": "expert", "beliefs": []}, '
+        '{"id": "S", "expertise": "expert", "beliefs": []}]'
+    )
+    deep = tmp_path / "deep.scenario"
+    deep.write_text(f'{{"v": 1, "agents": {agents}, "proposal": {proposal}}}')
+    result = run_cli("run", str(deep))
+    assert result.returncode == 1
+    assert result.stderr.startswith("parley:")
+    assert "$: document nested too deeply" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("flag", ["--tau", "--max-depth"])
 def test_nonpositive_knobs_rejected(flag):
     result = run_cli("run", scenario("smith"), flag, "0")

@@ -71,6 +71,13 @@ class TestPredict:
         assert record.payload["note"] == "leaf"
         assert record.payload["removed"] == []
 
+    def test_trace_names_removed_given_once(self):
+        trace = Trace()
+        model = kb_of(rec(A), der(TGT, S, A))
+        predict(model, TGT, removed=(p for p in [A]), trace=trace)
+        (record,) = trace.by_kind("predict")
+        assert record.payload["removed"] == ["a(x)"]
+
 
 class TestSelectMinSet:
     def model(self) -> KnowledgeBase:

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from parley import (
@@ -10,12 +13,14 @@ from parley import (
     KnowledgeBase,
     NoSufficientJustification,
     StrengthLevel,
+    VerdictOutcome,
     build_justification_chains,
     needs_justification,
     select_justification,
     supports_prop,
 )
-from parley.justification import realized_beliefs
+from parley.beliefs import assertion_piece, minimal_subsets, revise
+from parley.justification import _sufficient_children, realized_beliefs
 from parley.trace import Trace
 
 from conftest import ground
@@ -169,3 +174,151 @@ class TestRealized:
             C,
             supports_prop(C, A),
         )
+
+
+# ---------------------------------------------------------------------------
+# the shared minimal-subset search against exhaustive oracles
+
+
+def all_subsets(items):
+    return [c for size in range(1, len(items) + 1) for c in itertools.combinations(items, size)]
+
+
+def minimal_oracle(items, sufficient):
+    """Every sufficient subset, minus those holding a smaller sufficient one."""
+    survivors = [c for c in all_subsets(items) if sufficient(c)]
+    return [c for c in survivors if not any(set(o) < set(c) for o in survivors)]
+
+
+def random_predicate(rng, k, monotone):
+    items = list(range(k))
+    if monotone:
+        count = rng.randint(0, 3) if k else 0
+        bases = [frozenset(rng.sample(items, rng.randint(1, k))) for _ in range(count)]
+        return lambda c: any(b <= set(c) for b in bases)
+    chosen = {frozenset(c) for c in all_subsets(items) if rng.random() < 0.3}
+    return lambda c: frozenset(c) in chosen
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "non-monotone"])
+def test_minimal_subsets_matches_oracle(monotone):
+    rng = random.Random(7)
+    for case in range(300):
+        k = rng.randint(0, 8)
+        sufficient = random_predicate(rng, k, monotone)
+        found = list(minimal_subsets(list(range(k)), sufficient))
+        sizes = [len(group[0]) for group in found]
+        assert sizes == sorted(set(sizes)), case
+        assert all(len(c) == len(group[0]) for group in found for c in group), case
+        flat = [c for group in found for c in group]
+        assert flat == minimal_oracle(list(range(k)), sufficient), case
+
+
+def seed_accepts(model, claim, combo, expertise, tau):
+    presented = [assertion_piece(claim, "s", expertise)]
+    presented.extend(c.direct_piece() for c in combo)
+    return revise(model, claim, presented, tau=tau).outcome is VerdictOutcome.ACCEPT
+
+
+def seed_select(chains, model, claim, tau, expertise):
+    """The original algorithm: try all 2^k bundles, then drop supersets."""
+
+    def accepts(combo):
+        return seed_accepts(model, claim, combo, expertise, tau)
+
+    def props(link):
+        return [link.prop] + [p for child in link.children for p in props(child)]
+
+    def score(combo):
+        fresh = sum(
+            1
+            for chain in combo
+            for p in props(chain.link)
+            if model.own_belief(p) is None and model.own_belief(p.negate()) is None
+        )
+        return (
+            -int(min(c.min_confidence() for c in combo)),
+            -fresh,
+            sum(len(props(c.link)) for c in combo),
+            tuple(tuple(p.render() for p in props(c.link)) for c in combo),
+        )
+
+    pool = sorted(chains, key=lambda c: c.key())
+    survivors = minimal_oracle(pool, accepts)
+    if not survivors:
+        return None, None
+    ranked = sorted(survivors, key=score)
+    best = ranked[0]
+    rule = "only"
+    if len(survivors) > 1:
+        b, r = score(best), score(ranked[1])
+        rule = ("confidence", "novelty", "size", "canonical")[
+            next(i for i in range(4) if b[i] != r[i])
+        ]
+    record = {
+        "agent": "s",
+        "claim": claim.render(),
+        "chosen": [c.link.prop.render() for c in best],
+        "candidates": len(survivors),
+        "rule": rule,
+    }
+    return best, record
+
+
+def random_chain_case(rng):
+    levels = [W, S, T]
+    chains = []
+    for i in range(rng.randint(1, 6)):
+        prop = ground(f"e{i}")
+        children = tuple(
+            JustificationLink(
+                ground(f"e{i}_{j}"),
+                supports_prop(ground(f"e{i}_{j}"), prop),
+                rng.choice(levels),
+                rng.choice(levels),
+            )
+            for j in range(rng.choice([0, 0, 1, 2]))
+        )
+        link = JustificationLink(
+            prop, supports_prop(prop, CLAIM), rng.choice(levels), rng.choice(levels), children
+        )
+        chains.append(JustificationChain(CLAIM, link))
+    beliefs = [rec(CLAIM.negate(), rng.choice(levels))]
+    for i in range(rng.randint(0, 3)):
+        beliefs.extend(backing(CLAIM.negate(), ground(f"c{i}"), rng.choice(levels)))
+    for chain in chains:
+        for link in chain.link.walk():
+            if rng.random() < 0.2:
+                beliefs.append(rec(rng.choice([link.prop, link.prop.negate()]), W))
+    model = KnowledgeBase(own=tuple(beliefs), expertise=rng.choice(list(Expertise)))
+    return chains, model, rng.choice(list(Expertise)), rng.choice([1, 1, 2, 3])
+
+
+def test_select_justification_matches_seed_algorithm():
+    rng = random.Random(11)
+    rules = set()
+    for case in range(250):
+        chains, model, expertise, tau = random_chain_case(rng)
+        rng.shuffle(chains)
+        want, record = seed_select(chains, model, CLAIM, tau, expertise)
+        pool = tuple(sorted(chains, key=lambda c: c.key()))
+        first = next(
+            (c for c in all_subsets(pool) if seed_accepts(model, CLAIM, c, expertise, tau)), None
+        )
+        got_children = _sufficient_children(model, CLAIM, pool, "s", expertise, tau)
+        assert got_children == (None if first is None else tuple(c.link for c in first)), case
+        trace = Trace()
+        if want is None:
+            with pytest.raises(NoSufficientJustification):
+                select_justification(
+                    chains, model, CLAIM, tau, speaker="s", expertise=expertise, trace=trace
+                )
+            continue
+        choice = select_justification(
+            chains, model, CLAIM, tau, speaker="s", expertise=expertise, trace=trace, agent="s"
+        )
+        assert choice.chains == tuple(want), case
+        (heuristic,) = trace.by_kind("heuristic")
+        assert heuristic.payload == record, case
+        rules.add(record["rule"])
+    assert rules == {"only", "confidence", "novelty", "size", "canonical"}

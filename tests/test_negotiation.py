@@ -178,3 +178,30 @@ def test_reruns_are_byte_identical(smith):
     run_scenario(smith, tr2)
     assert t1.realize() == t2.realize()
     assert tr1.to_ndjson() == tr2.to_ndjson()
+
+
+VERDICT_KEYS = {"agent", "target", "supportScore", "attackScore", "outcome"}
+VERDICT_RECORDS = {
+    # (kind, method, has note) -> exact payload keys
+    ("revise", "scores", False): VERDICT_KEYS | {"method"},
+    ("revise", "scores", True): VERDICT_KEYS | {"method", "note"},
+    ("revise", "lookup", False): VERDICT_KEYS | {"method"},
+    ("predict", None, True): VERDICT_KEYS | {"removed", "note"},
+}
+
+
+def test_verdict_records_have_exact_keys():
+    seen = set()
+    for name in sorted(FIXTURES):
+        trace = Trace()
+        run_scenario(load_bundled(name), trace)
+        for record in trace.records:
+            if record.kind not in ("revise", "predict"):
+                continue
+            payload = record.payload
+            variant = (record.kind, payload.get("method"), "note" in payload)
+            assert variant in VERDICT_RECORDS, (name, record.step, variant)
+            assert set(payload) == VERDICT_RECORDS[variant], (name, record.step)
+            assert payload.get("note", "x") != ""
+            seen.add(variant)
+    assert seen == set(VERDICT_RECORDS)
