@@ -35,7 +35,6 @@ from .evaluation import (
 )
 from .focus import FociNode, predict, select_focus_modification, select_min_set
 from .justification import (
-    JustificationChain,
     JustificationChoice,
     JustificationLink,
     NoSufficientJustification,
@@ -56,58 +55,3 @@ from .trace import Trace, TraceRecord
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActKind",
-    "AgentSpec",
-    "Belief",
-    "ContractViolation",
-    "ContradictionError",
-    "DepthExceededError",
-    "DiscourseAct",
-    "Direction",
-    "Endorsement",
-    "EvaluatedChild",
-    "EvaluatedNode",
-    "EvidencePiece",
-    "Expertise",
-    "FociNode",
-    "JustificationChain",
-    "JustificationChoice",
-    "JustificationLink",
-    "KnowledgeBase",
-    "NegotiationConfig",
-    "NoSufficientJustification",
-    "ProposalNode",
-    "Proposition",
-    "Scenario",
-    "ScenarioError",
-    "SourceKind",
-    "StrengthLevel",
-    "StructureError",
-    "Trace",
-    "TraceRecord",
-    "Transcript",
-    "Verdict",
-    "VerdictOutcome",
-    "assertion_strength",
-    "assimilate",
-    "assimilate_evaluated",
-    "build_evidence_set",
-    "build_justification_chains",
-    "evaluate_proposal",
-    "needs_justification",
-    "negotiate",
-    "parse_proposition",
-    "parse_scenario",
-    "piece_strength",
-    "predict",
-    "record_proposal",
-    "render_scenario",
-    "render_tree",
-    "revise",
-    "select_focus_modification",
-    "select_justification",
-    "select_min_set",
-    "supports_prop",
-    "validate_tree",
-]

@@ -77,6 +77,11 @@ SUPPORTS = "supports"
 _PREDICATE_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
 _IDENT_RE = re.compile(r"[a-z0-9_]+\Z")
 
+# How many supports(...) may enclose one another in parsed text.  Rendering
+# and hashing recurse once per level, so this stays far below the
+# interpreter's recursion limit.
+MAX_PROP_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Proposition:
@@ -146,7 +151,7 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_prop(text: str, pos: int) -> tuple[Proposition, int]:
+def _parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:
     pos = _skip_ws(text, pos)
     negated = False
     while pos < len(text) and text[pos] in "~¬":
@@ -163,7 +168,11 @@ def _parse_prop(text: str, pos: int) -> tuple[Proposition, int]:
         pos = _skip_ws(text, pos + 1)
         while pos < len(text) and text[pos] != ")":
             if predicate == SUPPORTS:
-                arg, pos = _parse_prop(text, pos)
+                if depth >= MAX_PROP_NESTING:
+                    raise StructureError(
+                        f"supports(...) nested deeper than {MAX_PROP_NESTING} levels"
+                    )
+                arg, pos = _parse_prop(text, pos, depth + 1)
             else:
                 m = re.match(r"[a-z0-9_]+", text[pos:])
                 if not m:
@@ -335,12 +344,13 @@ class KnowledgeBase:
     _model_idx: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self) -> None:
-        own = tuple(sorted(self.own, key=lambda b: b.prop.render()))
-        model = tuple(sorted(self.user_model, key=lambda b: b.prop.render()))
-        object.__setattr__(self, "own", own)
-        object.__setattr__(self, "user_model", model)
-        object.__setattr__(self, "_own_idx", _index(own, "own beliefs"))
-        object.__setattr__(self, "_model_idx", _index(model, "user model"))
+        for side, idx, label in (
+            ("own", "_own_idx", "own beliefs"),
+            ("user_model", "_model_idx", "user model"),
+        ):
+            beliefs = tuple(sorted(getattr(self, side), key=lambda b: b.prop.render()))
+            object.__setattr__(self, side, beliefs)
+            object.__setattr__(self, idx, _index(beliefs, label))
 
     def own_belief(self, prop: Proposition) -> Optional[Belief]:
         return self._own_idx.get(prop)
@@ -352,26 +362,26 @@ class KnowledgeBase:
         return self._model_idx.get(prop)
 
     def own_add(self, belief: Belief) -> "KnowledgeBase":
-        kept = [
-            b
-            for b in self.own
-            if b.prop not in (belief.prop, belief.prop.negate())
-        ]
-        return replace(self, own=tuple(kept) + (belief,))
+        return replace(self, own=_put(self.own, belief))
 
     def own_remove(self, prop: Proposition) -> "KnowledgeBase":
-        return replace(self, own=tuple(b for b in self.own if b.prop != prop))
+        return replace(self, own=_drop(self.own, prop))
 
     def model_add(self, belief: Belief) -> "KnowledgeBase":
-        kept = [
-            b
-            for b in self.user_model
-            if b.prop not in (belief.prop, belief.prop.negate())
-        ]
-        return replace(self, user_model=tuple(kept) + (belief,))
+        return replace(self, user_model=_put(self.user_model, belief))
 
     def model_remove(self, prop: Proposition) -> "KnowledgeBase":
-        return replace(self, user_model=tuple(b for b in self.user_model if b.prop != prop))
+        return replace(self, user_model=_drop(self.user_model, prop))
+
+
+def _drop(beliefs: tuple[Belief, ...], *props: Proposition) -> tuple[Belief, ...]:
+    return tuple(b for b in beliefs if b.prop not in props)
+
+
+def _put(beliefs: tuple[Belief, ...], belief: Belief) -> tuple[Belief, ...]:
+    """``beliefs`` with ``belief`` replacing whatever held its proposition or
+    the negation."""
+    return _drop(beliefs, belief.prop, belief.prop.negate()) + (belief,)
 
 
 # ---------------------------------------------------------------------------
@@ -439,22 +449,18 @@ def build_evidence_set(
     return tuple(sorted(best.values(), key=lambda pc: pc.key()))
 
 
-def _refuted(kb: KnowledgeBase, prop: Proposition, seen: frozenset) -> bool:
-    """A proposition is refuted when the store no longer backs it."""
-    held = kb.own_belief(prop)
-    if held is None:
-        return True
-    return not _standing(kb, held, seen)
-
-
 def _standing(kb: KnowledgeBase, belief: Belief, seen: frozenset = frozenset()) -> bool:
-    """A derived belief stands only while some member of its basis survives."""
+    """A derived belief stands only while some member of its basis is still
+    held and standing."""
     if belief.endorsement.kind is not SourceKind.DERIVED:
         return True
     if belief.prop in seen:
         return False
     seen = seen | {belief.prop}
-    return any(not _refuted(kb, member, seen) for member in belief.endorsement.support)
+    return any(
+        (held := kb.own_belief(member)) is not None and _standing(kb, held, seen)
+        for member in belief.endorsement.support
+    )
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,17 @@ EXIT_ERROR = 1
 EXIT_NEEDS_SHARING = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with the generic error code, since argparse's own
+    code 2 means a stalled dialogue here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parley",
         description="Run negotiation scenarios between two belief-holding agents.",
     )
@@ -56,7 +65,7 @@ def _run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"parley: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ScenarioError as exc:
+    except (ScenarioError, UnicodeDecodeError) as exc:
         print(f"parley: {args.file}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -73,10 +82,7 @@ def _run(args: argparse.Namespace) -> int:
             config,
             trace=trace,
         )
-    except DepthExceededError as exc:
-        print(f"parley: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ContractViolation, StructureError) as exc:
+    except (DepthExceededError, ContractViolation, StructureError) as exc:
         print(f"parley: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -36,7 +36,8 @@ class NoSufficientJustification(RuntimeError):
 @dataclass(frozen=True)
 class JustificationLink:
     """One piece of offered evidence: a belief, the relation tying it to its
-    parent claim, and the strengths both are held at."""
+    parent claim, and the strengths both are held at.  With the links that
+    justify it in turn, a top link is a whole justification chain."""
 
     prop: Proposition
     relation: Proposition
@@ -58,39 +59,27 @@ class JustificationLink:
     def belief_count(self) -> int:
         return sum(1 for _ in self.walk())
 
-
-@dataclass(frozen=True)
-class JustificationChain:
-    claim: Proposition
-    link: JustificationLink
-
-    def min_confidence(self) -> StrengthLevel:
-        return self.link.min_confidence()
-
-    def belief_count(self) -> int:
-        return self.link.belief_count()
-
     def direct_piece(self) -> EvidencePiece:
         return EvidencePiece(
-            Belief(self.link.prop, Endorsement.kb_record(self.link.belief_level)),
-            Belief(self.link.relation, Endorsement.kb_record(self.link.relation_level)),
+            Belief(self.prop, Endorsement.kb_record(self.belief_level)),
+            Belief(self.relation, Endorsement.kb_record(self.relation_level)),
             Direction.SUPPORTS,
         )
 
     def key(self) -> tuple[str, ...]:
-        return tuple(link.prop.render() for link in self.link.walk())
+        return tuple(link.prop.render() for link in self.walk())
 
 
 @dataclass(frozen=True)
 class JustificationChoice:
     claim: Proposition
-    chains: tuple[JustificationChain, ...]
+    chains: tuple[JustificationLink, ...]
 
 
 def hearer_accepts(
     model: KnowledgeBase,
     claim: Proposition,
-    chains: Iterable[JustificationChain],
+    chains: Iterable[JustificationLink],
     speaker: str,
     expertise: Expertise,
     tau: int,
@@ -122,12 +111,12 @@ def build_justification_chains(
     speaker: str,
     expertise: Expertise,
     _path: frozenset = frozenset(),
-) -> tuple[JustificationChain, ...]:
+) -> tuple[JustificationLink, ...]:
     """Every way the speaker's own evidence can back ``claim`` for this
     hearer.  Links the hearer would reject bare are justified recursively;
     evidence with no convincing story behind it is dropped."""
     path = _path | {claim}
-    chains: list[JustificationChain] = []
+    chains: list[JustificationLink] = []
     for piece in build_evidence_set(kb, claim):
         if piece.direction is not Direction.SUPPORTS:
             continue
@@ -136,9 +125,7 @@ def build_justification_chains(
             continue
         levels = (piece.belief.endorsement.level, piece.relation.endorsement.level)
         if hearer_accepts(model, prop, (), speaker, expertise, tau):
-            chains.append(
-                JustificationChain(claim, JustificationLink(prop, piece.relation.prop, *levels))
-            )
+            chains.append(JustificationLink(prop, piece.relation.prop, *levels))
             continue
         sub = build_justification_chains(
             kb, model, prop, tau, speaker=speaker, expertise=expertise, _path=path
@@ -146,18 +133,14 @@ def build_justification_chains(
         children = _sufficient_children(model, prop, sub, speaker, expertise, tau)
         if children is None:
             continue
-        chains.append(
-            JustificationChain(
-                claim, JustificationLink(prop, piece.relation.prop, *levels, children=children)
-            )
-        )
+        chains.append(JustificationLink(prop, piece.relation.prop, *levels, children=children))
     return tuple(sorted(chains, key=lambda c: c.key()))
 
 
 def _sufficient_children(
     model: KnowledgeBase,
     prop: Proposition,
-    sub: tuple[JustificationChain, ...],
+    sub: tuple[JustificationLink, ...],
     speaker: str,
     expertise: Expertise,
     tau: int,
@@ -167,12 +150,12 @@ def _sufficient_children(
     for found in minimal_subsets(
         sub, lambda combo: hearer_accepts(model, prop, combo, speaker, expertise, tau)
     ):
-        return tuple(c.link for c in found[0])
+        return found[0]
     return None
 
 
 def select_justification(
-    chains: Iterable[JustificationChain],
+    chains: Iterable[JustificationLink],
     model: KnowledgeBase,
     claim: Proposition,
     tau: int = 1,
@@ -201,7 +184,7 @@ def select_justification(
         fresh = sum(
             1
             for chain in combo
-            for link in chain.link.walk()
+            for link in chain.walk()
             if model.own_belief(link.prop) is None
             and model.own_belief(link.prop.negate()) is None
         )
@@ -242,7 +225,7 @@ def realized_beliefs(
     already modelled as holding them."""
     out: list[Proposition] = [choice.claim]
     for chain in choice.chains:
-        for link in chain.link.walk():
+        for link in chain.walk():
             out.append(link.prop)
             if not model.holds(link.relation):
                 out.append(link.relation)

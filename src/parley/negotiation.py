@@ -130,10 +130,7 @@ class _Session:
         return self.kbs[agent].expertise
 
     def model_of(self, agent: str) -> KnowledgeBase:
-        other = next(a for a in self.kbs if a != agent)
-        return KnowledgeBase(
-            own=self.kbs[agent].user_model, expertise=self.expertise(other)
-        )
+        return KnowledgeBase(own=self.kbs[agent].user_model)
 
     def act(
         self,
@@ -160,14 +157,8 @@ class _Session:
 
 
 @dataclass(frozen=True)
-class _Result:
-    status: str  # "settled" | "unresolved"
-    ratified: Optional[Proposition]
-
-
-@dataclass(frozen=True)
 class _Step:
-    kind: str  # "settled" | "retry" | "conceded" | "unresolved"
+    kind: str  # "settled" | "retry" | "unresolved"
     ratified: Optional[Proposition] = None
     tree: Optional[ProposalNode] = None
 
@@ -190,7 +181,7 @@ def _claim_tree(kb: KnowledgeBase, choice: JustificationChoice) -> ProposalNode:
     return ProposalNode(
         choice.claim,
         _asserted_level(kb, choice.claim),
-        tuple(from_link(chain.link) for chain in choice.chains),
+        tuple(from_link(link) for link in choice.chains),
     )
 
 
@@ -273,7 +264,7 @@ def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> 
     session.act(ActKind.ACCEPT, loser, prop=root)
     session.conceded_by = loser
     _observe_acceptance(session, winner, loser, [root])
-    return _Step("conceded", ratified=root)
+    return _Step("settled", ratified=root)
 
 
 def negotiate(
@@ -300,7 +291,7 @@ def negotiate(
     result = _settle(session, proposer, evaluator, proposal, depth=0)
 
     outcome = "unresolved-needs-sharing"
-    if result.status == "settled":
+    if result.kind == "settled":
         outcome = (
             f"concession:{session.conceded_by}" if session.conceded_by else "agreement"
         )
@@ -317,7 +308,7 @@ def negotiate(
 
 def _settle(
     session: _Session, proposer: str, evaluator: str, tree: ProposalNode, depth: int
-) -> _Result:
+) -> _Step:
     if depth > session.config.max_depth:
         raise DepthExceededError(f"nesting exceeded {session.config.max_depth}")
     session.depth_max = max(session.depth_max, depth)
@@ -337,17 +328,15 @@ def _settle(
             if fresh:
                 session.act(ActKind.ACCEPT, evaluator, prop=current.prop)
             _agree(session, proposer, evaluator, evaluated)
-            return _Result("settled", current.prop)
+            return _Step("settled", ratified=current.prop)
 
         if outcome is VerdictOutcome.UNCERTAIN:
             session.act(ActKind.INFO_SHARE_REQUEST, evaluator, prop=current.prop)
-            return _Result("unresolved", None)
+            return _Step("unresolved")
 
         step = _handle_rejection(session, proposer, evaluator, current, evaluated, depth)
-        if step.kind == "unresolved":
-            return _Result("unresolved", None)
-        if step.kind in ("settled", "conceded"):
-            return _Result("settled", step.ratified)
+        if step.kind != "retry":
+            return step
         current = step.tree
         fresh = False
 
@@ -422,8 +411,8 @@ def _handle_rejection(
 
     for counter in counters:
         sub = _settle(session, evaluator, proposer, counter, depth + 1)
-        if sub.status == "unresolved":
-            return _Step("unresolved")
+        if sub.kind == "unresolved":
+            return sub
 
     achieved = all(not session.kbs[proposer].holds(m) for m in members)
     if not achieved:
@@ -490,5 +479,4 @@ def _handle_rejection(
     # the correction itself is disputed: the corrector must defend it
     session.act(ActKind.PROPOSE, evaluator, proposal=corrected_tree)
     session.already_presented(evaluator, corrected, corrected_tree.props())
-    sub = _settle(session, evaluator, proposer, corrected_tree, depth)
-    return _Step("settled" if sub.status == "settled" else "unresolved", ratified=sub.ratified)
+    return _settle(session, evaluator, proposer, corrected_tree, depth)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .beliefs import (
     Belief,
@@ -18,7 +18,6 @@ from .beliefs import (
     Endorsement,
     Expertise,
     KnowledgeBase,
-    Proposition,
     SourceKind,
     StrengthLevel,
     StructureError,
@@ -59,12 +58,15 @@ class Scenario:
         return self.agents[1]
 
 
-def _expect_object(value: Any, path: str, allowed: set) -> dict:
+def _expect_object(value: Any, path: str, allowed: set, required: tuple = ()) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
     unknown = set(value) - allowed
     if unknown:
         raise ScenarioError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in value:
+            raise ScenarioError(path, f"missing field: {key}")
     return value
 
 
@@ -80,18 +82,11 @@ def _expect_str(value: Any, path: str) -> str:
     return value
 
 
-def _parse_prop(text: Any, path: str) -> Proposition:
-    raw = _expect_str(text, path)
-    try:
-        return parse_proposition(raw)
-    except StructureError as exc:
-        raise ScenarioError(path, str(exc)) from None
-
-
-def _parse_level(value: Any, path: str) -> StrengthLevel:
+def _parse_str(value: Any, path: str, parse: Callable[[str], Any]) -> Any:
+    """``parse`` applied to a non-empty string, its errors reported at ``path``."""
     raw = _expect_str(value, path)
     try:
-        return StrengthLevel.parse(raw)
+        return parse(raw)
     except StructureError as exc:
         raise ScenarioError(path, str(exc)) from None
 
@@ -105,16 +100,12 @@ def _parse_source(value: Any, level: StrengthLevel, path: str) -> Endorsement:
         raise ScenarioError(path, f"unknown source: {value!r}")
     if isinstance(value, dict):
         if set(value) == {"assertion"}:
-            body = _expect_object(value["assertion"], f"{path}.assertion", {"speaker", "expertise"})
-            if "speaker" not in body or "expertise" not in body:
-                raise ScenarioError(f"{path}.assertion", "needs speaker and expertise")
+            fields = ("speaker", "expertise")
+            body = _expect_object(value["assertion"], f"{path}.assertion", set(fields), fields)
             speaker = _expect_str(body["speaker"], f"{path}.assertion.speaker")
-            try:
-                expertise = Expertise.parse(
-                    _expect_str(body["expertise"], f"{path}.assertion.expertise")
-                )
-            except StructureError as exc:
-                raise ScenarioError(f"{path}.assertion.expertise", str(exc)) from None
+            expertise = _parse_str(
+                body["expertise"], f"{path}.assertion.expertise", Expertise.parse
+            )
             return Endorsement.assertion(level, speaker, expertise)
         if set(value) == {"derived"}:
             body = _expect_object(value["derived"], f"{path}.derived", {"from"})
@@ -122,7 +113,8 @@ def _parse_source(value: Any, level: StrengthLevel, path: str) -> Endorsement:
             if not props:
                 raise ScenarioError(f"{path}.derived.from", "must not be empty")
             support = [
-                _parse_prop(p, f"{path}.derived.from[{i}]") for i, p in enumerate(props)
+                _parse_str(p, f"{path}.derived.from[{i}]", parse_proposition)
+                for i, p in enumerate(props)
             ]
             return Endorsement.derived(level, support)
         raise ScenarioError(path, "source object must be {'assertion': ...} or {'derived': ...}")
@@ -130,25 +122,19 @@ def _parse_source(value: Any, level: StrengthLevel, path: str) -> Endorsement:
 
 
 def _parse_belief(value: Any, path: str) -> Belief:
-    obj = _expect_object(value, path, {"prop", "level", "source"})
-    for key in ("prop", "level", "source"):
-        if key not in obj:
-            raise ScenarioError(path, f"missing field: {key}")
-    prop = _parse_prop(obj["prop"], f"{path}.prop")
-    level = _parse_level(obj["level"], f"{path}.level")
+    fields = ("prop", "level", "source")
+    obj = _expect_object(value, path, set(fields), fields)
+    prop = _parse_str(obj["prop"], f"{path}.prop", parse_proposition)
+    level = _parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
     return Belief(prop, _parse_source(obj["source"], level, f"{path}.source"))
 
 
 def _parse_agent(value: Any, path: str) -> AgentSpec:
-    obj = _expect_object(value, path, {"id", "expertise", "beliefs", "userModel"})
-    for key in ("id", "expertise", "beliefs"):
-        if key not in obj:
-            raise ScenarioError(path, f"missing field: {key}")
+    obj = _expect_object(
+        value, path, {"id", "expertise", "beliefs", "userModel"}, ("id", "expertise", "beliefs")
+    )
     agent_id = _expect_str(obj["id"], f"{path}.id")
-    try:
-        expertise = Expertise.parse(_expect_str(obj["expertise"], f"{path}.expertise"))
-    except StructureError as exc:
-        raise ScenarioError(f"{path}.expertise", str(exc)) from None
+    expertise = _parse_str(obj["expertise"], f"{path}.expertise", Expertise.parse)
     beliefs = [
         _parse_belief(b, f"{path}.beliefs[{i}]")
         for i, b in enumerate(_expect_list(obj["beliefs"], f"{path}.beliefs"))
@@ -165,12 +151,11 @@ def _parse_agent(value: Any, path: str) -> AgentSpec:
 
 
 def _parse_node(value: Any, path: str) -> ProposalNode:
-    obj = _expect_object(value, path, {"prop", "assertedLevel", "children"})
-    for key in ("prop", "assertedLevel"):
-        if key not in obj:
-            raise ScenarioError(path, f"missing field: {key}")
-    prop = _parse_prop(obj["prop"], f"{path}.prop")
-    level = _parse_level(obj["assertedLevel"], f"{path}.assertedLevel")
+    obj = _expect_object(
+        value, path, {"prop", "assertedLevel", "children"}, ("prop", "assertedLevel")
+    )
+    prop = _parse_str(obj["prop"], f"{path}.prop", parse_proposition)
+    level = _parse_str(obj["assertedLevel"], f"{path}.assertedLevel", StrengthLevel.parse)
     children = tuple(
         _parse_node(c, f"{path}.children[{i}]")
         for i, c in enumerate(_expect_list(obj.get("children", []), f"{path}.children"))
@@ -192,10 +177,9 @@ def _parse_document(text: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError("", f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
-    obj = _expect_object(data, "$", {"v", "agents", "proposal", "config"})
-    for key in ("v", "agents", "proposal"):
-        if key not in obj:
-            raise ScenarioError("$", f"missing field: {key}")
+    obj = _expect_object(
+        data, "$", {"v", "agents", "proposal", "config"}, ("v", "agents", "proposal")
+    )
     if obj["v"] != FORMAT_VERSION:
         raise ScenarioError("$.v", f"unsupported version: {obj['v']!r}")
 

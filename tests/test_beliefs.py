@@ -25,7 +25,7 @@ from parley import (
     revise,
     supports_prop,
 )
-from parley.beliefs import SourceKind, assertion_piece, revise_detail
+from parley.beliefs import MAX_PROP_NESTING, SourceKind, assertion_piece, revise_detail
 
 from conftest import LEVELS, ground, random_revision_case, random_store
 
@@ -72,6 +72,19 @@ class TestPropositions:
     def test_rejects_malformed(self, bad):
         with pytest.raises(StructureError):
             parse_proposition(bad)
+
+    def test_supports_nesting_is_bounded(self):
+        def nested(levels):
+            text = "p"
+            for _ in range(levels):
+                text = f"supports({text}, q)"
+            return text
+
+        at_limit = parse_proposition(nested(MAX_PROP_NESTING))
+        assert parse_proposition(at_limit.render()) == at_limit
+        hash(at_limit)
+        with pytest.raises(StructureError, match="nested deeper"):
+            parse_proposition(nested(MAX_PROP_NESTING + 1))
 
     def test_relation_args_must_be_propositions(self):
         with pytest.raises(StructureError):

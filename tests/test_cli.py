@@ -134,3 +134,56 @@ def test_nonpositive_knobs_rejected(flag):
     result = run_cli("run", scenario("smith"), flag, "0")
     assert result.returncode == 1
     assert "at least 1" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("run", scenario("smith"), "--bogus"), ("run", scenario("smith"), "--tau", "x"), ()],
+    ids=["unknown-flag", "bad-flag-value", "no-subcommand"],
+)
+def test_usage_errors_exit_1(args):
+    # exit code 2 is reserved for a stalled dialogue
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert "usage:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_help_exits_0():
+    result = run_cli("run", "--help")
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage:")
+
+
+def test_non_utf8_scenario_diagnostic(tmp_path):
+    bad = tmp_path / "bad.scenario"
+    bad.write_bytes(b"\xff\xfe{}")
+    result = run_cli("run", str(bad))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"parley: {bad}: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
+def test_deeply_nested_proposition_diagnostic(tmp_path):
+    prop = "p"
+    for _ in range(500):
+        prop = f"supports({prop}, q)"
+    doc = {
+        "v": 1,
+        "agents": [
+            {
+                "id": "U",
+                "expertise": "expert",
+                "beliefs": [{"prop": prop, "level": "strong", "source": "kb-record"}],
+            },
+            {"id": "S", "expertise": "expert", "beliefs": []},
+        ],
+        "proposal": {"prop": "q", "assertedLevel": "strong"},
+    }
+    deep = tmp_path / "deep.scenario"
+    deep.write_text(json.dumps(doc))
+    result = run_cli("run", str(deep))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"parley: {deep}: $.agents[0].beliefs[0].prop: ")
+    assert len(result.stderr.splitlines()) == 1

@@ -7,7 +7,6 @@ from parley import (
     Belief,
     Endorsement,
     Expertise,
-    JustificationChain,
     JustificationChoice,
     JustificationLink,
     KnowledgeBase,
@@ -42,10 +41,8 @@ def backing(prop, basis, level=T) -> tuple[Belief, Belief]:
     return rec(basis, level), rec(supports_prop(basis, prop), level)
 
 
-def leaf_chain(prop, level=T, claim=CLAIM) -> JustificationChain:
-    return JustificationChain(
-        claim, JustificationLink(prop, supports_prop(prop, claim), level, level)
-    )
+def leaf_chain(prop, level=T, claim=CLAIM) -> JustificationLink:
+    return JustificationLink(prop, supports_prop(prop, claim), level, level)
 
 
 class TestNeedsJustification:
@@ -68,16 +65,16 @@ class TestBuildChains:
     def test_direct_link_when_hearer_takes_it_bare(self):
         kb = kb_of(*backing(CLAIM, A))
         (chain,) = self.build(kb, kb_of())
-        assert chain.link.prop == A
-        assert chain.link.children == ()
-        assert (chain.link.belief_level, chain.link.relation_level) == (T, T)
+        assert chain.prop == A
+        assert chain.children == ()
+        assert (chain.belief_level, chain.relation_level) == (T, T)
 
     def test_contested_evidence_justified_recursively(self):
         kb = kb_of(*backing(CLAIM, A), *backing(A, B))
         model = kb_of(rec(A.negate()))
         (chain,) = self.build(kb, model)
-        assert chain.link.prop == A
-        assert [c.prop for c in chain.link.children] == [B]
+        assert chain.prop == A
+        assert [c.prop for c in chain.children] == [B]
 
     def test_dead_end_evidence_dropped(self):
         kb = kb_of(*backing(CLAIM, A))
@@ -114,41 +111,38 @@ class TestSelectJustification:
 
     def test_single_survivor_rule_only(self):
         choice, rule = self.choose([leaf_chain(A)], kb_of(rec(CLAIM.negate(), W)))
-        assert [c.link.prop for c in choice.chains] == [A]
+        assert [c.prop for c in choice.chains] == [A]
         assert rule == "only"
 
     def test_prefers_higher_confidence(self):
         model = kb_of(rec(CLAIM.negate(), W))
         choice, rule = self.choose([leaf_chain(A, T), leaf_chain(B, W)], model)
-        assert [c.link.prop for c in choice.chains] == [A]
+        assert [c.prop for c in choice.chains] == [A]
         assert rule == "confidence"
 
     def test_prefers_novel_content(self):
         model = kb_of(rec(CLAIM.negate(), W), rec(A, W))
         choice, rule = self.choose([leaf_chain(A), leaf_chain(B)], model)
-        assert [c.link.prop for c in choice.chains] == [B]
+        assert [c.prop for c in choice.chains] == [B]
         assert rule == "novelty"
 
     def test_prefers_fewer_beliefs(self):
-        nested = JustificationChain(
-            CLAIM,
-            JustificationLink(
-                B,
-                supports_prop(B, CLAIM),
-                T,
-                T,
-                children=(JustificationLink(C, supports_prop(C, B), T, T),),
-            ),
+        nested = JustificationLink(
+            B,
+            supports_prop(B, CLAIM),
+            T,
+            T,
+            children=(JustificationLink(C, supports_prop(C, B), T, T),),
         )
         model = kb_of(rec(CLAIM.negate(), W), rec(B.negate(), W))
         choice, rule = self.choose([leaf_chain(A), nested], model)
-        assert [c.link.prop for c in choice.chains] == [A]
+        assert [c.prop for c in choice.chains] == [A]
         assert rule == "size"
 
     def test_canonical_order_is_last_resort(self):
         model = kb_of(rec(CLAIM.negate(), W))
         choice, rule = self.choose([leaf_chain(B), leaf_chain(A)], model)
-        assert [c.link.prop for c in choice.chains] == [A]
+        assert [c.prop for c in choice.chains] == [A]
         assert rule == "canonical"
 
     def test_supersets_of_survivors_discarded(self):
@@ -166,7 +160,7 @@ class TestRealized:
             T,
             children=(JustificationLink(C, supports_prop(C, A), T, T),),
         )
-        choice = JustificationChoice(CLAIM, (JustificationChain(CLAIM, link),))
+        choice = JustificationChoice(CLAIM, (link,))
         model = kb_of(rec(supports_prop(A, CLAIM)))
         assert realized_beliefs(choice, model) == (
             CLAIM,
@@ -233,14 +227,14 @@ def seed_select(chains, model, claim, tau, expertise):
         fresh = sum(
             1
             for chain in combo
-            for p in props(chain.link)
+            for p in props(chain)
             if model.own_belief(p) is None and model.own_belief(p.negate()) is None
         )
         return (
             -int(min(c.min_confidence() for c in combo)),
             -fresh,
-            sum(len(props(c.link)) for c in combo),
-            tuple(tuple(p.render() for p in props(c.link)) for c in combo),
+            sum(len(props(c)) for c in combo),
+            tuple(tuple(p.render() for p in props(c)) for c in combo),
         )
 
     pool = sorted(chains, key=lambda c: c.key())
@@ -258,7 +252,7 @@ def seed_select(chains, model, claim, tau, expertise):
     record = {
         "agent": "s",
         "claim": claim.render(),
-        "chosen": [c.link.prop.render() for c in best],
+        "chosen": [c.prop.render() for c in best],
         "candidates": len(survivors),
         "rule": rule,
     }
@@ -282,12 +276,12 @@ def random_chain_case(rng):
         link = JustificationLink(
             prop, supports_prop(prop, CLAIM), rng.choice(levels), rng.choice(levels), children
         )
-        chains.append(JustificationChain(CLAIM, link))
+        chains.append(link)
     beliefs = [rec(CLAIM.negate(), rng.choice(levels))]
     for i in range(rng.randint(0, 3)):
         beliefs.extend(backing(CLAIM.negate(), ground(f"c{i}"), rng.choice(levels)))
     for chain in chains:
-        for link in chain.link.walk():
+        for link in chain.walk():
             if rng.random() < 0.2:
                 beliefs.append(rec(rng.choice([link.prop, link.prop.negate()]), W))
     model = KnowledgeBase(own=tuple(beliefs), expertise=rng.choice(list(Expertise)))
@@ -306,7 +300,7 @@ def test_select_justification_matches_seed_algorithm():
             (c for c in all_subsets(pool) if seed_accepts(model, CLAIM, c, expertise, tau)), None
         )
         got_children = _sufficient_children(model, CLAIM, pool, "s", expertise, tau)
-        assert got_children == (None if first is None else tuple(c.link for c in first)), case
+        assert got_children == (None if first is None else first), case
         trace = Trace()
         if want is None:
             with pytest.raises(NoSufficientJustification):

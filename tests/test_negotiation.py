@@ -190,18 +190,49 @@ VERDICT_RECORDS = {
 }
 
 
-def test_verdict_records_have_exact_keys():
-    seen = set()
+def bundled_records():
+    """(scenario name, trace record) over every bundled scenario."""
     for name in sorted(FIXTURES):
         trace = Trace()
         run_scenario(load_bundled(name), trace)
         for record in trace.records:
-            if record.kind not in ("revise", "predict"):
-                continue
-            payload = record.payload
-            variant = (record.kind, payload.get("method"), "note" in payload)
-            assert variant in VERDICT_RECORDS, (name, record.step, variant)
-            assert set(payload) == VERDICT_RECORDS[variant], (name, record.step)
-            assert payload.get("note", "x") != ""
-            seen.add(variant)
+            yield name, record
+
+
+def test_verdict_records_have_exact_keys():
+    seen = set()
+    for name, record in bundled_records():
+        if record.kind not in ("revise", "predict"):
+            continue
+        payload = record.payload
+        variant = (record.kind, payload.get("method"), "note" in payload)
+        assert variant in VERDICT_RECORDS, (name, record.step, variant)
+        assert set(payload) == VERDICT_RECORDS[variant], (name, record.step)
+        assert payload.get("note", "x") != ""
+        seen.add(variant)
     assert seen == set(VERDICT_RECORDS)
+
+
+TRACE_RECORDS = {
+    # (kind, recipe) -> exact payload keys, for every kind but revise/predict
+    ("act", None): {"speaker", "act", "content"},
+    ("foci", None): {"agent", "target", "step", "focus", "cand"},
+    ("minset", None): {"agent", "target", "candidates", "chosen", "size"},
+    ("heuristic", None): {"agent", "claim", "chosen", "candidates", "rule"},
+    ("recipe", "correct-node"): {"agent", "recipe", "focus", "mutual_beliefs"},
+    ("recipe", "modify-node"): {"agent", "recipe", "target"},
+    ("recipe", "alter-node"): {"agent", "recipe", "target", "corrected"},
+    ("recipe", "insert-correction"): {"agent", "recipe", "target"},
+}
+
+
+def test_other_trace_records_have_exact_keys():
+    seen = set()
+    for name, record in bundled_records():
+        if record.kind in ("revise", "predict"):
+            continue
+        variant = (record.kind, record.payload.get("recipe"))
+        assert variant in TRACE_RECORDS, (name, record.step, variant)
+        assert set(record.payload) == TRACE_RECORDS[variant], (name, record.step)
+        seen.add(variant)
+    assert seen == set(TRACE_RECORDS)

@@ -1,6 +1,8 @@
 """Rules about how the package source is laid out."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -19,3 +21,27 @@ def test_no_function_local_imports(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert local == []
+
+
+def load_bench_spans():
+    path = PACKAGE.parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_span_targets_resolve():
+    # the benchmark patches these by name; a class target must be defined in
+    # the class body itself, since it is looked up with vars(cls)
+    missing = []
+    for module_name, cls, attr, _ in load_bench_spans().TARGETS:
+        owner = importlib.import_module(module_name)
+        if cls is not None:
+            owner = vars(owner).get(cls)
+            found = vars(owner).get(attr) if owner is not None else None
+        else:
+            found = vars(owner).get(attr)
+        if not callable(found):
+            missing.append(f"{module_name}.{cls + '.' if cls else ''}{attr}")
+    assert missing == []
