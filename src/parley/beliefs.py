@@ -77,13 +77,13 @@ SUPPORTS = "supports"
 _PREDICATE_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
 _IDENT_RE = re.compile(r"[a-z0-9_]+\Z")
 
-# How many supports(...) may enclose one another in parsed text.  Rendering
-# and hashing recurse once per level, so this stays far below the
-# interpreter's recursion limit.
+# How many supports(...) may enclose one another in parsed text.  Only the
+# recursive-descent parser needs this bound: a proposition builds its text
+# from its arguments' texts, so nothing else recurses over ``args``.
 MAX_PROP_NESTING = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Proposition:
     """A ground literal, or an evidential relation between two literals.
 
@@ -92,9 +92,12 @@ class Proposition:
     identifier arguments.
     """
 
-    negated: bool
-    predicate: str
-    args: tuple = ()
+    negated: bool = field(compare=False)
+    predicate: str = field(compare=False)
+    args: tuple = field(default=(), compare=False)
+    # the rendered text, built once from the arguments' texts: the only field
+    # that equality, hashing and ordering look at
+    _text: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _PREDICATE_RE.match(self.predicate):
@@ -107,6 +110,9 @@ class Proposition:
             for a in self.args:
                 if not isinstance(a, str) or not _IDENT_RE.match(a):
                     raise StructureError(f"bad argument {a!r} for {self.predicate}")
+        inner = ", ".join(map(str, self.args))
+        body = f"{self.predicate}({inner})" if self.args else self.predicate
+        object.__setattr__(self, "_text", f"¬{body}" if self.negated else body)
 
     @property
     def is_relation(self) -> bool:
@@ -116,21 +122,10 @@ class Proposition:
         return replace(self, negated=not self.negated)
 
     def render(self, ascii_not: bool = False) -> str:
-        mark = "~" if ascii_not else "¬"
-        inner = ", ".join(
-            a.render(ascii_not) if isinstance(a, Proposition) else a for a in self.args
-        )
-        body = self.predicate if not self.args else f"{self.predicate}({inner})"
-        return f"{mark}{body}" if self.negated else body
+        return self._text.replace("¬", "~") if ascii_not else self._text
 
     def __str__(self) -> str:
-        return self.render()
-
-    def __lt__(self, other: "Proposition") -> bool:
-        return self.render() < other.render()
-
-    def __le__(self, other: "Proposition") -> bool:
-        return self.render() <= other.render()
+        return self._text
 
 
 def supports_prop(antecedent: Proposition, consequent: Proposition) -> Proposition:
@@ -323,9 +318,10 @@ def _index(beliefs: tuple[Belief, ...], label: str) -> dict[Proposition, Belief]
         if b.prop in by_prop:
             raise StructureError(f"duplicate belief in {label}: {b.prop}")
         by_prop[b.prop] = b
+    texts = {prop._text for prop in by_prop}
     for prop in by_prop:
-        if prop.negate() in by_prop:
-            raise ContradictionError(f"{label} holds both {prop} and {prop.negate()}")
+        if prop.negated and prop._text[1:] in texts:
+            raise ContradictionError(f"{label} holds both {prop._text[1:]} and {prop}")
     return by_prop
 
 
@@ -348,7 +344,7 @@ class KnowledgeBase:
             ("own", "_own_idx", "own beliefs"),
             ("user_model", "_model_idx", "user model"),
         ):
-            beliefs = tuple(sorted(getattr(self, side), key=lambda b: b.prop.render()))
+            beliefs = tuple(sorted(getattr(self, side), key=lambda b: b.prop._text))
             object.__setattr__(self, side, beliefs)
             object.__setattr__(self, idx, _index(beliefs, label))
 
@@ -641,10 +637,16 @@ def minimal_subsets(
     found is skipped without calling ``sufficient``.  Yields, for each size
     that has any, the list of combinations newly found at that size.
     """
+    alone = [i for i in range(len(items)) if sufficient((items[i],))]
+    if alone:
+        yield [(items[i],) for i in alone]
+    # a member sufficient alone lies in no larger minimal subset, so larger
+    # sizes combine only the rest, in the same relative order
+    pool = [i for i in range(len(items)) if i not in alone]
     found: list[frozenset] = []
-    for size in range(1, len(items) + 1):
+    for size in range(2, len(pool) + 1):
         fresh: list[tuple] = []
-        for combo in itertools.combinations(range(len(items)), size):
+        for combo in itertools.combinations(pool, size):
             members = frozenset(combo)
             if any(f <= members for f in found):
                 continue

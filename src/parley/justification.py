@@ -9,6 +9,7 @@ to the hearer, then fewest beliefs, then canonical order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -147,11 +148,10 @@ def _sufficient_children(
 ) -> Optional[tuple[JustificationLink, ...]]:
     """Smallest bundle of sub-chains that gets ``prop`` accepted, trying
     canonical order within each size; None when nothing suffices."""
-    for found in minimal_subsets(
-        sub, lambda combo: hearer_accepts(model, prop, combo, speaker, expertise, tau)
-    ):
-        return found[0]
-    return None
+    combos = (c for size in range(1, len(sub) + 1) for c in itertools.combinations(sub, size))
+    return next(
+        (c for c in combos if hearer_accepts(model, prop, c, speaker, expertise, tau)), None
+    )
 
 
 def select_justification(

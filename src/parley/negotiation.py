@@ -121,7 +121,7 @@ class _Session:
     config: NegotiationConfig
     trace: Trace
     acts: list[DiscourseAct] = field(default_factory=list)
-    presented: dict[tuple[str, str], set] = field(default_factory=dict)
+    presented: dict[tuple[str, Proposition], set] = field(default_factory=dict)
     conceded_by: Optional[str] = None
     depth_max: int = 0
     rounds: int = 0
@@ -147,12 +147,12 @@ class _Session:
         )
 
     def already_presented(self, speaker: str, claim: Proposition, props) -> bool:
-        key = (speaker, claim.render())
+        key = (speaker, claim)
         seen = self.presented.get(key)
-        rendered = {p.render() for p in props}
-        if seen is not None and rendered <= seen:
+        props = set(props)
+        if seen is not None and props <= seen:
             return True
-        self.presented.setdefault(key, set()).update(rendered)
+        self.presented.setdefault(key, set()).update(props)
         return False
 
 

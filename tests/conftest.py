@@ -1,9 +1,12 @@
-"""Shared helpers: bundled scenario loading and seeded random generators."""
+"""Shared helpers: bundled scenario loading, the benchmark's span recorder and
+seeded random generators."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,15 @@ def run_scenario(scenario: Scenario, trace: Trace | None = None):
 @pytest.fixture
 def smith() -> Scenario:
     return load_bundled("smith")
+
+
+def load_bench_spans():
+    """``bench/spans.py``, loaded read-only from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def ground(name: str, negated: bool = False) -> Proposition:

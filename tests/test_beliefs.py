@@ -90,6 +90,68 @@ class TestPropositions:
         with pytest.raises(StructureError):
             Proposition(False, "supports", ("a", "b"))
 
+    def test_deep_library_proposition(self):
+        # far past both MAX_PROP_NESTING and what a recursive render or hash
+        # could reach
+        def chain(depth):
+            prop = ground("p")
+            for i in range(depth):
+                prop = supports_prop(prop, ground(f"q{i % 3}"))
+            return prop
+
+        p, p2 = chain(500), chain(500)
+        assert p is not p2 and p == p2 and hash(p) == hash(p2)
+        assert p.render() == p2.render() and p.render().count("supports(") == 500
+        assert p.negate() != p and p.negate().negate() == p
+        assert sorted([p.negate(), p2, chain(499)]) == [chain(499), p, p.negate()]
+        assert KnowledgeBase(own=(rec(p),)).holds(p2)
+
+
+def structurally_equal(p: Proposition, q: Proposition) -> bool:
+    if (p.negated, p.predicate, len(p.args)) != (q.negated, q.predicate, len(q.args)):
+        return False
+    return all(
+        structurally_equal(a, b) if isinstance(a, Proposition) else a == b
+        for a, b in zip(p.args, q.args)
+    )
+
+
+def rebuild(p: Proposition) -> Proposition:
+    args = tuple(rebuild(a) if isinstance(a, Proposition) else a for a in p.args)
+    return Proposition(p.negated, p.predicate, args)
+
+
+# few names, so that independently drawn propositions often coincide
+literals = st.builds(
+    Proposition,
+    st.booleans(),
+    st.sampled_from(["p", "q", "p_1", "_"]),
+    st.lists(st.sampled_from(["a", "b", "0", "a_b"]), max_size=2).map(tuple),
+)
+propositions = st.recursive(
+    literals,
+    lambda inner: st.builds(
+        lambda negated, a, b: Proposition(negated, "supports", (a, b)),
+        st.booleans(),
+        inner,
+        inner,
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(propositions, propositions)
+def test_identity_is_the_rendered_text(p, q):
+    assert (p == q) == structurally_equal(p, q)
+    assert (p < q) == (p.render() < q.render())
+    assert (p <= q) == (p.render() <= q.render())
+    copy = rebuild(p)
+    assert copy == p and hash(copy) == hash(p)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert parse_proposition(p.render(ascii_not=True)) == p
+
 
 class TestEndorsements:
     def test_assertion_requires_speaker(self):

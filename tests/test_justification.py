@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,8 +19,9 @@ from parley import (
     select_justification,
     supports_prop,
 )
+from parley import justification
 from parley.beliefs import assertion_piece, minimal_subsets, revise
-from parley.justification import _sufficient_children, realized_beliefs
+from parley.justification import _sufficient_children, hearer_accepts, realized_beliefs
 from parley.trace import Trace
 
 from conftest import ground
@@ -149,6 +151,17 @@ class TestSelectJustification:
         model = kb_of(rec(CLAIM.negate(), W))
         choice, _ = self.choose([leaf_chain(A), leaf_chain(B)], model)
         assert len(choice.chains) == 1
+
+    def test_chains_sufficient_alone_are_not_combined(self):
+        # no bundle of two or more chains can be minimal here, so the search
+        # must not walk the 2^20 bundles to skip them
+        model = kb_of(rec(CLAIM.negate(), W))
+        chains = [leaf_chain(ground(f"e{i}")) for i in range(20)]
+        start = time.process_time()
+        choice, rule = self.choose(chains, model)
+        assert time.process_time() - start < 0.5
+        assert [c.prop for c in choice.chains] == [ground("e0")]
+        assert rule == "canonical"
 
 
 class TestRealized:
@@ -288,7 +301,13 @@ def random_chain_case(rng):
     return chains, model, rng.choice(list(Expertise)), rng.choice([1, 1, 2, 3])
 
 
-def test_select_justification_matches_seed_algorithm():
+def test_select_justification_matches_seed_algorithm(monkeypatch):
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return hearer_accepts(*args)
+
     rng = random.Random(11)
     rules = set()
     for case in range(250):
@@ -296,11 +315,18 @@ def test_select_justification_matches_seed_algorithm():
         rng.shuffle(chains)
         want, record = seed_select(chains, model, CLAIM, tau, expertise)
         pool = tuple(sorted(chains, key=lambda c: c.key()))
-        first = next(
-            (c for c in all_subsets(pool) if seed_accepts(model, CLAIM, c, expertise, tau)), None
+        combos = all_subsets(pool)
+        hit = next(
+            (i for i, c in enumerate(combos) if seed_accepts(model, CLAIM, c, expertise, tau)),
+            None,
         )
-        got_children = _sufficient_children(model, CLAIM, pool, "s", expertise, tau)
-        assert got_children == (None if first is None else first), case
+        checks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(justification, "hearer_accepts", counted)
+            got_children = _sufficient_children(model, CLAIM, pool, "s", expertise, tau)
+        assert got_children == (None if hit is None else combos[hit]), case
+        # stops at the first accepted combination
+        assert len(checks) == (len(combos) if hit is None else hit + 1), case
         trace = Trace()
         if want is None:
             with pytest.raises(NoSufficientJustification):

@@ -2,10 +2,11 @@
 
 import ast
 import importlib
-import importlib.util
 from pathlib import Path
 
 import pytest
+
+from conftest import load_bench_spans
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "parley"
 
@@ -21,14 +22,6 @@ def test_no_function_local_imports(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert local == []
-
-
-def load_bench_spans():
-    path = PACKAGE.parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_bench_span_targets_resolve():

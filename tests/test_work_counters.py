@@ -1,0 +1,41 @@
+"""Deterministic work counts of the bundled scenarios.
+
+The benchmark's span recorder wraps the engine's entry points from outside;
+its per-operation counts are exact, so pinning them catches an algorithmic
+regression without any timing.
+"""
+
+import pytest
+
+from parley.trace import Trace
+
+from conftest import load_bench_spans, load_bundled, run_scenario
+
+COUNTERS = (
+    "beliefs.kb_writes",
+    "beliefs.revise_calls",
+    "focus.predict_calls",
+    "beliefs.evidence_calls",
+    "justification.subsets_tried",
+)
+
+# per scenario, in COUNTERS order
+PINNED = {
+    "both": (23, 19, 6, 28, 1),
+    "evidence": (20, 16, 4, 24, 2),
+    "nest": (24, 21, 5, 32, 2),
+    "smith": (20, 16, 4, 24, 2),
+    "tie": (1, 1, 0, 2, 0),
+    "visit": (15, 13, 2, 21, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bundled_work_counters(name):
+    spans = load_bench_spans()
+    scenario = load_bundled(name)
+    recorder = spans.Recorder()
+    with spans.instrumented(recorder):
+        run_scenario(scenario, Trace())
+    metrics = spans.layer_metrics(recorder, 1, 0)
+    assert tuple(metrics[key][0] for key in COUNTERS) == PINNED[name]
