@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -74,8 +76,9 @@ def assertion_strength(expertise: Expertise) -> StrengthLevel:
 
 SUPPORTS = "supports"
 
-_PREDICATE_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
-_IDENT_RE = re.compile(r"[a-z0-9_]+\Z")
+_NAME = re.compile(r"[a-z_][a-z0-9_]*")
+_ARG = re.compile(r"[a-z0-9_]+")
+_WS = re.compile(r"\s*")
 
 # How many supports(...) may enclose one another in parsed text.  Only the
 # recursive-descent parser needs this bound: a proposition builds its text
@@ -100,7 +103,7 @@ class Proposition:
     _text: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not _PREDICATE_RE.match(self.predicate):
+        if not _NAME.fullmatch(self.predicate):
             raise StructureError(f"bad predicate: {self.predicate!r}")
         object.__setattr__(self, "args", tuple(self.args))
         if self.predicate == SUPPORTS:
@@ -108,7 +111,7 @@ class Proposition:
                 raise StructureError("supports(...) takes exactly two propositions")
         else:
             for a in self.args:
-                if not isinstance(a, str) or not _IDENT_RE.match(a):
+                if not isinstance(a, str) or not _ARG.fullmatch(a):
                     raise StructureError(f"bad argument {a!r} for {self.predicate}")
         inner = ", ".join(map(str, self.args))
         body = f"{self.predicate}({inner})" if self.args else self.predicate
@@ -119,7 +122,16 @@ class Proposition:
         return self.predicate == SUPPORTS
 
     def negate(self) -> "Proposition":
-        return replace(self, negated=not self.negated)
+        # the negation of a checked proposition is checked by construction:
+        # only the polarity and the leading ¬ of the text change
+        neg = object.__new__(Proposition)
+        vars(neg).update(
+            negated=not self.negated,
+            predicate=self.predicate,
+            args=self.args,
+            _text=self._text[1:] if self.negated else f"¬{self._text}",
+        )
+        return neg
 
     def render(self, ascii_not: bool = False) -> str:
         return self._text.replace("¬", "~") if ascii_not else self._text
@@ -140,27 +152,20 @@ def parse_proposition(text: str) -> Proposition:
     return prop
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
 def _parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:
-    pos = _skip_ws(text, pos)
+    pos = _WS.match(text, pos).end()
     negated = False
     while pos < len(text) and text[pos] in "~¬":
         negated = not negated
-        pos = _skip_ws(text, pos + 1)
-    m = re.match(r"[a-z_][a-z0-9_]*", text[pos:])
+        pos = _WS.match(text, pos + 1).end()
+    m = _NAME.match(text, pos)
     if not m:
         raise StructureError(f"expected predicate at position {pos} in {text!r}")
     predicate = m.group(0)
-    pos += len(predicate)
-    pos = _skip_ws(text, pos)
+    pos = _WS.match(text, m.end()).end()
     args: list = []
     if pos < len(text) and text[pos] == "(":
-        pos = _skip_ws(text, pos + 1)
+        pos = _WS.match(text, pos + 1).end()
         while pos < len(text) and text[pos] != ")":
             if predicate == SUPPORTS:
                 if depth >= MAX_PROP_NESTING:
@@ -169,15 +174,15 @@ def _parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:
                     )
                 arg, pos = _parse_prop(text, pos, depth + 1)
             else:
-                m = re.match(r"[a-z0-9_]+", text[pos:])
+                m = _ARG.match(text, pos)
                 if not m:
                     raise StructureError(f"expected argument at position {pos} in {text!r}")
                 arg = m.group(0)
-                pos += len(arg)
+                pos = m.end()
             args.append(arg)
-            pos = _skip_ws(text, pos)
+            pos = _WS.match(text, pos).end()
             if pos < len(text) and text[pos] == ",":
-                pos = _skip_ws(text, pos + 1)
+                pos = _WS.match(text, pos + 1).end()
                 if pos >= len(text) or text[pos] == ")":
                     raise StructureError(f"dangling ',' at position {pos} in {text!r}")
             elif pos < len(text) and text[pos] != ")":
@@ -312,6 +317,9 @@ def assertion_piece(
 # knowledge bases
 
 
+_belief_text = attrgetter("prop._text")
+
+
 def _index(beliefs: tuple[Belief, ...], label: str) -> dict[Proposition, Belief]:
     by_prop: dict[Proposition, Belief] = {}
     for b in beliefs:
@@ -330,7 +338,9 @@ class KnowledgeBase:
     """An agent's own beliefs plus its model of the other conversant.
 
     Both stores are contradiction-free and keyed by proposition.  All update
-    helpers return a new instance; instances are never mutated.
+    helpers return a new instance; instances are never mutated.  An update
+    copies only the side it writes, in O(n), and re-validates nothing: it
+    drops the proposition (and, on add, its negation) before inserting.
     """
 
     own: tuple[Belief, ...]
@@ -344,7 +354,7 @@ class KnowledgeBase:
             ("own", "_own_idx", "own beliefs"),
             ("user_model", "_model_idx", "user model"),
         ):
-            beliefs = tuple(sorted(getattr(self, side), key=lambda b: b.prop._text))
+            beliefs = tuple(sorted(getattr(self, side), key=_belief_text))
             object.__setattr__(self, side, beliefs)
             object.__setattr__(self, idx, _index(beliefs, label))
 
@@ -357,27 +367,60 @@ class KnowledgeBase:
     def model_belief(self, prop: Proposition) -> Optional[Belief]:
         return self._model_idx.get(prop)
 
+    def model_view(self) -> "KnowledgeBase":
+        """The user model as a store's own beliefs, with no model of its own."""
+        return _trusted(self.user_model, self._model_idx, (), {}, Expertise.EXPERT)
+
     def own_add(self, belief: Belief) -> "KnowledgeBase":
-        return replace(self, own=_put(self.own, belief))
+        return self._write(True, belief.prop, belief)
 
     def own_remove(self, prop: Proposition) -> "KnowledgeBase":
-        return replace(self, own=_drop(self.own, prop))
+        return self._write(True, prop)
 
     def model_add(self, belief: Belief) -> "KnowledgeBase":
-        return replace(self, user_model=_put(self.user_model, belief))
+        return self._write(False, belief.prop, belief)
 
     def model_remove(self, prop: Proposition) -> "KnowledgeBase":
-        return replace(self, user_model=_drop(self.user_model, prop))
+        return self._write(False, prop)
+
+    def _write(
+        self, own: bool, prop: Proposition, belief: Optional[Belief] = None
+    ) -> "KnowledgeBase":
+        """This store with one side (``own`` or the user model) patched:
+        ``prop`` dropped or, given ``belief``, ``prop`` and its negation
+        dropped and ``belief`` inserted in sorted position."""
+        beliefs = list(self.own if own else self.user_model)
+        idx = dict(self._own_idx if own else self._model_idx)
+        for p in (prop,) if belief is None else (prop, prop.negate()):
+            if idx.pop(p, None) is not None:
+                del beliefs[bisect_left(beliefs, p._text, key=_belief_text)]
+        if belief is not None:
+            insort(beliefs, belief, key=_belief_text)
+            idx[prop] = belief
+        if own:
+            return _trusted(tuple(beliefs), idx, self.user_model, self._model_idx, self.expertise)
+        return _trusted(self.own, self._own_idx, tuple(beliefs), idx, self.expertise)
 
 
-def _drop(beliefs: tuple[Belief, ...], *props: Proposition) -> tuple[Belief, ...]:
-    return tuple(b for b in beliefs if b.prop not in props)
-
-
-def _put(beliefs: tuple[Belief, ...], belief: Belief) -> tuple[Belief, ...]:
-    """``beliefs`` with ``belief`` replacing whatever held its proposition or
-    the negation."""
-    return _drop(beliefs, belief.prop, belief.prop.negate()) + (belief,)
+def _trusted(
+    own: tuple[Belief, ...],
+    own_idx: dict,
+    user_model: tuple[Belief, ...],
+    model_idx: dict,
+    expertise: Expertise,
+) -> KnowledgeBase:
+    """A store from sides already sorted by text, indexed and free of
+    contradictions, built without ``__post_init__``.  The index dicts are
+    shared, never mutated."""
+    kb = object.__new__(KnowledgeBase)
+    vars(kb).update(
+        own=own,
+        user_model=user_model,
+        expertise=expertise,
+        _own_idx=own_idx,
+        _model_idx=model_idx,
+    )
+    return kb
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +488,25 @@ def build_evidence_set(
     return tuple(sorted(best.values(), key=lambda pc: pc.key()))
 
 
-def _standing(kb: KnowledgeBase, belief: Belief, seen: frozenset = frozenset()) -> bool:
+def _standing(kb: KnowledgeBase, belief: Belief) -> bool:
     """A derived belief stands only while some member of its basis is still
-    held and standing."""
+    held and standing: it can reach a held belief that is not derived
+    through held derived beliefs."""
     if belief.endorsement.kind is not SourceKind.DERIVED:
         return True
-    if belief.prop in seen:
-        return False
-    seen = seen | {belief.prop}
-    return any(
-        (held := kb.own_belief(member)) is not None and _standing(kb, held, seen)
-        for member in belief.endorsement.support
-    )
+    seen = {belief.prop}
+    todo = [belief]
+    while todo:
+        for member in todo.pop().endorsement.support:
+            held = kb.own_belief(member)
+            if held is None:
+                continue
+            if held.endorsement.kind is not SourceKind.DERIVED:
+                return True
+            if member not in seen:
+                seen.add(member)
+                todo.append(held)
+    return False
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ class _Session:
         return self.kbs[agent].expertise
 
     def model_of(self, agent: str) -> KnowledgeBase:
-        return KnowledgeBase(own=self.kbs[agent].user_model)
+        return self.kbs[agent].model_view()
 
     def act(
         self,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -49,11 +50,13 @@ def smith() -> Scenario:
     return load_bundled("smith")
 
 
-def load_bench_spans():
-    """``bench/spans.py``, loaded read-only from the checkout."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+def load_bench(name: str):
+    """``bench/<name>.py``, loaded read-only from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,13 @@ from parley import (
     revise,
     supports_prop,
 )
-from parley.beliefs import MAX_PROP_NESTING, SourceKind, assertion_piece, revise_detail
+from parley.beliefs import (
+    MAX_PROP_NESTING,
+    SourceKind,
+    _standing,
+    assertion_piece,
+    revise_detail,
+)
 
 from conftest import LEVELS, ground, random_revision_case, random_store
 
@@ -103,6 +111,8 @@ class TestPropositions:
         assert p is not p2 and p == p2 and hash(p) == hash(p2)
         assert p.render() == p2.render() and p.render().count("supports(") == 500
         assert p.negate() != p and p.negate().negate() == p
+        assert p.negate() == Proposition(True, "supports", p.args)
+        assert p.negate().render() == "¬" + p.render()
         assert sorted([p.negate(), p2, chain(499)]) == [chain(499), p, p.negate()]
         assert KnowledgeBase(own=(rec(p),)).holds(p2)
 
@@ -400,6 +410,199 @@ def test_assimilation_never_contradicts(seed):
         d = revise_detail(kb, target, tau=rng.choice([1, 2]))
         if d.verdict.outcome is VerdictOutcome.UNCERTAIN:
             continue
-        # constructing the store re-checks the no-contradiction invariant
         kb = assimilate(kb, d.verdict, target, d.support_pieces + d.attack_pieces)
         assert not (kb.holds(target) and kb.holds(target.negate()))
+        # a write re-validates nothing; constructing the store does
+        assert KnowledgeBase(own=kb.own, expertise=kb.expertise) == kb
+
+
+# ---------------------------------------------------------------------------
+# negation, store writes and standing against reference implementations
+
+
+@settings(max_examples=300)
+@given(propositions, propositions)
+def test_negate_is_the_constructed_negation(p, q):
+    neg, built = p.negate(), Proposition(not p.negated, p.predicate, p.args)
+    assert neg == built and hash(neg) == hash(built)
+    assert (neg < q, neg <= q, q < neg) == (built < q, built <= q, q < built)
+    assert neg.render() == built.render()
+    assert neg.render(ascii_not=True) == built.render(ascii_not=True)
+    assert repr(neg) == repr(built)
+    assert neg.negate() == p and neg.negate().render() == p.render()
+
+
+WRITERS = ("own_add", "own_remove", "model_add", "model_remove")
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_store_writes_match_fresh_construction(seed):
+    rng = random.Random(seed)
+    names = [f"p{i}" for i in range(5)]
+    start = random_store(rng, names)
+    model = random_store(rng, names)
+    kb = KnowledgeBase(own=start.own, user_model=model.own, expertise=start.expertise)
+    sides = {True: {b.prop: b for b in kb.own}, False: {b.prop: b for b in kb.user_model}}
+    universe = [ground(n, neg) for n in names for neg in (False, True)]
+    universe += [supports_prop(ground(a), ground(b)) for a in names[:2] for b in names[2:]]
+    universe += [rel.negate() for rel in universe[len(names) * 2 :]]
+    for _ in range(12):
+        writer = rng.choice(WRITERS)
+        prop = rng.choice(universe)
+        ref = sides[writer.startswith("own")]
+        if writer.endswith("add"):
+            belief = Belief(prop, Endorsement.kb_record(rng.choice(LEVELS)))
+            ref.pop(prop.negate(), None)
+            ref[prop] = belief
+            kb = getattr(kb, writer)(belief)
+        else:
+            ref.pop(prop, None)
+            kb = getattr(kb, writer)(prop)
+        fresh = KnowledgeBase(
+            own=tuple(sides[True].values()),
+            user_model=tuple(sides[False].values()),
+            expertise=kb.expertise,
+        )
+        assert kb == fresh
+        view = kb.model_view()
+        assert view == KnowledgeBase(own=fresh.user_model)
+        for q in universe:
+            for r in (q, q.negate()):
+                assert kb.own_belief(r) == fresh.own_belief(r)
+                assert kb.model_belief(r) == fresh.model_belief(r) == view.own_belief(r)
+                assert kb.holds(r) == fresh.holds(r)
+            assert not (kb.holds(q) and kb.holds(q.negate()))
+            assert not (kb.model_belief(q) and kb.model_belief(q.negate()))
+
+
+def seed_standing(kb: KnowledgeBase, belief: Belief, seen: frozenset = frozenset()) -> bool:
+    """The recursive path-set search that ``_standing`` replaced."""
+    if belief.endorsement.kind is not SourceKind.DERIVED:
+        return True
+    if belief.prop in seen:
+        return False
+    seen = seen | {belief.prop}
+    return any(
+        (held := kb.own_belief(member)) is not None and seed_standing(kb, held, seen)
+        for member in belief.endorsement.support
+    )
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_standing_matches_seed_search(seed):
+    rng = random.Random(seed)
+    props = [ground(f"p{i}") for i in range(6)]
+
+    def random_belief(prop):
+        if rng.random() < 0.3:
+            return rec(prop, rng.choice(LEVELS))
+        # supports may name the belief itself, unheld props, and close cycles
+        return Belief(prop, Endorsement.derived(S, rng.sample(props, rng.randint(1, 3))))
+
+    kb = kb_of(*(random_belief(p) for p in props if rng.random() < 0.8))
+    for belief in kb.own + tuple(random_belief(p) for p in props):
+        assert _standing(kb, belief) == seed_standing(kb, belief)
+
+
+def test_standing_deep_derived_chain():
+    depth = 1500
+    chain = [ground(f"s{i}") for i in range(depth + 1)]
+    derived = [Belief(a, Endorsement.derived(S, [b])) for a, b in zip(chain, chain[1:])]
+    assert revise(kb_of(*derived, rec(chain[-1])), chain[0]).outcome is VerdictOutcome.ACCEPT
+    assert revise(kb_of(*derived), chain[0]).outcome is VerdictOutcome.ABANDON
+
+
+# ---------------------------------------------------------------------------
+# the proposition parser against the character-stepping one it replaced
+
+
+def seed_skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def seed_parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:
+    pos = seed_skip_ws(text, pos)
+    negated = False
+    while pos < len(text) and text[pos] in "~¬":
+        negated = not negated
+        pos = seed_skip_ws(text, pos + 1)
+    m = re.match(r"[a-z_][a-z0-9_]*", text[pos:])
+    if not m:
+        raise StructureError(f"expected predicate at position {pos} in {text!r}")
+    predicate = m.group(0)
+    pos += len(predicate)
+    pos = seed_skip_ws(text, pos)
+    args: list = []
+    if pos < len(text) and text[pos] == "(":
+        pos = seed_skip_ws(text, pos + 1)
+        while pos < len(text) and text[pos] != ")":
+            if predicate == "supports":
+                if depth >= MAX_PROP_NESTING:
+                    raise StructureError(
+                        f"supports(...) nested deeper than {MAX_PROP_NESTING} levels"
+                    )
+                arg, pos = seed_parse_prop(text, pos, depth + 1)
+            else:
+                m = re.match(r"[a-z0-9_]+", text[pos:])
+                if not m:
+                    raise StructureError(f"expected argument at position {pos} in {text!r}")
+                arg = m.group(0)
+                pos += len(arg)
+            args.append(arg)
+            pos = seed_skip_ws(text, pos)
+            if pos < len(text) and text[pos] == ",":
+                pos = seed_skip_ws(text, pos + 1)
+                if pos >= len(text) or text[pos] == ")":
+                    raise StructureError(f"dangling ',' at position {pos} in {text!r}")
+            elif pos < len(text) and text[pos] != ")":
+                raise StructureError(f"expected ',' or ')' at position {pos} in {text!r}")
+        if pos >= len(text):
+            raise StructureError(f"unterminated argument list in {text!r}")
+        pos += 1
+    return Proposition(negated, predicate, tuple(args)), pos
+
+
+def seed_parse_proposition(text: str) -> Proposition:
+    prop, pos = seed_parse_prop(text, 0)
+    if text[pos:].strip():
+        raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
+    return prop
+
+
+def parse_outcome(parse, text: str):
+    try:
+        prop = parse(text)
+    except StructureError as err:
+        return type(err), str(err)
+    return prop, prop.render()
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\t", "\n", " ", " ", "　", "\x1c"])
+TOKENS = st.sampled_from(
+    ["p", "q_1", "supports", "A", "0", "(", ")", ",", "~", "¬", " ", "\t", " ", "-", "é"]
+)
+
+
+@st.composite
+def spaced(draw, inner):
+    """A rendered proposition with whitespace drawn around its tokens."""
+    text = draw(inner).render(ascii_not=draw(st.booleans()))
+    pieces = re.split(r"([(),¬~])", text.replace(", ", ","))
+    return "".join(draw(SPACES) + piece for piece in pieces) + draw(SPACES)
+
+
+@settings(max_examples=500)
+@given(st.one_of(spaced(propositions), st.lists(TOKENS, max_size=12).map("".join), st.text()))
+def test_parser_matches_seed_parser(text):
+    assert parse_outcome(parse_proposition, text) == parse_outcome(seed_parse_proposition, text)
+
+
+def test_regex_whitespace_is_str_isspace():
+    # the parser skips whitespace with a compiled \s*; the text it accepts
+    # must not change from the str.isspace() stepping it replaced
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]

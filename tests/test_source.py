@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_bench_spans
+from conftest import load_bench
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "parley"
 
@@ -28,7 +28,7 @@ def test_bench_span_targets_resolve():
     # the benchmark patches these by name; a class target must be defined in
     # the class body itself, since it is looked up with vars(cls)
     missing = []
-    for module_name, cls, attr, _ in load_bench_spans().TARGETS:
+    for module_name, cls, attr, _ in load_bench("spans").TARGETS:
         owner = importlib.import_module(module_name)
         if cls is not None:
             owner = vars(owner).get(cls)

@@ -7,9 +7,10 @@ regression without any timing.
 
 import pytest
 
+from parley import beliefs
 from parley.trace import Trace
 
-from conftest import load_bench_spans, load_bundled, run_scenario
+from conftest import load_bench, load_bundled, run_scenario
 
 COUNTERS = (
     "beliefs.kb_writes",
@@ -32,10 +33,24 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_bundled_work_counters(name):
-    spans = load_bench_spans()
+    spans = load_bench("spans")
     scenario = load_bundled(name)
     recorder = spans.Recorder()
     with spans.instrumented(recorder):
         run_scenario(scenario, Trace())
     metrics = spans.layer_metrics(recorder, 1, 0)
     assert tuple(metrics[key][0] for key in COUNTERS) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bundled_negotiation_never_rebuilds_a_store(name, monkeypatch):
+    # stores are validated once, when the scenario is parsed; each write
+    # during the negotiation patches the store it starts from
+    calls = []
+    index = beliefs._index
+    monkeypatch.setattr(beliefs, "_index", lambda *args: calls.append(args) or index(*args))
+    scenario = load_bundled(name)
+    assert calls
+    calls.clear()
+    run_scenario(scenario, Trace())
+    assert calls == []
