@@ -4,7 +4,6 @@ from .beliefs import (
     Belief,
     ContradictionError,
     ContractViolation,
-    Direction,
     Endorsement,
     EvidencePiece,
     Expertise,

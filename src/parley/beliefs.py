@@ -251,18 +251,14 @@ class Belief:
         return int(self.endorsement.level)
 
 
-class Direction(str, Enum):
-    SUPPORTS = "supports"
-    ATTACKS = "attacks"
-
-
 @dataclass(frozen=True)
 class EvidencePiece:
-    """A believed proposition plus a believed relation tying it to a target."""
+    """A believed proposition plus a believed relation tying it to a target.
+    The piece counts for the relation's consequent, whichever side of the
+    target that is."""
 
     belief: Belief
     relation: Belief
-    direction: Direction
 
     def __post_init__(self) -> None:
         rel = self.relation.prop
@@ -284,33 +280,17 @@ def piece_strength(piece: EvidencePiece) -> StrengthLevel:
     return min(piece.belief.endorsement.level, piece.relation.endorsement.level)
 
 
-def assertion_piece(
-    prop: Proposition,
-    speaker: str,
-    expertise: Expertise,
-    *,
-    level: Optional[StrengthLevel] = None,
-    target: Optional[Proposition] = None,
-) -> EvidencePiece:
-    """Package a bare assertion of ``prop`` as direct evidence.
+def assertion_piece(prop: Proposition, speaker: str, expertise: Expertise) -> EvidencePiece:
+    """Package a bare assertion of ``prop`` as direct evidence for ``prop``.
 
     The synthetic self-relation is warranted, so the piece carries exactly
-    the assertion's endorsed strength.  ``target`` fixes the direction when
-    the assertion argues against some other proposition.
+    the assertion's endorsed strength.
     """
-    if target is None:
-        target = prop
-    if prop == target:
-        direction = Direction.SUPPORTS
-    elif prop == target.negate():
-        direction = Direction.ATTACKS
-    else:
-        raise StructureError("assertion must address the target or its negation")
     endorsed = Belief(
-        prop, Endorsement.assertion(level or assertion_strength(expertise), speaker, expertise)
+        prop, Endorsement.assertion(assertion_strength(expertise), speaker, expertise)
     )
     relation = Belief(supports_prop(prop, prop), Endorsement.kb_record(StrengthLevel.WARRANTED))
-    return EvidencePiece(endorsed, relation, direction)
+    return EvidencePiece(endorsed, relation)
 
 
 # ---------------------------------------------------------------------------
@@ -453,32 +433,18 @@ def build_evidence_set(
     caller.  Pieces are deduplicated by (belief, relation), keeping the
     stronger reading, and returned in canonical order.
     """
-    negated = target.negate()
+    sides = (target, target.negate())
     pieces: list[EvidencePiece] = []
     for rel in kb.own:
         p = rel.prop
-        if not p.is_relation or p.negated:
+        if not p.is_relation or p.negated or p.args[1] not in sides:
             continue
-        antecedent, consequent = p.args
-        if consequent == target:
-            direction = Direction.SUPPORTS
-        elif consequent == negated:
-            direction = Direction.ATTACKS
-        else:
-            continue
-        basis = kb.own_belief(antecedent)
-        if basis is None:
-            continue
-        pieces.append(EvidencePiece(basis, rel, direction))
+        basis = kb.own_belief(p.args[0])
+        if basis is not None:
+            pieces.append(EvidencePiece(basis, rel))
     for pc in proposed_accepted:
-        if pc.consequent == target:
-            direction = Direction.SUPPORTS
-        elif pc.consequent == negated:
-            direction = Direction.ATTACKS
-        else:
+        if pc.consequent not in sides:
             raise StructureError(f"evidence piece does not address {target}: {pc.relation.prop}")
-        if pc.direction is not direction:
-            pc = EvidencePiece(pc.belief, pc.relation, direction)
         pieces.append(pc)
     best: dict[tuple[str, str], EvidencePiece] = {}
     for pc in pieces:

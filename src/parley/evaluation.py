@@ -15,7 +15,6 @@ from typing import Optional
 from .beliefs import (
     Belief,
     ContractViolation,
-    Direction,
     Endorsement,
     EvidencePiece,
     Expertise,
@@ -27,7 +26,6 @@ from .beliefs import (
     VerdictOutcome,
     assertion_piece,
     assimilate,
-    build_evidence_set,
     record_verdict,
     revise_detail,
     supports_prop,
@@ -49,19 +47,34 @@ class ProposalNode:
         return supports_prop(child.prop, self.prop)
 
     def props(self) -> tuple[Proposition, ...]:
-        out = [self.prop]
-        for child in self.children:
-            out.append(self.relation_to(child))
-            out.extend(child.props())
+        """In preorder: this node's proposition, then for each child the
+        relation to it followed by the child's own props."""
+        out: list[Proposition] = []
+        stack: list[tuple[Optional[ProposalNode], ProposalNode]] = [(None, self)]
+        while stack:
+            parent, node = stack.pop()
+            if parent is not None:
+                out.append(parent.relation_to(node))
+            out.append(node.prop)
+            stack.extend((node, child) for child in reversed(node.children))
         return tuple(out)
 
 
-def validate_tree(tree: ProposalNode, _path: frozenset = frozenset()) -> None:
-    if tree.prop in _path or tree.prop.negate() in _path:
-        raise StructureError(f"proposal tree revisits {tree.prop}")
-    path = _path | {tree.prop}
-    for child in tree.children:
-        validate_tree(child, path)
+def validate_tree(tree: ProposalNode) -> None:
+    """Reject a tree that repeats a proposition, or its negation, on one
+    root-to-leaf path; the first offender in preorder is named."""
+    path: set[Proposition] = set()
+    stack: list[tuple[ProposalNode, bool]] = [(tree, False)]
+    while stack:
+        node, leaving = stack.pop()
+        if leaving:
+            path.discard(node.prop)
+            continue
+        if node.prop in path or node.prop.negate() in path:
+            raise StructureError(f"proposal tree revisits {node.prop}")
+        path.add(node.prop)
+        stack.append((node, True))
+        stack.extend((child, False) for child in reversed(node.children))
 
 
 def render_tree(tree: ProposalNode) -> str:
@@ -122,8 +135,6 @@ class EvaluatedChild:
     relation_verdict: Verdict
     relation_lookup: bool
     relation_strength: Optional[StrengthLevel]
-    rel_u_evid: tuple[EvidencePiece, ...]
-    rel_s_attack: tuple[EvidencePiece, ...]
 
     @property
     def relation_accepted(self) -> bool:
@@ -140,8 +151,6 @@ class EvaluatedNode:
     verdict: Verdict
     accepted_strength: Optional[StrengthLevel]
     support_credited: tuple[EvidencePiece, ...]
-    u_evid: tuple[EvidencePiece, ...]
-    s_attack: tuple[EvidencePiece, ...]
     children: tuple[EvaluatedChild, ...]
 
     @property
@@ -153,7 +162,7 @@ class EvaluatedNode:
         return self.verdict.outcome is VerdictOutcome.ACCEPT
 
 
-def _synthetic_piece(
+def synthetic_piece(
     prop: Proposition,
     relation: Proposition,
     belief_level: StrengthLevel,
@@ -161,27 +170,12 @@ def _synthetic_piece(
     speaker: str,
     expertise: Expertise,
 ) -> EvidencePiece:
+    """A proposed child and its relation to the parent as one piece of
+    evidence, both asserted by ``speaker`` at the given strengths."""
     return EvidencePiece(
         Belief(prop, Endorsement.assertion(belief_level, speaker, expertise)),
         Belief(relation, Endorsement.assertion(relation_level, speaker, expertise)),
-        Direction.SUPPORTS,
     )
-
-
-def _standing_attack(
-    kb: KnowledgeBase, target: Proposition, agent: str
-) -> tuple[EvidencePiece, ...]:
-    """The evaluator's own case against ``target``: held counterevidence plus
-    a direct counter-assertion when the negation itself is held."""
-    pieces = [
-        pc
-        for pc in build_evidence_set(kb, target)
-        if pc.direction is Direction.ATTACKS
-    ]
-    negated = target.negate()
-    if kb.holds(negated):
-        pieces.append(assertion_piece(negated, agent, kb.expertise, target=target))
-    return tuple(pieces)
 
 
 def evaluate_proposal(
@@ -205,15 +199,12 @@ def evaluate_proposal(
 
     def walk(node: ProposalNode) -> EvaluatedNode:
         evaluated_children: list[EvaluatedChild] = []
-        child_pieces: list[EvidencePiece] = []
-        asserted_child_pieces: list[EvidencePiece] = []
+        presented = [assertion_piece(node.prop, proposer, proposer_expertise)]
         for child in node.children:
             child_eval = walk(child)
             relation = node.relation_to(child)
             held = kb.own_belief(relation)
             held_neg = kb.own_belief(relation.negate())
-            rel_u_evid = (assertion_piece(relation, proposer, proposer_expertise),)
-            rel_s_attack = _standing_attack(kb, relation, agent)
             if held is not None or held_neg is not None:
                 if held is not None:
                     rel_verdict = Verdict(VerdictOutcome.ACCEPT, held.rank, 0)
@@ -227,7 +218,7 @@ def evaluate_proposal(
                 detail = revise_detail(
                     kb,
                     relation,
-                    rel_u_evid,
+                    (assertion_piece(relation, proposer, proposer_expertise),),
                     (),
                     tau,
                     trace=trace,
@@ -237,29 +228,11 @@ def evaluate_proposal(
                 lookup = False
                 rel_strength = detail.accepted_strength()
             evaluated_children.append(
-                EvaluatedChild(
-                    child_eval,
-                    relation,
-                    rel_verdict,
-                    lookup,
-                    rel_strength,
-                    rel_u_evid,
-                    rel_s_attack,
-                )
-            )
-            asserted_child_pieces.append(
-                _synthetic_piece(
-                    child.prop,
-                    relation,
-                    child.asserted_level,
-                    child.asserted_level,
-                    proposer,
-                    proposer_expertise,
-                )
+                EvaluatedChild(child_eval, relation, rel_verdict, lookup, rel_strength)
             )
             if child_eval.accepted and rel_verdict.outcome is VerdictOutcome.ACCEPT:
-                child_pieces.append(
-                    _synthetic_piece(
+                presented.append(
+                    synthetic_piece(
                         child.prop,
                         relation,
                         child_eval.accepted_strength,
@@ -269,19 +242,12 @@ def evaluate_proposal(
                     )
                 )
 
-        presented = [assertion_piece(node.prop, proposer, proposer_expertise)]
-        presented.extend(child_pieces)
         detail = revise_detail(kb, node.prop, presented, (), tau, trace=trace, agent=agent)
-        u_evid = (assertion_piece(node.prop, proposer, proposer_expertise),) + tuple(
-            asserted_child_pieces
-        )
         return EvaluatedNode(
             node=node,
             verdict=detail.verdict,
             accepted_strength=detail.accepted_strength(),
             support_credited=detail.support_pieces,
-            u_evid=u_evid,
-            s_attack=_standing_attack(kb, node.prop, agent),
             children=tuple(evaluated_children),
         )
 

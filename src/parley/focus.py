@@ -10,21 +10,24 @@ focus of modification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .beliefs import (
     ContractViolation,
     EvidencePiece,
+    Expertise,
     KnowledgeBase,
     Proposition,
     Verdict,
     VerdictOutcome,
+    assertion_piece,
+    build_evidence_set,
     minimal_subsets,
     record_verdict,
     removal_closure,
     revise,
 )
-from .evaluation import EvaluatedNode
+from .evaluation import EvaluatedNode, synthetic_piece
 
 
 def flips(verdict: Verdict) -> bool:
@@ -75,15 +78,13 @@ def select_min_set(
     tau: int = 1,
     *,
     hypothesized: Iterable[EvidencePiece] = (),
-    weights: Optional[Mapping[Proposition, int]] = None,
     trace=None,
     agent: str = "",
 ) -> tuple[Proposition, ...]:
     """Find a smallest subset of candidates whose removal flips the target.
 
     The full candidate set must already flip it.  Among same-size subsets,
-    the one whose members carry the most total weight wins; remaining ties
-    fall back to canonical text order.
+    the first in canonical text order wins.
     """
     cand = sorted(set(cand_set))
     if not cand:
@@ -91,23 +92,14 @@ def select_min_set(
     hypothesized = tuple(hypothesized)
     if not flips(predict(model, target, hypothesized, cand, tau)):
         raise ContractViolation("full candidate set does not flip the target")
-
-    def weight(prop: Proposition) -> int:
-        return weights.get(prop, 0) if weights else 0
-
-    # the full set flips, so the search finds at least one subset
-    qualifying = next(
+    # the full set flips, so the search finds at least one subset; the
+    # candidates are sorted and combinations come in lexicographic order,
+    # so the first one found is the canonical least of its size
+    chosen = next(
         minimal_subsets(
             cand, lambda combo: flips(predict(model, target, hypothesized, combo, tau))
         )
-    )
-    chosen = min(
-        qualifying,
-        key=lambda combo: (
-            -sum(weight(m) for m in combo),
-            tuple(m.render() for m in combo),
-        ),
-    )
+    )[0]
     if trace is not None:
         trace.emit(
             "minset",
@@ -118,6 +110,36 @@ def select_min_set(
             size=len(chosen),
         )
     return chosen
+
+
+def _asserted_evidence(
+    ev: EvaluatedNode, proposer: str, proposer_expertise: Expertise
+) -> tuple[EvidencePiece, ...]:
+    """The proposer's case for ``ev`` as presented: the bare assertion plus
+    every child, accepted or not, at the strength it was asserted."""
+    return (assertion_piece(ev.prop, proposer, proposer_expertise),) + tuple(
+        synthetic_piece(
+            child.evaluated.prop,
+            child.relation,
+            child.evaluated.node.asserted_level,
+            child.evaluated.node.asserted_level,
+            proposer,
+            proposer_expertise,
+        )
+        for child in ev.children
+    )
+
+
+def _standing_attack(
+    kb: KnowledgeBase, target: Proposition, agent: str
+) -> tuple[EvidencePiece, ...]:
+    """The evaluator's own case against ``target``: held counterevidence plus
+    a direct counter-assertion when the negation itself is held."""
+    negated = target.negate()
+    pieces = [pc for pc in build_evidence_set(kb, target) if pc.consequent == negated]
+    if kb.holds(negated):
+        pieces.append(assertion_piece(negated, agent, kb.expertise))
+    return tuple(pieces)
 
 
 @dataclass(frozen=True)
@@ -134,20 +156,25 @@ class FociNode:
 
 def select_focus_modification(
     evaluated: EvaluatedNode,
-    model: KnowledgeBase,
+    kb: KnowledgeBase,
     tau: int = 1,
     *,
+    proposer: str,
+    proposer_expertise: Expertise,
     trace=None,
     agent: str = "",
 ) -> FociNode:
     """Walk an evaluated (and unaccepted) proposal choosing what to dispute.
 
-    Leaves are flippable or not by direct prediction.  For internal nodes,
-    first try undermining the flippable members alone, then a head-on
-    counter, then both combined; each stage predicts with the proposer's
-    own presented evidence, plus this agent's counterevidence for the
-    head-on stages.
+    ``kb`` is the evaluator's store; the proposer is simulated with its user
+    model.  Leaves are flippable or not by direct prediction.  For internal
+    nodes, first try undermining the flippable members alone, then a
+    head-on counter, then both combined; each stage predicts with the
+    proposer's own presented evidence, plus this agent's counterevidence
+    for the head-on stages.  Both kinds of evidence are built only for the
+    nodes and relations the walk visits.
     """
+    model = kb.model_view()
 
     def emit(node: FociNode) -> FociNode:
         if trace is not None:
@@ -168,12 +195,16 @@ def select_focus_modification(
         return flips(verdict)
 
     def relation_focus(child) -> Optional[frozenset]:
-        if flipped(child.relation, child.rel_u_evid + child.rel_s_attack, (), "relation"):
+        both_sides = (
+            assertion_piece(child.relation, proposer, proposer_expertise),
+        ) + _standing_attack(kb, child.relation, agent)
+        if flipped(child.relation, both_sides, (), "relation"):
             return frozenset({child.relation})
         return None
 
     def walk(ev: EvaluatedNode) -> FociNode:
-        both_sides = ev.u_evid + ev.s_attack
+        presented = _asserted_evidence(ev, proposer, proposer_expertise)
+        both_sides = presented + _standing_attack(kb, ev.prop, agent)
         if not ev.children:
             focus = frozenset({ev.prop}) if flipped(ev.prop, both_sides, (), "leaf") else None
             return emit(FociNode(ev.prop, "leaf", focus))
@@ -211,7 +242,7 @@ def select_focus_modification(
             )
             return base.union(*(member_focus[m] for m in chosen))
 
-        focus = undermined(ev.u_evid, "evidence", frozenset())
+        focus = undermined(presented, "evidence", frozenset())
         if focus is not None:
             return emit(FociNode(ev.prop, "evidence", focus, cand, kids_t))
         if flipped(ev.prop, both_sides, (), "belief"):

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Optional
 
 from .beliefs import (
     Belief,
-    Direction,
     Endorsement,
     EvidencePiece,
     Expertise,
@@ -64,7 +63,6 @@ class JustificationLink:
         return EvidencePiece(
             Belief(self.prop, Endorsement.kb_record(self.belief_level)),
             Belief(self.relation, Endorsement.kb_record(self.relation_level)),
-            Direction.SUPPORTS,
         )
 
     def key(self) -> tuple[str, ...]:
@@ -119,7 +117,7 @@ def build_justification_chains(
     path = _path | {claim}
     chains: list[JustificationLink] = []
     for piece in build_evidence_set(kb, claim):
-        if piece.direction is not Direction.SUPPORTS:
+        if piece.consequent != claim:
             continue
         prop = piece.belief.prop
         if prop == claim or prop in path or prop.negate() in path:

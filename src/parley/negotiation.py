@@ -129,9 +129,6 @@ class _Session:
     def expertise(self, agent: str) -> Expertise:
         return self.kbs[agent].expertise
 
-    def model_of(self, agent: str) -> KnowledgeBase:
-        return self.kbs[agent].model_view()
-
     def act(
         self,
         kind: ActKind,
@@ -350,9 +347,14 @@ def _handle_rejection(
     depth: int,
 ) -> _Step:
     tau = session.config.tau
-    model = session.model_of(evaluator)
     foci = select_focus_modification(
-        evaluated, model, tau, trace=session.trace, agent=evaluator
+        evaluated,
+        session.kbs[evaluator],
+        tau,
+        proposer=proposer,
+        proposer_expertise=session.expertise(proposer),
+        trace=session.trace,
+        agent=evaluator,
     )
     if foci.focus is None:
         return _concede(session, evaluator, proposer, tree)
@@ -366,7 +368,7 @@ def _handle_rejection(
         mutual_beliefs=[m.negate().render() for m in members],
     )
 
-    working = model
+    working = session.kbs[evaluator].model_view()
     counters: list[ProposalNode] = []
     informs: list[Proposition] = []
     for member in members:

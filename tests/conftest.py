@@ -103,7 +103,7 @@ def random_store(rng: random.Random, names: list[str], max_beliefs: int = 6) -> 
 
 def random_revision_case(rng: random.Random):
     """A store, a target, presented evidence for both sides, and a threshold."""
-    from parley import Direction, EvidencePiece
+    from parley import EvidencePiece
     from parley.beliefs import assertion_strength
 
     names = [f"p{i}" for i in range(5)]
@@ -120,7 +120,6 @@ def random_revision_case(rng: random.Random):
             EvidencePiece(
                 Belief(basis, Endorsement.kb_record(rng.choice(LEVELS))),
                 Belief(supports_prop(basis, side), Endorsement.kb_record(speaker_level)),
-                Direction.SUPPORTS if side == target else Direction.ATTACKS,
             )
         )
     support = [pc for pc in presented if pc.consequent == target]

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from parley import (
     Belief,
-    Direction,
     Endorsement,
     EvidencePiece,
     Expertise,
@@ -210,14 +209,13 @@ def _min_set_case(rng: random.Random):
     hyp = ()
     if rng.random() < 0.5:
         hyp = (assertion_piece(target, "u", rng.choice(list(Expertise))),)
-    weights = {p: rng.randint(0, 3) for p in cand if rng.random() < 0.5}
     tau = rng.choice([1, 1, 2])
     if not flips(predict(model, target, hyp, cand, tau)):
         return None
-    return model, target, cand, hyp, weights, tau
+    return model, target, cand, hyp, tau
 
 
-def _min_set_oracle(model, target, cand, hyp, weights, tau):
+def _min_set_oracle(model, target, cand, hyp, tau):
     # brute force over every subset, then one global min under the tie-break
     flipping = [
         combo
@@ -227,11 +225,7 @@ def _min_set_oracle(model, target, cand, hyp, weights, tau):
     ]
     return min(
         flipping,
-        key=lambda c: (
-            len(c),
-            -sum(weights.get(m, 0) for m in c),
-            tuple(m.render() for m in c),
-        ),
+        key=lambda c: (len(c), tuple(m.render() for m in c)),
     )
 
 
@@ -246,9 +240,9 @@ def test_p3_min_set_matches_exhaustive_oracle():
         if case is None:
             continue
         cases += 1
-        model, target, cand, hyp, weights, tau = case
-        got = select_min_set(target, cand, model, tau, hypothesized=hyp, weights=weights)
-        assert got == _min_set_oracle(model, target, cand, hyp, weights, tau), seed - 1
+        model, target, cand, hyp, tau = case
+        got = select_min_set(target, cand, model, tau, hypothesized=hyp)
+        assert got == _min_set_oracle(model, target, cand, hyp, tau), seed - 1
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     print(f"PASS P3: 100/100 oracle agreement over {seed} draws, {elapsed:.2f} s")
@@ -263,7 +257,6 @@ def test_p4_revision_properties():
             piece = EvidencePiece(
                 Belief(basis, Endorsement.kb_record(belief_level)),
                 Belief(supports_prop(basis, t), Endorsement.kb_record(relation_level)),
-                Direction.SUPPORTS,
             )
             assert piece_strength(piece) == min(belief_level, relation_level)
 
@@ -283,7 +276,6 @@ def test_p4_revision_properties():
         extra = EvidencePiece(
             Belief(extra_basis, Endorsement.kb_record(rng.choice(LEVELS))),
             Belief(supports_prop(extra_basis, target), Endorsement.kb_record(rng.choice(LEVELS))),
-            Direction.SUPPORTS,
         )
         after = revise(kb, target, support + [extra], attack, tau)
         assert after.support_score >= before.support_score, seed
@@ -291,13 +283,7 @@ def test_p4_revision_properties():
         assert rank[after.outcome] >= rank[before.outcome], seed
 
         # symmetry: the same evidence read from the negation swaps the scores
-        mirrored = revise(
-            kb,
-            target.negate(),
-            [EvidencePiece(pc.belief, pc.relation, Direction.SUPPORTS) for pc in attack],
-            [EvidencePiece(pc.belief, pc.relation, Direction.ATTACKS) for pc in support],
-            tau,
-        )
+        mirrored = revise(kb, target.negate(), attack, support, tau)
         assert (before.support_score, before.attack_score) == (
             mirrored.attack_score,
             mirrored.support_score,

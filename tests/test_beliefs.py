@@ -10,7 +10,6 @@ from parley import (
     Belief,
     ContradictionError,
     ContractViolation,
-    Direction,
     Endorsement,
     EvidencePiece,
     Expertise,
@@ -205,7 +204,7 @@ class TestEvidence:
     def test_piece_needs_matching_antecedent(self):
         p, q = ground("p"), ground("q")
         with pytest.raises(StructureError):
-            EvidencePiece(rec(p), rec(supports_prop(q, p)), Direction.SUPPORTS)
+            EvidencePiece(rec(p), rec(supports_prop(q, p)))
 
     def test_build_skips_unheld_antecedent_and_negated_relations(self):
         p, q, t = ground("p"), ground("q"), ground("t")
@@ -217,14 +216,14 @@ class TestEvidence:
         )
         pieces = build_evidence_set(kb, t)
         assert [pc.belief.prop for pc in pieces] == [p]
-        assert pieces[0].direction is Direction.SUPPORTS
+        assert pieces[0].consequent == t
 
     def test_dedupe_keeps_strongest(self):
         p, t = ground("p"), ground("t")
         rel = supports_prop(p, t)
         kb = kb_of(rec(p, W), rec(rel))
-        weak = EvidencePiece(rec(p, W), rec(rel), Direction.SUPPORTS)
-        strong = EvidencePiece(rec(p, T), rec(rel), Direction.SUPPORTS)
+        weak = EvidencePiece(rec(p, W), rec(rel))
+        strong = EvidencePiece(rec(p, T), rec(rel))
         pieces = build_evidence_set(kb, t, (weak, strong))
         assert len(pieces) == 1
         assert piece_strength(pieces[0]) is T
@@ -346,9 +345,7 @@ class TestAssimilation:
 @pytest.mark.parametrize("relation_level", LEVELS)
 def test_weakest_link_exhaustive(belief_level, relation_level):
     p, t = ground("p"), ground("t")
-    piece = EvidencePiece(
-        rec(p, belief_level), rec(supports_prop(p, t), relation_level), Direction.SUPPORTS
-    )
+    piece = EvidencePiece(rec(p, belief_level), rec(supports_prop(p, t), relation_level))
     assert piece_strength(piece) == min(belief_level, relation_level)
 
 
@@ -361,7 +358,6 @@ def test_more_support_never_hurts(seed):
     extra = EvidencePiece(
         rec(ground("extra"), rng.choice(LEVELS)),
         rec(supports_prop(ground("extra"), target), rng.choice(LEVELS)),
-        Direction.SUPPORTS,
     )
     after = revise(kb, target, support + [extra], attack, tau)
     rank = {
@@ -380,14 +376,10 @@ def test_more_support_never_hurts(seed):
 def test_negation_symmetry(seed):
     rng = random.Random(seed)
     kb, target, support, attack, tau = random_revision_case(rng)
-    mirrored_support = [
-        EvidencePiece(pc.belief, pc.relation, Direction.ATTACKS) for pc in support
-    ]
-    mirrored_attack = [
-        EvidencePiece(pc.belief, pc.relation, Direction.SUPPORTS) for pc in attack
-    ]
+    # a piece counts for its relation's consequent, so the same pieces,
+    # sides swapped, argue the negation
     v = revise(kb, target, support, attack, tau)
-    m = revise(kb, target.negate(), mirrored_attack, mirrored_support, tau)
+    m = revise(kb, target.negate(), attack, support, tau)
     assert (v.support_score, v.attack_score) == (m.attack_score, m.support_score)
     swap = {
         VerdictOutcome.ACCEPT: VerdictOutcome.REJECT,

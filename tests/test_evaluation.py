@@ -18,9 +18,10 @@ from parley import (
     supports_prop,
     validate_tree,
 )
+from parley.focus import _asserted_evidence, _standing_attack
 from parley.trace import Trace
 
-from conftest import ground
+from conftest import ground, load_bench, load_bundled
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
 P, R, TGT = ground("p"), ground("r"), ground("t")
@@ -53,6 +54,33 @@ class TestTrees:
     def test_rejects_negated_revisit(self):
         with pytest.raises(StructureError):
             validate_tree(ProposalNode(TGT, S, (ProposalNode(TGT.negate(), S),)))
+
+    def test_deep_chain_walks_without_recursion(self):
+        # a chain built in code has no nesting bound, unlike parsed text
+        d = 3000
+        props = [ground(f"n{i}") for i in range(d + 1)]
+
+        def chain(bottom):
+            tree = ProposalNode(bottom, S)
+            for prop in reversed(props[:d]):
+                tree = ProposalNode(prop, S, (tree,))
+            return tree
+
+        tree = chain(props[d])
+        validate_tree(tree)
+        expected = [props[0]]
+        for parent, child in zip(props, props[1:]):
+            expected += [supports_prop(child, parent), child]
+        assert tree.props() == tuple(expected)
+        with pytest.raises(StructureError, match=r"revisits ¬n0\(x\)$"):
+            validate_tree(chain(props[0].negate()))
+
+    def test_first_revisit_in_preorder_is_named(self):
+        tree = ProposalNode(
+            TGT, S, (ProposalNode(P, S, (ProposalNode(P, S),)), ProposalNode(TGT, S))
+        )
+        with pytest.raises(StructureError, match=r"revisits p\(x\)$"):
+            validate_tree(tree)
 
     def test_render_nests(self):
         tree = ProposalNode(
@@ -137,14 +165,16 @@ class TestEvaluate:
         assert child.evaluated.accepted_strength is S
         credited = [pc for pc in ev.support_credited if pc.belief.prop == P]
         assert [piece_strength(pc) for pc in credited] == [S]
-        asserted = [pc for pc in ev.u_evid if pc.belief.prop == P]
+        presented = _asserted_evidence(ev, "u", Expertise.NON_EXPERT)
+        asserted = [pc for pc in presented if pc.belief.prop == P]
         assert [piece_strength(pc) for pc in asserted] == [T]  # as claimed, not as granted
 
-    def test_rejected_child_still_in_u_evid(self):
+    def test_rejected_child_still_in_presented_evidence(self):
         kb = kb_of(rec(P.negate()), rec(REL))
         ev = self.evaluate(kb, ProposalNode(TGT, S, (ProposalNode(P, W),)))
         assert not ev.children[0].evaluated.accepted
-        assert [pc.belief.prop for pc in ev.u_evid] == [TGT, P]
+        presented = _asserted_evidence(ev, "u", Expertise.EXPERT)
+        assert [pc.belief.prop for pc in presented] == [TGT, P]
 
     def test_standing_attack_includes_counter_assertion(self):
         q = ground("q")
@@ -152,8 +182,32 @@ class TestEvaluate:
         ev = self.evaluate(kb, ProposalNode(TGT, S))
         assert ev.verdict.outcome is VerdictOutcome.REJECT
         assert (ev.verdict.support_score, ev.verdict.attack_score) == (3, 6)
-        attackers = {pc.belief.prop for pc in ev.s_attack}
+        attackers = {pc.belief.prop for pc in _standing_attack(kb, TGT, "s")}
         assert attackers == {TGT.negate(), q}
+
+
+    @pytest.mark.parametrize("name", ["both", "evidence", "nest", "smith", "tie", "visit"])
+    def test_one_evidence_set_per_revision(self, name):
+        # lookups and the focus-only evidence build no evidence set here
+        scenario = load_bundled(name)
+        evaluator = next(a for a in scenario.agents if a is not scenario.proposer)
+        spans = load_bench("spans")
+        recorder = spans.Recorder()
+        trace = Trace()
+        with spans.instrumented(recorder):
+            evaluate_proposal(
+                evaluator.kb,
+                scenario.proposal,
+                scenario.tau,
+                proposer=scenario.proposer.id,
+                proposer_expertise=scenario.proposer.kb.expertise,
+                trace=trace,
+                agent=evaluator.id,
+            )
+        revisions = [r for r in trace.by_kind("revise") if r.payload["method"] == "scores"]
+        assert revisions
+        calls = spans.layer_metrics(recorder, 1, 0)["beliefs.evidence_calls"][0]
+        assert calls == len(revisions)
 
 
 class TestAssimilateEvaluated:

@@ -15,6 +15,7 @@ from parley import (
     supports_prop,
     VerdictOutcome,
 )
+from parley.beliefs import assertion_piece
 from parley.focus import removal_closure
 from parley.trace import Trace
 
@@ -54,10 +55,7 @@ class TestPredict:
 
     def test_hypothesized_evidence_in_closure_is_dropped(self):
         model = kb_of(rec(A), der(TGT, S, A))
-        piece = evaluate_proposal(
-            kb_of(), ProposalNode(TGT, S), 1,
-            proposer="u", proposer_expertise=Expertise.EXPERT,
-        ).u_evid[0]
+        piece = assertion_piece(TGT, "u", Expertise.EXPERT)
         kept = predict(model, TGT, [piece])
         dropped = predict(model, TGT, [piece], removed=[A])
         assert kept.outcome is VerdictOutcome.ACCEPT
@@ -95,12 +93,6 @@ class TestSelectMinSet:
         chosen = select_min_set(TGT, [A, ground("b")], self.model())
         assert chosen == (A,)  # canonical tie-break between equal singletons
 
-    def test_weights_break_ties(self):
-        chosen = select_min_set(
-            TGT, [A, ground("b")], self.model(), weights={ground("b"): 5}
-        )
-        assert chosen == (ground("b"),)
-
     def test_requires_candidates(self):
         with pytest.raises(ContractViolation):
             select_min_set(TGT, [], self.model())
@@ -126,11 +118,17 @@ class TestSelectMinSet:
 
 
 def run_sfm(evaluator: KnowledgeBase, model: KnowledgeBase, tree: ProposalNode):
+    # the evaluator simulates the proposer with its user model
+    evaluator = KnowledgeBase(
+        own=evaluator.own, user_model=model.own, expertise=evaluator.expertise
+    )
     ev = evaluate_proposal(
         evaluator, tree, 1, proposer="u", proposer_expertise=Expertise.EXPERT
     )
     assert not ev.accepted
-    return select_focus_modification(ev, model, 1, agent="s")
+    return select_focus_modification(
+        ev, evaluator, 1, proposer="u", proposer_expertise=Expertise.EXPERT, agent="s"
+    )
 
 
 class TestFocusSelection:

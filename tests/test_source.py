@@ -24,6 +24,26 @@ def test_no_function_local_imports(path):
     assert local == []
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_module_imports(path):
+    # __init__.py is left out: its imports are the package surface
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 def test_bench_span_targets_resolve():
     # the benchmark patches these by name; a class target must be defined in
     # the class body itself, since it is looked up with vars(cls)
