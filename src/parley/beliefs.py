@@ -47,9 +47,13 @@ class StrengthLevel(IntEnum):
     @classmethod
     def parse(cls, text: str) -> "StrengthLevel":
         try:
-            return cls[text.upper()]
+            return _LEVELS_BY_TEXT[text]
         except KeyError:
             raise StructureError(f"unknown strength level: {text!r}") from None
+
+
+# exactly the names ``render`` writes; parsing runs once per scenario belief
+_LEVELS_BY_TEXT = {level.render(): level for level in StrengthLevel}
 
 
 class Expertise(str, Enum):
@@ -424,14 +428,15 @@ class Verdict:
 def build_evidence_set(
     kb: KnowledgeBase,
     target: Proposition,
-    proposed_accepted: Iterable[EvidencePiece] = (),
+    presented: Iterable[EvidencePiece] = (),
 ) -> tuple[EvidencePiece, ...]:
     """Collect every evidence piece bearing on ``target``.
 
     Combines the pieces derivable from ``kb.own`` (a held relation whose
-    antecedent is also held) with accepted proposed pieces supplied by the
-    caller.  Pieces are deduplicated by (belief, relation), keeping the
-    stronger reading, and returned in canonical order.
+    antecedent is also held) with the pieces the caller presents, each of
+    which must count for the target or its negation.  Pieces are
+    deduplicated by (belief, relation), keeping the stronger reading, and
+    returned in canonical order.
     """
     sides = (target, target.negate())
     pieces: list[EvidencePiece] = []
@@ -442,7 +447,7 @@ def build_evidence_set(
         basis = kb.own_belief(p.args[0])
         if basis is not None:
             pieces.append(EvidencePiece(basis, rel))
-    for pc in proposed_accepted:
+    for pc in presented:
         if pc.consequent not in sides:
             raise StructureError(f"evidence piece does not address {target}: {pc.relation.prop}")
         pieces.append(pc)
@@ -527,8 +532,7 @@ def record_verdict(
 def revise_detail(
     kb: KnowledgeBase,
     target: Proposition,
-    presented_support: Iterable[EvidencePiece] = (),
-    presented_attack: Iterable[EvidencePiece] = (),
+    presented: Iterable[EvidencePiece] = (),
     tau: int = 1,
     *,
     trace=None,
@@ -540,14 +544,7 @@ def revise_detail(
     if tau < 1:
         raise ContractViolation(f"threshold must be at least 1, got {tau}")
     negated = target.negate()
-    for pc in presented_support:
-        if pc.consequent != target:
-            raise StructureError(f"support piece does not address {target}: {pc.relation.prop}")
-    for pc in presented_attack:
-        if pc.consequent != negated:
-            raise StructureError(f"attack piece does not address {negated}: {pc.relation.prop}")
-
-    pool = build_evidence_set(kb, target, tuple(presented_support) + tuple(presented_attack))
+    pool = build_evidence_set(kb, target, presented)
     support = [pc for pc in pool if pc.consequent == target]
     attack = [pc for pc in pool if pc.consequent == negated]
 
@@ -595,8 +592,7 @@ def revise_detail(
 def revise(
     kb: KnowledgeBase,
     target: Proposition,
-    presented_support: Iterable[EvidencePiece] = (),
-    presented_attack: Iterable[EvidencePiece] = (),
+    presented: Iterable[EvidencePiece] = (),
     tau: int = 1,
     *,
     trace=None,
@@ -605,20 +601,16 @@ def revise(
 ) -> Verdict:
     """Weigh all evidence about ``target`` and return a verdict.
 
-    Scores are rank sums over the deduplicated evidence on each side, plus
-    the agent's own prior on the matching side when it independently stands.
-    Accept and reject require a margin of at least ``tau``; a derived prior
-    whose entire basis is refuted is abandoned; everything else is uncertain.
+    The store's own evidence and the ``presented`` pieces form one pool;
+    each piece counts for its relation's consequent, which must be the
+    target or its negation.  Scores are rank sums over the deduplicated
+    pool on each side, plus the agent's own prior on the matching side when
+    it independently stands.  Accept and reject require a margin of at
+    least ``tau``; a derived prior whose entire basis is refuted is
+    abandoned; everything else is uncertain.
     """
     return revise_detail(
-        kb,
-        target,
-        presented_support,
-        presented_attack,
-        tau,
-        trace=trace,
-        agent=agent,
-        note=note,
+        kb, target, presented, tau, trace=trace, agent=agent, note=note
     ).verdict
 
 
@@ -645,23 +637,25 @@ def removal_closure(model: KnowledgeBase, removed: Iterable[Proposition]) -> fro
 
 def minimal_subsets(
     items: Sequence, sufficient: Callable[[tuple], bool]
-) -> Iterator[list[tuple]]:
-    """The sufficient subsets of ``items`` that hold no smaller sufficient one.
+) -> Iterator[tuple]:
+    """Each sufficient subset of ``items`` that holds no smaller sufficient
+    one, yielded as soon as it is found.
 
     Sizes run from 1 upwards, and each size tries its combinations in
     ``itertools.combinations`` order.  A combination holding one already
-    found is skipped without calling ``sufficient``.  Yields, for each size
-    that has any, the list of combinations newly found at that size.
+    found is skipped without calling ``sufficient``.  Nothing past the last
+    subset taken is tried, so ``next(...)`` stops at the first hit.
     """
-    alone = [i for i in range(len(items)) if sufficient((items[i],))]
-    if alone:
-        yield [(items[i],) for i in alone]
+    alone = set()
+    for i, item in enumerate(items):
+        if sufficient((item,)):
+            alone.add(i)
+            yield (item,)
     # a member sufficient alone lies in no larger minimal subset, so larger
     # sizes combine only the rest, in the same relative order
     pool = [i for i in range(len(items)) if i not in alone]
     found: list[frozenset] = []
     for size in range(2, len(pool) + 1):
-        fresh: list[tuple] = []
         for combo in itertools.combinations(pool, size):
             members = frozenset(combo)
             if any(f <= members for f in found):
@@ -669,9 +663,7 @@ def minimal_subsets(
             subset = tuple(items[i] for i in combo)
             if sufficient(subset):
                 found.append(members)
-                fresh.append(subset)
-        if fresh:
-            yield fresh
+                yield subset
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,6 @@ def evaluate_proposal(
                     kb,
                     relation,
                     (assertion_piece(relation, proposer, proposer_expertise),),
-                    (),
                     tau,
                     trace=trace,
                     agent=agent,
@@ -242,7 +241,7 @@ def evaluate_proposal(
                     )
                 )
 
-        detail = revise_detail(kb, node.prop, presented, (), tau, trace=trace, agent=agent)
+        detail = revise_detail(kb, node.prop, presented, tau, trace=trace, agent=agent)
         return EvaluatedNode(
             node=node,
             verdict=detail.verdict,

@@ -64,9 +64,7 @@ def predict(
     for prop in sorted(closure):
         if prop != target:
             pruned = pruned.own_remove(prop)
-    support = [pc for pc in hyp if pc.consequent == target]
-    attack = [pc for pc in hyp if pc.consequent == target.negate()]
-    verdict = revise(pruned, target, support, attack, tau)
+    verdict = revise(pruned, target, hyp, tau)
     record_verdict(trace, agent, target, verdict, note, removed=removed)
     return verdict
 
@@ -83,23 +81,24 @@ def select_min_set(
 ) -> tuple[Proposition, ...]:
     """Find a smallest subset of candidates whose removal flips the target.
 
-    The full candidate set must already flip it.  Among same-size subsets,
-    the first in canonical text order wins.
+    The caller has checked that the full candidate set flips it.  Among
+    same-size subsets, the first in canonical text order wins.
     """
     cand = sorted(set(cand_set))
     if not cand:
         raise ContractViolation("no candidates to select from")
     hypothesized = tuple(hypothesized)
-    if not flips(predict(model, target, hypothesized, cand, tau)):
-        raise ContractViolation("full candidate set does not flip the target")
-    # the full set flips, so the search finds at least one subset; the
-    # candidates are sorted and combinations come in lexicographic order,
-    # so the first one found is the canonical least of its size
+    # the full set is the last subset tried, so a search that finds nothing
+    # means it does not flip; the candidates are sorted and combinations
+    # come in lexicographic order, so the first found is the canonical least
     chosen = next(
         minimal_subsets(
             cand, lambda combo: flips(predict(model, target, hypothesized, combo, tau))
-        )
-    )[0]
+        ),
+        None,
+    )
+    if chosen is None:
+        raise ContractViolation("full candidate set does not flip the target")
     if trace is not None:
         trace.emit(
             "minset",

@@ -9,14 +9,10 @@ to the hearer, then fewest beliefs, then canonical order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .beliefs import (
-    Belief,
-    Endorsement,
-    EvidencePiece,
     Expertise,
     KnowledgeBase,
     Proposition,
@@ -27,6 +23,7 @@ from .beliefs import (
     minimal_subsets,
     revise,
 )
+from .evaluation import synthetic_piece
 
 
 class NoSufficientJustification(RuntimeError):
@@ -59,12 +56,6 @@ class JustificationLink:
     def belief_count(self) -> int:
         return sum(1 for _ in self.walk())
 
-    def direct_piece(self) -> EvidencePiece:
-        return EvidencePiece(
-            Belief(self.prop, Endorsement.kb_record(self.belief_level)),
-            Belief(self.relation, Endorsement.kb_record(self.relation_level)),
-        )
-
     def key(self) -> tuple[str, ...]:
         return tuple(link.prop.render() for link in self.walk())
 
@@ -83,10 +74,14 @@ def hearer_accepts(
     expertise: Expertise,
     tau: int,
 ) -> bool:
-    """Would the hearer accept the claim, asserted together with the direct
-    evidence of ``chains``?"""
+    """Would the hearer accept the claim, asserted together with the top
+    link of each of ``chains`` as the speaker's evidence?  Only the links'
+    strengths reach the verdict."""
     presented = [assertion_piece(claim, speaker, expertise)]
-    presented.extend(c.direct_piece() for c in chains)
+    presented.extend(
+        synthetic_piece(c.prop, c.relation, c.belief_level, c.relation_level, speaker, expertise)
+        for c in chains
+    )
     return revise(model, claim, presented, tau=tau).outcome is VerdictOutcome.ACCEPT
 
 
@@ -129,27 +124,16 @@ def build_justification_chains(
         sub = build_justification_chains(
             kb, model, prop, tau, speaker=speaker, expertise=expertise, _path=path
         )
-        children = _sufficient_children(model, prop, sub, speaker, expertise, tau)
+        children = next(
+            minimal_subsets(
+                sub, lambda combo: hearer_accepts(model, prop, combo, speaker, expertise, tau)
+            ),
+            None,
+        )
         if children is None:
             continue
         chains.append(JustificationLink(prop, piece.relation.prop, *levels, children=children))
     return tuple(sorted(chains, key=lambda c: c.key()))
-
-
-def _sufficient_children(
-    model: KnowledgeBase,
-    prop: Proposition,
-    sub: tuple[JustificationLink, ...],
-    speaker: str,
-    expertise: Expertise,
-    tau: int,
-) -> Optional[tuple[JustificationLink, ...]]:
-    """Smallest bundle of sub-chains that gets ``prop`` accepted, trying
-    canonical order within each size; None when nothing suffices."""
-    combos = (c for size in range(1, len(sub) + 1) for c in itertools.combinations(sub, size))
-    return next(
-        (c for c in combos if hearer_accepts(model, prop, c, speaker, expertise, tau)), None
-    )
 
 
 def select_justification(
@@ -171,10 +155,11 @@ def select_justification(
     size, and finally canonical order.
     """
     pool = sorted(chains, key=lambda c: c.key())
-    search = minimal_subsets(
-        pool, lambda combo: hearer_accepts(model, claim, combo, speaker, expertise, tau)
+    survivors = list(
+        minimal_subsets(
+            pool, lambda combo: hearer_accepts(model, claim, combo, speaker, expertise, tau)
+        )
     )
-    survivors = [combo for found in search for combo in found]
     if not survivors:
         raise NoSufficientJustification(f"no sufficient justification for {claim}")
 

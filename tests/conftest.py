@@ -102,7 +102,8 @@ def random_store(rng: random.Random, names: list[str], max_beliefs: int = 6) -> 
 
 
 def random_revision_case(rng: random.Random):
-    """A store, a target, presented evidence for both sides, and a threshold."""
+    """A store, a target, one pool of presented evidence for either side,
+    and a threshold."""
     from parley import EvidencePiece
     from parley.beliefs import assertion_strength
 
@@ -122,9 +123,7 @@ def random_revision_case(rng: random.Random):
                 Belief(supports_prop(basis, side), Endorsement.kb_record(speaker_level)),
             )
         )
-    support = [pc for pc in presented if pc.consequent == target]
-    attack = [pc for pc in presented if pc.consequent == target.negate()]
-    return kb, target, support, attack, rng.choice([1, 2, 3])
+    return kb, target, presented, rng.choice([1, 2, 3])
 
 
 def random_scenario(rng: random.Random) -> Scenario:

@@ -3,6 +3,7 @@
 Run with ``pytest -v`` (or ``-s`` to see the PASS lines) to audit all seven.
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -269,21 +270,22 @@ def test_p4_revision_properties():
     extra_basis = ground("extra")
     for seed in range(10_000):
         rng = random.Random(seed)
-        kb, target, support, attack, tau = random_revision_case(rng)
+        kb, target, presented, tau = random_revision_case(rng)
 
         # monotonicity: one more support piece never hurts the target
-        before = revise(kb, target, support, attack, tau)
+        before = revise(kb, target, presented, tau)
         extra = EvidencePiece(
             Belief(extra_basis, Endorsement.kb_record(rng.choice(LEVELS))),
             Belief(supports_prop(extra_basis, target), Endorsement.kb_record(rng.choice(LEVELS))),
         )
-        after = revise(kb, target, support + [extra], attack, tau)
+        after = revise(kb, target, presented + [extra], tau)
         assert after.support_score >= before.support_score, seed
         assert after.attack_score == before.attack_score, seed
         assert rank[after.outcome] >= rank[before.outcome], seed
 
-        # symmetry: the same evidence read from the negation swaps the scores
-        mirrored = revise(kb, target.negate(), attack, support, tau)
+        # symmetry: the same pool argues the negation, with the two scores
+        # swapped
+        mirrored = revise(kb, target.negate(), presented, tau)
         assert (before.support_score, before.attack_score) == (
             mirrored.attack_score,
             mirrored.support_score,
@@ -310,7 +312,21 @@ def test_p4_revision_properties():
           "no contradictions over 500 assimilation sequences")
 
 
+# sha256 over the bundled scenarios, sorted by name, then the 1,000 seeds:
+# for each run, its transcript lines, outcome and trace NDJSON
+P5_DIGEST = "6ee6e8c57989793b40ad3cbf8e2b01917c973faaf40299ca3f9a464a6217d29c"
+
+
+def _fold(digest, transcript, trace) -> None:
+    text = "\n".join(transcript.realize()) + "\0" + transcript.outcome + "\0" + trace.to_ndjson()
+    digest.update(text.encode("utf-8"))
+
+
 def test_p5_termination_and_determinism():
+    digest = hashlib.sha256()
+    for path in sorted(SCENARIO_DIR.glob("*.scenario")):
+        trace = Trace()
+        _fold(digest, run_scenario(load_bundled(path.stem), trace), trace)
     worst = 0.0
     for seed in range(1000):
         scenario = random_scenario(random.Random(seed))
@@ -322,8 +338,11 @@ def test_p5_termination_and_determinism():
         assert first.realize() == second.realize(), seed
         assert trace_a.to_ndjson() == trace_b.to_ndjson(), seed
         worst = max(worst, first.rounds / max(total_beliefs, 1))
+        _fold(digest, first, trace_a)
+    assert digest.hexdigest() == P5_DIGEST
     print(f"PASS P5: 1000 scenarios halted within the belief-count bound "
-          f"(worst ratio {worst:.2f}) and replayed byte-identically")
+          f"(worst ratio {worst:.2f}), replayed byte-identically and matched the "
+          f"recorded digest")
 
 
 def test_p6_embedded_subdialogue():

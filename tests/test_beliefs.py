@@ -353,13 +353,13 @@ def test_weakest_link_exhaustive(belief_level, relation_level):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_more_support_never_hurts(seed):
     rng = random.Random(seed)
-    kb, target, support, attack, tau = random_revision_case(rng)
-    before = revise(kb, target, support, attack, tau)
+    kb, target, presented, tau = random_revision_case(rng)
+    before = revise(kb, target, presented, tau)
     extra = EvidencePiece(
         rec(ground("extra"), rng.choice(LEVELS)),
         rec(supports_prop(ground("extra"), target), rng.choice(LEVELS)),
     )
-    after = revise(kb, target, support + [extra], attack, tau)
+    after = revise(kb, target, presented + [extra], tau)
     rank = {
         VerdictOutcome.REJECT: -1,
         VerdictOutcome.ABANDON: 0,
@@ -375,11 +375,11 @@ def test_more_support_never_hurts(seed):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_negation_symmetry(seed):
     rng = random.Random(seed)
-    kb, target, support, attack, tau = random_revision_case(rng)
-    # a piece counts for its relation's consequent, so the same pieces,
-    # sides swapped, argue the negation
-    v = revise(kb, target, support, attack, tau)
-    m = revise(kb, target.negate(), attack, support, tau)
+    kb, target, presented, tau = random_revision_case(rng)
+    # a piece counts for its relation's consequent, so the same pool argues
+    # the negation, with the two scores swapped
+    v = revise(kb, target, presented, tau)
+    m = revise(kb, target.negate(), presented, tau)
     assert (v.support_score, v.attack_score) == (m.attack_score, m.support_score)
     swap = {
         VerdictOutcome.ACCEPT: VerdictOutcome.REJECT,

@@ -7,6 +7,7 @@ import pytest
 from parley import (
     Belief,
     Endorsement,
+    EvidencePiece,
     Expertise,
     JustificationChoice,
     JustificationLink,
@@ -19,9 +20,8 @@ from parley import (
     select_justification,
     supports_prop,
 )
-from parley import justification
 from parley.beliefs import assertion_piece, minimal_subsets, revise
-from parley.justification import _sufficient_children, hearer_accepts, realized_beliefs
+from parley.justification import hearer_accepts, realized_beliefs
 from parley.trace import Trace
 
 from conftest import ground
@@ -207,23 +207,66 @@ def random_predicate(rng, k, monotone):
     return lambda c: frozenset(c) in chosen
 
 
+def grouped_minimal_subsets(items, sufficient):
+    """The search as it was before it yielded lazily: every singleton is
+    tried first, then one list of new finds per size.  The reference for
+    the order of ``sufficient`` calls."""
+    alone = [i for i in range(len(items)) if sufficient((items[i],))]
+    if alone:
+        yield [(items[i],) for i in alone]
+    pool = [i for i in range(len(items)) if i not in alone]
+    found = []
+    for size in range(2, len(pool) + 1):
+        fresh = []
+        for combo in itertools.combinations(pool, size):
+            members = frozenset(combo)
+            if any(f <= members for f in found):
+                continue
+            subset = tuple(items[i] for i in combo)
+            if sufficient(subset):
+                found.append(members)
+                fresh.append(subset)
+        if fresh:
+            yield fresh
+
+
 @pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "non-monotone"])
 def test_minimal_subsets_matches_oracle(monotone):
     rng = random.Random(7)
     for case in range(300):
         k = rng.randint(0, 8)
         sufficient = random_predicate(rng, k, monotone)
-        found = list(minimal_subsets(list(range(k)), sufficient))
-        sizes = [len(group[0]) for group in found]
-        assert sizes == sorted(set(sizes)), case
-        assert all(len(c) == len(group[0]) for group in found for c in group), case
-        flat = [c for group in found for c in group]
-        assert flat == minimal_oracle(list(range(k)), sufficient), case
+        items = list(range(k))
+        calls, want_calls = [], []
+
+        def logged(log):
+            return lambda c: log.append(c) or sufficient(c)
+
+        found = list(minimal_subsets(items, logged(calls)))
+        assert found == minimal_oracle(items, sufficient), case
+        want = [c for group in grouped_minimal_subsets(items, logged(want_calls)) for c in group]
+        assert found == want, case
+        assert calls == want_calls, case
+        # taking only the first stops right after the first hit
+        calls.clear()
+        first = next(minimal_subsets(items, logged(calls)), None)
+        if first is None:
+            assert calls == want_calls, case
+        else:
+            assert first == found[0], case
+            assert calls == want_calls[: want_calls.index(first) + 1], case
 
 
 def seed_accepts(model, claim, combo, expertise, tau):
+    # the seed's piece builder: each top link as kb-record evidence
     presented = [assertion_piece(claim, "s", expertise)]
-    presented.extend(c.direct_piece() for c in combo)
+    presented.extend(
+        EvidencePiece(
+            Belief(c.prop, Endorsement.kb_record(c.belief_level)),
+            Belief(c.relation, Endorsement.kb_record(c.relation_level)),
+        )
+        for c in combo
+    )
     return revise(model, claim, presented, tau=tau).outcome is VerdictOutcome.ACCEPT
 
 
@@ -301,13 +344,7 @@ def random_chain_case(rng):
     return chains, model, rng.choice(list(Expertise)), rng.choice([1, 1, 2, 3])
 
 
-def test_select_justification_matches_seed_algorithm(monkeypatch):
-    checks = []
-
-    def counted(*args):
-        checks.append(args)
-        return hearer_accepts(*args)
-
+def test_select_justification_matches_seed_algorithm():
     rng = random.Random(11)
     rules = set()
     for case in range(250):
@@ -320,10 +357,14 @@ def test_select_justification_matches_seed_algorithm(monkeypatch):
             (i for i, c in enumerate(combos) if seed_accepts(model, CLAIM, c, expertise, tau)),
             None,
         )
-        checks.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(justification, "hearer_accepts", counted)
-            got_children = _sufficient_children(model, CLAIM, pool, "s", expertise, tau)
+        checks = []
+
+        def accepts(combo):
+            checks.append(combo)
+            return hearer_accepts(model, CLAIM, combo, "s", expertise, tau)
+
+        # the search for a chain's children takes the first hit only
+        got_children = next(minimal_subsets(pool, accepts), None)
         assert got_children == (None if hit is None else combos[hit]), case
         # stops at the first accepted combination
         assert len(checks) == (len(combos) if hit is None else hit + 1), case

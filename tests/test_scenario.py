@@ -83,6 +83,11 @@ def test_syntax_error_reports_line_and_column():
         (lambda d: d.update(agents=d["agents"][:1]), "$.agents"),
         (lambda d: d["agents"][1].update(id="U"), "$.agents"),
         (lambda d: d["agents"][0]["beliefs"][0].update(level="severe"), "$.agents[0].beliefs[0].level"),
+        pytest.param(
+            lambda d: d["agents"][0]["beliefs"][0].update(level="WARRANTED"),
+            "$.agents[0].beliefs[0].level",
+            id="upper-case-level",
+        ),
         (lambda d: d["agents"][0]["beliefs"][0].update(source="hearsay"), "$.agents[0].beliefs[0].source"),
         (lambda d: d["agents"][0]["beliefs"][0].update(prop="Bad("), "$.agents[0].beliefs[0].prop"),
         (lambda d: d.update(config={"tau": 0}), "$.config.tau"),
