@@ -32,7 +32,7 @@ from .evaluation import (
     render_tree,
     validate_tree,
 )
-from .focus import FociNode, predict, select_focus_modification, select_min_set
+from .focus import predict, select_focus_modification, select_min_set
 from .justification import (
     JustificationChoice,
     JustificationLink,

@@ -284,17 +284,35 @@ def piece_strength(piece: EvidencePiece) -> StrengthLevel:
     return min(piece.belief.endorsement.level, piece.relation.endorsement.level)
 
 
-def assertion_piece(prop: Proposition, speaker: str, expertise: Expertise) -> EvidencePiece:
-    """Package a bare assertion of ``prop`` as direct evidence for ``prop``.
-
-    The synthetic self-relation is warranted, so the piece carries exactly
-    the assertion's endorsed strength.
-    """
-    endorsed = Belief(
-        prop, Endorsement.assertion(assertion_strength(expertise), speaker, expertise)
+def asserted_piece(
+    prop: Proposition,
+    relation: Proposition,
+    belief_level: StrengthLevel,
+    relation_level: StrengthLevel,
+    speaker: str,
+    expertise: Expertise,
+) -> EvidencePiece:
+    """``prop`` and its ``relation`` to a claim as one piece of evidence,
+    both asserted by ``speaker`` at the given strengths."""
+    return EvidencePiece(
+        Belief(prop, Endorsement.assertion(belief_level, speaker, expertise)),
+        Belief(relation, Endorsement.assertion(relation_level, speaker, expertise)),
     )
-    relation = Belief(supports_prop(prop, prop), Endorsement.kb_record(StrengthLevel.WARRANTED))
-    return EvidencePiece(endorsed, relation)
+
+
+def presented_case(
+    claim: Proposition, speaker: str, expertise: Expertise, backing: Iterable[tuple] = ()
+) -> tuple[EvidencePiece, ...]:
+    """What ``speaker`` puts forward for ``claim``: the bare assertion, then
+    one piece per ``(prop, relation, belief_level, relation_level)`` in
+    ``backing``.  The bare piece's self-relation is warranted, so it carries
+    exactly ``assertion_strength(expertise)``."""
+    relation = supports_prop(claim, claim)
+    level = assertion_strength(expertise)
+    pieces = [asserted_piece(claim, relation, level, StrengthLevel.WARRANTED, speaker, expertise)]
+    for prop, rel, belief_level, relation_level in backing:
+        pieces.append(asserted_piece(prop, rel, belief_level, relation_level, speaker, expertise))
+    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +556,6 @@ def revise_detail(
     trace=None,
     agent: str = "",
     note: str = "",
-    method: str = "scores",
 ) -> ReviseDetail:
     """Revision with the credited evidence exposed.  See :func:`revise`."""
     if tau < 1:
@@ -580,7 +597,7 @@ def revise_detail(
         outcome = VerdictOutcome.UNCERTAIN
 
     verdict = Verdict(outcome, support_score, attack_score)
-    record_verdict(trace, agent, target, verdict, note, method=method)
+    record_verdict(trace, agent, target, verdict, note, method="scores")
     return ReviseDetail(
         verdict,
         tuple(support),
@@ -594,10 +611,6 @@ def revise(
     target: Proposition,
     presented: Iterable[EvidencePiece] = (),
     tau: int = 1,
-    *,
-    trace=None,
-    agent: str = "",
-    note: str = "",
 ) -> Verdict:
     """Weigh all evidence about ``target`` and return a verdict.
 
@@ -607,11 +620,10 @@ def revise(
     pool on each side, plus the agent's own prior on the matching side when
     it independently stands.  Accept and reject require a margin of at
     least ``tau``; a derived prior whose entire basis is refuted is
-    abandoned; everything else is uncertain.
+    abandoned; everything else is uncertain.  Untraced: a traced revision
+    goes through :func:`revise_detail`.
     """
-    return revise_detail(
-        kb, target, presented, tau, trace=trace, agent=agent, note=note
-    ).verdict
+    return revise_detail(kb, target, presented, tau).verdict
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .beliefs import (
     StructureError,
     Verdict,
     VerdictOutcome,
-    assertion_piece,
     assimilate,
+    presented_case,
     record_verdict,
     revise_detail,
     supports_prop,
@@ -162,22 +162,6 @@ class EvaluatedNode:
         return self.verdict.outcome is VerdictOutcome.ACCEPT
 
 
-def synthetic_piece(
-    prop: Proposition,
-    relation: Proposition,
-    belief_level: StrengthLevel,
-    relation_level: StrengthLevel,
-    speaker: str,
-    expertise: Expertise,
-) -> EvidencePiece:
-    """A proposed child and its relation to the parent as one piece of
-    evidence, both asserted by ``speaker`` at the given strengths."""
-    return EvidencePiece(
-        Belief(prop, Endorsement.assertion(belief_level, speaker, expertise)),
-        Belief(relation, Endorsement.assertion(relation_level, speaker, expertise)),
-    )
-
-
 def evaluate_proposal(
     kb: KnowledgeBase,
     tree: ProposalNode,
@@ -199,7 +183,7 @@ def evaluate_proposal(
 
     def walk(node: ProposalNode) -> EvaluatedNode:
         evaluated_children: list[EvaluatedChild] = []
-        presented = [assertion_piece(node.prop, proposer, proposer_expertise)]
+        backing: list[tuple] = []
         for child in node.children:
             child_eval = walk(child)
             relation = node.relation_to(child)
@@ -218,7 +202,7 @@ def evaluate_proposal(
                 detail = revise_detail(
                     kb,
                     relation,
-                    (assertion_piece(relation, proposer, proposer_expertise),),
+                    presented_case(relation, proposer, proposer_expertise),
                     tau,
                     trace=trace,
                     agent=agent,
@@ -230,17 +214,9 @@ def evaluate_proposal(
                 EvaluatedChild(child_eval, relation, rel_verdict, lookup, rel_strength)
             )
             if child_eval.accepted and rel_verdict.outcome is VerdictOutcome.ACCEPT:
-                presented.append(
-                    synthetic_piece(
-                        child.prop,
-                        relation,
-                        child_eval.accepted_strength,
-                        rel_strength,
-                        proposer,
-                        proposer_expertise,
-                    )
-                )
+                backing.append((child.prop, relation, child_eval.accepted_strength, rel_strength))
 
+        presented = presented_case(node.prop, proposer, proposer_expertise, backing)
         detail = revise_detail(kb, node.prop, presented, tau, trace=trace, agent=agent)
         return EvaluatedNode(
             node=node,

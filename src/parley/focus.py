@@ -2,14 +2,13 @@
 
 The rejecting agent simulates the proposer with its user model: it predicts
 how the proposer would re-judge each disputed proposition if particular
-beliefs were given up and the evidence from both sides were on the table.
-The smallest set of beliefs whose removal flips the proposer becomes the
-focus of modification.
+beliefs were given up, with both sides' cases (``presented_case``) on the
+table.  The smallest set of beliefs whose removal flips the proposer is the
+focus of modification; only the ``foci`` trace records say how it was found.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .beliefs import (
@@ -20,14 +19,14 @@ from .beliefs import (
     Proposition,
     Verdict,
     VerdictOutcome,
-    assertion_piece,
     build_evidence_set,
     minimal_subsets,
+    presented_case,
     record_verdict,
     removal_closure,
     revise,
 )
-from .evaluation import EvaluatedNode, synthetic_piece
+from .evaluation import EvaluatedNode
 
 
 def flips(verdict: Verdict) -> bool:
@@ -116,16 +115,19 @@ def _asserted_evidence(
 ) -> tuple[EvidencePiece, ...]:
     """The proposer's case for ``ev`` as presented: the bare assertion plus
     every child, accepted or not, at the strength it was asserted."""
-    return (assertion_piece(ev.prop, proposer, proposer_expertise),) + tuple(
-        synthetic_piece(
-            child.evaluated.prop,
-            child.relation,
-            child.evaluated.node.asserted_level,
-            child.evaluated.node.asserted_level,
-            proposer,
-            proposer_expertise,
-        )
-        for child in ev.children
+    return presented_case(
+        ev.prop,
+        proposer,
+        proposer_expertise,
+        (
+            (
+                c.evaluated.prop,
+                c.relation,
+                c.evaluated.node.asserted_level,
+                c.evaluated.node.asserted_level,
+            )
+            for c in ev.children
+        ),
     )
 
 
@@ -137,20 +139,8 @@ def _standing_attack(
     negated = target.negate()
     pieces = [pc for pc in build_evidence_set(kb, target) if pc.consequent == negated]
     if kb.holds(negated):
-        pieces.append(assertion_piece(negated, agent, kb.expertise))
+        pieces.extend(presented_case(negated, agent, kb.expertise))
     return tuple(pieces)
-
-
-@dataclass(frozen=True)
-class FociNode:
-    """Per-node outcome of focus selection; ``focus`` is None when no
-    modification of this subtree looks winnable."""
-
-    target: Proposition
-    step: str
-    focus: Optional[frozenset]
-    cand_set: tuple[Proposition, ...] = ()
-    children: tuple["FociNode", ...] = ()
 
 
 def select_focus_modification(
@@ -162,8 +152,9 @@ def select_focus_modification(
     proposer_expertise: Expertise,
     trace=None,
     agent: str = "",
-) -> FociNode:
-    """Walk an evaluated (and unaccepted) proposal choosing what to dispute.
+) -> Optional[frozenset]:
+    """Walk an evaluated (and unaccepted) proposal and return the focus to
+    dispute, or None when no modification looks winnable.
 
     ``kb`` is the evaluator's store; the proposer is simulated with its user
     model.  Leaves are flippable or not by direct prediction.  For internal
@@ -171,21 +162,22 @@ def select_focus_modification(
     head-on counter, then both combined; each stage predicts with the
     proposer's own presented evidence, plus this agent's counterevidence
     for the head-on stages.  Both kinds of evidence are built only for the
-    nodes and relations the walk visits.
+    nodes and relations the walk visits.  Each visited node leaves one
+    ``foci`` record, the root's last.
     """
     model = kb.model_view()
 
-    def emit(node: FociNode) -> FociNode:
+    def emit(target: Proposition, step: str, focus, cand=()) -> Optional[frozenset]:
         if trace is not None:
             trace.emit(
                 "foci",
                 agent=agent,
-                target=node.target.render(),
-                step=node.step,
-                focus=None if node.focus is None else sorted(p.render() for p in node.focus),
-                cand=[p.render() for p in node.cand_set],
+                target=target.render(),
+                step=step,
+                focus=None if focus is None else sorted(p.render() for p in focus),
+                cand=[p.render() for p in cand],
             )
-        return node
+        return focus
 
     def flipped(prop: Proposition, hypothesized, removed, note: str) -> bool:
         verdict = predict(
@@ -194,42 +186,35 @@ def select_focus_modification(
         return flips(verdict)
 
     def relation_focus(child) -> Optional[frozenset]:
-        both_sides = (
-            assertion_piece(child.relation, proposer, proposer_expertise),
+        both_sides = presented_case(
+            child.relation, proposer, proposer_expertise
         ) + _standing_attack(kb, child.relation, agent)
         if flipped(child.relation, both_sides, (), "relation"):
             return frozenset({child.relation})
         return None
 
-    def walk(ev: EvaluatedNode) -> FociNode:
+    def walk(ev: EvaluatedNode) -> Optional[frozenset]:
         presented = _asserted_evidence(ev, proposer, proposer_expertise)
         both_sides = presented + _standing_attack(kb, ev.prop, agent)
         if not ev.children:
             focus = frozenset({ev.prop}) if flipped(ev.prop, both_sides, (), "leaf") else None
-            return emit(FociNode(ev.prop, "leaf", focus))
+            return emit(ev.prop, "leaf", focus)
 
-        kids: list[FociNode] = []
         member_focus: dict[Proposition, frozenset] = {}
         for child in ev.children:
             if child.counted:
                 continue
             if not child.evaluated.accepted:
-                sub = walk(child.evaluated)
-                focus = sub.focus
+                focus = walk(child.evaluated)
                 if focus is None and not child.relation_accepted:
                     # belief cannot be shaken; see whether the link can
                     focus = relation_focus(child)
-                    if focus is not None:
-                        sub = FociNode(sub.target, sub.step, focus, sub.cand_set, sub.children)
-                kids.append(sub)
             else:
-                focus = relation_focus(child)
-                kids.append(emit(FociNode(child.relation, "relation", focus)))
+                focus = emit(child.relation, "relation", relation_focus(child))
             if focus is not None:
                 member_focus[child.evaluated.prop] = focus
 
         cand = tuple(sorted(member_focus))
-        kids_t = tuple(kids)
 
         def undermined(hypothesized, note: str, base: frozenset) -> Optional[frozenset]:
             """``base`` plus the foci of the fewest members whose removal
@@ -243,12 +228,12 @@ def select_focus_modification(
 
         focus = undermined(presented, "evidence", frozenset())
         if focus is not None:
-            return emit(FociNode(ev.prop, "evidence", focus, cand, kids_t))
+            return emit(ev.prop, "evidence", focus, cand)
         if flipped(ev.prop, both_sides, (), "belief"):
-            return emit(FociNode(ev.prop, "belief", frozenset({ev.prop}), cand, kids_t))
+            return emit(ev.prop, "belief", frozenset({ev.prop}), cand)
         focus = undermined(both_sides, "both", frozenset({ev.prop}))
         if focus is not None:
-            return emit(FociNode(ev.prop, "both", focus, cand, kids_t))
-        return emit(FociNode(ev.prop, "nil", None, cand, kids_t))
+            return emit(ev.prop, "both", focus, cand)
+        return emit(ev.prop, "nil", None, cand)
 
     return walk(evaluated)

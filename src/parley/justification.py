@@ -1,10 +1,11 @@
 """Evidence-based justification of a claim for a particular hearer.
 
 Before uttering a counter-claim, an agent checks whether the hearer would
-take it on bare say-so.  If not, it assembles chains of its own evidence,
-recursively justifying any link the hearer would balk at, then picks the
-cheapest sufficient bundle: highest worst-link confidence, then most novel
-to the hearer, then fewest beliefs, then canonical order.
+take it on bare say-so, weighing the claim as ``presented_case`` builds it.
+If not, it assembles chains of its own evidence, recursively justifying any
+link the hearer would balk at, then picks the cheapest sufficient bundle:
+highest worst-link confidence, then most novel to the hearer, then fewest
+beliefs, then canonical order.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from .beliefs import (
     Proposition,
     StrengthLevel,
     VerdictOutcome,
-    assertion_piece,
     build_evidence_set,
     minimal_subsets,
+    presented_case,
     revise,
 )
-from .evaluation import synthetic_piece
 
 
 class NoSufficientJustification(RuntimeError):
@@ -77,10 +77,11 @@ def hearer_accepts(
     """Would the hearer accept the claim, asserted together with the top
     link of each of ``chains`` as the speaker's evidence?  Only the links'
     strengths reach the verdict."""
-    presented = [assertion_piece(claim, speaker, expertise)]
-    presented.extend(
-        synthetic_piece(c.prop, c.relation, c.belief_level, c.relation_level, speaker, expertise)
-        for c in chains
+    presented = presented_case(
+        claim,
+        speaker,
+        expertise,
+        ((c.prop, c.relation, c.belief_level, c.relation_level) for c in chains),
     )
     return revise(model, claim, presented, tau=tau).outcome is VerdictOutcome.ACCEPT
 

@@ -25,9 +25,9 @@ from .beliefs import (
     StrengthLevel,
     Verdict,
     VerdictOutcome,
-    assertion_piece,
     assertion_strength,
     assimilate,
+    presented_case,
     removal_closure,
     revise_detail,
 )
@@ -80,9 +80,13 @@ class DiscourseAct:
     def level(self) -> str:
         return "control" if self.kind is ActKind.INFO_SHARE_REQUEST else "domain"
 
-    def realize(self) -> str:
+    def content(self) -> str:
+        """The move as uttered, without the speaker."""
         body = render_tree(self.proposal) if self.proposal is not None else self.prop.render()
-        return f"{self.speaker}: {_VERBS[self.kind]} {body}"
+        return f"{_VERBS[self.kind]} {body}"
+
+    def realize(self) -> str:
+        return f"{self.speaker}: {self.content()}"
 
 
 class DepthExceededError(RuntimeError):
@@ -139,9 +143,7 @@ class _Session:
     ) -> None:
         act = DiscourseAct(kind, speaker, prop=prop, proposal=proposal)
         self.acts.append(act)
-        self.trace.emit(
-            "act", speaker=speaker, act=kind.value, content=act.realize().split(": ", 1)[1]
-        )
+        self.trace.emit("act", speaker=speaker, act=kind.value, content=act.content())
 
     def already_presented(self, speaker: str, claim: Proposition, props) -> bool:
         key = (speaker, claim)
@@ -254,7 +256,7 @@ def _agree(session: _Session, speaker: str, hearer: str, evaluated: EvaluatedNod
 
 def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> _Step:
     root = tree.prop
-    evidence = [assertion_piece(root, winner, session.expertise(winner))]
+    evidence = presented_case(root, winner, session.expertise(winner))
     session.kbs[loser] = assimilate(
         session.kbs[loser], Verdict(VerdictOutcome.ACCEPT, 0, 0), root, evidence
     )
@@ -347,7 +349,7 @@ def _handle_rejection(
     depth: int,
 ) -> _Step:
     tau = session.config.tau
-    foci = select_focus_modification(
+    focus = select_focus_modification(
         evaluated,
         session.kbs[evaluator],
         tau,
@@ -356,10 +358,10 @@ def _handle_rejection(
         trace=session.trace,
         agent=evaluator,
     )
-    if foci.focus is None:
+    if focus is None:
         return _concede(session, evaluator, proposer, tree)
 
-    members = sorted(foci.focus)
+    members = sorted(focus)
     session.trace.emit(
         "recipe",
         agent=evaluator,

@@ -27,7 +27,7 @@ from parley import (
     select_min_set,
     supports_prop,
 )
-from parley.beliefs import assertion_piece, revise_detail
+from parley.beliefs import presented_case, revise_detail
 from parley.focus import flips
 from parley.trace import Trace
 
@@ -209,7 +209,7 @@ def _min_set_case(rng: random.Random):
     cand = tuple(sorted(rng.sample(menu, rng.randint(1, min(8, len(menu))))))
     hyp = ()
     if rng.random() < 0.5:
-        hyp = (assertion_piece(target, "u", rng.choice(list(Expertise))),)
+        hyp = presented_case(target, "u", rng.choice(list(Expertise)))
     tau = rng.choice([1, 1, 2])
     if not flips(predict(model, target, hyp, cand, tau)):
         return None

@@ -30,7 +30,7 @@ from parley.beliefs import (
     MAX_PROP_NESTING,
     SourceKind,
     _standing,
-    assertion_piece,
+    presented_case,
     revise_detail,
 )
 
@@ -274,13 +274,13 @@ class TestRevision:
     def test_standing_prior_subsumes_self_assertion(self):
         t = ground("t")
         kb = kb_of(rec(t, T))
-        piece = assertion_piece(t, "u", Expertise.EXPERT)
+        piece = presented_case(t, "u", Expertise.EXPERT)[0]
         v = revise(kb, t, [piece])
         assert v.support_score == 3  # prior only, not prior + assertion
 
     def test_presented_pieces_must_address_target(self):
         t, u = ground("t"), ground("u")
-        piece = assertion_piece(u, "u", Expertise.EXPERT)
+        piece = presented_case(u, "u", Expertise.EXPERT)[0]
         with pytest.raises(StructureError):
             revise(kb_of(), t, [piece])
 
@@ -298,7 +298,7 @@ class TestAssimilation:
 
     def test_bare_assertion_adopts_assertion_source(self):
         t = ground("t")
-        piece = assertion_piece(t, "u", Expertise.EXPERT)
+        piece = presented_case(t, "u", Expertise.EXPERT)[0]
         d = revise_detail(kb_of(), t, [piece])
         kb2 = assimilate(kb_of(), d.verdict, t, d.support_pieces)
         held = kb2.own_belief(t)
@@ -330,7 +330,7 @@ class TestAssimilation:
     def test_keeps_stronger_prior(self):
         t = ground("t")
         kb = kb_of(rec(t, T))
-        piece = assertion_piece(t, "u", Expertise.NON_EXPERT)
+        piece = presented_case(t, "u", Expertise.NON_EXPERT)[0]
         kb2 = assimilate(
             kb, revise_detail(kb, t, [piece]).verdict, t, [piece]
         )

@@ -15,7 +15,7 @@ from parley import (
     supports_prop,
     VerdictOutcome,
 )
-from parley.beliefs import assertion_piece
+from parley.beliefs import presented_case
 from parley.focus import removal_closure
 from parley.trace import Trace
 
@@ -55,7 +55,7 @@ class TestPredict:
 
     def test_hypothesized_evidence_in_closure_is_dropped(self):
         model = kb_of(rec(A), der(TGT, S, A))
-        piece = assertion_piece(TGT, "u", Expertise.EXPERT)
+        piece = presented_case(TGT, "u", Expertise.EXPERT)[0]
         kept = predict(model, TGT, [piece])
         dropped = predict(model, TGT, [piece], removed=[A])
         assert kept.outcome is VerdictOutcome.ACCEPT
@@ -117,7 +117,9 @@ class TestSelectMinSet:
         assert record.payload["size"] == 2
 
 
-def run_sfm(evaluator: KnowledgeBase, model: KnowledgeBase, tree: ProposalNode):
+def run_sfm(evaluator: KnowledgeBase, model: KnowledgeBase, tree: ProposalNode, trace=None):
+    """The root's ``foci`` record, the last one written; the focus returned
+    must be the one it names."""
     # the evaluator simulates the proposer with its user model
     evaluator = KnowledgeBase(
         own=evaluator.own, user_model=model.own, expertise=evaluator.expertise
@@ -126,9 +128,18 @@ def run_sfm(evaluator: KnowledgeBase, model: KnowledgeBase, tree: ProposalNode):
         evaluator, tree, 1, proposer="u", proposer_expertise=Expertise.EXPERT
     )
     assert not ev.accepted
-    return select_focus_modification(
-        ev, evaluator, 1, proposer="u", proposer_expertise=Expertise.EXPERT, agent="s"
+    trace = Trace() if trace is None else trace
+    focus = select_focus_modification(
+        ev, evaluator, 1, proposer="u", proposer_expertise=Expertise.EXPERT, trace=trace, agent="s"
     )
+    root = trace.by_kind("foci")[-1].payload
+    assert root["target"] == tree.prop.render()
+    assert root["focus"] == (None if focus is None else names(*focus))
+    return root
+
+
+def names(*props) -> list[str]:
+    return sorted(p.render() for p in props)
 
 
 class TestFocusSelection:
@@ -142,14 +153,14 @@ class TestFocusSelection:
     def test_leaf_flips(self):
         evaluator = kb_of(*self.counterweight(TGT, Q))
         model = kb_of(rec(TGT, S))
-        node = run_sfm(evaluator, model, ProposalNode(TGT, S))
-        assert (node.step, node.focus) == ("leaf", frozenset({TGT}))
+        root = run_sfm(evaluator, model, ProposalNode(TGT, S))
+        assert (root["step"], root["focus"], root["cand"]) == ("leaf", names(TGT), [])
 
     def test_leaf_unshakeable(self):
         evaluator = kb_of(*self.counterweight(TGT, Q))
         model = kb_of(rec(TGT), rec(ground("d")), rec(supports_prop(ground("d"), TGT)))
-        node = run_sfm(evaluator, model, ProposalNode(TGT, S))
-        assert (node.step, node.focus) == ("leaf", None)
+        root = run_sfm(evaluator, model, ProposalNode(TGT, S))
+        assert (root["step"], root["focus"], root["cand"]) == ("leaf", None, [])
 
     def test_member_alone_suffices(self):
         evaluator = kb_of(
@@ -157,10 +168,10 @@ class TestFocusSelection:
             rec(supports_prop(A, TGT)),
         )
         model = kb_of(rec(A, S), der(TGT, S, A), rec(supports_prop(A, TGT)))
-        node = run_sfm(evaluator, model, ProposalNode(TGT, S, (ProposalNode(A, T),)))
-        assert (node.step, node.focus) == ("evidence", frozenset({A}))
-        assert node.cand_set == (A,)
-        assert [k.step for k in node.children] == ["leaf"]
+        trace = Trace()
+        root = run_sfm(evaluator, model, ProposalNode(TGT, S, (ProposalNode(A, T),)), trace)
+        assert (root["step"], root["focus"], root["cand"]) == ("evidence", names(A), names(A))
+        assert [r.payload["step"] for r in trace.by_kind("foci")[:-1]] == ["leaf"]
 
     def test_head_on_counter(self):
         evaluator = kb_of(
@@ -168,8 +179,8 @@ class TestFocusSelection:
             rec(supports_prop(A, TGT)),
         )
         model = kb_of(rec(A), rec(TGT, S), rec(supports_prop(A, TGT)))
-        node = run_sfm(evaluator, model, ProposalNode(TGT, S, (ProposalNode(A, T),)))
-        assert (node.step, node.focus) == ("belief", frozenset({TGT}))
+        root = run_sfm(evaluator, model, ProposalNode(TGT, S, (ProposalNode(A, T),)))
+        assert (root["step"], root["focus"], root["cand"]) == ("belief", names(TGT), names(A))
 
     def test_member_plus_counter(self):
         evaluator = kb_of(
@@ -177,8 +188,10 @@ class TestFocusSelection:
             rec(supports_prop(A, TGT)),
         )
         model = kb_of(rec(A, S), rec(TGT, S), rec(supports_prop(A, TGT)))
-        node = run_sfm(evaluator, model, ProposalNode(TGT, S, (ProposalNode(A, S),)))
-        assert (node.step, node.focus) == ("both", frozenset({A, TGT}))
+        root = run_sfm(evaluator, model, ProposalNode(TGT, S, (ProposalNode(A, S),)))
+        assert (root["step"], root["focus"], root["cand"]) == (
+            "both", names(A, TGT), names(A)
+        )
 
     def test_nothing_winnable(self):
         evaluator = kb_of(*self.counterweight(TGT, Q))
@@ -186,5 +199,5 @@ class TestFocusSelection:
             rec(A), rec(TGT, S), rec(supports_prop(A, TGT)),
             rec(ground("d")), rec(supports_prop(ground("d"), TGT)),
         )
-        node = run_sfm(evaluator, model, ProposalNode(TGT, S, (ProposalNode(A, T),)))
-        assert (node.step, node.focus) == ("nil", None)
+        root = run_sfm(evaluator, model, ProposalNode(TGT, S, (ProposalNode(A, T),)))
+        assert (root["step"], root["focus"], root["cand"]) == ("nil", None, [])

@@ -20,7 +20,7 @@ from parley import (
     select_justification,
     supports_prop,
 )
-from parley.beliefs import assertion_piece, minimal_subsets, revise
+from parley.beliefs import assertion_strength, minimal_subsets, revise
 from parley.justification import hearer_accepts, realized_beliefs
 from parley.trace import Trace
 
@@ -258,8 +258,14 @@ def test_minimal_subsets_matches_oracle(monotone):
 
 
 def seed_accepts(model, claim, combo, expertise, tau):
-    # the seed's piece builder: each top link as kb-record evidence
-    presented = [assertion_piece(claim, "s", expertise)]
+    # the seed's piece builders: the bare assertion over a kb-record
+    # self-relation, and each top link as kb-record evidence
+    presented = [
+        EvidencePiece(
+            Belief(claim, Endorsement.assertion(assertion_strength(expertise), "s", expertise)),
+            Belief(supports_prop(claim, claim), Endorsement.kb_record(T)),
+        )
+    ]
     presented.extend(
         EvidencePiece(
             Belief(c.prop, Endorsement.kb_record(c.belief_level)),

@@ -1,5 +1,7 @@
+import json
 import random
 import time
+from importlib import resources
 
 import pytest
 
@@ -193,6 +195,19 @@ def test_reruns_are_byte_identical(smith):
     run_scenario(smith, tr2)
     assert t1.realize() == t2.realize()
     assert tr1.to_ndjson() == tr2.to_ndjson()
+
+
+def test_act_content_leaves_out_a_speaker_id_with_a_colon():
+    doc = json.loads(
+        resources.files("parley.scenarios").joinpath("smith.scenario").read_text()
+    )
+    doc["agents"][0]["id"] = "U: x"
+    trace = Trace()
+    transcript = run_scenario(parse_scenario(json.dumps(doc)), trace)
+    first = trace.by_kind("act")[0].payload
+    assert first["speaker"] == "U: x"
+    assert first["content"] == FIXTURES["smith"][0][0].removeprefix("U: ")
+    assert transcript.realize()[0] == f"U: x: {first['content']}"
 
 
 VERDICT_KEYS = {"agent", "target", "supportScore", "attackScore", "outcome"}

@@ -58,3 +58,34 @@ def test_bench_span_targets_resolve():
         if not callable(found):
             missing.append(f"{module_name}.{cls + '.' if cls else ''}{attr}")
     assert missing == []
+
+
+def test_every_module_level_definition_is_used():
+    # a module-level function or class must be referenced somewhere in the
+    # package outside its own body, or be imported by __init__.py as surface
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    # names referenced by each top-level statement, keyed by its position
+    refs = {
+        (name, i): {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(stmt)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        for name, tree in trees.items()
+        for i, stmt in enumerate(tree.body)
+    }
+    unused = [
+        f"{name}:{stmt.lineno} {stmt.name}"
+        for name, tree in sorted(trees.items())
+        for i, stmt in enumerate(tree.body)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name not in exported
+        and not any(stmt.name in names for key, names in refs.items() if key != (name, i))
+    ]
+    assert unused == []
