@@ -34,11 +34,10 @@ from .evaluation import (
 )
 from .focus import predict, select_focus_modification, select_min_set
 from .justification import (
-    JustificationChoice,
     JustificationLink,
     NoSufficientJustification,
     build_justification_chains,
-    needs_justification,
+    hearer_accepts,
     select_justification,
 )
 from .negotiation import (

@@ -694,7 +694,7 @@ def _adopt(
     win = min(max(piece_strength(pc) for pc in relevant), StrengthLevel.WARRANTED)
     if prior is not None and prior.endorsement.level >= win:
         return kb
-    basis = sorted({pc.belief.prop for pc in relevant if pc.belief.prop != prop})
+    basis = {pc.belief.prop for pc in relevant if pc.belief.prop != prop}
     if basis:
         endorsement = Endorsement.derived(win, basis)
     else:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -12,8 +11,6 @@ from .beliefs import ContractViolation, StructureError
 from .negotiation import DepthExceededError, NegotiationConfig, negotiate
 from .scenario import ScenarioError, parse_scenario
 from .trace import Trace
-
-TAU_ENV = "PARLEY_TAU"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -37,25 +34,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a scenario file and print the dialogue")
     run.add_argument("file", help="path to a .scenario file")
-    run.add_argument("--tau", type=int, help="acceptance threshold (overrides file and env)")
+    run.add_argument("--tau", type=int, help="acceptance threshold (overrides the file)")
     run.add_argument("--max-depth", type=int, help="nesting bound (overrides the file)")
     run.add_argument("--trace", metavar="PATH", help="write the decision trace as NDJSON")
     run.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     return parser
-
-
-def _resolve_tau(flag: Optional[int], fallback: int) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(TAU_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ContractViolation(f"{TAU_ENV} must be an integer, got {env!r}") from None
-    return fallback
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -72,7 +57,7 @@ def _run(args: argparse.Namespace) -> int:
     trace = Trace()
     try:
         config = NegotiationConfig(
-            tau=_resolve_tau(args.tau, scenario.tau),
+            tau=args.tau if args.tau is not None else scenario.tau,
             max_depth=args.max_depth if args.max_depth is not None else scenario.max_depth,
         )
         transcript = negotiate(

@@ -115,7 +115,7 @@ def record_proposal(
                 Endorsement.assertion(child.asserted_level, speaker, expertise),
             )
         if node.children:
-            support = sorted(child.prop for child in node.children)
+            support = (child.prop for child in node.children)
             endorsement = Endorsement.derived(node.asserted_level, support)
         else:
             endorsement = Endorsement.assertion(node.asserted_level, speaker, expertise)

@@ -1,11 +1,12 @@
 """Evidence-based justification of a claim for a particular hearer.
 
 Before uttering a counter-claim, an agent checks whether the hearer would
-take it on bare say-so, weighing the claim as ``presented_case`` builds it.
-If not, it assembles chains of its own evidence, recursively justifying any
-link the hearer would balk at, then picks the cheapest sufficient bundle:
-highest worst-link confidence, then most novel to the hearer, then fewest
-beliefs, then canonical order.
+take it on bare say-so: ``hearer_accepts`` with no chains weighs the claim
+as ``presented_case`` builds it from the assertion alone.  If not, it
+assembles chains of its own evidence, recursively justifying any link the
+hearer would balk at, then picks the cheapest sufficient bundle: highest
+worst-link confidence, then most novel to the hearer, then fewest beliefs,
+then canonical order.
 """
 
 from __future__ import annotations
@@ -60,12 +61,6 @@ class JustificationLink:
         return tuple(link.prop.render() for link in self.walk())
 
 
-@dataclass(frozen=True)
-class JustificationChoice:
-    claim: Proposition
-    chains: tuple[JustificationLink, ...]
-
-
 def hearer_accepts(
     model: KnowledgeBase,
     claim: Proposition,
@@ -84,17 +79,6 @@ def hearer_accepts(
         ((c.prop, c.relation, c.belief_level, c.relation_level) for c in chains),
     )
     return revise(model, claim, presented, tau=tau).outcome is VerdictOutcome.ACCEPT
-
-
-def needs_justification(
-    model: KnowledgeBase,
-    claim: Proposition,
-    speaker: str,
-    expertise: Expertise,
-    tau: int = 1,
-) -> bool:
-    """Would the hearer decline the claim on the speaker's word alone?"""
-    return not hearer_accepts(model, claim, (), speaker, expertise, tau)
 
 
 def build_justification_chains(
@@ -147,7 +131,7 @@ def select_justification(
     expertise: Expertise,
     trace=None,
     agent: str = "",
-) -> JustificationChoice:
+) -> tuple[JustificationLink, ...]:
     """Pick the bundle of chains to actually utter.
 
     A bundle survives when presenting its direct evidence with the claim
@@ -198,17 +182,17 @@ def select_justification(
             candidates=len(survivors),
             rule=rule,
         )
-    return JustificationChoice(claim, tuple(best))
+    return tuple(best)
 
 
 def realized_beliefs(
-    choice: JustificationChoice, model: KnowledgeBase
+    claim: Proposition, chains: Iterable[JustificationLink], model: KnowledgeBase
 ) -> tuple[Proposition, ...]:
     """What actually gets uttered: the claim, then each chain's beliefs in
     presentation order, with relations included only when the hearer is not
     already modelled as holding them."""
-    out: list[Proposition] = [choice.claim]
-    for chain in choice.chains:
+    out: list[Proposition] = [claim]
+    for chain in chains:
         for link in chain.walk():
             out.append(link.prop)
             if not model.holds(link.relation):

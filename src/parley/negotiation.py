@@ -41,10 +41,10 @@ from .evaluation import (
 )
 from .focus import select_focus_modification
 from .justification import (
-    JustificationChoice,
+    JustificationLink,
     NoSufficientJustification,
     build_justification_chains,
-    needs_justification,
+    hearer_accepts,
     realized_beliefs,
     select_justification,
 )
@@ -169,7 +169,9 @@ def _asserted_level(kb: KnowledgeBase, prop: Proposition) -> StrengthLevel:
     return revise_detail(kb, prop).accepted_strength() or assertion_strength(kb.expertise)
 
 
-def _claim_tree(kb: KnowledgeBase, choice: JustificationChoice) -> ProposalNode:
+def _claim_tree(
+    kb: KnowledgeBase, claim: Proposition, chains: tuple[JustificationLink, ...]
+) -> ProposalNode:
     def from_link(link) -> ProposalNode:
         return ProposalNode(
             link.prop,
@@ -178,9 +180,7 @@ def _claim_tree(kb: KnowledgeBase, choice: JustificationChoice) -> ProposalNode:
         )
 
     return ProposalNode(
-        choice.claim,
-        _asserted_level(kb, choice.claim),
-        tuple(from_link(link) for link in choice.chains),
+        claim, _asserted_level(kb, claim), tuple(from_link(link) for link in chains)
     )
 
 
@@ -370,45 +370,36 @@ def _handle_rejection(
         mutual_beliefs=[m.negate().render() for m in members],
     )
 
+    expertise = session.expertise(evaluator)
     working = session.kbs[evaluator].model_view()
     counters: list[ProposalNode] = []
     informs: list[Proposition] = []
     for member in members:
         claim = member.negate()
-        if needs_justification(
-            working, claim, evaluator, session.expertise(evaluator), tau
-        ):
-            chains = build_justification_chains(
-                session.kbs[evaluator],
-                working,
-                claim,
-                tau,
-                speaker=evaluator,
-                expertise=session.expertise(evaluator),
+        chains = ()
+        if not hearer_accepts(working, claim, (), evaluator, expertise, tau):
+            pool = build_justification_chains(
+                session.kbs[evaluator], working, claim, tau, speaker=evaluator, expertise=expertise
             )
             try:
-                choice = select_justification(
-                    chains,
+                chains = select_justification(
+                    pool,
                     working,
                     claim,
                     tau,
                     speaker=evaluator,
-                    expertise=session.expertise(evaluator),
+                    expertise=expertise,
                     trace=session.trace,
                     agent=evaluator,
                 )
             except NoSufficientJustification:
                 return _concede(session, evaluator, proposer, tree)
-        else:
-            choice = JustificationChoice(claim, ())
-        realized = realized_beliefs(choice, working)
+        realized = realized_beliefs(claim, chains, working)
         if session.already_presented(evaluator, claim, realized):
             return _concede(session, evaluator, proposer, tree)
         informs.extend(realized)
-        counters.append(_claim_tree(session.kbs[evaluator], choice))
-        working = _hypothetical_concession(
-            working, member, claim, assertion_strength(session.expertise(evaluator))
-        )
+        counters.append(_claim_tree(session.kbs[evaluator], claim, chains))
+        working = _hypothetical_concession(working, member, claim, assertion_strength(expertise))
 
     for prop in informs:
         session.act(ActKind.INFORM, evaluator, prop=prop)

@@ -180,8 +180,9 @@ def _parse_document(text: str) -> Scenario:
     obj = _expect_object(
         data, "$", {"v", "agents", "proposal", "config"}, ("v", "agents", "proposal")
     )
-    if obj["v"] != FORMAT_VERSION:
-        raise ScenarioError("$.v", f"unsupported version: {obj['v']!r}")
+    version = obj["v"]
+    if not isinstance(version, int) or isinstance(version, bool) or version != FORMAT_VERSION:
+        raise ScenarioError("$.v", f"unsupported version: {version!r}")
 
     agents_raw = _expect_list(obj["agents"], "$.agents")
     if len(agents_raw) != 2:

@@ -6,7 +6,6 @@ Run with ``pytest -v`` (or ``-s`` to see the PASS lines) to audit all seven.
 import hashlib
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -364,7 +363,6 @@ def test_p7_information_sharing_boundary():
     assert root["supportScore"] == root["attackScore"]
     assert transcript.outcome == "unresolved-needs-sharing"
 
-    env = {k: v for k, v in os.environ.items() if k != "PARLEY_TAU"}
     result = subprocess.run(
         [
             sys.executable, "-m", "parley", "run",
@@ -372,7 +370,6 @@ def test_p7_information_sharing_boundary():
         ],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert result.returncode == 2
     assert json.loads(result.stdout)["outcome"] == "unresolved-needs-sharing"

@@ -9,19 +9,18 @@ from parley import (
     Endorsement,
     EvidencePiece,
     Expertise,
-    JustificationChoice,
     JustificationLink,
     KnowledgeBase,
     NoSufficientJustification,
     StrengthLevel,
     VerdictOutcome,
     build_justification_chains,
-    needs_justification,
+    hearer_accepts,
     select_justification,
     supports_prop,
 )
 from parley.beliefs import assertion_strength, minimal_subsets, revise
-from parley.justification import hearer_accepts, realized_beliefs
+from parley.justification import realized_beliefs
 from parley.trace import Trace
 
 from conftest import ground
@@ -49,15 +48,15 @@ def leaf_chain(prop, level=T, claim=CLAIM) -> JustificationLink:
 
 class TestNeedsJustification:
     def test_unopposed_expert_word_suffices(self):
-        assert not needs_justification(kb_of(), CLAIM, "s", EXPERT)
+        assert hearer_accepts(kb_of(), CLAIM, (), "s", EXPERT, 1)
 
     def test_contrary_prior_forces_justification(self):
-        assert needs_justification(kb_of(rec(CLAIM.negate())), CLAIM, "s", EXPERT)
+        assert not hearer_accepts(kb_of(rec(CLAIM.negate())), CLAIM, (), "s", EXPERT, 1)
 
     def test_margin_respects_threshold(self):
         model = kb_of()
-        assert not needs_justification(model, CLAIM, "s", Expertise.NON_EXPERT, tau=2)
-        assert needs_justification(model, CLAIM, "s", Expertise.NON_EXPERT, tau=3)
+        assert hearer_accepts(model, CLAIM, (), "s", Expertise.NON_EXPERT, 2)
+        assert not hearer_accepts(model, CLAIM, (), "s", Expertise.NON_EXPERT, 3)
 
 
 class TestBuildChains:
@@ -102,9 +101,9 @@ class TestSelectJustification:
 
     def choose(self, chains, model):
         trace = Trace()
-        choice = self.select(chains, model, trace=trace)
+        chosen = self.select(chains, model, trace=trace)
         (record,) = trace.by_kind("heuristic")
-        return choice, record.payload["rule"]
+        return chosen, record.payload["rule"]
 
     def test_raises_when_nothing_convinces(self):
         model = kb_of(*backing(CLAIM.negate(), C), rec(CLAIM.negate()))
@@ -112,20 +111,20 @@ class TestSelectJustification:
             self.select([leaf_chain(A, W)], model)
 
     def test_single_survivor_rule_only(self):
-        choice, rule = self.choose([leaf_chain(A)], kb_of(rec(CLAIM.negate(), W)))
-        assert [c.prop for c in choice.chains] == [A]
+        chosen, rule = self.choose([leaf_chain(A)], kb_of(rec(CLAIM.negate(), W)))
+        assert [c.prop for c in chosen] == [A]
         assert rule == "only"
 
     def test_prefers_higher_confidence(self):
         model = kb_of(rec(CLAIM.negate(), W))
-        choice, rule = self.choose([leaf_chain(A, T), leaf_chain(B, W)], model)
-        assert [c.prop for c in choice.chains] == [A]
+        chosen, rule = self.choose([leaf_chain(A, T), leaf_chain(B, W)], model)
+        assert [c.prop for c in chosen] == [A]
         assert rule == "confidence"
 
     def test_prefers_novel_content(self):
         model = kb_of(rec(CLAIM.negate(), W), rec(A, W))
-        choice, rule = self.choose([leaf_chain(A), leaf_chain(B)], model)
-        assert [c.prop for c in choice.chains] == [B]
+        chosen, rule = self.choose([leaf_chain(A), leaf_chain(B)], model)
+        assert [c.prop for c in chosen] == [B]
         assert rule == "novelty"
 
     def test_prefers_fewer_beliefs(self):
@@ -137,20 +136,20 @@ class TestSelectJustification:
             children=(JustificationLink(C, supports_prop(C, B), T, T),),
         )
         model = kb_of(rec(CLAIM.negate(), W), rec(B.negate(), W))
-        choice, rule = self.choose([leaf_chain(A), nested], model)
-        assert [c.prop for c in choice.chains] == [A]
+        chosen, rule = self.choose([leaf_chain(A), nested], model)
+        assert [c.prop for c in chosen] == [A]
         assert rule == "size"
 
     def test_canonical_order_is_last_resort(self):
         model = kb_of(rec(CLAIM.negate(), W))
-        choice, rule = self.choose([leaf_chain(B), leaf_chain(A)], model)
-        assert [c.prop for c in choice.chains] == [A]
+        chosen, rule = self.choose([leaf_chain(B), leaf_chain(A)], model)
+        assert [c.prop for c in chosen] == [A]
         assert rule == "canonical"
 
     def test_supersets_of_survivors_discarded(self):
         model = kb_of(rec(CLAIM.negate(), W))
-        choice, _ = self.choose([leaf_chain(A), leaf_chain(B)], model)
-        assert len(choice.chains) == 1
+        chosen, _ = self.choose([leaf_chain(A), leaf_chain(B)], model)
+        assert len(chosen) == 1
 
     def test_chains_sufficient_alone_are_not_combined(self):
         # no bundle of two or more chains can be minimal here, so the search
@@ -158,9 +157,9 @@ class TestSelectJustification:
         model = kb_of(rec(CLAIM.negate(), W))
         chains = [leaf_chain(ground(f"e{i}")) for i in range(20)]
         start = time.process_time()
-        choice, rule = self.choose(chains, model)
+        chosen, rule = self.choose(chains, model)
         assert time.process_time() - start < 0.5
-        assert [c.prop for c in choice.chains] == [ground("e0")]
+        assert [c.prop for c in chosen] == [ground("e0")]
         assert rule == "canonical"
 
 
@@ -173,9 +172,8 @@ class TestRealized:
             T,
             children=(JustificationLink(C, supports_prop(C, A), T, T),),
         )
-        choice = JustificationChoice(CLAIM, (link,))
         model = kb_of(rec(supports_prop(A, CLAIM)))
-        assert realized_beliefs(choice, model) == (
+        assert realized_beliefs(CLAIM, (link,), model) == (
             CLAIM,
             A,
             C,
@@ -381,10 +379,10 @@ def test_select_justification_matches_seed_algorithm():
                     chains, model, CLAIM, tau, speaker="s", expertise=expertise, trace=trace
                 )
             continue
-        choice = select_justification(
+        chosen = select_justification(
             chains, model, CLAIM, tau, speaker="s", expertise=expertise, trace=trace, agent="s"
         )
-        assert choice.chains == tuple(want), case
+        assert chosen == tuple(want), case
         (heuristic,) = trace.by_kind("heuristic")
         assert heuristic.payload == record, case
         rules.add(record["rule"])

@@ -78,6 +78,8 @@ def test_syntax_error_reports_line_and_column():
     "mutate, path_hint",
     [
         (lambda d: d.update(v=2), "$.v"),
+        pytest.param(lambda d: d.update(v=True), "$.v", id="bool-version"),
+        pytest.param(lambda d: d.update(v=1.0), "$.v", id="float-version"),
         (lambda d: d.update(extra=True), "$"),
         (lambda d: d.pop("proposal"), "$"),
         (lambda d: d.update(agents=d["agents"][:1]), "$.agents"),

@@ -44,6 +44,25 @@ def test_no_unused_module_imports(path):
     assert unused == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # a run depends only on the scenario file and the command line
+    env_reads = {"environ", "environb", "getenv", "getenvb"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+        and node.attr in env_reads
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "os"
+        and any(alias.name in env_reads for alias in node.names)
+    ]
+    assert reads == []
+
+
 def test_bench_span_targets_resolve():
     # the benchmark patches these by name; a class target must be defined in
     # the class body itself, since it is looked up with vars(cls)
