@@ -16,6 +16,7 @@ import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -84,6 +85,24 @@ _NAME = re.compile(r"[a-z_][a-z0-9_]*")
 _ARG = re.compile(r"[a-z0-9_]+")
 _WS = re.compile(r"\s*")
 
+# Whole-text patterns for the two common shapes: a flat literal
+# ``~name(arg, ...)`` whose name is not ``supports``, and ``~supports(A, B)``
+# over two flat literals, with any whitespace the recursive parser skips.
+# Every quantifier is possessive, so a whitespace run is read at most twice
+# and a miss costs linear time, never a backtracking search.
+_NEGS = r"(?:[~¬]\s*+)*+"
+_LITERAL_NAME = r"(?!supports(?![a-z0-9_]))[a-z_][a-z0-9_]*+"
+_ARGS = r"[a-z0-9_]++(?:\s*+,\s*+[a-z0-9_]++)*+"
+_LITERAL = rf"{_NEGS}{_LITERAL_NAME}(?:\s*+\(\s*+{_ARGS}\s*+\))?+"
+_FLAT_LITERAL = re.compile(
+    rf"\s*+(?P<negs>{_NEGS})(?P<name>{_LITERAL_NAME})"
+    rf"(?:\s*+\(\s*+(?P<args>{_ARGS})\s*+\))?+\s*+"
+)
+_FLAT_RELATION = re.compile(
+    rf"\s*+(?P<negs>{_NEGS}){SUPPORTS}\s*+\("
+    rf"\s*+(?P<a>{_LITERAL})\s*+,\s*+(?P<b>{_LITERAL})\s*+\)\s*+"
+)
+
 # How many supports(...) may enclose one another in parsed text.  Only the
 # recursive-descent parser needs this bound: a proposition builds its text
 # from its arguments' texts, so nothing else recurses over ``args``.
@@ -117,25 +136,16 @@ class Proposition:
             for a in self.args:
                 if not isinstance(a, str) or not _ARG.fullmatch(a):
                     raise StructureError(f"bad argument {a!r} for {self.predicate}")
-        inner = ", ".join(map(str, self.args))
-        body = f"{self.predicate}({inner})" if self.args else self.predicate
-        object.__setattr__(self, "_text", f"¬{body}" if self.negated else body)
+        object.__setattr__(self, "_text", _text_of(self.negated, self.predicate, self.args))
 
     @property
     def is_relation(self) -> bool:
         return self.predicate == SUPPORTS
 
     def negate(self) -> "Proposition":
-        # the negation of a checked proposition is checked by construction:
         # only the polarity and the leading ¬ of the text change
-        neg = object.__new__(Proposition)
-        vars(neg).update(
-            negated=not self.negated,
-            predicate=self.predicate,
-            args=self.args,
-            _text=self._text[1:] if self.negated else f"¬{self._text}",
-        )
-        return neg
+        text = self._text[1:] if self.negated else f"¬{self._text}"
+        return _trusted_prop(not self.negated, self.predicate, self.args, text)
 
     def render(self, ascii_not: bool = False) -> str:
         return self._text.replace("¬", "~") if ascii_not else self._text
@@ -144,16 +154,69 @@ class Proposition:
         return self._text
 
 
+def _text_of(negated: bool, predicate: str, args: tuple) -> str:
+    body = f"{predicate}({', '.join(map(str, args))})" if args else predicate
+    return f"¬{body}" if negated else body
+
+
+def _trusted_prop(negated: bool, predicate: str, args: tuple, text: str) -> Proposition:
+    """A proposition from parts already checked, and its text, built without
+    ``__post_init__``."""
+    prop = object.__new__(Proposition)
+    vars(prop).update(negated=negated, predicate=predicate, args=args, _text=text)
+    return prop
+
+
 def supports_prop(antecedent: Proposition, consequent: Proposition) -> Proposition:
-    return Proposition(False, SUPPORTS, (antecedent, consequent))
+    if not (isinstance(antecedent, Proposition) and isinstance(consequent, Proposition)):
+        raise StructureError("supports(...) takes exactly two propositions")
+    args = (antecedent, consequent)
+    return _trusted_prop(False, SUPPORTS, args, _text_of(False, SUPPORTS, args))
 
 
 def parse_proposition(text: str) -> Proposition:
     """Parse a proposition from text.  Accepts either ``~`` or ``¬`` negation."""
-    prop, pos = _parse_prop(text, 0)
-    if text[pos:].strip():
-        raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
+    return proposition_parser()(text)
+
+
+def proposition_parser() -> Callable[[str], Proposition]:
+    """A :func:`parse_proposition` for one document, which parses each text
+    once and returns one shared object per proposition."""
+    # a partial, not a closure that calls itself: that would be a reference
+    # cycle, and the document's propositions would wait for the collector
+    return partial(_parse_memo, {})
+
+
+def _parse_memo(memo: dict[str, Proposition], text: str) -> Proposition:
+    """``text`` parsed, through ``memo``: a text and the rendered text of its
+    result both map to that result."""
+    prop = memo.get(text)
+    if prop is None:
+        prop = _parse_text(text, memo)
+        prop = memo[text] = memo.setdefault(prop._text, prop)
     return prop
+
+
+def _parse_text(text: str, memo: dict[str, Proposition]) -> Proposition:
+    """``text`` parsed whole; a flat relation's literals go through ``memo``.
+    Text that neither pattern matches goes to the recursive parser, which
+    owns every error message."""
+    m = _FLAT_LITERAL.fullmatch(text)
+    if m is not None:
+        negs, predicate, args = m.groups()
+        args = tuple(_ARG.findall(args)) if args else ()
+    else:
+        m = _FLAT_RELATION.fullmatch(text)
+        if m is None:
+            prop, pos = _parse_prop(text, 0)
+            if text[pos:].strip():
+                raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
+            return prop
+        negs, antecedent, consequent = m.groups()
+        args = (_parse_memo(memo, antecedent), _parse_memo(memo, consequent))
+        predicate = SUPPORTS
+    negated = (negs.count("~") + negs.count("¬")) % 2 == 1
+    return _trusted_prop(negated, predicate, args, _text_of(negated, predicate, args))
 
 
 def _parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:

@@ -18,10 +18,11 @@ from .beliefs import (
     Endorsement,
     Expertise,
     KnowledgeBase,
+    Proposition,
     SourceKind,
     StrengthLevel,
     StructureError,
-    parse_proposition,
+    proposition_parser,
 )
 from .evaluation import ProposalNode, validate_tree
 
@@ -91,7 +92,9 @@ def _parse_str(value: Any, path: str, parse: Callable[[str], Any]) -> Any:
         raise ScenarioError(path, str(exc)) from None
 
 
-def _parse_source(value: Any, level: StrengthLevel, path: str) -> Endorsement:
+def _parse_source(
+    value: Any, level: StrengthLevel, path: str, parse: Callable[[str], Proposition]
+) -> Endorsement:
     if isinstance(value, str):
         if value == "kb-record":
             return Endorsement.kb_record(level)
@@ -113,7 +116,7 @@ def _parse_source(value: Any, level: StrengthLevel, path: str) -> Endorsement:
             if not props:
                 raise ScenarioError(f"{path}.derived.from", "must not be empty")
             support = [
-                _parse_str(p, f"{path}.derived.from[{i}]", parse_proposition)
+                _parse_str(p, f"{path}.derived.from[{i}]", parse)
                 for i, p in enumerate(props)
             ]
             return Endorsement.derived(level, support)
@@ -121,26 +124,26 @@ def _parse_source(value: Any, level: StrengthLevel, path: str) -> Endorsement:
     raise ScenarioError(path, f"bad source: {value!r}")
 
 
-def _parse_belief(value: Any, path: str) -> Belief:
+def _parse_belief(value: Any, path: str, parse: Callable[[str], Proposition]) -> Belief:
     fields = ("prop", "level", "source")
     obj = _expect_object(value, path, set(fields), fields)
-    prop = _parse_str(obj["prop"], f"{path}.prop", parse_proposition)
+    prop = _parse_str(obj["prop"], f"{path}.prop", parse)
     level = _parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
-    return Belief(prop, _parse_source(obj["source"], level, f"{path}.source"))
+    return Belief(prop, _parse_source(obj["source"], level, f"{path}.source", parse))
 
 
-def _parse_agent(value: Any, path: str) -> AgentSpec:
+def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> AgentSpec:
     obj = _expect_object(
         value, path, {"id", "expertise", "beliefs", "userModel"}, ("id", "expertise", "beliefs")
     )
     agent_id = _expect_str(obj["id"], f"{path}.id")
     expertise = _parse_str(obj["expertise"], f"{path}.expertise", Expertise.parse)
     beliefs = [
-        _parse_belief(b, f"{path}.beliefs[{i}]")
+        _parse_belief(b, f"{path}.beliefs[{i}]", parse)
         for i, b in enumerate(_expect_list(obj["beliefs"], f"{path}.beliefs"))
     ]
     model = [
-        _parse_belief(b, f"{path}.userModel[{i}]")
+        _parse_belief(b, f"{path}.userModel[{i}]", parse)
         for i, b in enumerate(_expect_list(obj.get("userModel", []), f"{path}.userModel"))
     ]
     try:
@@ -150,14 +153,14 @@ def _parse_agent(value: Any, path: str) -> AgentSpec:
     return AgentSpec(agent_id, kb)
 
 
-def _parse_node(value: Any, path: str) -> ProposalNode:
+def _parse_node(value: Any, path: str, parse: Callable[[str], Proposition]) -> ProposalNode:
     obj = _expect_object(
         value, path, {"prop", "assertedLevel", "children"}, ("prop", "assertedLevel")
     )
-    prop = _parse_str(obj["prop"], f"{path}.prop", parse_proposition)
+    prop = _parse_str(obj["prop"], f"{path}.prop", parse)
     level = _parse_str(obj["assertedLevel"], f"{path}.assertedLevel", StrengthLevel.parse)
     children = tuple(
-        _parse_node(c, f"{path}.children[{i}]")
+        _parse_node(c, f"{path}.children[{i}]", parse)
         for i, c in enumerate(_expect_list(obj.get("children", []), f"{path}.children"))
     )
     return ProposalNode(prop, level, children)
@@ -187,11 +190,13 @@ def _parse_document(text: str) -> Scenario:
     agents_raw = _expect_list(obj["agents"], "$.agents")
     if len(agents_raw) != 2:
         raise ScenarioError("$.agents", f"expected exactly 2 agents, got {len(agents_raw)}")
-    agents = tuple(_parse_agent(a, f"$.agents[{i}]") for i, a in enumerate(agents_raw))
+    # one parser for the whole document, so each text is parsed once
+    parse = proposition_parser()
+    agents = tuple(_parse_agent(a, f"$.agents[{i}]", parse) for i, a in enumerate(agents_raw))
     if agents[0].id == agents[1].id:
         raise ScenarioError("$.agents", f"agent ids must differ, both are {agents[0].id!r}")
 
-    proposal = _parse_node(obj["proposal"], "$.proposal")
+    proposal = _parse_node(obj["proposal"], "$.proposal", parse)
     try:
         validate_tree(proposal)
     except StructureError as exc:

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from parley.beliefs import (
     SourceKind,
     _standing,
     presented_case,
+    proposition_parser,
     revise_detail,
 )
 
@@ -96,6 +98,11 @@ class TestPropositions:
     def test_relation_args_must_be_propositions(self):
         with pytest.raises(StructureError):
             Proposition(False, "supports", ("a", "b"))
+
+    @pytest.mark.parametrize("args", [(ground("p"), "q"), ("p", ground("q")), (None, None)])
+    def test_supports_prop_takes_propositions(self, args):
+        with pytest.raises(StructureError, match=re.escape("takes exactly two propositions")):
+            supports_prop(*args)
 
     def test_deep_library_proposition(self):
         # far past both MAX_PROP_NESTING and what a recursive render or hash
@@ -422,6 +429,9 @@ def test_negate_is_the_constructed_negation(p, q):
     assert neg.render(ascii_not=True) == built.render(ascii_not=True)
     assert repr(neg) == repr(built)
     assert neg.negate() == p and neg.negate().render() == p.render()
+    # supports_prop is trusted construction too
+    rel, checked = supports_prop(p, q), Proposition(False, "supports", (p, q))
+    assert repr(rel) == repr(checked) and rel.render() == checked.render()
 
 
 WRITERS = ("own_add", "own_remove", "model_add", "model_remove")
@@ -565,12 +575,19 @@ def seed_parse_proposition(text: str) -> Proposition:
     return prop
 
 
+def structure(prop: Proposition) -> tuple:
+    # equality looks only at the text, so a parse that built the wrong parts
+    # behind the right text would compare equal
+    args = tuple(structure(a) if isinstance(a, Proposition) else a for a in prop.args)
+    return prop.negated, prop.predicate, args
+
+
 def parse_outcome(parse, text: str):
     try:
         prop = parse(text)
     except StructureError as err:
         return type(err), str(err)
-    return prop, prop.render()
+    return structure(prop), prop.render()
 
 
 SPACES = st.sampled_from(["", " ", "  ", "\t", "\n", " ", " ", "　", "\x1c"])
@@ -587,10 +604,81 @@ def spaced(draw, inner):
     return "".join(draw(SPACES) + piece for piece in pieces) + draw(SPACES)
 
 
+@st.composite
+def spelled(draw, inner, spaces=SPACES):
+    """A drawn proposition written out with whitespace drawn for every slot
+    and its polarity as zero to three ``~``/``¬`` marks."""
+
+    def spell(prop: Proposition) -> str:
+        marks = prop.negated + 2 * draw(st.integers(0, 1))
+        text = draw(spaces)
+        for _ in range(marks):
+            text += draw(st.sampled_from("~¬")) + draw(spaces)
+        text += prop.predicate
+        if prop.args:
+            args = [
+                spell(a) if isinstance(a, Proposition) else draw(spaces) + a + draw(spaces)
+                for a in prop.args
+            ]
+            text += draw(spaces) + "(" + ",".join(args) + ")"
+        return text + draw(spaces)
+
+    return spell(draw(inner))
+
+
+def relation(negated: bool, antecedent: Proposition, consequent: Proposition) -> Proposition:
+    return Proposition(negated, "supports", (antecedent, consequent))
+
+
+# the shapes the whole-text patterns take, and relations over one sub-term
+flat = st.one_of(
+    literals,
+    st.builds(relation, st.booleans(), literals, literals),
+    st.builds(
+        lambda negated, p, flip: relation(negated, p, p.negate() if flip else p),
+        st.booleans(),
+        propositions,
+        st.booleans(),
+    ),
+)
+PARSER_TEXTS = st.one_of(
+    spaced(propositions),
+    spelled(propositions),
+    spelled(flat),
+    spelled(flat, SPACES.filter(bool)),
+    st.lists(TOKENS, max_size=12).map("".join),
+    st.text(),
+)
+
+
 @settings(max_examples=500)
-@given(st.one_of(spaced(propositions), st.lists(TOKENS, max_size=12).map("".join), st.text()))
+@given(PARSER_TEXTS)
 def test_parser_matches_seed_parser(text):
     assert parse_outcome(parse_proposition, text) == parse_outcome(seed_parse_proposition, text)
+
+
+@settings(max_examples=200)
+@given(st.lists(PARSER_TEXTS, max_size=12))
+def test_document_parser_matches_seed_parser(texts):
+    # one parser serves a whole document; it must never give one text the
+    # result of another, such as p(a) for ~p(a)
+    parse = proposition_parser()
+    for text in texts:
+        assert parse_outcome(parse, text) == parse_outcome(seed_parse_proposition, text)
+
+
+@pytest.mark.parametrize("template", ["~p(a,b)", "supports(~p(a),q)"])
+@pytest.mark.parametrize("stray", ["x", "-"])
+def test_whitespace_runs_parse_in_linear_time(template, stray):
+    # a long whitespace run in any slot, then a stray character: the
+    # whole-text patterns must miss without backtracking over the run
+    run = " " * 200_000
+    for slot in range(len(template) + 1):
+        text = template[:slot] + run + stray + template[slot:]
+        started = time.process_time()
+        outcome = parse_outcome(parse_proposition, text)
+        assert time.process_time() - started < 0.1, f"slot {slot}"
+        assert outcome == parse_outcome(seed_parse_proposition, text)
 
 
 def test_regex_whitespace_is_str_isspace():

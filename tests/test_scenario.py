@@ -1,15 +1,17 @@
 import json
+import random
 
 import pytest
 
 from parley import (
+    Proposition,
     Scenario,
     ScenarioError,
     parse_scenario,
     render_scenario,
 )
 
-from conftest import load_bundled
+from conftest import load_bench, load_bundled
 
 BUNDLED = ("smith", "evidence", "visit", "both", "nest", "tie")
 
@@ -138,3 +140,35 @@ def test_render_is_stable():
     assert text.endswith("\n")
     assert render_scenario(parse_scenario(text)) == text
     assert "¬" not in text  # files stay plain ASCII
+
+
+def parsed_propositions(scenario: Scenario) -> list[Proposition]:
+    """Every proposition a parsed scenario holds: belief props, derived
+    support, proposal nodes, and the arguments of each relation among them."""
+    props = []
+    for agent in scenario.agents:
+        for belief in agent.kb.own + agent.kb.user_model:
+            props.append(belief.prop)
+            props.extend(belief.endorsement.support)
+    nodes = [scenario.proposal]
+    while nodes:
+        node = nodes.pop()
+        props.append(node.prop)
+        nodes.extend(node.children)
+    todo = list(props)
+    while todo:
+        args = [a for a in todo.pop().args if isinstance(a, Proposition)]
+        props.extend(args)
+        todo.extend(args)
+    return props
+
+
+@pytest.mark.parametrize("which", ["smith", "wide_store"])
+def test_one_object_per_text(which):
+    if which == "smith":
+        scenario = load_bundled("smith")
+    else:
+        case = load_bench("workloads").wide_store_case(random.Random(0))
+        scenario = parse_scenario(case.text)
+    props = parsed_propositions(scenario)
+    assert len({id(p) for p in props}) == len({p.render() for p in props})
