@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -382,10 +380,7 @@ def presented_case(
 # knowledge bases
 
 
-_belief_text = attrgetter("prop._text")
-
-
-def _index(beliefs: tuple[Belief, ...], label: str) -> dict[Proposition, Belief]:
+def _index(beliefs: Iterable[Belief], label: str) -> dict[Proposition, Belief]:
     by_prop: dict[Proposition, Belief] = {}
     for b in beliefs:
         if b.prop in by_prop:
@@ -398,43 +393,58 @@ def _index(beliefs: tuple[Belief, ...], label: str) -> dict[Proposition, Belief]
     return by_prop
 
 
-@dataclass(frozen=True)
+def _in_text_order(side: dict[Proposition, Belief]) -> tuple[Belief, ...]:
+    return tuple(side[prop] for prop in sorted(side))
+
+
+@dataclass(frozen=True, init=False)
 class KnowledgeBase:
     """An agent's own beliefs plus its model of the other conversant.
 
-    Both stores are contradiction-free and keyed by proposition.  All update
-    helpers return a new instance; instances are never mutated.  An update
-    copies only the side it writes, in O(n), and re-validates nothing: it
-    drops the proposition (and, on add, its negation) before inserting.
+    Each side is one dict from proposition to belief, contradiction-free;
+    its order means nothing, and ``own`` and ``user_model`` sort it by text
+    on every read, for output.  All update helpers return a new instance;
+    instances are never mutated.  An update copies only the side it writes,
+    in O(n), and re-validates nothing: it drops the proposition (and, on
+    add, its negation) before inserting.
     """
 
-    own: tuple[Belief, ...]
-    user_model: tuple[Belief, ...] = ()
-    expertise: Expertise = Expertise.EXPERT
-    _own_idx: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-    _model_idx: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _own: dict
+    _model: dict
+    expertise: Expertise
 
-    def __post_init__(self) -> None:
-        for side, idx, label in (
-            ("own", "_own_idx", "own beliefs"),
-            ("user_model", "_model_idx", "user model"),
-        ):
-            beliefs = tuple(sorted(getattr(self, side), key=_belief_text))
-            object.__setattr__(self, side, beliefs)
-            object.__setattr__(self, idx, _index(beliefs, label))
+    def __init__(
+        self,
+        own: Iterable[Belief],
+        user_model: Iterable[Belief] = (),
+        expertise: Expertise = Expertise.EXPERT,
+    ) -> None:
+        vars(self).update(
+            _own=_index(own, "own beliefs"),
+            _model=_index(user_model, "user model"),
+            expertise=expertise,
+        )
+
+    @property
+    def own(self) -> tuple[Belief, ...]:
+        return _in_text_order(self._own)
+
+    @property
+    def user_model(self) -> tuple[Belief, ...]:
+        return _in_text_order(self._model)
 
     def own_belief(self, prop: Proposition) -> Optional[Belief]:
-        return self._own_idx.get(prop)
+        return self._own.get(prop)
 
     def holds(self, prop: Proposition) -> bool:
-        return prop in self._own_idx
+        return prop in self._own
 
     def model_belief(self, prop: Proposition) -> Optional[Belief]:
-        return self._model_idx.get(prop)
+        return self._model.get(prop)
 
     def model_view(self) -> "KnowledgeBase":
         """The user model as a store's own beliefs, with no model of its own."""
-        return _trusted(self.user_model, self._model_idx, (), {}, Expertise.EXPERT)
+        return _trusted(self._model, {}, Expertise.EXPERT)
 
     def own_add(self, belief: Belief) -> "KnowledgeBase":
         return self._write(True, belief.prop, belief)
@@ -453,38 +463,23 @@ class KnowledgeBase:
     ) -> "KnowledgeBase":
         """This store with one side (``own`` or the user model) patched:
         ``prop`` dropped or, given ``belief``, ``prop`` and its negation
-        dropped and ``belief`` inserted in sorted position."""
-        beliefs = list(self.own if own else self.user_model)
-        idx = dict(self._own_idx if own else self._model_idx)
-        for p in (prop,) if belief is None else (prop, prop.negate()):
-            if idx.pop(p, None) is not None:
-                del beliefs[bisect_left(beliefs, p._text, key=_belief_text)]
+        dropped and ``belief`` inserted."""
+        side = dict(self._own if own else self._model)
+        side.pop(prop, None)
         if belief is not None:
-            insort(beliefs, belief, key=_belief_text)
-            idx[prop] = belief
+            side.pop(prop.negate(), None)
+            side[prop] = belief
         if own:
-            return _trusted(tuple(beliefs), idx, self.user_model, self._model_idx, self.expertise)
-        return _trusted(self.own, self._own_idx, tuple(beliefs), idx, self.expertise)
+            return _trusted(side, self._model, self.expertise)
+        return _trusted(self._own, side, self.expertise)
 
 
-def _trusted(
-    own: tuple[Belief, ...],
-    own_idx: dict,
-    user_model: tuple[Belief, ...],
-    model_idx: dict,
-    expertise: Expertise,
-) -> KnowledgeBase:
-    """A store from sides already sorted by text, indexed and free of
-    contradictions, built without ``__post_init__``.  The index dicts are
-    shared, never mutated."""
+def _trusted(own: dict, model: dict, expertise: Expertise) -> KnowledgeBase:
+    """A store from sides already keyed by proposition and free of
+    contradictions, built without ``__init__``.  The dicts are shared, never
+    mutated."""
     kb = object.__new__(KnowledgeBase)
-    vars(kb).update(
-        own=own,
-        user_model=user_model,
-        expertise=expertise,
-        _own_idx=own_idx,
-        _model_idx=model_idx,
-    )
+    vars(kb).update(_own=own, _model=model, expertise=expertise)
     return kb
 
 
@@ -513,7 +508,7 @@ def build_evidence_set(
 ) -> tuple[EvidencePiece, ...]:
     """Collect every evidence piece bearing on ``target``.
 
-    Combines the pieces derivable from ``kb.own`` (a held relation whose
+    Combines the pieces derivable from the store's own beliefs (a held relation whose
     antecedent is also held) with the pieces the caller presents, each of
     which must count for the target or its negation.  Pieces are
     deduplicated by (belief, relation), keeping the stronger reading, and
@@ -521,7 +516,7 @@ def build_evidence_set(
     """
     sides = (target, target.negate())
     pieces: list[EvidencePiece] = []
-    for rel in kb.own:
+    for rel in kb._own.values():
         p = rel.prop
         if not p.is_relation or p.negated or p.args[1] not in sides:
             continue
@@ -700,7 +695,7 @@ def removal_closure(model: KnowledgeBase, removed: Iterable[Proposition]) -> fro
     changed = True
     while changed:
         changed = False
-        for belief in model.own:
+        for belief in model._own.values():
             if belief.prop in closure:
                 continue
             e = belief.endorsement

@@ -70,6 +70,9 @@ def _run(args: argparse.Namespace) -> int:
     except (DepthExceededError, ContractViolation, StructureError) as exc:
         print(f"parley: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError as exc:
+        print(f"parley: {args.file}: too deep to negotiate: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     if args.trace:
         try:

@@ -172,15 +172,14 @@ def _asserted_level(kb: KnowledgeBase, prop: Proposition) -> StrengthLevel:
 def _claim_tree(
     kb: KnowledgeBase, claim: Proposition, chains: tuple[JustificationLink, ...]
 ) -> ProposalNode:
-    def from_link(link) -> ProposalNode:
-        return ProposalNode(
-            link.prop,
-            link.belief_level,
-            tuple(from_link(c) for c in link.children),
-        )
-
+    # reversed preorder reaches every link after all the links beneath it,
+    # so each node is built from finished children, with no recursion
+    nodes: dict[int, ProposalNode] = {}
+    for link in reversed([link for chain in chains for link in chain.walk()]):
+        children = tuple(nodes[id(c)] for c in link.children)
+        nodes[id(link)] = ProposalNode(link.prop, link.belief_level, children)
     return ProposalNode(
-        claim, _asserted_level(kb, claim), tuple(from_link(link) for link in chains)
+        claim, _asserted_level(kb, claim), tuple(nodes[id(link)] for link in chains)
     )
 
 

@@ -206,6 +206,11 @@ class TestKnowledgeBase:
         kb2 = kb.own_remove(a)
         assert kb.holds(a) and not kb2.holds(a)
 
+    def test_first_contradiction_in_input_order_is_named(self):
+        p, q = ground("p"), ground("q")
+        with pytest.raises(ContradictionError, match=r"holds both q\(x\) and ¬q\(x\)"):
+            kb_of(rec(q.negate()), rec(p.negate()), rec(p), rec(q))
+
 
 class TestEvidence:
     def test_piece_needs_matching_antecedent(self):
@@ -467,6 +472,7 @@ def test_store_writes_match_fresh_construction(seed):
             expertise=kb.expertise,
         )
         assert kb == fresh
+        assert kb.own == fresh.own and kb.user_model == fresh.user_model
         view = kb.model_view()
         assert view == KnowledgeBase(own=fresh.user_model)
         for q in universe:

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from importlib import resources
 
@@ -106,6 +109,41 @@ def test_info_share_is_control_level():
     assert [act.level for act in t.acts] == ["domain", "control"]
     assert t.acts[1].kind is ActKind.INFO_SHARE_REQUEST
     assert t.conceded_by is None
+
+
+# runs the bundled scenarios and writes each transcript, outcome and trace
+BUNDLED_RUN = """
+import sys
+from importlib import resources
+from parley import NegotiationConfig, negotiate, parse_scenario
+from parley.trace import Trace
+
+for entry in sorted(resources.files("parley.scenarios").iterdir(), key=lambda e: e.name):
+    if not entry.name.endswith(".scenario"):
+        continue
+    s = parse_scenario(entry.read_text(encoding="utf-8"))
+    trace = Trace()
+    config = NegotiationConfig(tau=s.tau, max_depth=s.max_depth)
+    t = negotiate({a.id: a.kb for a in s.agents}, s.proposer.id, s.proposal, config, trace=trace)
+    text = "\\n".join(t.realize()) + "\\0" + t.outcome + "\\0" + trace.to_ndjson()
+    sys.stdout.buffer.write(text.encode("utf-8"))
+"""
+
+
+def test_output_does_not_depend_on_hash_seed():
+    # set iteration follows string hashes; dict iteration follows write
+    # order; neither may reach a transcript or a trace
+    outputs = []
+    for seed in ("0", "1"):
+        result = subprocess.run(
+            [sys.executable, "-c", BUNDLED_RUN],
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            check=True,
+        )
+        outputs.append(result.stdout)
+    assert outputs[0].count(b"\0") == 12
+    assert outputs[0] == outputs[1]
 
 
 def test_inputs_never_mutated(smith):

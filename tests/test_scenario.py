@@ -4,14 +4,17 @@ import random
 import pytest
 
 from parley import (
+    AgentSpec,
+    KnowledgeBase,
     Proposition,
     Scenario,
     ScenarioError,
     parse_scenario,
     render_scenario,
 )
+from parley.trace import Trace
 
-from conftest import load_bench, load_bundled
+from conftest import load_bench, load_bundled, run_scenario
 
 BUNDLED = ("smith", "evidence", "visit", "both", "nest", "tie")
 
@@ -140,6 +143,33 @@ def test_render_is_stable():
     assert text.endswith("\n")
     assert render_scenario(parse_scenario(text)) == text
     assert "¬" not in text  # files stay plain ASCII
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_belief_order_never_reaches_output(name):
+    # the same stores, entered in reverse and reached through writes in
+    # reverse, give the same views, the same file and the same dialogue
+    scenario = load_bundled(name)
+    agents = []
+    for agent in scenario.agents:
+        kb = agent.kb
+        reversed_kb = KnowledgeBase(kb.own[::-1], kb.user_model[::-1], kb.expertise)
+        written = KnowledgeBase((), (), kb.expertise)
+        for belief in reversed(kb.own):
+            written = written.own_add(belief)
+        for belief in reversed(kb.user_model):
+            written = written.model_add(belief)
+        for other in (reversed_kb, written):
+            assert other == kb
+            assert other.own == kb.own and other.user_model == kb.user_model
+        agents.append(AgentSpec(agent.id, written))
+    reordered = Scenario(tuple(agents), scenario.proposal, scenario.tau, scenario.max_depth)
+    assert render_scenario(reordered) == render_scenario(scenario)
+    runs = []
+    for s in (scenario, reordered):
+        trace = Trace()
+        runs.append((run_scenario(s, trace).realize(), trace.to_ndjson()))
+    assert runs[0] == runs[1]
 
 
 def parsed_propositions(scenario: Scenario) -> list[Proposition]:

@@ -54,3 +54,20 @@ def test_bundled_negotiation_never_rebuilds_a_store(name, monkeypatch):
     calls.clear()
     run_scenario(scenario, Trace())
     assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bundled_negotiation_never_reads_stores_in_text_order(name, monkeypatch):
+    # own and user_model sort a side on every read, for output only; the
+    # engine reads the stores by proposition
+    reads = []
+    for view in ("own", "user_model"):
+        sort = getattr(beliefs.KnowledgeBase, view).fget
+        monkeypatch.setattr(
+            beliefs.KnowledgeBase,
+            view,
+            property(lambda kb, sort=sort, view=view: reads.append(view) or sort(kb)),
+        )
+    scenario = load_bundled(name)
+    run_scenario(scenario, Trace())
+    assert reads == []
