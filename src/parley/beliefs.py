@@ -345,35 +345,23 @@ def piece_strength(piece: EvidencePiece) -> StrengthLevel:
     return min(piece.belief.endorsement.level, piece.relation.endorsement.level)
 
 
-def asserted_piece(
-    prop: Proposition,
-    relation: Proposition,
-    belief_level: StrengthLevel,
-    relation_level: StrengthLevel,
-    speaker: str,
-    expertise: Expertise,
-) -> EvidencePiece:
-    """``prop`` and its ``relation`` to a claim as one piece of evidence,
-    both asserted by ``speaker`` at the given strengths."""
-    return EvidencePiece(
-        Belief(prop, Endorsement.assertion(belief_level, speaker, expertise)),
-        Belief(relation, Endorsement.assertion(relation_level, speaker, expertise)),
-    )
-
-
 def presented_case(
     claim: Proposition, speaker: str, expertise: Expertise, backing: Iterable[tuple] = ()
 ) -> tuple[EvidencePiece, ...]:
     """What ``speaker`` puts forward for ``claim``: the bare assertion, then
     one piece per ``(prop, relation, belief_level, relation_level)`` in
-    ``backing``.  The bare piece's self-relation is warranted, so it carries
-    exactly ``assertion_strength(expertise)``."""
-    relation = supports_prop(claim, claim)
+    ``backing``, both parts asserted by ``speaker`` at the given strengths.
+    The bare piece's self-relation is warranted, so it carries exactly
+    ``assertion_strength(expertise)``."""
     level = assertion_strength(expertise)
-    pieces = [asserted_piece(claim, relation, level, StrengthLevel.WARRANTED, speaker, expertise)]
-    for prop, rel, belief_level, relation_level in backing:
-        pieces.append(asserted_piece(prop, rel, belief_level, relation_level, speaker, expertise))
-    return tuple(pieces)
+    bare = (claim, supports_prop(claim, claim), level, StrengthLevel.WARRANTED)
+    return tuple(
+        EvidencePiece(
+            Belief(prop, Endorsement.assertion(belief_level, speaker, expertise)),
+            Belief(relation, Endorsement.assertion(relation_level, speaker, expertise)),
+        )
+        for prop, relation, belief_level, relation_level in (bare, *backing)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +484,27 @@ class VerdictOutcome(str, Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """One judgement of a proposition: the outcome, the score of each side,
+    and the evidence credited on each side.  ``prior_support`` is the
+    judge's own belief in the target when it counted towards the support."""
+
     outcome: VerdictOutcome
     support_score: int
     attack_score: int
+    support_pieces: tuple[EvidencePiece, ...] = ()
+    attack_pieces: tuple[EvidencePiece, ...] = ()
+    prior_support: Optional[Belief] = None
+
+    def accepted_strength(self) -> Optional[StrengthLevel]:
+        """The strength the target is accepted at; None unless accepted."""
+        if self.outcome is not VerdictOutcome.ACCEPT:
+            return None
+        ranks = [piece_strength(p) for p in self.support_pieces]
+        if self.prior_support is not None:
+            ranks.append(self.prior_support.endorsement.level)
+        if not ranks:
+            raise ContractViolation("no credited evidence on the winning side")
+        return min(max(ranks), StrengthLevel.WARRANTED)
 
 
 def build_evidence_set(
@@ -556,25 +562,6 @@ def _standing(kb: KnowledgeBase, belief: Belief) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ReviseDetail:
-    verdict: Verdict
-    support_pieces: tuple[EvidencePiece, ...]
-    attack_pieces: tuple[EvidencePiece, ...]
-    prior_support: Optional[Belief]
-
-    def accepted_strength(self) -> Optional[StrengthLevel]:
-        """The strength the target is accepted at; None unless accepted."""
-        if self.verdict.outcome is not VerdictOutcome.ACCEPT:
-            return None
-        ranks = [piece_strength(p) for p in self.support_pieces]
-        if self.prior_support is not None:
-            ranks.append(self.prior_support.endorsement.level)
-        if not ranks:
-            raise ContractViolation("no credited evidence on the winning side")
-        return min(max(ranks), StrengthLevel.WARRANTED)
-
-
 def record_verdict(
     trace,
     agent: str,
@@ -614,8 +601,8 @@ def revise_detail(
     trace=None,
     agent: str = "",
     note: str = "",
-) -> ReviseDetail:
-    """Revision with the credited evidence exposed.  See :func:`revise`."""
+) -> Verdict:
+    """:func:`revise`, with the verdict recorded to ``trace``."""
     if tau < 1:
         raise ContractViolation(f"threshold must be at least 1, got {tau}")
     negated = target.negate()
@@ -654,14 +641,16 @@ def revise_detail(
     else:
         outcome = VerdictOutcome.UNCERTAIN
 
-    verdict = Verdict(outcome, support_score, attack_score)
-    record_verdict(trace, agent, target, verdict, note, method="scores")
-    return ReviseDetail(
-        verdict,
+    verdict = Verdict(
+        outcome,
+        support_score,
+        attack_score,
         tuple(support),
         tuple(attack),
         prior_t if t_counts else None,
     )
+    record_verdict(trace, agent, target, verdict, note, method="scores")
+    return verdict
 
 
 def revise(
@@ -670,7 +659,8 @@ def revise(
     presented: Iterable[EvidencePiece] = (),
     tau: int = 1,
 ) -> Verdict:
-    """Weigh all evidence about ``target`` and return a verdict.
+    """Weigh all evidence about ``target`` and return the verdict, with the
+    pieces it credited on each side and the prior it counted.
 
     The store's own evidence and the ``presented`` pieces form one pool;
     each piece counts for its relation's consequent, which must be the
@@ -681,7 +671,7 @@ def revise(
     abandoned; everything else is uncertain.  Untraced: a traced revision
     goes through :func:`revise_detail`.
     """
-    return revise_detail(kb, target, presented, tau).verdict
+    return revise_detail(kb, target, presented, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -763,19 +753,15 @@ def _adopt(
     return kb.own_add(Belief(prop, endorsement))
 
 
-def assimilate(
-    kb: KnowledgeBase,
-    verdict: Verdict,
-    target: Proposition,
-    evidence: Iterable[EvidencePiece] = (),
-) -> KnowledgeBase:
+def assimilate(kb: KnowledgeBase, verdict: Verdict, target: Proposition) -> KnowledgeBase:
     """Fold a revision verdict into the store.
 
     Accepting adopts the target (at the winning strength, derived from the
-    credited evidence) and drops its negation; rejecting does the mirror
-    image; abandoning removes the target without endorsing its negation.
+    evidence the verdict credited) and drops its negation; rejecting does
+    the mirror image; abandoning removes the target without endorsing its
+    negation.
     """
-    evidence = tuple(evidence)
+    evidence = verdict.support_pieces + verdict.attack_pieces
     if verdict.outcome is VerdictOutcome.ACCEPT:
         return _adopt(kb, target, evidence)
     if verdict.outcome is VerdictOutcome.REJECT:

@@ -16,7 +16,6 @@ from .beliefs import (
     Belief,
     ContractViolation,
     Endorsement,
-    EvidencePiece,
     Expertise,
     KnowledgeBase,
     Proposition,
@@ -134,7 +133,6 @@ class EvaluatedChild:
     relation: Proposition
     relation_verdict: Verdict
     relation_lookup: bool
-    relation_strength: Optional[StrengthLevel]
 
     @property
     def relation_accepted(self) -> bool:
@@ -149,8 +147,6 @@ class EvaluatedChild:
 class EvaluatedNode:
     node: ProposalNode
     verdict: Verdict
-    accepted_strength: Optional[StrengthLevel]
-    support_credited: tuple[EvidencePiece, ...]
     children: tuple[EvaluatedChild, ...]
 
     @property
@@ -189,17 +185,16 @@ def evaluate_proposal(
             relation = node.relation_to(child)
             held = kb.own_belief(relation)
             held_neg = kb.own_belief(relation.negate())
-            if held is not None or held_neg is not None:
+            lookup = held is not None or held_neg is not None
+            if lookup:
+                # a held relation is its own evidence, at the level held
                 if held is not None:
-                    rel_verdict = Verdict(VerdictOutcome.ACCEPT, held.rank, 0)
-                    rel_strength: Optional[StrengthLevel] = held.endorsement.level
+                    rel_verdict = Verdict(VerdictOutcome.ACCEPT, held.rank, 0, prior_support=held)
                 else:
                     rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.rank)
-                    rel_strength = None
-                lookup = True
                 record_verdict(trace, agent, relation, rel_verdict, method="lookup")
             else:
-                detail = revise_detail(
+                rel_verdict = revise_detail(
                     kb,
                     relation,
                     presented_case(relation, proposer, proposer_expertise),
@@ -207,24 +202,14 @@ def evaluate_proposal(
                     trace=trace,
                     agent=agent,
                 )
-                rel_verdict = detail.verdict
-                lookup = False
-                rel_strength = detail.accepted_strength()
-            evaluated_children.append(
-                EvaluatedChild(child_eval, relation, rel_verdict, lookup, rel_strength)
-            )
+            evaluated_children.append(EvaluatedChild(child_eval, relation, rel_verdict, lookup))
             if child_eval.accepted and rel_verdict.outcome is VerdictOutcome.ACCEPT:
-                backing.append((child.prop, relation, child_eval.accepted_strength, rel_strength))
+                levels = (child_eval.verdict.accepted_strength(), rel_verdict.accepted_strength())
+                backing.append((child.prop, relation, *levels))
 
         presented = presented_case(node.prop, proposer, proposer_expertise, backing)
-        detail = revise_detail(kb, node.prop, presented, tau, trace=trace, agent=agent)
-        return EvaluatedNode(
-            node=node,
-            verdict=detail.verdict,
-            accepted_strength=detail.accepted_strength(),
-            support_credited=detail.support_pieces,
-            children=tuple(evaluated_children),
-        )
+        verdict = revise_detail(kb, node.prop, presented, tau, trace=trace, agent=agent)
+        return EvaluatedNode(node, verdict, tuple(evaluated_children))
 
     return walk(tree)
 
@@ -250,16 +235,11 @@ def assimilate_evaluated(
             if child.relation_accepted:
                 agreed.append(child.relation)
                 if not child.relation_lookup and not kb.holds(child.relation):
-                    kb = kb.own_add(
-                        Belief(
-                            child.relation,
-                            Endorsement.assertion(
-                                child.relation_strength, proposer, proposer_expertise
-                            ),
-                        )
-                    )
+                    level = child.relation_verdict.accepted_strength()
+                    endorsement = Endorsement.assertion(level, proposer, proposer_expertise)
+                    kb = kb.own_add(Belief(child.relation, endorsement))
         agreed.append(ev.prop)
-        return assimilate(kb, ev.verdict, ev.prop, ev.support_credited)
+        return assimilate(kb, ev.verdict, ev.prop)
 
     kb = walk(kb, evaluated)
     return kb, tuple(sorted(set(agreed)))

@@ -255,10 +255,9 @@ def _agree(session: _Session, speaker: str, hearer: str, evaluated: EvaluatedNod
 
 def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> _Step:
     root = tree.prop
-    evidence = presented_case(root, winner, session.expertise(winner))
-    session.kbs[loser] = assimilate(
-        session.kbs[loser], Verdict(VerdictOutcome.ACCEPT, 0, 0), root, evidence
-    )
+    case = presented_case(root, winner, session.expertise(winner))
+    verdict = Verdict(VerdictOutcome.ACCEPT, 0, 0, support_pieces=case)
+    session.kbs[loser] = assimilate(session.kbs[loser], verdict, root)
     session.act(ActKind.ACCEPT, loser, prop=root)
     session.conceded_by = loser
     _observe_acceptance(session, winner, loser, [root])
@@ -422,7 +421,7 @@ def _handle_rejection(
                 "recipe", agent=proposer, recipe=recipe, target=member.render()
             )
 
-    detail = revise_detail(
+    verdict = revise_detail(
         session.kbs[proposer],
         current.prop,
         tau=tau,
@@ -430,19 +429,14 @@ def _handle_rejection(
         agent=proposer,
         note="re-revise",
     )
-    verdict = detail.verdict
-    if verdict.outcome is VerdictOutcome.ACCEPT:
-        return _Step("retry", tree=current)
     if verdict.outcome is VerdictOutcome.UNCERTAIN:
         session.act(ActKind.INFO_SHARE_REQUEST, proposer, prop=current.prop)
         return _Step("unresolved")
+    # the proposer keeps its re-judgement, whichever way it went
+    session.kbs[proposer] = assimilate(session.kbs[proposer], verdict, current.prop)
+    if verdict.outcome is VerdictOutcome.ACCEPT:
+        return _Step("retry", tree=current)
 
-    session.kbs[proposer] = assimilate(
-        session.kbs[proposer],
-        verdict,
-        current.prop,
-        detail.support_pieces + detail.attack_pieces,
-    )
     negated = current.prop.negate()
     corrected = negated if session.kbs[evaluator].holds(negated) else None
     session.trace.emit(

@@ -45,19 +45,33 @@ def run_scenario(scenario: Scenario, trace: Trace | None = None):
     )
 
 
+def dissenters(transcript) -> list[str]:
+    """The agents whose final store holds the negation of the ratified root."""
+    root = transcript.ratified_root
+    if root is None:
+        return []
+    return sorted(a for a, kb in transcript.final_beliefs.items() if kb.holds(root.negate()))
+
+
 @pytest.fixture
 def smith() -> Scenario:
     return load_bundled("smith")
 
 
 def load_bench(name: str):
-    """``bench/<name>.py``, loaded read-only from the checkout."""
-    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    """``bench/<name>.py``, loaded read-only from the checkout.  While it
+    loads, its sibling modules import by bare name, as when it runs as a
+    script."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", bench / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
     sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(bench))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
     return module
 
 

@@ -32,6 +32,7 @@ from parley.trace import Trace
 
 from conftest import (
     LEVELS,
+    dissenters,
     ground,
     load_bundled,
     random_revision_case,
@@ -300,12 +301,10 @@ def test_p4_revision_properties():
         kb = random_store(rng, [f"p{i}" for i in range(5)])
         for _ in range(8):
             target = ground(rng.choice([f"p{i}" for i in range(5)]), rng.choice([False, True]))
-            detail = revise_detail(kb, target, tau=rng.choice([1, 2]))
-            if detail.verdict.outcome is VerdictOutcome.UNCERTAIN:
+            verdict = revise_detail(kb, target, tau=rng.choice([1, 2]))
+            if verdict.outcome is VerdictOutcome.UNCERTAIN:
                 continue
-            kb = assimilate(
-                kb, detail.verdict, target, detail.support_pieces + detail.attack_pieces
-            )
+            kb = assimilate(kb, verdict, target)
             assert not (kb.holds(target) and kb.holds(target.negate())), seed
     print("PASS P4: weakest link 9/9, monotonicity and symmetry 10000/10000, "
           "no contradictions over 500 assimilation sequences")
@@ -334,6 +333,7 @@ def test_p5_termination_and_determinism():
         first = run_scenario(scenario, trace_a)
         second = run_scenario(scenario, trace_b)
         assert first.rounds <= total_beliefs, (seed, first.rounds, total_beliefs)
+        assert dissenters(first) == [], seed
         assert first.realize() == second.realize(), seed
         assert trace_a.to_ndjson() == trace_b.to_ndjson(), seed
         worst = max(worst, first.rounds / max(total_beliefs, 1))

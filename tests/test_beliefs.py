@@ -18,6 +18,7 @@ from parley import (
     Proposition,
     StrengthLevel,
     StructureError,
+    Verdict,
     VerdictOutcome,
     assertion_strength,
     assimilate,
@@ -302,8 +303,7 @@ class TestAssimilation:
         t, p = ground("t"), ground("p")
         rel = supports_prop(p, t)
         kb = kb_of(rec(p, S), rec(rel))
-        d = revise_detail(kb, t)
-        kb2 = assimilate(kb, d.verdict, t, d.support_pieces)
+        kb2 = assimilate(kb, revise_detail(kb, t), t)
         held = kb2.own_belief(t)
         assert held.endorsement.level is S
         assert held.endorsement.support == frozenset({p})
@@ -311,8 +311,7 @@ class TestAssimilation:
     def test_bare_assertion_adopts_assertion_source(self):
         t = ground("t")
         piece = presented_case(t, "u", Expertise.EXPERT)[0]
-        d = revise_detail(kb_of(), t, [piece])
-        kb2 = assimilate(kb_of(), d.verdict, t, d.support_pieces)
+        kb2 = assimilate(kb_of(), revise_detail(kb_of(), t, [piece]), t)
         held = kb2.own_belief(t)
         assert held.endorsement.speaker == "u"
         assert held.endorsement.level is T
@@ -320,32 +319,30 @@ class TestAssimilation:
     def test_reject_adopts_negation_and_drops_target(self):
         t, p = ground("t"), ground("p")
         kb = kb_of(rec(t, W), rec(p), rec(supports_prop(p, t.negate())))
-        d = revise_detail(kb, t)
-        assert d.verdict.outcome is VerdictOutcome.REJECT
-        kb2 = assimilate(kb, d.verdict, t, d.support_pieces + d.attack_pieces)
+        verdict = revise_detail(kb, t)
+        assert verdict.outcome is VerdictOutcome.REJECT
+        kb2 = assimilate(kb, verdict, t)
         assert not kb2.holds(t) and kb2.holds(t.negate())
 
     def test_abandon_removes_without_negating(self):
         t, p = ground("t"), ground("p")
         kb = kb_of(Belief(t, Endorsement.derived(S, [p])))
-        d = revise_detail(kb, t)
-        kb2 = assimilate(kb, d.verdict, t)
+        kb2 = assimilate(kb, revise_detail(kb, t), t)
         assert not kb2.holds(t) and not kb2.holds(t.negate())
 
     def test_uncertain_cannot_assimilate(self):
         t = ground("t")
         kb = kb_of(rec(t, S))
-        d = revise_detail(kb, t, tau=3)
+        verdict = revise_detail(kb, t, tau=3)
         with pytest.raises(ContractViolation):
-            assimilate(kb, d.verdict, t)
+            assimilate(kb, verdict, t)
 
     def test_keeps_stronger_prior(self):
         t = ground("t")
         kb = kb_of(rec(t, T))
         piece = presented_case(t, "u", Expertise.NON_EXPERT)[0]
-        kb2 = assimilate(
-            kb, revise_detail(kb, t, [piece]).verdict, t, [piece]
-        )
+        verdict = Verdict(VerdictOutcome.ACCEPT, 0, 0, support_pieces=(piece,))
+        kb2 = assimilate(kb, verdict, t)
         assert kb2.own_belief(t).endorsement.level is T
 
 
@@ -411,10 +408,10 @@ def test_assimilation_never_contradicts(seed):
     kb = random_store(rng, names)
     for _ in range(8):
         target = ground(rng.choice(names), rng.choice([False, True]))
-        d = revise_detail(kb, target, tau=rng.choice([1, 2]))
-        if d.verdict.outcome is VerdictOutcome.UNCERTAIN:
+        verdict = revise_detail(kb, target, tau=rng.choice([1, 2]))
+        if verdict.outcome is VerdictOutcome.UNCERTAIN:
             continue
-        kb = assimilate(kb, d.verdict, target, d.support_pieces + d.attack_pieces)
+        kb = assimilate(kb, verdict, target)
         assert not (kb.holds(target) and kb.holds(target.negate()))
         # a write re-validates nothing; constructing the store does
         assert KnowledgeBase(own=kb.own, expertise=kb.expertise) == kb

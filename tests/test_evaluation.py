@@ -132,7 +132,7 @@ class TestEvaluate:
         child = ev.children[0]
         assert child.relation_lookup and child.relation_accepted
         assert child.relation_verdict.support_score == 2
-        assert child.relation_strength is S
+        assert child.relation_verdict.accepted_strength() is S
         assert ev.verdict.outcome is VerdictOutcome.ACCEPT
         assert (ev.verdict.support_score, ev.verdict.attack_score) == (5, 0)
         methods = [r.payload["method"] for r in trace.by_kind("revise")]
@@ -153,7 +153,7 @@ class TestEvaluate:
         child = ev.children[0]
         assert not child.relation_lookup
         assert child.relation_accepted
-        assert child.relation_strength is T
+        assert child.relation_verdict.accepted_strength() is T
 
     def test_child_counts_at_granted_strength(self):
         # a non-expert overstates the leaf; evaluation grants only strong
@@ -162,8 +162,8 @@ class TestEvaluate:
             kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), expertise=Expertise.NON_EXPERT
         )
         child = ev.children[0]
-        assert child.evaluated.accepted_strength is S
-        credited = [pc for pc in ev.support_credited if pc.belief.prop == P]
+        assert child.evaluated.verdict.accepted_strength() is S
+        credited = [pc for pc in ev.verdict.support_pieces if pc.belief.prop == P]
         assert [piece_strength(pc) for pc in credited] == [S]
         presented = _asserted_evidence(ev, "u", Expertise.NON_EXPERT)
         asserted = [pc for pc in presented if pc.belief.prop == P]

@@ -76,6 +76,13 @@ class TestPredict:
         (record,) = trace.by_kind("predict")
         assert record.payload["removed"] == ["a(x)"]
 
+    def test_trace_lists_removed_in_text_order(self):
+        trace = Trace()
+        model = kb_of(rec(A), rec(R), der(TGT, S, A, R))
+        predict(model, TGT, removed=[R, A], trace=trace)
+        (record,) = trace.by_kind("predict")
+        assert record.payload["removed"] == ["a(x)", "r(x)"]
+
 
 class TestSelectMinSet:
     def model(self) -> KnowledgeBase:

@@ -8,6 +8,7 @@ from importlib import resources
 
 import pytest
 
+import parley
 from parley import (
     ActKind,
     Belief,
@@ -26,7 +27,7 @@ from parley import (
 )
 from parley.trace import Trace
 
-from conftest import ground, load_bench, load_bundled, run_scenario
+from conftest import dissenters, ground, load_bench, load_bundled, run_scenario
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
 
@@ -98,6 +99,7 @@ def test_bundled_outcomes(name):
     assert t.realize() == acts
     assert t.outcome == outcome
     assert (t.depth, t.rounds) == (depth, rounds)
+    assert dissenters(t) == []
     if ratified is None:
         assert t.ratified_root is None
     else:
@@ -144,6 +146,17 @@ def test_output_does_not_depend_on_hash_seed():
         outputs.append(result.stdout)
     assert outputs[0].count(b"\0") == 12
     assert outputs[0] == outputs[1]
+
+
+def test_bench_golden_digests():
+    # the benchmark's recorded outputs for the first default-seed inputs of
+    # every workload, and smith's README transcript
+    run = load_bench("run")
+    for workload in run.workloads.WORKLOADS:
+        checks = run.Checks()
+        run.check_golden(parley, workload, checks)
+        assert checks.notes == [], workload
+        assert (checks.attempted, checks.failed) == (len(run.golden_cases(workload)) + 2, 0)
 
 
 def test_inputs_never_mutated(smith):
@@ -304,3 +317,211 @@ def test_other_trace_records_have_exact_keys():
         assert set(record.payload) == TRACE_RECORDS[variant], (name, record.step)
         seen.add(variant)
     assert seen == set(TRACE_RECORDS)
+
+
+def dialogue(proposer, evaluator, proposal, tau: int = 1):
+    """A scenario in which A proposes to B.  Each agent is ``(expertise,
+    beliefs)``; a belief is ``(prop, level)``, recorded, or ``(prop, level,
+    source)``; a proposal node is ``(prop, level, children)``."""
+
+    def agent(agent_id, expertise, beliefs):
+        beliefs = [
+            {"prop": b[0], "level": b[1], "source": b[2] if len(b) > 2 else "kb-record"}
+            for b in beliefs
+        ]
+        return {"id": agent_id, "expertise": expertise, "beliefs": beliefs, "userModel": []}
+
+    def node(prop, level, children=()):
+        return {"prop": prop, "assertedLevel": level, "children": [node(*c) for c in children]}
+
+    doc = {
+        "v": 1,
+        "agents": [agent("A", *proposer), agent("B", *evaluator)],
+        "proposal": node(*proposal),
+        "config": {"tau": tau, "maxDepth": 16},
+    }
+    return parse_scenario(json.dumps(doc))
+
+
+def moves(trace) -> list[tuple]:
+    """The trace without its scores, as short tuples: each act, recipe and
+    foci step, and each re-revision or relation prediction."""
+    out = []
+    for r in trace.records:
+        p = r.payload
+        if r.kind == "act":
+            out.append((p["speaker"], p["act"], p["content"]))
+        elif r.kind == "recipe":
+            out.append((p["agent"], p["recipe"]))
+        elif r.kind == "foci":
+            out.append((p["agent"], "foci", p["target"], p["step"], p["focus"]))
+        elif p.get("note") in ("re-revise", "relation"):
+            out.append((p["agent"], r.kind, p["note"], p["target"], p["outcome"]))
+    return out
+
+
+def test_proposer_keeps_its_re_judgement():
+    # B corrects A's claim, A concedes the sub-claim, re-judges its own claim
+    # and still accepts it.  A keeps that judgement and proposes again; B has
+    # nothing new to present and concedes, so both end holding the claim.
+    scenario = dialogue(
+        (
+            "non-expert",
+            [
+                ("~p0(x)", "warranted"),
+                ("~p4(x)", "strong"),
+                ("p1(x)", "weak"),
+                ("~p2(x)", "warranted"),
+                ("supports(~p3(x), p2(x))", "weak"),
+                ("supports(~p3(x), p1(x))", "strong"),
+                ("supports(~p0(x), ~p4(x))", "warranted"),
+                ("supports(~p3(x), ~p0(x))", "warranted"),
+            ],
+        ),
+        (
+            "non-expert",
+            [
+                ("~p3(x)", "weak"),
+                ("~p4(x)", "strong", {"derived": {"from": ["~p3(x)"]}}),
+                ("~p2(x)", "warranted"),
+                ("p0(x)", "warranted"),
+                ("p1(x)", "strong"),
+                ("supports(~p2(x), p4(x))", "warranted"),
+            ],
+        ),
+        ("~p4(x)", "strong"),
+    )
+    trace = Trace()
+    t = run_scenario(scenario, trace)
+    assert t.realize() == [
+        "A: PROPOSE ¬p4(x)",
+        "B: INFORM p4(x)",
+        "B: INFORM ¬p2(x)",
+        "B: INFORM supports(¬p2(x), p4(x))",
+        "A: ACCEPT p4(x)",
+        "B: ACCEPT ¬p4(x)",
+    ]
+    assert (t.outcome, t.ratified_root) == ("concession:B", parse_proposition("~p4(x)"))
+    assert dissenters(t) == []
+    assert t.final_beliefs["A"].holds(t.ratified_root)
+    steps = [m for m in moves(trace) if m[1] != "foci"]
+    assert steps == [
+        ("A", "propose", "PROPOSE ¬p4(x)"),
+        ("B", "correct-node"),
+        ("B", "inform", "INFORM p4(x)"),
+        ("B", "inform", "INFORM ¬p2(x)"),
+        ("B", "inform", "INFORM supports(¬p2(x), p4(x))"),
+        ("A", "accept", "ACCEPT p4(x)"),
+        # the re-judged claim still stands, so A proposes it again ...
+        ("A", "revise", "re-revise", "¬p4(x)", "accept"),
+        # ... and B, whose case A has heard, concedes
+        ("B", "correct-node"),
+        ("B", "accept", "ACCEPT ¬p4(x)"),
+    ]
+
+
+def test_relation_focus_of_an_accepted_child_removes_the_edge():
+    # B takes p1 but holds that it does not support ¬p2: the focus is the
+    # link, which A gives up, so A's proposal loses that child
+    scenario = dialogue(
+        ("non-expert", []),
+        ("expert", [("p2(x)", "warranted"), ("~supports(p1(x), ~p2(x))", "warranted")]),
+        ("~p2(x)", "strong", [("p1(x)", "strong")]),
+    )
+    trace = Trace()
+    t = run_scenario(scenario, trace)
+    assert t.realize() == [
+        "A: PROPOSE ¬p2(x) ⊣ p1(x)",
+        "B: INFORM ¬supports(p1(x), ¬p2(x))",
+        "A: ACCEPT ¬supports(p1(x), ¬p2(x))",
+        "A: INFOSHARE ¬p2(x)",
+    ]
+    assert t.outcome == "unresolved-needs-sharing"
+    link = "supports(p1(x), ¬p2(x))"
+    assert [m for m in moves(trace) if m[1] in ("foci", "predict", "remove-node")] == [
+        ("B", "predict", "relation", link, "reject"),
+        ("B", "foci", link, "relation", [link]),
+        ("B", "foci", "¬p2(x)", "evidence", [link]),
+        ("A", "remove-node"),
+    ]
+    (removal,) = [r for r in trace.by_kind("recipe") if r.payload["recipe"] == "remove-node"]
+    assert removal.payload == {"agent": "A", "recipe": "remove-node", "target": link}
+
+
+def test_relation_focus_of_an_unshakeable_child():
+    # B cannot move A on ¬p1 and holds the negation of its link; the link
+    # is tried as the focus, does not flip either, and B concedes
+    scenario = dialogue(
+        ("non-expert", []),
+        (
+            "non-expert",
+            [
+                ("p1(x)", "strong"),
+                ("p2(x)", "weak"),
+                ("supports(p1(x), p2(x))", "strong"),
+                ("~supports(~p1(x), ~p2(x))", "strong"),
+            ],
+        ),
+        ("~p2(x)", "strong", [("~p1(x)", "strong")]),
+    )
+    trace = Trace()
+    t = run_scenario(scenario, trace)
+    assert t.realize() == ["A: PROPOSE ¬p2(x) ⊣ ¬p1(x)", "B: ACCEPT ¬p2(x)"]
+    assert t.outcome == "concession:B"
+    assert moves(trace)[1:-1] == [
+        ("B", "foci", "¬p1(x)", "leaf", None),
+        ("B", "predict", "relation", "supports(¬p1(x), ¬p2(x))", "uncertain"),
+        ("B", "foci", "¬p2(x)", "nil", None),
+    ]
+
+
+def test_disputed_ratification_asks_for_information():
+    # A gives up c and, with it, r; B's correction ¬r is not enough for A to
+    # take on the evidence A holds, so A asks for more
+    scenario = dialogue(
+        (
+            "non-expert",
+            [
+                ("c(x)", "strong"),
+                ("supports(c(x), r(x))", "warranted"),
+                ("r(x)", "strong", {"derived": {"from": ["c(x)"]}}),
+                ("e(x)", "weak"),
+                ("supports(e(x), r(x))", "weak"),
+            ],
+        ),
+        (
+            "non-expert",
+            [
+                ("~c(x)", "warranted"),
+                ("d(x)", "warranted"),
+                ("supports(d(x), ~c(x))", "warranted"),
+                ("~r(x)", "warranted"),
+                ("f(x)", "warranted"),
+                ("supports(f(x), ~r(x))", "warranted"),
+            ],
+        ),
+        ("r(x)", "strong", [("c(x)", "strong")]),
+        tau=2,
+    )
+    trace = Trace()
+    t = run_scenario(scenario, trace)
+    assert t.realize() == [
+        "A: PROPOSE r(x) ⊣ c(x)",
+        "B: INFORM ¬c(x)",
+        "B: INFORM d(x)",
+        "B: INFORM supports(d(x), ¬c(x))",
+        "A: ACCEPT ¬c(x)",
+        "A: INFOSHARE ¬r(x)",
+    ]
+    assert (t.outcome, t.ratified_root) == ("unresolved-needs-sharing", None)
+    assert [m for m in moves(trace) if m[1] not in ("foci", "inform")][-6:] == [
+        ("A", "accept", "ACCEPT ¬c(x)"),
+        ("A", "modify-node"),
+        ("A", "revise", "re-revise", "r(x)", "abandon"),
+        ("A", "alter-node"),
+        ("A", "insert-correction"),
+        ("A", "info-share-request", "INFOSHARE ¬r(x)"),
+    ]
+    # A withdrew r and heard ¬r, but took neither side
+    assert not t.final_beliefs["A"].holds(parse_proposition("r(x)"))
+    assert not t.final_beliefs["A"].holds(parse_proposition("~r(x)"))
