@@ -15,7 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from functools import partial
+from functools import partial, total_ordering
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -106,8 +106,15 @@ _FLAT_RELATION = re.compile(
 # from its arguments' texts, so nothing else recurses over ``args``.
 MAX_PROP_NESTING = 100
 
+# Trusted builders set attributes with ``object.__setattr__``, as the frozen
+# dataclasses' own ``__init__`` does.  Writing through ``__dict__`` instead
+# makes the interpreter give the object a dict of its own, and every later
+# attribute read on it gets slower.
+_setattr = object.__setattr__
 
-@dataclass(frozen=True, order=True)
+
+@total_ordering
+@dataclass(frozen=True, eq=False)
 class Proposition:
     """A ground literal, or an evidential relation between two literals.
 
@@ -116,12 +123,16 @@ class Proposition:
     identifier arguments.
     """
 
-    negated: bool = field(compare=False)
-    predicate: str = field(compare=False)
-    args: tuple = field(default=(), compare=False)
+    negated: bool
+    predicate: str
+    args: tuple = ()
     # the rendered text, built once from the arguments' texts: the only field
     # that equality, hashing and ordering look at
     _text: str = field(init=False, repr=False)
+    # the negation, cached on the first ``negate()``.  Only the receiver
+    # points to it: linking the pair both ways makes a reference cycle, and
+    # every negated proposition then waits for the collector.
+    _negation = None
 
     def __post_init__(self) -> None:
         if not _NAME.fullmatch(self.predicate):
@@ -140,10 +151,27 @@ class Proposition:
     def is_relation(self) -> bool:
         return self.predicate == SUPPORTS
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Proposition):
+            return self._text == other._text
+        return NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, Proposition):
+            return self._text < other._text
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._text)
+
     def negate(self) -> "Proposition":
-        # only the polarity and the leading ¬ of the text change
-        text = self._text[1:] if self.negated else f"¬{self._text}"
-        return _trusted_prop(not self.negated, self.predicate, self.args, text)
+        negation = self._negation
+        if negation is None:
+            # only the polarity and the leading ¬ of the text change
+            text = self._text[1:] if self.negated else f"¬{self._text}"
+            negation = _trusted_prop(not self.negated, self.predicate, self.args, text)
+            _setattr(self, "_negation", negation)
+        return negation
 
     def render(self, ascii_not: bool = False) -> str:
         return self._text.replace("¬", "~") if ascii_not else self._text
@@ -161,7 +189,10 @@ def _trusted_prop(negated: bool, predicate: str, args: tuple, text: str) -> Prop
     """A proposition from parts already checked, and its text, built without
     ``__post_init__``."""
     prop = object.__new__(Proposition)
-    vars(prop).update(negated=negated, predicate=predicate, args=args, _text=text)
+    _setattr(prop, "negated", negated)
+    _setattr(prop, "predicate", predicate)
+    _setattr(prop, "args", args)
+    _setattr(prop, "_text", text)
     return prop
 
 
@@ -289,11 +320,11 @@ class Endorsement:
 
     @classmethod
     def kb_record(cls, level: StrengthLevel) -> "Endorsement":
-        return cls(level, SourceKind.KB_RECORD)
+        return _PLAIN[SourceKind.KB_RECORD, level]
 
     @classmethod
     def stereotype(cls, level: StrengthLevel) -> "Endorsement":
-        return cls(level, SourceKind.STEREOTYPE)
+        return _PLAIN[SourceKind.STEREOTYPE, level]
 
     @classmethod
     def assertion(
@@ -304,6 +335,14 @@ class Endorsement:
     @classmethod
     def derived(cls, level: StrengthLevel, support: Iterable[Proposition]) -> "Endorsement":
         return cls(level, SourceKind.DERIVED, support=frozenset(support))
+
+
+# the endorsements with neither speaker nor support, one shared instance each
+_PLAIN = {
+    (kind, level): Endorsement(level, kind)
+    for kind in (SourceKind.KB_RECORD, SourceKind.STEREOTYPE)
+    for level in StrengthLevel
+}
 
 
 @dataclass(frozen=True)
@@ -340,6 +379,15 @@ class EvidencePiece:
         return (self.belief.prop.render(), self.relation.prop.render())
 
 
+def _trusted_piece(belief: Belief, relation: Belief) -> EvidencePiece:
+    """A piece whose relation is a positive ``supports(...)`` from
+    ``belief``'s proposition, built without ``__post_init__``."""
+    piece = object.__new__(EvidencePiece)
+    _setattr(piece, "belief", belief)
+    _setattr(piece, "relation", relation)
+    return piece
+
+
 def piece_strength(piece: EvidencePiece) -> StrengthLevel:
     # weakest-link rule: a piece is only as strong as its weakest component
     return min(piece.belief.endorsement.level, piece.relation.endorsement.level)
@@ -353,14 +401,22 @@ def presented_case(
     ``backing``, both parts asserted by ``speaker`` at the given strengths.
     The bare piece's self-relation is warranted, so it carries exactly
     ``assertion_strength(expertise)``."""
-    level = assertion_strength(expertise)
-    bare = (claim, supports_prop(claim, claim), level, StrengthLevel.WARRANTED)
-    return tuple(
-        EvidencePiece(
-            Belief(prop, Endorsement.assertion(belief_level, speaker, expertise)),
-            Belief(relation, Endorsement.assertion(relation_level, speaker, expertise)),
-        )
-        for prop, relation, belief_level, relation_level in (bare, *backing)
+    bare = _trusted_piece(
+        Belief(claim, Endorsement.assertion(assertion_strength(expertise), speaker, expertise)),
+        Belief(
+            supports_prop(claim, claim),
+            Endorsement.assertion(StrengthLevel.WARRANTED, speaker, expertise),
+        ),
+    )
+    return (
+        bare,
+        *(
+            EvidencePiece(
+                Belief(prop, Endorsement.assertion(belief_level, speaker, expertise)),
+                Belief(relation, Endorsement.assertion(relation_level, speaker, expertise)),
+            )
+            for prop, relation, belief_level, relation_level in backing
+        ),
     )
 
 
@@ -407,11 +463,9 @@ class KnowledgeBase:
         user_model: Iterable[Belief] = (),
         expertise: Expertise = Expertise.EXPERT,
     ) -> None:
-        vars(self).update(
-            _own=_index(own, "own beliefs"),
-            _model=_index(user_model, "user model"),
-            expertise=expertise,
-        )
+        _setattr(self, "_own", _index(own, "own beliefs"))
+        _setattr(self, "_model", _index(user_model, "user model"))
+        _setattr(self, "expertise", expertise)
 
     @property
     def own(self) -> tuple[Belief, ...]:
@@ -467,7 +521,9 @@ def _trusted(own: dict, model: dict, expertise: Expertise) -> KnowledgeBase:
     contradictions, built without ``__init__``.  The dicts are shared, never
     mutated."""
     kb = object.__new__(KnowledgeBase)
-    vars(kb).update(_own=own, _model=model, expertise=expertise)
+    _setattr(kb, "_own", own)
+    _setattr(kb, "_model", model)
+    _setattr(kb, "expertise", expertise)
     return kb
 
 
@@ -528,7 +584,7 @@ def build_evidence_set(
             continue
         basis = kb.own_belief(p.args[0])
         if basis is not None:
-            pieces.append(EvidencePiece(basis, rel))
+            pieces.append(_trusted_piece(basis, rel))
     for pc in presented:
         if pc.consequent not in sides:
             raise StructureError(f"evidence piece does not address {target}: {pc.relation.prop}")

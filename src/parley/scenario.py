@@ -22,6 +22,7 @@ from .beliefs import (
     SourceKind,
     StrengthLevel,
     StructureError,
+    _PLAIN,
     proposition_parser,
 )
 from .evaluation import ProposalNode, validate_tree
@@ -92,6 +93,11 @@ def _parse_str(value: Any, path: str, parse: Callable[[str], Any]) -> Any:
         raise ScenarioError(path, str(exc)) from None
 
 
+# the shared plain endorsements, keyed by their source and level texts as a
+# file spells them, for the fast path of ``_parse_belief``
+_PLAIN_SOURCES = {(kind.value, level.render()): e for (kind, level), e in _PLAIN.items()}
+
+
 def _parse_source(
     value: Any, level: StrengthLevel, path: str, parse: Callable[[str], Proposition]
 ) -> Endorsement:
@@ -125,6 +131,18 @@ def _parse_source(
 
 
 def _parse_belief(value: Any, path: str, parse: Callable[[str], Proposition]) -> Belief:
+    # fast path: exactly three string fields with a plain source, the shape
+    # of most beliefs in a file.  Anything else, and any proposition text
+    # that fails to parse, goes through the checks below, which report it.
+    if type(value) is dict and len(value) == 3:
+        text, level, source = value.get("prop"), value.get("level"), value.get("source")
+        if type(text) is str and type(level) is str and type(source) is str:
+            endorsement = _PLAIN_SOURCES.get((source, level))
+            if endorsement is not None:
+                try:
+                    return Belief(parse(text), endorsement)
+                except StructureError:
+                    pass
     fields = ("prop", "level", "source")
     obj = _expect_object(value, path, set(fields), fields)
     prop = _parse_str(obj["prop"], f"{path}.prop", parse)

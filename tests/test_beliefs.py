@@ -1,7 +1,11 @@
+import copy
+import gc
+import pickle
 import random
 import re
 import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -689,3 +693,172 @@ def test_regex_whitespace_is_str_isspace():
     # must not change from the str.isspace() stepping it replaced
     everything = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
+
+
+# ---------------------------------------------------------------------------
+# public constructors keep every check; the engine's own builders skip them
+
+
+def guarded(build):
+    try:
+        build()
+    except Exception as exc:
+        return (type(exc), str(exc))
+    return None
+
+
+P, Q = ground("p"), ground("q")
+
+# each bad input, with the exception class and message its public
+# constructor raises
+GUARDED = [
+    (lambda: Proposition(False, "Bad", ("x",)), StructureError, "bad predicate: 'Bad'"),
+    (lambda: Proposition(False, "p q", ()), StructureError, "bad predicate: 'p q'"),
+    (lambda: Proposition(False, "p", ("A",)), StructureError, "bad argument 'A' for p"),
+    (lambda: Proposition(False, "p", (1,)), StructureError, "bad argument 1 for p"),
+    (lambda: Proposition(False, "p", (Q,)), StructureError, f"bad argument {Q!r} for p"),
+    (
+        lambda: Proposition(False, "supports", (P,)),
+        StructureError,
+        "supports(...) takes exactly two propositions",
+    ),
+    (
+        lambda: Proposition(False, "supports", (P, Q, P)),
+        StructureError,
+        "supports(...) takes exactly two propositions",
+    ),
+    (
+        lambda: Proposition(False, "supports", (P, "q")),
+        StructureError,
+        "supports(...) takes exactly two propositions",
+    ),
+    (
+        lambda: Endorsement(T, SourceKind.ASSERTION),
+        StructureError,
+        "assertion endorsements need speaker and expertise",
+    ),
+    (
+        lambda: Endorsement(T, SourceKind.ASSERTION, speaker="S"),
+        StructureError,
+        "assertion endorsements need speaker and expertise",
+    ),
+    (
+        lambda: Endorsement(T, SourceKind.DERIVED),
+        StructureError,
+        "derived endorsements need a nonempty support set",
+    ),
+    (
+        lambda: Endorsement.derived(T, []),
+        StructureError,
+        "derived endorsements need a nonempty support set",
+    ),
+    (
+        lambda: EvidencePiece(rec(P), rec(supports_prop(P, Q).negate())),
+        StructureError,
+        "evidence relation must be a positive supports(...)",
+    ),
+    (
+        lambda: EvidencePiece(rec(P), rec(Q)),
+        StructureError,
+        "evidence relation must be a positive supports(...)",
+    ),
+    (
+        lambda: EvidencePiece(rec(P), rec(supports_prop(Q, P))),
+        StructureError,
+        "relation antecedent must match the believed proposition",
+    ),
+    (
+        lambda: kb_of(rec(P), rec(Q), rec(P, S)),
+        StructureError,
+        "duplicate belief in own beliefs: p(x)",
+    ),
+    (
+        lambda: kb_of(*(rec(P),) * 2),
+        StructureError,
+        "duplicate belief in own beliefs: p(x)",
+    ),
+    (
+        lambda: KnowledgeBase((), (rec(Q), rec(Q, W))),
+        StructureError,
+        "duplicate belief in user model: q(x)",
+    ),
+    (
+        lambda: kb_of(rec(P.negate()), rec(P)),
+        ContradictionError,
+        "own beliefs holds both p(x) and ¬p(x)",
+    ),
+    (
+        lambda: KnowledgeBase((), (rec(Q), rec(Q.negate()))),
+        ContradictionError,
+        "user model holds both q(x) and ¬q(x)",
+    ),
+    # own beliefs are checked before the user model
+    (
+        lambda: KnowledgeBase((rec(P), rec(P)), (rec(Q), rec(Q))),
+        StructureError,
+        "duplicate belief in own beliefs: p(x)",
+    ),
+    (
+        lambda: KnowledgeBase((rec(P), rec(P.negate())), (rec(Q), rec(Q))),
+        ContradictionError,
+        "own beliefs holds both p(x) and ¬p(x)",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, error, message", GUARDED)
+def test_public_constructors_keep_every_check(build, error, message):
+    assert guarded(build) == (error, message)
+
+
+# ---------------------------------------------------------------------------
+# value semantics of text-keyed propositions and shared endorsements
+
+
+VALUE_TEXTS = ["p", "~p", "p(a, b)", "~p(a)", "supports(p(a), ~q)", "~supports(~p(a), q)"]
+
+
+@pytest.mark.parametrize("text", VALUE_TEXTS)
+def test_proposition_is_its_text(text):
+    p = parse_proposition(text)
+    assert (p == str(p)) is False and (p != str(p)) is True
+    assert p != None  # noqa: E711
+    with pytest.raises(TypeError):
+        p < str(p)
+    assert hash(p) == hash(parse_proposition(str(p)))
+    assert p.negate().negate() == p
+    assert p.negate() is p.negate()
+    for copied in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == p and hash(copied) == hash(p)
+        assert copied.negate() == p.negate() and copied.negate().negate() == p
+
+
+def test_negation_is_cached_one_way():
+    # a link back from the negation would make every negated pair a cycle,
+    # which only the collector frees
+    gc.disable()
+    try:
+        p = parse_proposition("p(a)")
+        p.negate().negate().negate()
+        refs = [weakref.ref(p), weakref.ref(p.negate())]
+        del p
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_propositions_sort_by_rendered_text():
+    props = [parse_proposition(t) for t in VALUE_TEXTS]
+    props += [p.negate() for p in props] + [supports_prop(p, q) for p in props for q in props[:2]]
+    random.Random(0).shuffle(props)
+    assert sorted(props) == sorted(props, key=lambda p: p.render())
+    assert [p.render() for p in sorted(props)] == sorted(p.render() for p in props)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_plain_endorsements_are_shared(level):
+    for make, kind in ((Endorsement.kb_record, SourceKind.KB_RECORD),
+                       (Endorsement.stereotype, SourceKind.STEREOTYPE)):
+        assert make(level) == Endorsement(level, kind)
+        assert make(level) is make(level)
+        assert (make(level).level, make(level).kind) == (level, kind)

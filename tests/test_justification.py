@@ -13,6 +13,7 @@ from parley import (
     KnowledgeBase,
     NoSufficientJustification,
     StrengthLevel,
+    StructureError,
     VerdictOutcome,
     build_justification_chains,
     hearer_accepts,
@@ -57,6 +58,25 @@ class TestNeedsJustification:
         model = kb_of()
         assert hearer_accepts(model, CLAIM, (), "s", Expertise.NON_EXPERT, 2)
         assert not hearer_accepts(model, CLAIM, (), "s", Expertise.NON_EXPERT, 3)
+
+    @pytest.mark.parametrize(
+        "link, message",
+        [
+            (
+                JustificationLink(A, supports_prop(A, CLAIM).negate(), T, T),
+                "evidence relation must be a positive supports(...)",
+            ),
+            (
+                JustificationLink(A, supports_prop(B, CLAIM), T, T),
+                "relation antecedent must match the believed proposition",
+            ),
+        ],
+    )
+    def test_malformed_link_is_refused(self, link, message):
+        # a caller's link is checked as an EvidencePiece, never credited
+        with pytest.raises(StructureError) as exc:
+            hearer_accepts(kb_of(), CLAIM, (link,), "s", EXPERT, 1)
+        assert str(exc.value) == message
 
 
 class TestBuildChains:

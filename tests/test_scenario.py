@@ -5,12 +5,24 @@ import pytest
 
 from parley import (
     AgentSpec,
+    Belief,
+    Endorsement,
+    Expertise,
     KnowledgeBase,
     Proposition,
     Scenario,
     ScenarioError,
+    StrengthLevel,
     parse_scenario,
     render_scenario,
+)
+from parley.beliefs import proposition_parser
+from parley.scenario import (
+    _expect_list,
+    _expect_object,
+    _expect_str,
+    _parse_belief,
+    _parse_str,
 )
 from parley.trace import Trace
 
@@ -202,3 +214,116 @@ def test_one_object_per_text(which):
         scenario = parse_scenario(case.text)
     props = parsed_propositions(scenario)
     assert len({id(p) for p in props}) == len({p.render() for p in props})
+
+
+# ---------------------------------------------------------------------------
+# the belief parser's fast path against the checked parser it sits in front of
+
+
+def seed_parse_source(value, level, path, parse):
+    if isinstance(value, str):
+        if value == "kb-record":
+            return Endorsement.kb_record(level)
+        if value == "stereotype":
+            return Endorsement.stereotype(level)
+        raise ScenarioError(path, f"unknown source: {value!r}")
+    if isinstance(value, dict):
+        if set(value) == {"assertion"}:
+            fields = ("speaker", "expertise")
+            body = _expect_object(value["assertion"], f"{path}.assertion", set(fields), fields)
+            speaker = _expect_str(body["speaker"], f"{path}.assertion.speaker")
+            expertise = _parse_str(
+                body["expertise"], f"{path}.assertion.expertise", Expertise.parse
+            )
+            return Endorsement.assertion(level, speaker, expertise)
+        if set(value) == {"derived"}:
+            body = _expect_object(value["derived"], f"{path}.derived", {"from"})
+            props = _expect_list(body.get("from"), f"{path}.derived.from")
+            if not props:
+                raise ScenarioError(f"{path}.derived.from", "must not be empty")
+            support = [
+                _parse_str(p, f"{path}.derived.from[{i}]", parse)
+                for i, p in enumerate(props)
+            ]
+            return Endorsement.derived(level, support)
+        raise ScenarioError(path, "source object must be {'assertion': ...} or {'derived': ...}")
+    raise ScenarioError(path, f"bad source: {value!r}")
+
+
+def seed_parse_belief(value, path, parse):
+    fields = ("prop", "level", "source")
+    obj = _expect_object(value, path, set(fields), fields)
+    prop = _parse_str(obj["prop"], f"{path}.prop", parse)
+    level = _parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
+    return Belief(prop, seed_parse_source(obj["source"], level, f"{path}.source", parse))
+
+
+def belief_outcome(parse_belief, value):
+    try:
+        return parse_belief(value, "$.b", proposition_parser())
+    except ScenarioError as exc:
+        return (exc.path, str(exc))
+
+
+WELL_FORMED = {"prop": "~p(a, b)", "level": "strong", "source": "kb-record"}
+NOT_STRINGS = ([], {}, {"x": 1}, None, 1, 1.5, "", True)
+BAD_VALUES = {
+    "prop": (*NOT_STRINGS, "Bad(", "p(a", "p(a,)", "supports(p)", "~", "p q", " "),
+    "level": (*NOT_STRINGS, "severe", "WARRANTED", " strong", "kb-record"),
+    "source": (
+        *NOT_STRINGS,
+        "hearsay",
+        "KB-record",
+        "assertion",
+        "derived",
+        "strong",
+        {"assertion": {}},
+        {"assertion": []},
+        {"assertion": {"speaker": "S"}},
+        {"assertion": {"speaker": "", "expertise": "expert"}},
+        {"assertion": {"speaker": 1, "expertise": "expert"}},
+        {"assertion": {"speaker": "S", "expertise": "guru"}},
+        {"assertion": {"speaker": "S", "expertise": "expert", "x": 1}},
+        {"assertion": {"speaker": "S", "expertise": "expert"}, "derived": {"from": ["p"]}},
+        {"derived": {}},
+        {"derived": []},
+        {"derived": {"from": []}},
+        {"derived": {"from": "p"}},
+        {"derived": {"from": [1]}},
+        {"derived": {"from": ["Bad("]}},
+        {"derived": {"to": ["p"]}},
+    ),
+}
+MALFORMED_BELIEFS = [
+    *([], "p(a)", 1, None, True),
+    {},
+    {"prop": "p(a)", "level": "strong"},
+    {"prop": "p(a)", "source": "kb-record"},
+    {"level": "strong", "source": "kb-record"},
+    {**WELL_FORMED, "extra": "x"},
+    {"prop": "p(a)", "level": "strong", "sauce": "kb-record"},
+    *({**WELL_FORMED, key: bad} for key, values in BAD_VALUES.items() for bad in values),
+    # several faults: the first field checked is the one reported
+    {"prop": "Bad(", "level": [], "source": "hearsay"},
+    {"prop": "p(a)", "level": {"x": 1}, "source": {}},
+    {"prop": [], "level": "strong", "source": None},
+]
+
+
+@pytest.mark.parametrize("value", MALFORMED_BELIEFS, ids=repr)
+def test_belief_fast_path_reports_as_the_seed_parser(value):
+    # "level": [] and {"x": 1} must not reach a lookup that hashes them
+    seed = belief_outcome(seed_parse_belief, value)
+    assert isinstance(seed, tuple)
+    assert belief_outcome(_parse_belief, value) == seed
+
+
+@pytest.mark.parametrize("source", ["kb-record", "stereotype"])
+@pytest.mark.parametrize("level", ["weak", "strong", "warranted"])
+@pytest.mark.parametrize("prop", ["p", "~p(a, b)", "¬ p ( a )", "supports(~q(a), p(b))"])
+def test_belief_fast_path_builds_what_the_seed_parser_builds(source, level, prop):
+    value = {"source": source, "level": level, "prop": prop}
+    fast, seed = belief_outcome(_parse_belief, value), belief_outcome(seed_parse_belief, value)
+    assert fast == seed
+    # one shared endorsement per plain source and level
+    assert fast.endorsement is seed.endorsement

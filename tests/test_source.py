@@ -108,3 +108,18 @@ def test_every_module_level_definition_is_used():
         and not any(stmt.name in names for key, names in refs.items() if key != (name, i))
     ]
     assert unused == []
+
+
+def test_trusted_construction_stays_in_beliefs():
+    # objects built without their checks are built in one module, from parts
+    # that module has checked; every other module goes through its builders
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+    assert found and all(site.startswith("beliefs.py:") for site in found), found

@@ -5,9 +5,12 @@ its per-operation counts are exact, so pinning them catches an algorithmic
 regression without any timing.
 """
 
+import json
+import random
+
 import pytest
 
-from parley import beliefs
+from parley import beliefs, parse_scenario
 from parley.trace import Trace
 
 from conftest import load_bench, load_bundled, run_scenario
@@ -71,3 +74,73 @@ def test_bundled_negotiation_never_reads_stores_in_text_order(name, monkeypatch)
     scenario = load_bundled(name)
     run_scenario(scenario, Trace())
     assert reads == []
+
+
+# Endorsement.__post_init__ calls during one negotiation of each bundled
+# scenario: the assertion and derived endorsements the dialogue creates
+ENDORSEMENT_CHECKS = {
+    "both": 54,
+    "evidence": 47,
+    "nest": 67,
+    "smith": 47,
+    "tie": 3,
+    "visit": 45,
+}
+
+
+def count_checks(monkeypatch, *classes) -> dict:
+    calls = {cls.__name__: 0 for cls in classes}
+    for cls in classes:
+        check = cls.__post_init__
+
+        def counted(self, check=check, name=cls.__name__):
+            calls[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+def filler_document(n: int, seed: int = 0) -> str:
+    """A small dispute whose evaluator also holds ``n`` unrelated plain
+    beliefs, two thirds literals and one third relations between them."""
+    rng = random.Random(seed)
+    levels = ("weak", "strong", "warranted")
+    literals, beliefs, relations = [], [], set()
+    for i in range(n):
+        if i % 3 == 2:
+            prop = "supports({}, {})".format(*rng.sample(literals, 2))
+            while prop in relations:
+                prop = "supports({}, {})".format(*rng.sample(literals, 2))
+            relations.add(prop)
+        else:
+            prop = f"{'~' if rng.random() < 0.5 else ''}fact{i}(e{rng.randrange(50)})"
+            literals.append(prop)
+        source = rng.choice(["kb-record", "stereotype"])
+        beliefs.append({"prop": prop, "level": rng.choice(levels), "source": source})
+    beliefs.append({"prop": "~teaches(smith, ai)", "level": "strong", "source": "kb-record"})
+    doc = {
+        "v": 1,
+        "agents": [
+            {"id": "U", "expertise": "non-expert", "beliefs": []},
+            {"id": "S", "expertise": "expert", "beliefs": beliefs},
+        ],
+        "proposal": {"prop": "teaches(smith, ai)", "assertedLevel": "strong"},
+    }
+    return json.dumps(doc)
+
+
+def test_parsing_plain_beliefs_runs_no_constructor_check(monkeypatch):
+    text = filler_document(1_500)
+    calls = count_checks(monkeypatch, beliefs.Endorsement, beliefs.Proposition)
+    scenario = parse_scenario(text)
+    assert len(scenario.evaluator.kb.own) == 1_501
+    assert calls == {"Endorsement": 0, "Proposition": 0}
+
+
+@pytest.mark.parametrize("name", sorted(ENDORSEMENT_CHECKS))
+def test_bundled_negotiation_endorsement_checks(name, monkeypatch):
+    scenario = load_bundled(name)
+    calls = count_checks(monkeypatch, beliefs.Endorsement)
+    run_scenario(scenario, Trace())
+    assert calls["Endorsement"] == ENDORSEMENT_CHECKS[name]
