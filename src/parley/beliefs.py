@@ -311,6 +311,7 @@ class Endorsement:
     support: frozenset = frozenset()
 
     def __post_init__(self) -> None:
+        _check_level(self.level)
         object.__setattr__(self, "support", frozenset(self.support))
         if self.kind is SourceKind.ASSERTION:
             if self.speaker is None or self.expertise is None:
@@ -320,11 +321,11 @@ class Endorsement:
 
     @classmethod
     def kb_record(cls, level: StrengthLevel) -> "Endorsement":
-        return _PLAIN[SourceKind.KB_RECORD, level]
+        return _PLAIN[SourceKind.KB_RECORD, _check_level(level)]
 
     @classmethod
     def stereotype(cls, level: StrengthLevel) -> "Endorsement":
-        return _PLAIN[SourceKind.STEREOTYPE, level]
+        return _PLAIN[SourceKind.STEREOTYPE, _check_level(level)]
 
     @classmethod
     def assertion(
@@ -335,6 +336,14 @@ class Endorsement:
     @classmethod
     def derived(cls, level: StrengthLevel, support: Iterable[Proposition]) -> "Endorsement":
         return cls(level, SourceKind.DERIVED, support=frozenset(support))
+
+
+def _check_level(level: StrengthLevel) -> StrengthLevel:
+    # an int or a bool compares and hashes equal to a level, so only the
+    # type tells them apart
+    if not isinstance(level, StrengthLevel):
+        raise StructureError(f"endorsement level must be a StrengthLevel, got {level!r}")
+    return level
 
 
 # the endorsements with neither speaker nor support, one shared instance each
@@ -449,8 +458,8 @@ class KnowledgeBase:
     its order means nothing, and ``own`` and ``user_model`` sort it by text
     on every read, for output.  All update helpers return a new instance;
     instances are never mutated.  An update copies only the side it writes,
-    in O(n), and re-validates nothing: it drops the proposition (and, on
-    add, its negation) before inserting.
+    once, in O(n), and re-validates nothing: a removal drops every
+    proposition it is given; an add drops the negation and then inserts.
     """
 
     _own: dict
@@ -489,28 +498,28 @@ class KnowledgeBase:
         return _trusted(self._model, {}, Expertise.EXPERT)
 
     def own_add(self, belief: Belief) -> "KnowledgeBase":
-        return self._write(True, belief.prop, belief)
+        return self._write(True, (belief.prop.negate(),), belief)
 
-    def own_remove(self, prop: Proposition) -> "KnowledgeBase":
-        return self._write(True, prop)
+    def own_remove(self, *props: Proposition) -> "KnowledgeBase":
+        return self._write(True, props)
 
     def model_add(self, belief: Belief) -> "KnowledgeBase":
-        return self._write(False, belief.prop, belief)
+        return self._write(False, (belief.prop.negate(),), belief)
 
-    def model_remove(self, prop: Proposition) -> "KnowledgeBase":
-        return self._write(False, prop)
+    def model_remove(self, *props: Proposition) -> "KnowledgeBase":
+        return self._write(False, props)
 
     def _write(
-        self, own: bool, prop: Proposition, belief: Optional[Belief] = None
+        self, own: bool, dropped: Iterable[Proposition], belief: Optional[Belief] = None
     ) -> "KnowledgeBase":
-        """This store with one side (``own`` or the user model) patched:
-        ``prop`` dropped or, given ``belief``, ``prop`` and its negation
-        dropped and ``belief`` inserted."""
+        """This store with one side (``own`` or the user model) patched in
+        one copy: ``dropped`` removed, then ``belief``, if given, inserted
+        in place of any belief in the same proposition."""
         side = dict(self._own if own else self._model)
-        side.pop(prop, None)
+        for prop in dropped:
+            side.pop(prop, None)
         if belief is not None:
-            side.pop(prop.negate(), None)
-            side[prop] = belief
+            side[belief.prop] = belief
         if own:
             return _trusted(side, self._model, self.expertise)
         return _trusted(self._own, side, self.expertise)
@@ -787,42 +796,44 @@ def minimal_subsets(
 
 
 def _adopt(
-    kb: KnowledgeBase, prop: Proposition, evidence: Iterable[EvidencePiece]
+    kb: KnowledgeBase, prop: Proposition, evidence: Sequence[EvidencePiece]
 ) -> KnowledgeBase:
-    relevant = [pc for pc in evidence if pc.consequent == prop]
+    """``kb`` holding ``prop`` at the strength of the strongest piece of
+    ``evidence``, all of which counts for ``prop``."""
     prior = kb.own_belief(prop)
-    if not relevant:
+    if not evidence:
         if prior is None:
             raise ContractViolation(f"cannot adopt {prop} with no evidence and no prior")
-        return kb.own_remove(prop.negate()) if kb.holds(prop.negate()) else kb
-    win = min(max(piece_strength(pc) for pc in relevant), StrengthLevel.WARRANTED)
+        return kb
+    win = min(max(piece_strength(pc) for pc in evidence), StrengthLevel.WARRANTED)
     if prior is not None and prior.endorsement.level >= win:
         return kb
-    basis = {pc.belief.prop for pc in relevant if pc.belief.prop != prop}
+    basis = {pc.belief.prop for pc in evidence if pc.belief.prop != prop}
     if basis:
         endorsement = Endorsement.derived(win, basis)
     else:
         # bare assertion: keep the assertion provenance rather than a
         # self-referential derivation
-        direct = max(relevant, key=piece_strength)
+        direct = max(evidence, key=piece_strength)
         endorsement = replace(direct.belief.endorsement, level=win)
     return kb.own_add(Belief(prop, endorsement))
 
 
 def assimilate(kb: KnowledgeBase, verdict: Verdict, target: Proposition) -> KnowledgeBase:
-    """Fold a revision verdict into the store.
+    """Fold into the store a verdict on ``target`` shaped as :func:`revise`
+    gives one: its support pieces count for ``target``, its attack pieces
+    for the negation.
 
     Accepting adopts the target (at the winning strength, derived from the
-    evidence the verdict credited) and drops its negation; rejecting does
-    the mirror image; abandoning removes the target without endorsing its
-    negation.
+    support pieces) and drops its negation; rejecting does the mirror image
+    from the attack pieces; abandoning removes the target without endorsing
+    its negation.
     """
-    evidence = verdict.support_pieces + verdict.attack_pieces
     if verdict.outcome is VerdictOutcome.ACCEPT:
-        return _adopt(kb, target, evidence)
+        return _adopt(kb, target, verdict.support_pieces)
     if verdict.outcome is VerdictOutcome.REJECT:
-        kb = kb.own_remove(target)
-        return _adopt(kb, target.negate(), evidence)
+        # adding the negation drops the target, if it is held at all
+        return _adopt(kb, target.negate(), verdict.attack_pieces)
     if verdict.outcome is VerdictOutcome.ABANDON:
         return kb.own_remove(target)
     raise ContractViolation("an uncertain verdict cannot be assimilated")

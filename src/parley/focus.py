@@ -59,10 +59,8 @@ def predict(
         for pc in hypothesized
         if pc.belief.prop not in closure and pc.relation.prop not in closure
     ]
-    pruned = model
-    for prop in sorted(closure):
-        if prop != target:
-            pruned = pruned.own_remove(prop)
+    dropped = closure - {target}
+    pruned = model.own_remove(*dropped) if dropped else model
     verdict = revise(pruned, target, hyp, tau)
     record_verdict(trace, agent, target, verdict, note, removed=removed)
     return verdict

@@ -88,12 +88,12 @@ def build_justification_chains(
     tau: int = 1,
     *,
     speaker: str,
-    expertise: Expertise,
     _path: frozenset = frozenset(),
 ) -> tuple[JustificationLink, ...]:
-    """Every way the speaker's own evidence can back ``claim`` for this
-    hearer.  Links the hearer would reject bare are justified recursively;
-    evidence with no convincing story behind it is dropped."""
+    """Every way the evidence in the speaker's store ``kb`` can back
+    ``claim`` for the hearer ``model``.  Links the hearer would reject bare
+    are justified recursively; evidence with no convincing story is dropped."""
+    expertise = kb.expertise
     path = _path | {claim}
     chains: list[JustificationLink] = []
     for piece in build_evidence_set(kb, claim):
@@ -106,9 +106,7 @@ def build_justification_chains(
         if hearer_accepts(model, prop, (), speaker, expertise, tau):
             chains.append(JustificationLink(prop, piece.relation.prop, *levels))
             continue
-        sub = build_justification_chains(
-            kb, model, prop, tau, speaker=speaker, expertise=expertise, _path=path
-        )
+        sub = build_justification_chains(kb, model, prop, tau, speaker=speaker, _path=path)
         children = next(
             minimal_subsets(
                 sub, lambda combo: hearer_accepts(model, prop, combo, speaker, expertise, tau)
@@ -130,9 +128,8 @@ def select_justification(
     speaker: str,
     expertise: Expertise,
     trace=None,
-    agent: str = "",
 ) -> tuple[JustificationLink, ...]:
-    """Pick the bundle of chains to actually utter.
+    """Pick the bundle of chains the speaker utters.
 
     A bundle survives when presenting its direct evidence with the claim
     makes the hearer accept and no smaller surviving bundle lies inside it.
@@ -176,7 +173,7 @@ def select_justification(
             ]
         trace.emit(
             "heuristic",
-            agent=agent,
+            agent=speaker,
             claim=claim.render(),
             chosen=[c.key()[0] for c in best],
             candidates=len(survivors),

@@ -208,8 +208,7 @@ def _hypothetical_concession(
     model: KnowledgeBase, member: Proposition, claim: Proposition, level: StrengthLevel
 ) -> KnowledgeBase:
     """Working copy of the hearer model assuming the pending claim lands."""
-    for prop in sorted(removal_closure(model, (member,))):
-        model = model.own_remove(prop)
+    model = model.own_remove(*removal_closure(model, (member,)))
     return model.own_add(Belief(claim, Endorsement.stereotype(level)))
 
 
@@ -377,7 +376,7 @@ def _handle_rejection(
         chains = ()
         if not hearer_accepts(working, claim, (), evaluator, expertise, tau):
             pool = build_justification_chains(
-                session.kbs[evaluator], working, claim, tau, speaker=evaluator, expertise=expertise
+                session.kbs[evaluator], working, claim, tau, speaker=evaluator
             )
             try:
                 chains = select_justification(
@@ -388,7 +387,6 @@ def _handle_rejection(
                     speaker=evaluator,
                     expertise=expertise,
                     trace=session.trace,
-                    agent=evaluator,
                 )
             except NoSufficientJustification:
                 return _concede(session, evaluator, proposer, tree)

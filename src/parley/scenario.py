@@ -102,10 +102,9 @@ def _parse_source(
     value: Any, level: StrengthLevel, path: str, parse: Callable[[str], Proposition]
 ) -> Endorsement:
     if isinstance(value, str):
-        if value == "kb-record":
-            return Endorsement.kb_record(level)
-        if value == "stereotype":
-            return Endorsement.stereotype(level)
+        # a plain source never gets here: the fast path of ``_parse_belief``
+        # reads every belief whose prop and level parse, and only a dict or
+        # str subclass could miss it, which ``json.loads`` never makes
         raise ScenarioError(path, f"unknown source: {value!r}")
     if isinstance(value, dict):
         if set(value) == {"assertion"}:

@@ -183,6 +183,19 @@ class TestEndorsements:
         with pytest.raises(StructureError):
             Endorsement.derived(T, [])
 
+    @pytest.mark.parametrize("level", ["strong", 2, None, True])
+    def test_level_must_be_a_strength_level(self, level):
+        builders = (
+            lambda: Endorsement(level, SourceKind.KB_RECORD),
+            lambda: Endorsement.kb_record(level),
+            lambda: Endorsement.stereotype(level),
+            lambda: Endorsement.assertion(level, "s", Expertise.EXPERT),
+            lambda: Endorsement.derived(level, [ground("p")]),
+        )
+        for build in builders:
+            with pytest.raises(StructureError, match="must be a StrengthLevel"):
+                build()
+
     def test_assertion_strength_by_expertise(self):
         assert assertion_strength(Expertise.EXPERT) is T
         assert assertion_strength(Expertise.NON_EXPERT) is S
@@ -465,8 +478,15 @@ def test_store_writes_match_fresh_construction(seed):
             ref[prop] = belief
             kb = getattr(kb, writer)(belief)
         else:
-            ref.pop(prop, None)
-            kb = getattr(kb, writer)(prop)
+            # a removal set, in any order and possibly repeating, goes in
+            # one write; it must match dropping its members one at a time
+            props = rng.choices(universe, k=rng.randint(0, 3))
+            one_by_one = kb
+            for prop in props:
+                ref.pop(prop, None)
+                one_by_one = getattr(one_by_one, writer)(prop)
+            kb = getattr(kb, writer)(*props)
+            assert kb == one_by_one
         fresh = KnowledgeBase(
             own=tuple(sides[True].values()),
             user_model=tuple(sides[False].values()),

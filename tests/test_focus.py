@@ -76,12 +76,17 @@ class TestPredict:
         (record,) = trace.by_kind("predict")
         assert record.payload["removed"] == ["a(x)"]
 
-    def test_trace_lists_removed_in_text_order(self):
+    @pytest.mark.parametrize(
+        "removed, names",
+        [([R, A], ["a(x)", "r(x)"]), ([R, Q, A], ["a(x)", "q(x)", "r(x)"]),
+         ([Q, R, A], ["a(x)", "q(x)", "r(x)"])],
+    )
+    def test_trace_lists_removed_in_text_order(self, removed, names):
         trace = Trace()
-        model = kb_of(rec(A), rec(R), der(TGT, S, A, R))
-        predict(model, TGT, removed=[R, A], trace=trace)
+        model = kb_of(rec(A), rec(Q), rec(R), der(TGT, S, A, Q, R))
+        predict(model, TGT, removed=removed, trace=trace)
         (record,) = trace.by_kind("predict")
-        assert record.payload["removed"] == ["a(x)", "r(x)"]
+        assert record.payload["removed"] == names
 
 
 class TestSelectMinSet:

@@ -81,7 +81,7 @@ class TestNeedsJustification:
 
 class TestBuildChains:
     def build(self, kb, model, claim=CLAIM):
-        return build_justification_chains(kb, model, claim, speaker="s", expertise=EXPERT)
+        return build_justification_chains(kb, model, claim, speaker="s")
 
     def test_direct_link_when_hearer_takes_it_bare(self):
         kb = kb_of(*backing(CLAIM, A))
@@ -89,6 +89,15 @@ class TestBuildChains:
         assert chain.prop == A
         assert chain.children == ()
         assert (chain.belief_level, chain.relation_level) == (T, T)
+
+    def test_speaker_expertise_comes_from_its_store(self):
+        # the hearer holds ¬a strongly: an expert's bare word outweighs
+        # that, a non-expert's only ties it, and the store holds nothing
+        # more to back a with
+        model = kb_of(rec(A.negate(), S))
+        for expertise, props in ((EXPERT, [A]), (Expertise.NON_EXPERT, [])):
+            kb = KnowledgeBase(own=backing(CLAIM, A), expertise=expertise)
+            assert [chain.prop for chain in self.build(kb, model)] == props
 
     def test_contested_evidence_justified_recursively(self):
         kb = kb_of(*backing(CLAIM, A), *backing(A, B))
@@ -116,7 +125,7 @@ class TestBuildChains:
 class TestSelectJustification:
     def select(self, chains, model, trace=None):
         return select_justification(
-            chains, model, CLAIM, speaker="s", expertise=EXPERT, trace=trace, agent="s"
+            chains, model, CLAIM, speaker="s", expertise=EXPERT, trace=trace
         )
 
     def choose(self, chains, model):
@@ -400,7 +409,7 @@ def test_select_justification_matches_seed_algorithm():
                 )
             continue
         chosen = select_justification(
-            chains, model, CLAIM, tau, speaker="s", expertise=expertise, trace=trace, agent="s"
+            chains, model, CLAIM, tau, speaker="s", expertise=expertise, trace=trace
         )
         assert chosen == tuple(want), case
         (heuristic,) = trace.by_kind("heuristic")

@@ -319,10 +319,11 @@ def test_other_trace_records_have_exact_keys():
     assert seen == set(TRACE_RECORDS)
 
 
-def dialogue(proposer, evaluator, proposal, tau: int = 1):
-    """A scenario in which A proposes to B.  Each agent is ``(expertise,
-    beliefs)``; a belief is ``(prop, level)``, recorded, or ``(prop, level,
-    source)``; a proposal node is ``(prop, level, children)``."""
+def dialogue(proposer, evaluator, proposal, tau: int = 1, ids=("A", "B")):
+    """A scenario in which A proposes to B, or ``ids`` to each other.  Each
+    agent is ``(expertise, beliefs)``; a belief is ``(prop, level)``,
+    recorded, or ``(prop, level, source)``; a proposal node is ``(prop,
+    level, children)``."""
 
     def agent(agent_id, expertise, beliefs):
         beliefs = [
@@ -336,7 +337,7 @@ def dialogue(proposer, evaluator, proposal, tau: int = 1):
 
     doc = {
         "v": 1,
-        "agents": [agent("A", *proposer), agent("B", *evaluator)],
+        "agents": [agent(ids[0], *proposer), agent(ids[1], *evaluator)],
         "proposal": node(*proposal),
         "config": {"tau": tau, "maxDepth": 16},
     }
@@ -525,3 +526,54 @@ def test_disputed_ratification_asks_for_information():
     # A withdrew r and heard ¬r, but took neither side
     assert not t.final_beliefs["A"].holds(parse_proposition("r(x)"))
     assert not t.final_beliefs["A"].holds(parse_proposition("~r(x)"))
+
+
+def test_disputed_correction_is_proposed_by_the_corrector():
+    # P gives up m and rejects its own r, adopting ¬r derived from r alone.
+    # Hearing E's correction ¬r, P scores it 2 to 2 and finds its own ¬r
+    # baseless, so the ratification hearing abandons rather than accepts,
+    # and E proposes ¬r itself
+    scenario = dialogue(
+        (
+            "expert",
+            [
+                ("r", "warranted", {"derived": {"from": ["q"]}}),
+                ("supports(r, ~r)", "strong"),
+                ("x", "weak"),
+                ("supports(x, r)", "strong"),
+                ("supports(~r, r)", "weak"),
+            ],
+        ),
+        (
+            "non-expert",
+            [
+                ("~r", "warranted"),
+                ("~m", "warranted"),
+                ("y", "strong"),
+                ("supports(y, ~m)", "strong"),
+                ("supports(~m, ~r)", "weak"),
+            ],
+        ),
+        ("r", "weak", [("m", "strong")]),
+        ids=("P", "E"),
+    )
+    trace = Trace()
+    t = run_scenario(scenario, trace)
+    assert t.realize() == [
+        "P: PROPOSE r ⊣ m",
+        "E: INFORM ¬m",
+        "E: INFORM y",
+        "E: INFORM supports(y, ¬m)",
+        "P: ACCEPT ¬m",
+        "E: PROPOSE ¬r",
+        "P: ACCEPT ¬r",
+    ]
+    assert (t.outcome, t.depth, t.rounds) == ("concession:P", 1, 3)
+    assert t.ratified_root == parse_proposition("~r")
+    # the ratification hearing, then _settle hearing the same tree again
+    heard = [
+        (r.step, r.payload["outcome"], r.payload["supportScore"], r.payload["attackScore"])
+        for r in trace.by_kind("revise")
+        if r.payload["agent"] == "P" and r.payload["target"] == "¬r"
+    ]
+    assert heard == [(22, "abandon", 2, 2), (24, "abandon", 2, 2)]

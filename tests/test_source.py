@@ -123,3 +123,15 @@ def test_trusted_construction_stays_in_beliefs():
         and node.value.id == "object"
     ]
     assert found and all(site.startswith("beliefs.py:") for site in found), found
+
+
+def test_store_sides_are_read_in_beliefs_only():
+    # a store's two dicts are its representation: other modules go through
+    # its lookups and writers, so an index over a side can change one module
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("_own", "_model")
+    ]
+    assert found and all(site.startswith("beliefs.py:") for site in found), found
