@@ -342,7 +342,7 @@ def _check_level(level: StrengthLevel) -> StrengthLevel:
     # an int or a bool compares and hashes equal to a level, so only the
     # type tells them apart
     if not isinstance(level, StrengthLevel):
-        raise StructureError(f"endorsement level must be a StrengthLevel, got {level!r}")
+        raise StructureError(f"level must be a StrengthLevel, got {level!r}")
     return level
 
 
@@ -358,10 +358,6 @@ _PLAIN = {
 class Belief:
     prop: Proposition
     endorsement: Endorsement
-
-    @property
-    def rank(self) -> int:
-        return int(self.endorsement.level)
 
 
 @dataclass(frozen=True)
@@ -569,7 +565,7 @@ class Verdict:
             ranks.append(self.prior_support.endorsement.level)
         if not ranks:
             raise ContractViolation("no credited evidence on the winning side")
-        return min(max(ranks), StrengthLevel.WARRANTED)
+        return max(ranks)
 
 
 def build_evidence_set(
@@ -689,9 +685,9 @@ def revise_detail(
     support_score = sum(int(piece_strength(pc)) for pc in support)
     attack_score = sum(int(piece_strength(pc)) for pc in attack)
     if t_counts:
-        support_score += prior_t.rank
+        support_score += prior_t.endorsement.level
     if n_counts:
-        attack_score += prior_n.rank
+        attack_score += prior_n.endorsement.level
 
     if support_score - attack_score >= tau:
         outcome = VerdictOutcome.ACCEPT
@@ -805,7 +801,7 @@ def _adopt(
         if prior is None:
             raise ContractViolation(f"cannot adopt {prop} with no evidence and no prior")
         return kb
-    win = min(max(piece_strength(pc) for pc in evidence), StrengthLevel.WARRANTED)
+    win = max(piece_strength(pc) for pc in evidence)
     if prior is not None and prior.endorsement.level >= win:
         return kb
     basis = {pc.belief.prop for pc in evidence if pc.belief.prop != prop}

@@ -23,6 +23,7 @@ from .beliefs import (
     StructureError,
     Verdict,
     VerdictOutcome,
+    _check_level,
     assimilate,
     presented_case,
     record_verdict,
@@ -40,6 +41,7 @@ class ProposalNode:
     children: tuple["ProposalNode", ...] = ()
 
     def __post_init__(self) -> None:
+        _check_level(self.asserted_level)
         object.__setattr__(self, "children", tuple(self.children))
 
     def relation_to(self, child: "ProposalNode") -> Proposition:
@@ -189,9 +191,10 @@ def evaluate_proposal(
             if lookup:
                 # a held relation is its own evidence, at the level held
                 if held is not None:
-                    rel_verdict = Verdict(VerdictOutcome.ACCEPT, held.rank, 0, prior_support=held)
+                    level = held.endorsement.level
+                    rel_verdict = Verdict(VerdictOutcome.ACCEPT, level, 0, prior_support=held)
                 else:
-                    rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.rank)
+                    rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.endorsement.level)
                 record_verdict(trace, agent, relation, rel_verdict, method="lookup")
             else:
                 rel_verdict = revise_detail(
@@ -215,13 +218,13 @@ def evaluate_proposal(
 
 
 def assimilate_evaluated(
-    kb: KnowledgeBase, evaluated: EvaluatedNode, *, proposer: str, proposer_expertise: Expertise
+    kb: KnowledgeBase, evaluated: EvaluatedNode
 ) -> tuple[KnowledgeBase, tuple[Proposition, ...]]:
     """Fold an accepted proposal into the store, bottom-up.
 
-    Only callable when the root was accepted.  Accepted subtrees are adopted
-    at their granted strengths; relations the evaluator newly accepted are
-    adopted as assertions; nothing is taken from rejected branches.
+    Only callable when the root was accepted.  Accepted nodes, and relations
+    accepted by revision, are each adopted from their own verdict by
+    :func:`assimilate`; nothing is taken from rejected branches.
     Returns the updated store and every proposition now agreed to.
     """
     if not evaluated.accepted:
@@ -234,10 +237,8 @@ def assimilate_evaluated(
                 kb = walk(kb, child.evaluated)
             if child.relation_accepted:
                 agreed.append(child.relation)
-                if not child.relation_lookup and not kb.holds(child.relation):
-                    level = child.relation_verdict.accepted_strength()
-                    endorsement = Endorsement.assertion(level, proposer, proposer_expertise)
-                    kb = kb.own_add(Belief(child.relation, endorsement))
+                if not child.relation_lookup:
+                    kb = assimilate(kb, child.relation_verdict, child.relation)
         agreed.append(ev.prop)
         return assimilate(kb, ev.verdict, ev.prop)
 

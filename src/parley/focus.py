@@ -183,21 +183,19 @@ def select_focus_modification(
         )
         return flips(verdict)
 
-    def relation_focus(child) -> Optional[frozenset]:
-        both_sides = presented_case(
-            child.relation, proposer, proposer_expertise
-        ) + _standing_attack(kb, child.relation, agent)
-        if flipped(child.relation, both_sides, (), "relation"):
-            return frozenset({child.relation})
-        return None
+    def head_on(prop: Proposition, note: str) -> Optional[frozenset]:
+        """``{prop}`` when the proposer's bare assertion of ``prop`` loses to
+        this agent's standing case against it, else None."""
+        case = presented_case(prop, proposer, proposer_expertise)
+        case += _standing_attack(kb, prop, agent)
+        return frozenset({prop}) if flipped(prop, case, (), note) else None
 
     def walk(ev: EvaluatedNode) -> Optional[frozenset]:
+        if not ev.children:
+            return emit(ev.prop, "leaf", head_on(ev.prop, "leaf"))
+
         presented = _asserted_evidence(ev, proposer, proposer_expertise)
         both_sides = presented + _standing_attack(kb, ev.prop, agent)
-        if not ev.children:
-            focus = frozenset({ev.prop}) if flipped(ev.prop, both_sides, (), "leaf") else None
-            return emit(ev.prop, "leaf", focus)
-
         member_focus: dict[Proposition, frozenset] = {}
         for child in ev.children:
             if child.counted:
@@ -206,9 +204,9 @@ def select_focus_modification(
                 focus = walk(child.evaluated)
                 if focus is None and not child.relation_accepted:
                     # belief cannot be shaken; see whether the link can
-                    focus = relation_focus(child)
+                    focus = head_on(child.relation, "relation")
             else:
-                focus = emit(child.relation, "relation", relation_focus(child))
+                focus = emit(child.relation, "relation", head_on(child.relation, "relation"))
             if focus is not None:
                 member_focus[child.evaluated.prop] = focus
 

@@ -51,12 +51,6 @@ class JustificationLink:
             yield link
             stack.extend(reversed(link.children))
 
-    def min_confidence(self) -> StrengthLevel:
-        return min(min(link.belief_level, link.relation_level) for link in self.walk())
-
-    def belief_count(self) -> int:
-        return sum(1 for _ in self.walk())
-
     def key(self) -> tuple[str, ...]:
         return tuple(link.prop.render() for link in self.walk())
 
@@ -146,17 +140,17 @@ def select_justification(
         raise NoSufficientJustification(f"no sufficient justification for {claim}")
 
     def score(combo):
+        links = [link for chain in combo for link in chain.walk()]
         fresh = sum(
             1
-            for chain in combo
-            for link in chain.walk()
+            for link in links
             if model.own_belief(link.prop) is None
             and model.own_belief(link.prop.negate()) is None
         )
         return (
-            -int(min(c.min_confidence() for c in combo)),
+            -int(min(min(link.belief_level, link.relation_level) for link in links)),
             -fresh,
-            sum(c.belief_count() for c in combo),
+            len(links),
             tuple(c.key() for c in combo),
         )
 

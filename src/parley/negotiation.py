@@ -243,12 +243,7 @@ def _hear(session: _Session, speaker: str, hearer: str, tree: ProposalNode) -> E
 
 def _agree(session: _Session, speaker: str, hearer: str, evaluated: EvaluatedNode) -> None:
     """The hearer adopts the accepted proposal; the speaker sees it agree."""
-    session.kbs[hearer], agreed = assimilate_evaluated(
-        session.kbs[hearer],
-        evaluated,
-        proposer=speaker,
-        proposer_expertise=session.expertise(speaker),
-    )
+    session.kbs[hearer], agreed = assimilate_evaluated(session.kbs[hearer], evaluated)
     _observe_acceptance(session, speaker, hearer, agreed)
 
 
@@ -303,8 +298,15 @@ def negotiate(
 
 
 def _settle(
-    session: _Session, proposer: str, evaluator: str, tree: ProposalNode, depth: int
+    session: _Session,
+    proposer: str,
+    evaluator: str,
+    tree: ProposalNode,
+    depth: int,
+    heard: Optional[EvaluatedNode] = None,
 ) -> _Step:
+    """Negotiate ``tree`` until it settles or stalls; the first round uses
+    ``heard``, the evaluator's judgement of ``tree``, if it was made already."""
     if depth > session.config.max_depth:
         raise DepthExceededError(f"nesting exceeded {session.config.max_depth}")
     session.depth_max = max(session.depth_max, depth)
@@ -317,7 +319,7 @@ def _settle(
         if guard > 256:
             raise ContractViolation("negotiation round failed to terminate")
         session.rounds += 1
-        evaluated = _hear(session, proposer, evaluator, current)
+        evaluated = heard if heard is not None else _hear(session, proposer, evaluator, current)
         outcome = evaluated.verdict.outcome
 
         if outcome is VerdictOutcome.ACCEPT:
@@ -333,8 +335,7 @@ def _settle(
         step = _handle_rejection(session, proposer, evaluator, current, evaluated, depth)
         if step.kind != "retry":
             return step
-        current = step.tree
-        fresh = False
+        current, fresh, heard = step.tree, False, None
 
 
 def _handle_rejection(
@@ -465,4 +466,4 @@ def _handle_rejection(
     # the correction itself is disputed: the corrector must defend it
     session.act(ActKind.PROPOSE, evaluator, proposal=corrected_tree)
     session.already_presented(evaluator, corrected, corrected_tree.props())
-    return _settle(session, evaluator, proposer, corrected_tree, depth)
+    return _settle(session, evaluator, proposer, corrected_tree, depth, heard=ratified)

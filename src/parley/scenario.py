@@ -26,6 +26,7 @@ from .beliefs import (
     proposition_parser,
 )
 from .evaluation import ProposalNode, validate_tree
+from .negotiation import NegotiationConfig
 
 FORMAT_VERSION = 1
 
@@ -48,8 +49,8 @@ class AgentSpec:
 class Scenario:
     agents: tuple[AgentSpec, AgentSpec]
     proposal: ProposalNode
-    tau: int = 1
-    max_depth: int = 16
+    tau: int = NegotiationConfig.tau
+    max_depth: int = NegotiationConfig.max_depth
 
     @property
     def proposer(self) -> AgentSpec:
@@ -219,19 +220,16 @@ def _parse_document(text: str) -> Scenario:
     except StructureError as exc:
         raise ScenarioError("$.proposal", str(exc)) from None
 
-    tau, max_depth = 1, 16
+    limits = {"tau": NegotiationConfig.tau, "maxDepth": NegotiationConfig.max_depth}
     if "config" in obj:
-        config = _expect_object(obj["config"], "$.config", {"tau", "maxDepth"})
-        if "tau" in config:
-            tau = config["tau"]
-            if not isinstance(tau, int) or isinstance(tau, bool) or tau < 1:
-                raise ScenarioError("$.config.tau", "must be an integer >= 1")
-        if "maxDepth" in config:
-            max_depth = config["maxDepth"]
-            if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
-                raise ScenarioError("$.config.maxDepth", "must be an integer >= 1")
+        config = _expect_object(obj["config"], "$.config", set(limits))
+        for key in limits:
+            value = config.get(key, limits[key])
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ScenarioError(f"$.config.{key}", "must be an integer >= 1")
+            limits[key] = value
 
-    return Scenario(agents, proposal, tau, max_depth)
+    return Scenario(agents, proposal, limits["tau"], limits["maxDepth"])
 
 
 def _render_source(endorsement: Endorsement) -> Any:

@@ -10,9 +10,11 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from parley import (
+    AgentSpec,
     Belief,
     Endorsement,
     EvidencePiece,
@@ -22,6 +24,7 @@ from parley import (
     assimilate,
     piece_strength,
     predict,
+    render_scenario,
     revise,
     select_min_set,
     supports_prop,
@@ -313,6 +316,9 @@ def test_p4_revision_properties():
 # sha256 over the bundled scenarios, sorted by name, then the 1,000 seeds:
 # for each run, its transcript lines, outcome and trace NDJSON
 P5_DIGEST = "6ee6e8c57989793b40ad3cbf8e2b01917c973faaf40299ca3f9a464a6217d29c"
+# sha256 over the same runs in the same order: for each, the scenario as
+# render_scenario writes it with both agents' final stores in place
+P5_STORE_DIGEST = "bf009aca29562219a4f724f0da93a4ecada9183ad4dce20e95559bfaebe09b88"
 
 
 def _fold(digest, transcript, trace) -> None:
@@ -320,11 +326,19 @@ def _fold(digest, transcript, trace) -> None:
     digest.update(text.encode("utf-8"))
 
 
+def _fold_stores(digest, scenario, transcript) -> None:
+    agents = tuple(AgentSpec(a.id, transcript.final_beliefs[a.id]) for a in scenario.agents)
+    digest.update(render_scenario(replace(scenario, agents=agents)).encode("utf-8"))
+
+
 def test_p5_termination_and_determinism():
-    digest = hashlib.sha256()
+    digest, stores = hashlib.sha256(), hashlib.sha256()
     for path in sorted(SCENARIO_DIR.glob("*.scenario")):
         trace = Trace()
-        _fold(digest, run_scenario(load_bundled(path.stem), trace), trace)
+        scenario = load_bundled(path.stem)
+        transcript = run_scenario(scenario, trace)
+        _fold(digest, transcript, trace)
+        _fold_stores(stores, scenario, transcript)
     worst = 0.0
     for seed in range(1000):
         scenario = random_scenario(random.Random(seed))
@@ -338,7 +352,9 @@ def test_p5_termination_and_determinism():
         assert trace_a.to_ndjson() == trace_b.to_ndjson(), seed
         worst = max(worst, first.rounds / max(total_beliefs, 1))
         _fold(digest, first, trace_a)
+        _fold_stores(stores, scenario, first)
     assert digest.hexdigest() == P5_DIGEST
+    assert stores.hexdigest() == P5_STORE_DIGEST
     print(f"PASS P5: 1000 scenarios halted within the belief-count bound "
           f"(worst ratio {worst:.2f}), replayed byte-identically and matched the "
           f"recorded digest")

@@ -37,6 +37,11 @@ def rec(prop, level=T) -> Belief:
 
 
 class TestTrees:
+    @pytest.mark.parametrize("level", [2, "strong", None])
+    def test_asserted_level_checked_at_construction(self, level):
+        with pytest.raises(StructureError, match="must be a StrengthLevel"):
+            ProposalNode(P, level)
+
     def test_props_preorder(self):
         tree = ProposalNode(TGT, S, (ProposalNode(P, T), ProposalNode(R, T)))
         assert tree.props() == (
@@ -217,9 +222,7 @@ class TestAssimilateEvaluated:
             kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), 1,
             proposer="u", proposer_expertise=Expertise.EXPERT,
         )
-        kb2, agreed = assimilate_evaluated(
-            kb, ev, proposer="u", proposer_expertise=Expertise.EXPERT
-        )
+        kb2, agreed = assimilate_evaluated(kb, ev)
         assert agreed == tuple(sorted([P, TGT, REL]))
         assert kb2.own_belief(TGT).endorsement.support == frozenset({P})
         assert kb2.own_belief(P).endorsement.speaker == "u"
@@ -231,11 +234,24 @@ class TestAssimilateEvaluated:
             kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), 1,
             proposer="u", proposer_expertise=Expertise.EXPERT,
         )
-        kb2, agreed = assimilate_evaluated(
-            kb, ev, proposer="u", proposer_expertise=Expertise.EXPERT
-        )
+        kb2, agreed = assimilate_evaluated(kb, ev)
         assert REL in agreed
         assert kb2.own_belief(REL).endorsement.speaker == "u"
+
+    def test_relation_backed_by_own_evidence_adopted_as_derived(self):
+        # the hearer's own x supports the offered relation, so the relation is
+        # adopted like a node, derived from the evidence that won it, not as
+        # the proposer's bare assertion
+        x = ground("x")
+        kb = kb_of(rec(x), rec(supports_prop(x, REL)))
+        ev = evaluate_proposal(
+            kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), 1,
+            proposer="u", proposer_expertise=Expertise.EXPERT,
+        )
+        kb2, agreed = assimilate_evaluated(kb, ev)
+        assert REL in agreed
+        assert kb2.own_belief(REL).endorsement == Endorsement.derived(T, {x})
+        assert kb2.own_belief(P).endorsement.speaker == "u"
 
     def test_requires_accepted_root(self):
         kb = kb_of(rec(TGT.negate()))
@@ -244,4 +260,4 @@ class TestAssimilateEvaluated:
         )
         assert not ev.accepted
         with pytest.raises(ContractViolation):
-            assimilate_evaluated(kb, ev, proposer="u", proposer_expertise=Expertise.NON_EXPERT)
+            assimilate_evaluated(kb, ev)

@@ -320,7 +320,8 @@ def seed_select(chains, model, claim, tau, expertise):
             if model.own_belief(p) is None and model.own_belief(p.negate()) is None
         )
         return (
-            -int(min(c.min_confidence() for c in combo)),
+            -int(min(min(link.belief_level, link.relation_level)
+                     for c in combo for link in c.walk())),
             -fresh,
             sum(len(props(c)) for c in combo),
             tuple(tuple(p.render() for p in props(c)) for c in combo),

@@ -570,10 +570,11 @@ def test_disputed_correction_is_proposed_by_the_corrector():
     ]
     assert (t.outcome, t.depth, t.rounds) == ("concession:P", 1, 3)
     assert t.ratified_root == parse_proposition("~r")
-    # the ratification hearing, then _settle hearing the same tree again
+    # P hears ¬r once: the first round of E's proposal reuses the
+    # ratification hearing rather than judging the same tree again
     heard = [
         (r.step, r.payload["outcome"], r.payload["supportScore"], r.payload["attackScore"])
         for r in trace.by_kind("revise")
         if r.payload["agent"] == "P" and r.payload["target"] == "¬r"
     ]
-    assert heard == [(22, "abandon", 2, 2), (24, "abandon", 2, 2)]
+    assert heard == [(22, "abandon", 2, 2)]

@@ -9,6 +9,7 @@ from parley import (
     Endorsement,
     Expertise,
     KnowledgeBase,
+    NegotiationConfig,
     Proposition,
     Scenario,
     ScenarioError,
@@ -67,6 +68,11 @@ def test_round_trip_bundled(name):
 def test_minimal_document_defaults():
     s = parse(minimal())
     assert (s.tau, s.max_depth) == (1, 16)
+    # a file, a Scenario and a run all default to one config
+    default = NegotiationConfig()
+    assert (s.tau, s.max_depth) == (default.tau, default.max_depth)
+    assert Scenario(s.agents, s.proposal) == s
+    assert parse(minimal(config={"tau": 2})).max_depth == default.max_depth
     assert s.proposer.id == "U" and s.evaluator.id == "S"
     assert s.agents[0].kb.expertise.value == "non-expert"
 
@@ -112,6 +118,7 @@ def test_syntax_error_reports_line_and_column():
         (lambda d: d.update(config={"tau": 0}), "$.config.tau"),
         (lambda d: d.update(config={"tau": True}), "$.config.tau"),
         (lambda d: d.update(config={"maxDepth": "deep"}), "$.config.maxDepth"),
+        (lambda d: d.update(config={"maxDepth": 0, "tau": 0}), "$.config.tau"),
     ],
 )
 def test_diagnostics_name_the_offending_path(mutate, path_hint):
