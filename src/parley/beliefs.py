@@ -100,6 +100,12 @@ _FLAT_RELATION = re.compile(
     rf"\s*+(?P<negs>{_NEGS}){SUPPORTS}\s*+\("
     rf"\s*+(?P<a>{_LITERAL})\s*+,\s*+(?P<b>{_LITERAL})\s*+\)\s*+"
 )
+# A flat literal spelled as ``render`` spells it, but perhaps with ``~`` for
+# its one ``¬``: the parser keeps that text rather than rebuilding it.
+_CANONICAL_LITERAL = re.compile(
+    rf"(?P<neg>[~¬]?+)(?P<body>(?P<name>{_LITERAL_NAME})"
+    rf"(?:\((?P<args>[a-z0-9_]++(?:, [a-z0-9_]++)*+)\))?+)"
+)
 
 # How many supports(...) may enclose one another in parsed text.  Only the
 # recursive-descent parser needs this bound: a proposition builds its text
@@ -228,8 +234,13 @@ def _parse_memo(memo: dict[str, Proposition], text: str) -> Proposition:
 
 def _parse_text(text: str, memo: dict[str, Proposition]) -> Proposition:
     """``text`` parsed whole; a flat relation's literals go through ``memo``.
-    Text that neither pattern matches goes to the recursive parser, which
-    owns every error message."""
+    Text that no whole-text pattern matches goes to the recursive parser,
+    which owns every error message."""
+    m = _CANONICAL_LITERAL.fullmatch(text)
+    if m is not None:
+        neg, body, predicate, args = m.groups()
+        args = tuple(args.split(", ")) if args else ()
+        return _trusted_prop(neg != "", predicate, args, text if neg != "~" else f"¬{body}")
     m = _FLAT_LITERAL.fullmatch(text)
     if m is not None:
         negs, predicate, args = m.groups()
@@ -381,7 +392,7 @@ class EvidencePiece:
         return self.relation.prop.args[1]
 
     def key(self) -> tuple[str, str]:
-        return (self.belief.prop.render(), self.relation.prop.render())
+        return (self.belief.prop._text, self.relation.prop._text)
 
 
 def _trusted_piece(belief: Belief, relation: Belief) -> EvidencePiece:
@@ -405,21 +416,25 @@ def presented_case(
     one piece per ``(prop, relation, belief_level, relation_level)`` in
     ``backing``, both parts asserted by ``speaker`` at the given strengths.
     The bare piece's self-relation is warranted, so it carries exactly
-    ``assertion_strength(expertise)``."""
+    ``assertion_strength(expertise)``.  The pieces share one checked
+    endorsement per level."""
+    endorsements: dict[StrengthLevel, Endorsement] = {}
+
+    def asserted(prop: Proposition, level: StrengthLevel) -> Belief:
+        # checked before the lookup: an int finds the level it equals
+        endorsement = endorsements.get(_check_level(level))
+        if endorsement is None:
+            endorsement = endorsements[level] = Endorsement.assertion(level, speaker, expertise)
+        return Belief(prop, endorsement)
+
     bare = _trusted_piece(
-        Belief(claim, Endorsement.assertion(assertion_strength(expertise), speaker, expertise)),
-        Belief(
-            supports_prop(claim, claim),
-            Endorsement.assertion(StrengthLevel.WARRANTED, speaker, expertise),
-        ),
+        asserted(claim, assertion_strength(expertise)),
+        asserted(supports_prop(claim, claim), StrengthLevel.WARRANTED),
     )
     return (
         bare,
         *(
-            EvidencePiece(
-                Belief(prop, Endorsement.assertion(belief_level, speaker, expertise)),
-                Belief(relation, Endorsement.assertion(relation_level, speaker, expertise)),
-            )
+            EvidencePiece(asserted(prop, belief_level), asserted(relation, relation_level))
             for prop, relation, belief_level, relation_level in backing
         ),
     )
@@ -429,17 +444,49 @@ def presented_case(
 # knowledge bases
 
 
-def _index(beliefs: Iterable[Belief], label: str) -> dict[Proposition, Belief]:
+def _index(beliefs: Iterable[Belief], label: str) -> tuple[dict, dict]:
+    """One side of a store: its beliefs keyed by proposition, and its
+    consequent index."""
     by_prop: dict[Proposition, Belief] = {}
-    for b in beliefs:
-        if b.prop in by_prop:
-            raise StructureError(f"duplicate belief in {label}: {b.prop}")
-        by_prop[b.prop] = b
+    by_consequent: dict[str, list] = {}
+    for i, b in enumerate(beliefs):
+        prop = b.prop
+        # one dict operation per belief: a duplicate leaves the size as it was
+        by_prop[prop] = b
+        if len(by_prop) == i:
+            raise StructureError(f"duplicate belief in {label}: {prop}")
+        if _is_indexed(prop):
+            by_consequent.setdefault(prop.args[1]._text, []).append(prop)
     texts = {prop._text for prop in by_prop}
     for prop in by_prop:
         if prop.negated and prop._text[1:] in texts:
             raise ContradictionError(f"{label} holds both {prop._text[1:]} and {prop}")
-    return by_prop
+    return by_prop, by_consequent
+
+
+def _is_indexed(prop: Proposition) -> bool:
+    """Whether a consequent index holds ``prop``: a positive relation."""
+    return prop.predicate == SUPPORTS and not prop.negated
+
+
+def _reindexed(
+    by_consequent: dict, dropped: Iterable[Proposition], added: Optional[Proposition]
+) -> dict:
+    """A copy of a consequent index without the positive relations
+    ``dropped`` and with ``added``, if given; only the buckets touched are
+    copied."""
+    by_consequent = dict(by_consequent)
+    for rel in dropped:
+        key = rel.args[1]._text
+        bucket = [r for r in by_consequent[key] if r != rel]
+        if bucket:
+            by_consequent[key] = bucket
+        else:
+            del by_consequent[key]
+    if added is not None:
+        key = added.args[1]._text
+        by_consequent[key] = [*by_consequent.get(key, ()), added]
+    return by_consequent
 
 
 def _in_text_order(side: dict[Proposition, Belief]) -> tuple[Belief, ...]:
@@ -456,11 +503,21 @@ class KnowledgeBase:
     instances are never mutated.  An update copies only the side it writes,
     once, in O(n), and re-validates nothing: a removal drops every
     proposition it is given; an add drops the negation and then inserts.
+
+    Beside each side sits its consequent index: the text of each
+    proposition ``c`` maps to the positive ``supports(a, c)`` propositions
+    the side holds, in no set order.  It holds propositions, not beliefs, so
+    a relation re-added at another level leaves it alone.  A write copies it
+    only when the write adds or drops a positive relation, and then copies
+    only the outer dict and the buckets it touches; a bucket is never
+    mutated once built.  The index does not take part in equality.
     """
 
     _own: dict
     _model: dict
     expertise: Expertise
+    _own_by_consequent: dict = field(compare=False, repr=False)
+    _model_by_consequent: dict = field(compare=False, repr=False)
 
     def __init__(
         self,
@@ -468,9 +525,13 @@ class KnowledgeBase:
         user_model: Iterable[Belief] = (),
         expertise: Expertise = Expertise.EXPERT,
     ) -> None:
-        _setattr(self, "_own", _index(own, "own beliefs"))
-        _setattr(self, "_model", _index(user_model, "user model"))
+        own, own_by_consequent = _index(own, "own beliefs")
+        model, model_by_consequent = _index(user_model, "user model")
+        _setattr(self, "_own", own)
+        _setattr(self, "_model", model)
         _setattr(self, "expertise", expertise)
+        _setattr(self, "_own_by_consequent", own_by_consequent)
+        _setattr(self, "_model_by_consequent", model_by_consequent)
 
     @property
     def own(self) -> tuple[Belief, ...]:
@@ -491,7 +552,7 @@ class KnowledgeBase:
 
     def model_view(self) -> "KnowledgeBase":
         """The user model as a store's own beliefs, with no model of its own."""
-        return _trusted(self._model, {}, Expertise.EXPERT)
+        return _trusted(self._model, {}, Expertise.EXPERT, self._model_by_consequent, {})
 
     def own_add(self, belief: Belief) -> "KnowledgeBase":
         return self._write(True, (belief.prop.negate(),), belief)
@@ -512,23 +573,37 @@ class KnowledgeBase:
         one copy: ``dropped`` removed, then ``belief``, if given, inserted
         in place of any belief in the same proposition."""
         side = dict(self._own if own else self._model)
+        index = self._own_by_consequent if own else self._model_by_consequent
+        # only a positive relation that comes or goes changes the index
+        gone = []
         for prop in dropped:
-            side.pop(prop, None)
+            if side.pop(prop, None) is not None and _is_indexed(prop):
+                gone.append(prop)
+        added = None
         if belief is not None:
-            side[belief.prop] = belief
+            prop = belief.prop
+            if _is_indexed(prop) and prop not in side:
+                added = prop
+            side[prop] = belief
+        if gone or added is not None:
+            index = _reindexed(index, gone, added)
         if own:
-            return _trusted(side, self._model, self.expertise)
-        return _trusted(self._own, side, self.expertise)
+            return _trusted(side, self._model, self.expertise, index, self._model_by_consequent)
+        return _trusted(self._own, side, self.expertise, self._own_by_consequent, index)
 
 
-def _trusted(own: dict, model: dict, expertise: Expertise) -> KnowledgeBase:
+def _trusted(
+    own: dict, model: dict, expertise: Expertise, own_by_consequent: dict, model_by_consequent: dict
+) -> KnowledgeBase:
     """A store from sides already keyed by proposition and free of
-    contradictions, built without ``__init__``.  The dicts are shared, never
-    mutated."""
+    contradictions, with their consequent indexes, built without
+    ``__init__``.  The dicts are shared, never mutated."""
     kb = object.__new__(KnowledgeBase)
     _setattr(kb, "_own", own)
     _setattr(kb, "_model", model)
     _setattr(kb, "expertise", expertise)
+    _setattr(kb, "_own_by_consequent", own_by_consequent)
+    _setattr(kb, "_model_by_consequent", model_by_consequent)
     return kb
 
 
@@ -582,24 +657,24 @@ def build_evidence_set(
     returned in canonical order.
     """
     sides = (target, target.negate())
+    own, index = kb._own, kb._own_by_consequent
     pieces: list[EvidencePiece] = []
-    for rel in kb._own.values():
-        p = rel.prop
-        if not p.is_relation or p.negated or p.args[1] not in sides:
-            continue
-        basis = kb.own_belief(p.args[0])
-        if basis is not None:
-            pieces.append(_trusted_piece(basis, rel))
+    for side in sides:
+        for rel in index.get(side._text, ()):
+            basis = own.get(rel.args[0])
+            if basis is not None:
+                pieces.append(_trusted_piece(basis, own[rel]))
     for pc in presented:
         if pc.consequent not in sides:
             raise StructureError(f"evidence piece does not address {target}: {pc.relation.prop}")
         pieces.append(pc)
     best: dict[tuple[str, str], EvidencePiece] = {}
     for pc in pieces:
-        prev = best.get(pc.key())
+        key = pc.key()
+        prev = best.get(key)
         if prev is None or piece_strength(pc) > piece_strength(prev):
-            best[pc.key()] = pc
-    return tuple(sorted(best.values(), key=lambda pc: pc.key()))
+            best[key] = pc
+    return tuple(sorted(best.values(), key=EvidencePiece.key))
 
 
 def _standing(kb: KnowledgeBase, belief: Belief) -> bool:
@@ -743,16 +818,19 @@ def removal_closure(model: KnowledgeBase, removed: Iterable[Proposition]) -> fro
     """Everything lost when ``removed`` goes: the set itself plus every
     modelled belief derived solely from members of the growing set."""
     closure = set(removed)
-    changed = True
-    while changed:
-        changed = False
-        for belief in model._own.values():
-            if belief.prop in closure:
-                continue
-            e = belief.endorsement
-            if e.kind is SourceKind.DERIVED and e.support <= closure:
+    # each support member, mapped to the derived beliefs resting on it
+    dependents: dict[Proposition, list[Belief]] = {}
+    for belief in model._own.values():
+        e = belief.endorsement
+        if e.kind is SourceKind.DERIVED and belief.prop not in closure:
+            for member in e.support:
+                dependents.setdefault(member, []).append(belief)
+    todo = list(closure)
+    while todo:
+        for belief in dependents.get(todo.pop(), ()):
+            if belief.prop not in closure and belief.endorsement.support <= closure:
                 closure.add(belief.prop)
-                changed = True
+                todo.append(belief.prop)
     return frozenset(closure)
 
 
@@ -810,8 +888,9 @@ def _adopt(
     else:
         # bare assertion: keep the assertion provenance rather than a
         # self-referential derivation
-        direct = max(evidence, key=piece_strength)
-        endorsement = replace(direct.belief.endorsement, level=win)
+        endorsement = max(evidence, key=piece_strength).belief.endorsement
+        if endorsement.level != win:
+            endorsement = replace(endorsement, level=win)
     return kb.own_add(Belief(prop, endorsement))
 
 

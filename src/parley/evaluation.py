@@ -41,8 +41,14 @@ class ProposalNode:
     children: tuple["ProposalNode", ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.prop, Proposition):
+            raise StructureError(f"proposal node needs a Proposition, got {self.prop!r}")
         _check_level(self.asserted_level)
-        object.__setattr__(self, "children", tuple(self.children))
+        children = tuple(self.children)
+        for child in children:
+            if not isinstance(child, ProposalNode):
+                raise StructureError(f"proposal node child must be a ProposalNode, got {child!r}")
+        object.__setattr__(self, "children", children)
 
     def relation_to(self, child: "ProposalNode") -> Proposition:
         return supports_prop(child.prop, self.prop)

@@ -38,6 +38,7 @@ from parley.beliefs import (
     _standing,
     presented_case,
     proposition_parser,
+    removal_closure,
     revise_detail,
 )
 
@@ -308,6 +309,27 @@ class TestRevision:
         v = revise(kb, t, [piece])
         assert v.support_score == 3  # prior only, not prior + assertion
 
+    def test_presented_case_shares_one_endorsement_per_level(self):
+        t, p, q = ground("t"), ground("p"), ground("q")
+        backing = [(p, supports_prop(p, t), T, S), (q, supports_prop(q, t), S, T)]
+        case = presented_case(t, "u", Expertise.EXPERT, backing)
+        by_level = {}
+        for piece in case:
+            for part in (piece.belief, piece.relation):
+                e = part.endorsement
+                assert (e.kind, e.speaker, e.expertise) == (
+                    SourceKind.ASSERTION, "u", Expertise.EXPERT
+                )
+                assert by_level.setdefault(e.level, e) is e
+        assert sorted(by_level) == [S, T]
+
+    @pytest.mark.parametrize("bad", [2, "strong", None])
+    def test_presented_case_checks_every_level(self, bad):
+        # a level the case already holds must not let an equal int through
+        t, p = ground("t"), ground("p")
+        with pytest.raises(StructureError, match="must be a StrengthLevel"):
+            presented_case(t, "u", Expertise.NON_EXPERT, [(p, supports_prop(p, t), S, bad)])
+
     def test_presented_pieces_must_address_target(self):
         t, u = ground("t"), ground("u")
         piece = presented_case(u, "u", Expertise.EXPERT)[0]
@@ -353,6 +375,12 @@ class TestAssimilation:
         verdict = revise_detail(kb, t, tau=3)
         with pytest.raises(ContractViolation):
             assimilate(kb, verdict, t)
+
+    def test_bare_assertion_keeps_an_endorsement_at_the_winning_level(self):
+        t = ground("t")
+        case = presented_case(t, "u", Expertise.NON_EXPERT)
+        kb = assimilate(kb_of(), revise(kb_of(), t, case), t)
+        assert kb.own_belief(t).endorsement is case[0].belief.endorsement
 
     def test_keeps_stronger_prior(self):
         t = ground("t")
@@ -543,6 +571,126 @@ def test_standing_deep_derived_chain():
     assert revise(kb_of(*derived), chain[0]).outcome is VerdictOutcome.ABANDON
 
 
+def seed_build_evidence_set(kb, target, presented=()):
+    """The full-store scan that the consequent index replaced."""
+    sides = (target, target.negate())
+    pieces = []
+    for rel in kb._own.values():
+        p = rel.prop
+        if not p.is_relation or p.negated or p.args[1] not in sides:
+            continue
+        basis = kb.own_belief(p.args[0])
+        if basis is not None:
+            pieces.append(EvidencePiece(basis, rel))
+    for pc in presented:
+        if pc.consequent not in sides:
+            raise StructureError(f"evidence piece does not address {target}: {pc.relation.prop}")
+        pieces.append(pc)
+    best = {}
+    for pc in pieces:
+        key = (pc.belief.prop.render(), pc.relation.prop.render())
+        prev = best.get(key)
+        if prev is None or piece_strength(pc) > piece_strength(prev):
+            best[key] = pc
+    return tuple(best[key] for key in sorted(best))
+
+
+def seed_removal_closure(model, removed):
+    """The rescan-until-nothing-changes closure that the worklist replaced."""
+    closure = set(removed)
+    changed = True
+    while changed:
+        changed = False
+        for belief in model._own.values():
+            if belief.prop in closure:
+                continue
+            e = belief.endorsement
+            if e.kind is SourceKind.DERIVED and e.support <= closure:
+                closure.add(belief.prop)
+                changed = True
+    return frozenset(closure)
+
+
+def index_contents(by_consequent: dict) -> dict:
+    # bucket order means nothing
+    return {key: sorted(bucket) for key, bucket in by_consequent.items()}
+
+
+INDEX_LITERALS = [ground(n, neg) for n in ("p", "q", "r", "s") for neg in (False, True)]
+INDEX_RELATIONS = [supports_prop(a, b) for a in INDEX_LITERALS for b in INDEX_LITERALS if a != b]
+INDEX_UNIVERSE = INDEX_LITERALS + INDEX_RELATIONS + [r.negate() for r in INDEX_RELATIONS]
+index_beliefs = st.builds(
+    Belief,
+    st.sampled_from(INDEX_UNIVERSE),
+    st.one_of(
+        st.sampled_from(LEVELS).map(Endorsement.kb_record),
+        st.builds(
+            Endorsement.derived,
+            st.sampled_from(LEVELS),
+            st.sets(st.sampled_from(INDEX_LITERALS), min_size=1, max_size=3),
+        ),
+    ),
+)
+index_writes = st.one_of(
+    st.tuples(st.sampled_from(("own_add", "model_add")), index_beliefs),
+    # a relation re-added at another level, or its negation added
+    st.tuples(
+        st.sampled_from(("own_add", "model_add")),
+        st.builds(
+            lambda rel, negate, level: rec(rel.negate() if negate else rel, level),
+            st.sampled_from(INDEX_RELATIONS[:6]),
+            st.booleans(),
+            st.sampled_from(LEVELS),
+        ),
+    ),
+    st.tuples(
+        st.sampled_from(("own_remove", "model_remove")),
+        st.lists(st.sampled_from(INDEX_UNIVERSE), max_size=3),
+    ),
+)
+
+
+def added_in_turn(beliefs) -> tuple:
+    # what a store holds after adding ``beliefs`` one by one
+    side = {}
+    for b in beliefs:
+        side.pop(b.prop.negate(), None)
+        side[b.prop] = b
+    return tuple(side.values())
+
+
+def assert_lookups_match_scans(kb: KnowledgeBase, removals) -> None:
+    fresh = KnowledgeBase(own=kb.own, user_model=kb.user_model, expertise=kb.expertise)
+    assert index_contents(kb._own_by_consequent) == index_contents(fresh._own_by_consequent)
+    assert index_contents(kb._model_by_consequent) == index_contents(fresh._model_by_consequent)
+    for store in (kb, kb.model_view()):
+        for target in INDEX_LITERALS + INDEX_RELATIONS[:4]:
+            assert build_evidence_set(store, target) == seed_build_evidence_set(store, target)
+            case = presented_case(target, "u", Expertise.NON_EXPERT)
+            expected = seed_build_evidence_set(store, target, case)
+            assert build_evidence_set(store, target, case) == expected
+        for removed in removals:
+            assert removal_closure(store, removed) == seed_removal_closure(store, removed)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(index_beliefs, max_size=10),
+    st.lists(index_beliefs, max_size=10),
+    st.lists(index_writes, max_size=8),
+    st.lists(st.sets(st.sampled_from(INDEX_LITERALS), max_size=3), min_size=1, max_size=3),
+)
+def test_indexed_lookups_match_full_scans(own, model, writes, removals):
+    # after construction and after every write, the consequent index holds
+    # what a fresh build would, and the evidence set and removal closure
+    # equal the full scans they replaced
+    kb = KnowledgeBase(own=added_in_turn(own), user_model=added_in_turn(model))
+    assert_lookups_match_scans(kb, removals)
+    for writer, arg in writes:
+        kb = getattr(kb, writer)(*arg) if writer.endswith("remove") else getattr(kb, writer)(arg)
+        assert_lookups_match_scans(kb, removals)
+
+
 # ---------------------------------------------------------------------------
 # the proposition parser against the character-stepping one it replaced
 
@@ -669,6 +817,8 @@ flat = st.one_of(
     ),
 )
 PARSER_TEXTS = st.one_of(
+    # as render writes them, with either negation mark
+    st.builds(Proposition.render, propositions, st.booleans()),
     spaced(propositions),
     spelled(propositions),
     spelled(flat),

@@ -42,6 +42,16 @@ class TestTrees:
         with pytest.raises(StructureError, match="must be a StrengthLevel"):
             ProposalNode(P, level)
 
+    @pytest.mark.parametrize("prop", ["p", None, ("p", "x")])
+    def test_prop_checked_at_construction(self, prop):
+        with pytest.raises(StructureError, match="needs a Proposition"):
+            ProposalNode(prop, S)
+
+    @pytest.mark.parametrize("child", ["q", P, None])
+    def test_children_checked_at_construction(self, child):
+        with pytest.raises(StructureError, match="child must be a ProposalNode"):
+            ProposalNode(TGT, S, (ProposalNode(R, T), child))
+
     def test_props_preorder(self):
         tree = ProposalNode(TGT, S, (ProposalNode(P, T), ProposalNode(R, T)))
         assert tree.props() == (

@@ -181,11 +181,17 @@ def test_final_beliefs_reflect_agreement(smith):
 def test_depth_bound_enforced():
     scenario = load_bundled("nest")  # needs a depth-2 subdialogue
     kbs = {a.id: a.kb for a in scenario.agents}
+
+    def run(max_depth: int):
+        config = NegotiationConfig(tau=scenario.tau, max_depth=max_depth)
+        return negotiate(kbs, scenario.proposer.id, scenario.proposal, config)
+
+    # the bound is inclusive: exactly the depth needed negotiates in full
+    transcript = run(2)
+    assert (transcript.depth, transcript.outcome) == (2, "agreement")
+    assert transcript.realize() == run_scenario(scenario).realize()
     with pytest.raises(DepthExceededError):
-        negotiate(
-            kbs, scenario.proposer.id, scenario.proposal,
-            NegotiationConfig(tau=scenario.tau, max_depth=1),
-        )
+        run(1)
 
 
 def test_deep_chain_is_near_linear():

@@ -126,12 +126,14 @@ def test_trusted_construction_stays_in_beliefs():
 
 
 def test_store_sides_are_read_in_beliefs_only():
-    # a store's two dicts are its representation: other modules go through
-    # its lookups and writers, so an index over a side can change one module
+    # a store's two dicts and their consequent indexes are its
+    # representation: other modules go through its lookups and writers, so
+    # the representation can change in one module
+    fields = ("_own", "_model", "_own_by_consequent", "_model_by_consequent")
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr in ("_own", "_model")
+        if isinstance(node, ast.Attribute) and node.attr in fields
     ]
     assert found and all(site.startswith("beliefs.py:") for site in found), found

@@ -79,14 +79,16 @@ def test_bundled_negotiation_never_reads_stores_in_text_order(name, monkeypatch)
 
 
 # Endorsement.__post_init__ calls during one negotiation of each bundled
-# scenario: the assertion and derived endorsements the dialogue creates
+# scenario: the assertion and derived endorsements the dialogue creates.
+# One presented case shares one assertion endorsement per level, and
+# adoption keeps an endorsement already at the winning level.
 ENDORSEMENT_CHECKS = {
-    "both": 54,
-    "evidence": 47,
-    "nest": 67,
-    "smith": 47,
+    "both": 34,
+    "evidence": 29,
+    "nest": 47,
+    "smith": 29,
     "tie": 3,
-    "visit": 45,
+    "visit": 29,
 }
 
 
@@ -138,6 +140,30 @@ def test_parsing_plain_beliefs_runs_no_constructor_check(monkeypatch):
     scenario = parse_scenario(text)
     assert len(scenario.evaluator.kb.own) == 1_501
     assert calls == {"Endorsement": 0, "Proposition": 0}
+
+
+def test_evidence_lookup_is_independent_of_store_size(monkeypatch):
+    # the consequent index answers from the target's two buckets, so the
+    # filler beliefs around the dispute cost no comparisons: a scan of the
+    # whole store compares every relation's consequent with the target
+    found = {}
+    for n in (150, 3_000):
+        scenario = parse_scenario(filler_document(n))
+        target = scenario.proposal.prop
+        case = beliefs.presented_case(target, "U", beliefs.Expertise.NON_EXPERT)
+        calls = {"__eq__": 0, "__hash__": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                method = getattr(beliefs.Proposition, name)
+
+                def counted(*args, method=method, name=name):
+                    calls[name] += 1
+                    return method(*args)
+
+                patch.setattr(beliefs.Proposition, name, counted)
+            pieces = beliefs.build_evidence_set(scenario.evaluator.kb, target, case)
+        found[n] = (calls, len(pieces))
+    assert found[150] == found[3_000]
 
 
 @pytest.mark.parametrize("name", sorted(ENDORSEMENT_CHECKS))
