@@ -418,26 +418,45 @@ def presented_case(
     The bare piece's self-relation is warranted, so it carries exactly
     ``assertion_strength(expertise)``.  The pieces share one checked
     endorsement per level."""
-    endorsements: dict[StrengthLevel, Endorsement] = {}
+    return _case(claim, expertise, assertions_by(speaker, expertise), backing)
 
-    def asserted(prop: Proposition, level: StrengthLevel) -> Belief:
-        # checked before the lookup: an int finds the level it equals
-        endorsement = endorsements.get(_check_level(level))
-        if endorsement is None:
-            endorsement = endorsements[level] = Endorsement.assertion(level, speaker, expertise)
-        return Belief(prop, endorsement)
 
+def _case(
+    claim: Proposition,
+    expertise: Expertise,
+    endorse: Callable[[StrengthLevel], Endorsement],
+    backing: Iterable[tuple] = (),
+) -> tuple[EvidencePiece, ...]:
+    """:func:`presented_case`, endorsed through ``endorse``, the speaker's
+    :func:`assertions_by`, which a caller may share across its cases."""
     bare = _trusted_piece(
-        asserted(claim, assertion_strength(expertise)),
-        asserted(supports_prop(claim, claim), StrengthLevel.WARRANTED),
+        Belief(claim, endorse(assertion_strength(expertise))),
+        Belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
     )
     return (
         bare,
         *(
-            EvidencePiece(asserted(prop, belief_level), asserted(relation, relation_level))
+            EvidencePiece(
+                Belief(prop, endorse(belief_level)), Belief(relation, endorse(relation_level))
+            )
             for prop, relation, belief_level, relation_level in backing
         ),
     )
+
+
+def assertions_by(speaker: str, expertise: Expertise) -> Callable[[StrengthLevel], Endorsement]:
+    """``Endorsement.assertion`` for one speaker: one checked endorsement
+    per level, built on first use and shared after."""
+    endorsements: dict[StrengthLevel, Endorsement] = {}
+
+    def endorse(level: StrengthLevel) -> Endorsement:
+        # checked before the lookup: an int finds the level it equals
+        endorsement = endorsements.get(_check_level(level))
+        if endorsement is None:
+            endorsement = endorsements[level] = Endorsement.assertion(level, speaker, expertise)
+        return endorsement
+
+    return endorse
 
 
 # ---------------------------------------------------------------------------
@@ -469,23 +488,26 @@ def _is_indexed(prop: Proposition) -> bool:
     return prop.predicate == SUPPORTS and not prop.negated
 
 
-def _reindexed(
-    by_consequent: dict, dropped: Iterable[Proposition], added: Optional[Proposition]
-) -> dict:
-    """A copy of a consequent index without the positive relations
-    ``dropped`` and with ``added``, if given; only the buckets touched are
-    copied."""
+def _reindexed(by_consequent: dict, changed: Iterable[Proposition], side: dict) -> dict:
+    """A copy of a consequent index that lists each positive relation of
+    ``changed`` if ``side`` now holds it and drops it if not; only the
+    buckets touched are copied, once each."""
     by_consequent = dict(by_consequent)
-    for rel in dropped:
+    copied: dict[str, list] = {}
+    for rel in changed:
         key = rel.args[1]._text
-        bucket = [r for r in by_consequent[key] if r != rel]
+        bucket = copied.get(key)
+        if bucket is None:
+            bucket = copied[key] = list(by_consequent.get(key, ()))
+        if rel in side:
+            bucket.append(rel)
+        else:
+            bucket.remove(rel)
+    for key, bucket in copied.items():
         if bucket:
             by_consequent[key] = bucket
         else:
             del by_consequent[key]
-    if added is not None:
-        key = added.args[1]._text
-        by_consequent[key] = [*by_consequent.get(key, ()), added]
     return by_consequent
 
 
@@ -503,13 +525,17 @@ class KnowledgeBase:
     instances are never mutated.  An update copies only the side it writes,
     once, in O(n), and re-validates nothing: a removal drops every
     proposition it is given; an add drops the negation and then inserts.
+    Each helper takes any number of propositions or beliefs and applies
+    them in order within that one copy, so a step that writes k beliefs
+    copies the side once, not k times; a one-belief write is the same call
+    with one argument.
 
     Beside each side sits its consequent index: the text of each
     proposition ``c`` maps to the positive ``supports(a, c)`` propositions
     the side holds, in no set order.  It holds propositions, not beliefs, so
     a relation re-added at another level leaves it alone.  A write copies it
     only when the write adds or drops a positive relation, and then copies
-    only the outer dict and the buckets it touches; a bucket is never
+    the outer dict and each bucket it touches once; a bucket is never
     mutated once built.  The index does not take part in equality.
     """
 
@@ -554,39 +580,48 @@ class KnowledgeBase:
         """The user model as a store's own beliefs, with no model of its own."""
         return _trusted(self._model, {}, Expertise.EXPERT, self._model_by_consequent, {})
 
-    def own_add(self, belief: Belief) -> "KnowledgeBase":
-        return self._write(True, (belief.prop.negate(),), belief)
+    def own_add(self, *beliefs: Belief) -> "KnowledgeBase":
+        return self._write(True, (), beliefs)
 
     def own_remove(self, *props: Proposition) -> "KnowledgeBase":
         return self._write(True, props)
 
-    def model_add(self, belief: Belief) -> "KnowledgeBase":
-        return self._write(False, (belief.prop.negate(),), belief)
+    def model_add(self, *beliefs: Belief) -> "KnowledgeBase":
+        return self._write(False, (), beliefs)
 
     def model_remove(self, *props: Proposition) -> "KnowledgeBase":
         return self._write(False, props)
 
     def _write(
-        self, own: bool, dropped: Iterable[Proposition], belief: Optional[Belief] = None
+        self, own: bool, dropped: Iterable[Proposition], added: Iterable[Belief] = ()
     ) -> "KnowledgeBase":
         """This store with one side (``own`` or the user model) patched in
-        one copy: ``dropped`` removed, then ``belief``, if given, inserted
-        in place of any belief in the same proposition."""
-        side = dict(self._own if own else self._model)
-        index = self._own_by_consequent if own else self._model_by_consequent
-        # only a positive relation that comes or goes changes the index
-        gone = []
+        one copy: ``dropped`` removed, then each of ``added`` in turn
+        inserted in place of its negation and of any belief in the same
+        proposition."""
+        before = self._own if own else self._model
+        side = dict(before)
+        # the positive relations dropped or inserted: only they can change
+        # the index
+        touched = []
         for prop in dropped:
             if side.pop(prop, None) is not None and _is_indexed(prop):
-                gone.append(prop)
-        added = None
-        if belief is not None:
+                touched.append(prop)
+        for belief in added:
             prop = belief.prop
-            if _is_indexed(prop) and prop not in side:
-                added = prop
+            negation = prop.negate()
+            if side.pop(negation, None) is not None and _is_indexed(negation):
+                touched.append(negation)
+            if _is_indexed(prop):
+                touched.append(prop)
             side[prop] = belief
-        if gone or added is not None:
-            index = _reindexed(index, gone, added)
+        index = self._own_by_consequent if own else self._model_by_consequent
+        if touched:
+            # a batch may insert a relation and drop it again, so only the
+            # two ends of the write count
+            changed = [p for p in dict.fromkeys(touched) if (p in before) != (p in side)]
+            if changed:
+                index = _reindexed(index, changed, side)
         if own:
             return _trusted(side, self._model, self.expertise, index, self._model_by_consequent)
         return _trusted(self._own, side, self.expertise, self._own_by_consequent, index)
@@ -605,6 +640,43 @@ def _trusted(
     _setattr(kb, "_own_by_consequent", own_by_consequent)
     _setattr(kb, "_model_by_consequent", model_by_consequent)
     return kb
+
+
+class _PendingAdds:
+    """Beliefs bound for one side of ``kb`` (its own beliefs if ``own``,
+    else its user model), in order, readable before they are written.
+    ``belief`` reads the side as ``store()`` will leave it after the adds
+    so far: each add drops its negation, then inserts."""
+
+    def __init__(self, kb: KnowledgeBase, own: bool) -> None:
+        self._kb = kb
+        self._to_own = own
+        self._side = kb._own if own else kb._model
+        # each proposition an add wrote: its belief, or None if dropped
+        self._written: dict[Proposition, Optional[Belief]] = {}
+        self._beliefs: list[Belief] = []
+
+    def belief(self, prop: Proposition) -> Optional[Belief]:
+        written = self._written
+        return written[prop] if prop in written else self._side.get(prop)
+
+    def add(self, belief: Belief) -> None:
+        self._written[belief.prop.negate()] = None
+        self._written[belief.prop] = belief
+        self._beliefs.append(belief)
+
+    def adopt(self, prop: Proposition, evidence: Sequence[EvidencePiece]) -> None:
+        """Add ``prop`` as :func:`assimilate` adopts an accepted target."""
+        belief = _adopted(self.belief(prop), prop, evidence)
+        if belief is not None:
+            self.add(belief)
+
+    def store(self) -> KnowledgeBase:
+        """``kb`` with every add made, in one write; ``kb`` if there are none."""
+        kb, beliefs = self._kb, self._beliefs
+        if not beliefs:
+            return kb
+        return kb.own_add(*beliefs) if self._to_own else kb.model_add(*beliefs)
 
 
 # ---------------------------------------------------------------------------
@@ -869,19 +941,19 @@ def minimal_subsets(
 # assimilation
 
 
-def _adopt(
-    kb: KnowledgeBase, prop: Proposition, evidence: Sequence[EvidencePiece]
-) -> KnowledgeBase:
-    """``kb`` holding ``prop`` at the strength of the strongest piece of
-    ``evidence``, all of which counts for ``prop``."""
-    prior = kb.own_belief(prop)
+def _adopted(
+    prior: Optional[Belief], prop: Proposition, evidence: Sequence[EvidencePiece]
+) -> Optional[Belief]:
+    """``prop`` at the strength of the strongest piece of ``evidence``, all
+    of which counts for ``prop``; None if ``prior``, the belief held in
+    ``prop``, is already that strong."""
     if not evidence:
         if prior is None:
             raise ContractViolation(f"cannot adopt {prop} with no evidence and no prior")
-        return kb
+        return None
     win = max(piece_strength(pc) for pc in evidence)
     if prior is not None and prior.endorsement.level >= win:
-        return kb
+        return None
     basis = {pc.belief.prop for pc in evidence if pc.belief.prop != prop}
     if basis:
         endorsement = Endorsement.derived(win, basis)
@@ -891,7 +963,7 @@ def _adopt(
         endorsement = max(evidence, key=piece_strength).belief.endorsement
         if endorsement.level != win:
             endorsement = replace(endorsement, level=win)
-    return kb.own_add(Belief(prop, endorsement))
+    return Belief(prop, endorsement)
 
 
 def assimilate(kb: KnowledgeBase, verdict: Verdict, target: Proposition) -> KnowledgeBase:
@@ -905,10 +977,13 @@ def assimilate(kb: KnowledgeBase, verdict: Verdict, target: Proposition) -> Know
     its negation.
     """
     if verdict.outcome is VerdictOutcome.ACCEPT:
-        return _adopt(kb, target, verdict.support_pieces)
-    if verdict.outcome is VerdictOutcome.REJECT:
+        prop, evidence = target, verdict.support_pieces
+    elif verdict.outcome is VerdictOutcome.REJECT:
         # adding the negation drops the target, if it is held at all
-        return _adopt(kb, target.negate(), verdict.attack_pieces)
-    if verdict.outcome is VerdictOutcome.ABANDON:
+        prop, evidence = target.negate(), verdict.attack_pieces
+    elif verdict.outcome is VerdictOutcome.ABANDON:
         return kb.own_remove(target)
-    raise ContractViolation("an uncertain verdict cannot be assimilated")
+    else:
+        raise ContractViolation("an uncertain verdict cannot be assimilated")
+    belief = _adopted(kb.own_belief(prop), prop, evidence)
+    return kb if belief is None else kb.own_add(belief)

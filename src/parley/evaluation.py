@@ -23,9 +23,10 @@ from .beliefs import (
     StructureError,
     Verdict,
     VerdictOutcome,
+    _case,
     _check_level,
-    assimilate,
-    presented_case,
+    _PendingAdds,
+    assertions_by,
     record_verdict,
     revise_detail,
     supports_prop,
@@ -39,6 +40,8 @@ class ProposalNode:
     prop: Proposition
     asserted_level: StrengthLevel
     children: tuple["ProposalNode", ...] = ()
+    # not a field: the relations to the children, once built
+    _relations = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.prop, Proposition):
@@ -50,20 +53,27 @@ class ProposalNode:
                 raise StructureError(f"proposal node child must be a ProposalNode, got {child!r}")
         object.__setattr__(self, "children", children)
 
-    def relation_to(self, child: "ProposalNode") -> Proposition:
-        return supports_prop(child.prop, self.prop)
+    @property
+    def relations(self) -> tuple[Proposition, ...]:
+        """``supports(child, this)`` for each child, in order, built on
+        first use and kept."""
+        relations = self._relations
+        if relations is None:
+            relations = tuple(supports_prop(child.prop, self.prop) for child in self.children)
+            object.__setattr__(self, "_relations", relations)
+        return relations
 
     def props(self) -> tuple[Proposition, ...]:
         """In preorder: this node's proposition, then for each child the
         relation to it followed by the child's own props."""
         out: list[Proposition] = []
-        stack: list[tuple[Optional[ProposalNode], ProposalNode]] = [(None, self)]
+        stack: list[tuple[Optional[Proposition], ProposalNode]] = [(None, self)]
         while stack:
-            parent, node = stack.pop()
-            if parent is not None:
-                out.append(parent.relation_to(node))
+            relation, node = stack.pop()
+            if relation is not None:
+                out.append(relation)
             out.append(node.prop)
-            stack.extend((node, child) for child in reversed(node.children))
+            stack.extend(zip(reversed(node.relations), reversed(node.children)))
         return tuple(out)
 
 
@@ -104,31 +114,32 @@ def record_proposal(
 
     Internal nodes are recorded as derived from their stated justifications;
     leaves and relations as plain assertions.  An entry of the same polarity
-    that is already modelled is kept as is, while a contradicting entry is
-    replaced by the newly asserted one.
+    that is already modelled, or noted earlier in the tree, is kept as is,
+    while a contradicting entry is replaced by the newly asserted one.  The
+    whole tree goes into the model in one write.
     """
+    pending = _PendingAdds(kb, own=False)
+    _note(pending, assertions_by(speaker, expertise), tree)
+    return pending.store()
 
-    def note(kb: KnowledgeBase, prop: Proposition, endorsement: Endorsement) -> KnowledgeBase:
-        if kb.model_belief(prop) is not None:
-            return kb
-        return kb.model_add(Belief(prop, endorsement))
 
-    def walk(kb: KnowledgeBase, node: ProposalNode) -> KnowledgeBase:
-        for child in node.children:
-            kb = walk(kb, child)
-            kb = note(
-                kb,
-                node.relation_to(child),
-                Endorsement.assertion(child.asserted_level, speaker, expertise),
-            )
+# A module-level function, not a closure that calls itself: that would be a
+# reference cycle, and the store held by ``pending`` would wait for the
+# collector.
+def _note(pending: _PendingAdds, endorse, node: ProposalNode) -> None:
+    """Note ``node`` and everything beneath it, each child before the
+    relation to it and the node last."""
+    for child, relation in zip(node.children, node.relations):
+        _note(pending, endorse, child)
+        if pending.belief(relation) is None:
+            pending.add(Belief(relation, endorse(child.asserted_level)))
+    if pending.belief(node.prop) is None:
         if node.children:
             support = (child.prop for child in node.children)
             endorsement = Endorsement.derived(node.asserted_level, support)
         else:
-            endorsement = Endorsement.assertion(node.asserted_level, speaker, expertise)
-        return note(kb, node.prop, endorsement)
-
-    return walk(kb, tree)
+            endorsement = endorse(node.asserted_level)
+        pending.add(Belief(node.prop, endorsement))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +195,14 @@ def evaluate_proposal(
     then only at the strength the evaluation actually granted them.
     """
     validate_tree(tree)
+    # the proposer's assertion endorsements, shared by every presented case
+    endorse = assertions_by(proposer, proposer_expertise)
 
     def walk(node: ProposalNode) -> EvaluatedNode:
         evaluated_children: list[EvaluatedChild] = []
         backing: list[tuple] = []
-        for child in node.children:
+        for child, relation in zip(node.children, node.relations):
             child_eval = walk(child)
-            relation = node.relation_to(child)
             held = kb.own_belief(relation)
             held_neg = kb.own_belief(relation.negate())
             lookup = held is not None or held_neg is not None
@@ -206,7 +218,7 @@ def evaluate_proposal(
                 rel_verdict = revise_detail(
                     kb,
                     relation,
-                    presented_case(relation, proposer, proposer_expertise),
+                    _case(relation, proposer_expertise, endorse),
                     tau,
                     trace=trace,
                     agent=agent,
@@ -216,7 +228,7 @@ def evaluate_proposal(
                 levels = (child_eval.verdict.accepted_strength(), rel_verdict.accepted_strength())
                 backing.append((child.prop, relation, *levels))
 
-        presented = presented_case(node.prop, proposer, proposer_expertise, backing)
+        presented = _case(node.prop, proposer_expertise, endorse, backing)
         verdict = revise_detail(kb, node.prop, presented, tau, trace=trace, agent=agent)
         return EvaluatedNode(node, verdict, tuple(evaluated_children))
 
@@ -229,24 +241,30 @@ def assimilate_evaluated(
     """Fold an accepted proposal into the store, bottom-up.
 
     Only callable when the root was accepted.  Accepted nodes, and relations
-    accepted by revision, are each adopted from their own verdict by
-    :func:`assimilate`; nothing is taken from rejected branches.
-    Returns the updated store and every proposition now agreed to.
+    accepted by revision, are each adopted from their own verdict's support,
+    as :func:`assimilate` adopts one, and all in one write; nothing is taken
+    from rejected branches.  Returns the updated store and every
+    proposition now agreed to.
     """
     if not evaluated.accepted:
         raise ContractViolation("cannot assimilate a proposal that was not accepted")
     agreed: list[Proposition] = []
+    pending = _PendingAdds(kb, own=True)
+    _adopt_accepted(pending, evaluated, agreed)
+    return pending.store(), tuple(sorted(set(agreed)))
 
-    def walk(kb: KnowledgeBase, ev: EvaluatedNode) -> KnowledgeBase:
-        for child in ev.children:
-            if child.evaluated.accepted:
-                kb = walk(kb, child.evaluated)
-            if child.relation_accepted:
-                agreed.append(child.relation)
-                if not child.relation_lookup:
-                    kb = assimilate(kb, child.relation_verdict, child.relation)
-        agreed.append(ev.prop)
-        return assimilate(kb, ev.verdict, ev.prop)
 
-    kb = walk(kb, evaluated)
-    return kb, tuple(sorted(set(agreed)))
+# module-level for the reason given at ``_note``
+def _adopt_accepted(pending: _PendingAdds, ev: EvaluatedNode, agreed: list) -> None:
+    """Adopt the accepted node ``ev`` and what was accepted beneath it,
+    each child before the relation to it and the node last, and list each
+    in ``agreed``."""
+    for child in ev.children:
+        if child.evaluated.accepted:
+            _adopt_accepted(pending, child.evaluated, agreed)
+        if child.relation_accepted:
+            agreed.append(child.relation)
+            if not child.relation_lookup:
+                pending.adopt(child.relation, child.relation_verdict.support_pieces)
+    agreed.append(ev.prop)
+    pending.adopt(ev.prop, ev.verdict.support_pieces)

@@ -11,7 +11,7 @@ then canonical order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .beliefs import (
@@ -42,6 +42,14 @@ class JustificationLink:
     belief_level: StrengthLevel
     relation_level: StrengthLevel
     children: tuple["JustificationLink", ...] = ()
+    # ``key()``, built once from the children's keys
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = [self.prop.render()]
+        for child in self.children:
+            key += child._key
+        object.__setattr__(self, "_key", tuple(key))
 
     def walk(self) -> Iterator["JustificationLink"]:
         """This link and every link beneath it, in preorder."""
@@ -52,7 +60,8 @@ class JustificationLink:
             stack.extend(reversed(link.children))
 
     def key(self) -> tuple[str, ...]:
-        return tuple(link.prop.render() for link in self.walk())
+        """The rendered proposition of every link in :meth:`walk` order."""
+        return self._key
 
 
 def hearer_accepts(

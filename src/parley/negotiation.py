@@ -25,7 +25,9 @@ from .beliefs import (
     StrengthLevel,
     Verdict,
     VerdictOutcome,
+    _PendingAdds,
     assertion_strength,
+    assertions_by,
     assimilate,
     presented_case,
     removal_closure,
@@ -190,11 +192,11 @@ def _apply_correction(tree: ProposalNode, member: Proposition) -> tuple[Proposal
 
     def walk(node: ProposalNode) -> ProposalNode:
         kept: list[ProposalNode] = []
-        for child in node.children:
+        for child, relation in zip(node.children, node.relations):
             if child.prop == member:
                 changed.append("modify-node")
                 continue
-            if node.relation_to(child) == member:
+            if relation == member:
                 changed.append("remove-node")
                 continue
             kept.append(walk(child))
@@ -213,16 +215,15 @@ def _hypothetical_concession(
 
 
 def _observe_acceptance(session: _Session, observer: str, acceptor: str, props) -> None:
-    level = assertion_strength(session.expertise(acceptor))
-    kb = session.kbs[observer]
+    expertise = session.expertise(acceptor)
+    level = assertion_strength(expertise)
+    endorse = assertions_by(acceptor, expertise)
+    pending = _PendingAdds(session.kbs[observer], own=False)
     for prop in sorted(props):
-        existing = kb.model_belief(prop)
-        if existing is not None and existing.endorsement.level >= level:
-            continue
-        kb = kb.model_add(
-            Belief(prop, Endorsement.assertion(level, acceptor, session.expertise(acceptor)))
-        )
-    session.kbs[observer] = kb
+        existing = pending.belief(prop)
+        if existing is None or existing.endorsement.level < level:
+            pending.add(Belief(prop, endorse(level)))
+    session.kbs[observer] = pending.store()
 
 
 def _hear(session: _Session, speaker: str, hearer: str, tree: ProposalNode) -> EvaluatedNode:

@@ -8,6 +8,10 @@ from typing import Any
 
 TRACE_KINDS = ("revise", "predict", "foci", "minset", "heuristic", "recipe", "act")
 
+# what json.dumps(..., sort_keys=True, ensure_ascii=False) builds on every
+# call; an encoder keeps no state between calls, so one serves every record
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -16,11 +20,7 @@ class TraceRecord:
     payload: dict[str, Any]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"step": self.step, "kind": self.kind, "payload": self.payload},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        return _ENCODER.encode({"step": self.step, "kind": self.kind, "payload": self.payload})
 
 
 @dataclass

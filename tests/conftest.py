@@ -173,3 +173,38 @@ def random_scenario(rng: random.Random) -> Scenario:
         tau=rng.choice([1, 1, 2]),
         max_depth=16,
     )
+
+
+def flat_chain(n: int) -> dict:
+    """S holds ``~s0`` .. ``~sn``, each ``~s(i+1)`` supporting ``~si``; U and
+    S's model of U hold ``s0`` .. ``s(n-1)``.  Refuting U's ``s0`` takes a
+    justification chain n links long, though no JSON value nests."""
+
+    def record(prop: str) -> dict:
+        return {"prop": prop, "level": "warranted", "source": "kb-record"}
+
+    held = [record(f"s{i}") for i in range(n)]
+    counter = [record(f"~s{i}") for i in range(n + 1)]
+    counter += [record(f"supports(~s{i + 1}, ~s{i})") for i in range(n)]
+    return {
+        "v": 1,
+        "agents": [
+            {"id": "U", "expertise": "non-expert", "beliefs": held},
+            {"id": "S", "expertise": "expert", "beliefs": counter, "userModel": held},
+        ],
+        "proposal": {"prop": "s0", "assertedLevel": "warranted"},
+    }
+
+
+def index_contents(by_consequent: dict) -> dict:
+    # bucket order means nothing
+    return {key: sorted(bucket) for key, bucket in by_consequent.items()}
+
+
+def added_in_turn(beliefs) -> tuple:
+    # what a store holds after adding ``beliefs`` one by one
+    side = {}
+    for b in beliefs:
+        side.pop(b.prop.negate(), None)
+        side[b.prop] = b
+    return tuple(side.values())

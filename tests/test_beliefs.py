@@ -42,7 +42,14 @@ from parley.beliefs import (
     revise_detail,
 )
 
-from conftest import LEVELS, ground, random_revision_case, random_store
+from conftest import (
+    LEVELS,
+    added_in_turn,
+    ground,
+    index_contents,
+    random_revision_case,
+    random_store,
+)
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
 
@@ -501,10 +508,21 @@ def test_store_writes_match_fresh_construction(seed):
         prop = rng.choice(universe)
         ref = sides[writer.startswith("own")]
         if writer.endswith("add"):
-            belief = Belief(prop, Endorsement.kb_record(rng.choice(LEVELS)))
-            ref.pop(prop.negate(), None)
-            ref[prop] = belief
-            kb = getattr(kb, writer)(belief)
+            # a batch goes in one write, which must match adding its beliefs
+            # one at a time; it may hold a proposition and its negation, or
+            # one proposition at two levels
+            props = [prop, *rng.choices(universe, k=rng.randint(0, 3))]
+            if rng.random() < 0.5:
+                pick = rng.choice(props)
+                props.insert(rng.randrange(len(props) + 1), rng.choice((pick, pick.negate())))
+            batch = [Belief(p, Endorsement.kb_record(rng.choice(LEVELS))) for p in props]
+            one_by_one = kb
+            for belief in batch:
+                ref.pop(belief.prop.negate(), None)
+                ref[belief.prop] = belief
+                one_by_one = getattr(one_by_one, writer)(belief)
+            kb = getattr(kb, writer)(*batch)
+            assert kb == one_by_one
         else:
             # a removal set, in any order and possibly repeating, goes in
             # one write; it must match dropping its members one at a time
@@ -611,11 +629,6 @@ def seed_removal_closure(model, removed):
     return frozenset(closure)
 
 
-def index_contents(by_consequent: dict) -> dict:
-    # bucket order means nothing
-    return {key: sorted(bucket) for key, bucket in by_consequent.items()}
-
-
 INDEX_LITERALS = [ground(n, neg) for n in ("p", "q", "r", "s") for neg in (False, True)]
 INDEX_RELATIONS = [supports_prop(a, b) for a in INDEX_LITERALS for b in INDEX_LITERALS if a != b]
 INDEX_UNIVERSE = INDEX_LITERALS + INDEX_RELATIONS + [r.negate() for r in INDEX_RELATIONS]
@@ -631,32 +644,36 @@ index_beliefs = st.builds(
         ),
     ),
 )
-index_writes = st.one_of(
-    st.tuples(st.sampled_from(("own_add", "model_add")), index_beliefs),
-    # a relation re-added at another level, or its negation added
-    st.tuples(
-        st.sampled_from(("own_add", "model_add")),
+# runs of beliefs that one add call writes together
+index_batches = st.lists(
+    st.one_of(
+        index_beliefs.map(lambda b: [b]),
+        # a relation re-added at another level, or its negation added
         st.builds(
-            lambda rel, negate, level: rec(rel.negate() if negate else rel, level),
+            lambda rel, negate, level: [rec(rel.negate() if negate else rel, level)],
             st.sampled_from(INDEX_RELATIONS[:6]),
             st.booleans(),
             st.sampled_from(LEVELS),
         ),
+        # one proposition, then it again at another level or its negation:
+        # the negation of an indexed relation drops it within the batch
+        st.builds(
+            lambda b, negate, level: [b, rec(b.prop.negate() if negate else b.prop, level)],
+            index_beliefs,
+            st.booleans(),
+            st.sampled_from(LEVELS),
+        ),
     ),
+    min_size=1,
+    max_size=3,
+).map(lambda runs: [b for run in runs for b in run])
+index_writes = st.one_of(
+    st.tuples(st.sampled_from(("own_add", "model_add")), index_batches),
     st.tuples(
         st.sampled_from(("own_remove", "model_remove")),
         st.lists(st.sampled_from(INDEX_UNIVERSE), max_size=3),
     ),
 )
-
-
-def added_in_turn(beliefs) -> tuple:
-    # what a store holds after adding ``beliefs`` one by one
-    side = {}
-    for b in beliefs:
-        side.pop(b.prop.negate(), None)
-        side[b.prop] = b
-    return tuple(side.values())
 
 
 def assert_lookups_match_scans(kb: KnowledgeBase, removals) -> None:
@@ -687,7 +704,14 @@ def test_indexed_lookups_match_full_scans(own, model, writes, removals):
     kb = KnowledgeBase(own=added_in_turn(own), user_model=added_in_turn(model))
     assert_lookups_match_scans(kb, removals)
     for writer, arg in writes:
-        kb = getattr(kb, writer)(*arg) if writer.endswith("remove") else getattr(kb, writer)(arg)
+        if writer.endswith("add"):
+            side = kb.own if writer == "own_add" else kb.user_model
+            expected = {b.prop: b for b in added_in_turn((*side, *arg))}
+            kb = getattr(kb, writer)(*arg)
+            side = kb.own if writer == "own_add" else kb.user_model
+            assert {b.prop: b for b in side} == expected
+        else:
+            kb = getattr(kb, writer)(*arg)
         assert_lookups_match_scans(kb, removals)
 
 

@@ -9,6 +9,8 @@ import pytest
 from parley import cli
 from parley.trace import TRACE_KINDS
 
+from conftest import flat_chain
+
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "parley" / "scenarios"
 
 SMITH_LINES = [
@@ -176,27 +178,6 @@ def test_deeply_nested_proposition_diagnostic(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith(f"parley: {deep}: $.agents[0].beliefs[0].prop: ")
     assert len(result.stderr.splitlines()) == 1
-
-
-def flat_chain(n: int) -> dict:
-    """S holds ``~s0`` .. ``~sn``, each ``~s(i+1)`` supporting ``~si``; U and
-    S's model of U hold ``s0`` .. ``s(n-1)``.  Refuting U's ``s0`` takes a
-    justification chain n links long, though no JSON value nests."""
-
-    def record(prop: str) -> dict:
-        return {"prop": prop, "level": "warranted", "source": "kb-record"}
-
-    held = [record(f"s{i}") for i in range(n)]
-    counter = [record(f"~s{i}") for i in range(n + 1)]
-    counter += [record(f"supports(~s{i + 1}, ~s{i})") for i in range(n)]
-    return {
-        "v": 1,
-        "agents": [
-            {"id": "U", "expertise": "non-expert", "beliefs": held},
-            {"id": "S", "expertise": "expert", "beliefs": counter, "userModel": held},
-        ],
-        "proposal": {"prop": "s0", "assertedLevel": "warranted"},
-    }
 
 
 def test_long_flat_justification_chain(tmp_path):

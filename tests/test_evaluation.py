@@ -58,9 +58,12 @@ class TestTrees:
             TGT, supports_prop(P, TGT), P, supports_prop(R, TGT), R
         )
 
-    def test_relation_to(self):
-        tree = ProposalNode(TGT, S, (ProposalNode(P, T),))
-        assert tree.relation_to(tree.children[0]) == REL
+    def test_relations(self):
+        tree = ProposalNode(TGT, S, (ProposalNode(P, T), ProposalNode(R, T)))
+        assert tree.relations == (REL, supports_prop(R, TGT))
+        # built once: every reader shares the same objects
+        assert all(a is b for a, b in zip(tree.relations, tree.relations))
+        assert ProposalNode(P, T).relations == ()
 
     def test_rejects_repeated_prop(self):
         with pytest.raises(StructureError):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -17,14 +18,16 @@ from parley import (
     VerdictOutcome,
     build_justification_chains,
     hearer_accepts,
+    parse_proposition,
+    parse_scenario,
     select_justification,
     supports_prop,
 )
-from parley.beliefs import assertion_strength, minimal_subsets, revise
+from parley.beliefs import Proposition, assertion_strength, minimal_subsets, revise
 from parley.justification import realized_beliefs
 from parley.trace import Trace
 
-from conftest import ground
+from conftest import flat_chain, ground
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
 CLAIM, A, B, C = ground("claim"), ground("a"), ground("b"), ground("c")
@@ -417,3 +420,29 @@ def test_select_justification_matches_seed_algorithm():
         assert heuristic.payload == record, case
         rules.add(record["rule"])
     assert rules == {"only", "confidence", "novelty", "size", "canonical"}
+
+
+def test_flat_chain_keys_cost_linear_work(monkeypatch):
+    # each link's key is built once, from its children's: sorting the chains
+    # at every level of an n-link chain renders each link once, where
+    # walking the sub-chain for every key renders about n^2/2 props
+    counts = {}
+    for n in (100, 400):
+        kb = parse_scenario(json.dumps(flat_chain(n))).evaluator.kb
+        calls = {"walk": 0, "render": 0}
+        with monkeypatch.context() as patch:
+            for owner, name in ((JustificationLink, "walk"), (Proposition, "render")):
+                method = getattr(owner, name)
+
+                def counted(*args, method=method, name=name, **kwargs):
+                    calls[name] += 1
+                    return method(*args, **kwargs)
+
+                patch.setattr(owner, name, counted)
+            chains = build_justification_chains(
+                kb, kb.model_view(), parse_proposition("~s0"), speaker="S"
+            )
+        assert len(chains) == 1 and len(chains[0].key()) == n
+        counts[n] = calls
+    assert counts[400]["walk"] <= 4 * counts[100]["walk"]
+    assert counts[400]["render"] <= 4 * counts[100]["render"]

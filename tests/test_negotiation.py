@@ -7,6 +7,8 @@ import time
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parley
 from parley import (
@@ -20,14 +22,29 @@ from parley import (
     NegotiationConfig,
     ProposalNode,
     StrengthLevel,
+    assimilate,
+    assimilate_evaluated,
+    evaluate_proposal,
     negotiate,
     parse_proposition,
     parse_scenario,
+    record_proposal,
     supports_prop,
 )
+from parley.beliefs import assertion_strength
+from parley.negotiation import _observe_acceptance, _Session
 from parley.trace import Trace
 
-from conftest import dissenters, ground, load_bench, load_bundled, run_scenario
+from conftest import (
+    LEVELS,
+    added_in_turn,
+    dissenters,
+    ground,
+    index_contents,
+    load_bench,
+    load_bundled,
+    run_scenario,
+)
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
 
@@ -584,3 +601,161 @@ def test_disputed_correction_is_proposed_by_the_corrector():
         if r.payload["agent"] == "P" and r.payload["target"] == "¬r"
     ]
     assert heard == [(22, "abandon", 2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the three writers of a heard proposal against one write per belief
+
+
+def seed_record_proposal(kb, tree, *, speaker, expertise):
+    """``record_proposal`` as it was, with one model write per belief."""
+
+    def note(kb, prop, endorsement):
+        if kb.model_belief(prop) is not None:
+            return kb
+        return kb.model_add(Belief(prop, endorsement))
+
+    def walk(kb, node):
+        for child in node.children:
+            kb = walk(kb, child)
+            kb = note(
+                kb,
+                supports_prop(child.prop, node.prop),
+                Endorsement.assertion(child.asserted_level, speaker, expertise),
+            )
+        if node.children:
+            support = (child.prop for child in node.children)
+            endorsement = Endorsement.derived(node.asserted_level, support)
+        else:
+            endorsement = Endorsement.assertion(node.asserted_level, speaker, expertise)
+        return note(kb, node.prop, endorsement)
+
+    return walk(kb, tree)
+
+
+def seed_assimilate_evaluated(kb, evaluated):
+    """``assimilate_evaluated`` as it was, with one ``assimilate`` per
+    adopted proposition."""
+    agreed = []
+
+    def walk(kb, ev):
+        for child in ev.children:
+            if child.evaluated.accepted:
+                kb = walk(kb, child.evaluated)
+            if child.relation_accepted:
+                agreed.append(child.relation)
+                if not child.relation_lookup:
+                    kb = assimilate(kb, child.relation_verdict, child.relation)
+        agreed.append(ev.prop)
+        return assimilate(kb, ev.verdict, ev.prop)
+
+    kb = walk(kb, evaluated)
+    return kb, tuple(sorted(set(agreed)))
+
+
+def seed_observe_acceptance(session, observer, acceptor, props):
+    """``_observe_acceptance`` as it was, with one model write per belief."""
+    level = assertion_strength(session.expertise(acceptor))
+    kb = session.kbs[observer]
+    for prop in sorted(props):
+        existing = kb.model_belief(prop)
+        if existing is not None and existing.endorsement.level >= level:
+            continue
+        kb = kb.model_add(
+            Belief(prop, Endorsement.assertion(level, acceptor, session.expertise(acceptor)))
+        )
+    session.kbs[observer] = kb
+
+
+TREE_NAMES = ("p", "q", "r", "s")
+TREE_LITERALS = [ground(n, negated) for n in TREE_NAMES for negated in (False, True)]
+TREE_RELATIONS = [supports_prop(a, b) for a in TREE_LITERALS for b in TREE_LITERALS if a != b]
+store_beliefs = st.builds(
+    Belief,
+    st.one_of(
+        st.sampled_from(TREE_LITERALS),
+        st.sampled_from(TREE_RELATIONS + [r.negate() for r in TREE_RELATIONS]),
+    ),
+    st.one_of(
+        st.sampled_from(LEVELS).map(Endorsement.kb_record),
+        st.builds(
+            Endorsement.assertion,
+            st.sampled_from(LEVELS),
+            st.just("u"),
+            st.sampled_from(Expertise),
+        ),
+    ),
+)
+
+
+@st.composite
+def proposal_trees(draw, path=frozenset()):
+    """A tree over four names that names each at most once per path, so a
+    proposition may repeat in two branches and its negation sit in a
+    sibling branch."""
+    name = draw(st.sampled_from([n for n in TREE_NAMES if n not in path]))
+    path = path | {name}
+    children = ()
+    if len(path) < len(TREE_NAMES) and draw(st.booleans()):
+        children = tuple(draw(st.lists(proposal_trees(path), min_size=1, max_size=3)))
+    return ProposalNode(ground(name, draw(st.booleans())), draw(st.sampled_from(LEVELS)), children)
+
+
+def outcome_of(call, *args):
+    # (None, result), or the contract violation's message and None
+    try:
+        return None, call(*args)
+    except ContractViolation as error:
+        return str(error), None
+
+
+def assert_same_store(kb, expected):
+    assert kb == expected
+    for side in ("_own_by_consequent", "_model_by_consequent"):
+        assert index_contents(getattr(kb, side)) == index_contents(getattr(expected, side))
+
+
+@settings(max_examples=200, deadline=None)
+@given(proposal_trees(), st.sampled_from(Expertise), st.data())
+def test_heard_proposal_writes_match_one_write_per_belief(tree, expertise, data):
+    # each store holds some of the tree's propositions and relations, or
+    # their negations, at any level, beside other beliefs
+    about_tree = st.builds(
+        lambda prop, negate, level: Belief(
+            prop.negate() if negate else prop, Endorsement.kb_record(level)
+        ),
+        st.sampled_from(tree.props()),
+        st.booleans(),
+        st.sampled_from(LEVELS),
+    )
+    own, model, observed = (
+        added_in_turn(data.draw(st.lists(st.one_of(about_tree, store_beliefs), max_size=10)))
+        for _ in range(3)
+    )
+    kb = KnowledgeBase(own=own, user_model=model, expertise=expertise)
+    heard = record_proposal(kb, tree, speaker="u", expertise=expertise)
+    assert_same_store(heard, seed_record_proposal(kb, tree, speaker="u", expertise=expertise))
+
+    evaluated = evaluate_proposal(heard, tree, proposer="u", proposer_expertise=expertise)
+    if evaluated.accepted:
+        # both fail alike on a tree whose sibling branches were each
+        # accepted, one for a proposition the hearer held with nothing
+        # credited and one for its negation
+        adopted, expected = (
+            outcome_of(adopt, heard, evaluated)
+            for adopt in (assimilate_evaluated, seed_assimilate_evaluated)
+        )
+        assert adopted[0] == expected[0]
+        if adopted[0] is None:
+            assert adopted[1][1] == expected[1][1]
+            assert_same_store(adopted[1][0], expected[1][0])
+
+    # the speaker sees the hearer accept every proposition of the tree
+    speaker = KnowledgeBase(own=(), user_model=observed, expertise=expertise)
+    sessions = [
+        _Session(kbs={"u": speaker, "s": kb}, config=NegotiationConfig(), trace=Trace())
+        for _ in range(2)
+    ]
+    _observe_acceptance(sessions[0], "u", "s", tree.props())
+    seed_observe_acceptance(sessions[1], "u", "s", tree.props())
+    assert_same_store(sessions[0].kbs["u"], sessions[1].kbs["u"])
