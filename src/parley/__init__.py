@@ -23,7 +23,6 @@ from .beliefs import (
     supports_prop,
 )
 from .evaluation import (
-    EvaluatedChild,
     EvaluatedNode,
     ProposalNode,
     assimilate_evaluated,

@@ -83,19 +83,15 @@ _NAME = re.compile(r"[a-z_][a-z0-9_]*")
 _ARG = re.compile(r"[a-z0-9_]+")
 _WS = re.compile(r"\s*")
 
-# Whole-text patterns for the two common shapes: a flat literal
-# ``~name(arg, ...)`` whose name is not ``supports``, and ``~supports(A, B)``
-# over two flat literals, with any whitespace the recursive parser skips.
-# Every quantifier is possessive, so a whitespace run is read at most twice
-# and a miss costs linear time, never a backtracking search.
+# A whole-text pattern for ``~supports(A, B)`` over two flat literals
+# ``~name(arg, ...)`` whose names are not ``supports``, with any whitespace
+# the recursive parser skips.  Every quantifier is possessive, so a
+# whitespace run is read at most twice and a miss costs linear time, never a
+# backtracking search.
 _NEGS = r"(?:[~¬]\s*+)*+"
 _LITERAL_NAME = r"(?!supports(?![a-z0-9_]))[a-z_][a-z0-9_]*+"
 _ARGS = r"[a-z0-9_]++(?:\s*+,\s*+[a-z0-9_]++)*+"
 _LITERAL = rf"{_NEGS}{_LITERAL_NAME}(?:\s*+\(\s*+{_ARGS}\s*+\))?+"
-_FLAT_LITERAL = re.compile(
-    rf"\s*+(?P<negs>{_NEGS})(?P<name>{_LITERAL_NAME})"
-    rf"(?:\s*+\(\s*+(?P<args>{_ARGS})\s*+\))?+\s*+"
-)
 _FLAT_RELATION = re.compile(
     rf"\s*+(?P<negs>{_NEGS}){SUPPORTS}\s*+\("
     rf"\s*+(?P<a>{_LITERAL})\s*+,\s*+(?P<b>{_LITERAL})\s*+\)\s*+"
@@ -241,22 +237,16 @@ def _parse_text(text: str, memo: dict[str, Proposition]) -> Proposition:
         neg, body, predicate, args = m.groups()
         args = tuple(args.split(", ")) if args else ()
         return _trusted_prop(neg != "", predicate, args, text if neg != "~" else f"¬{body}")
-    m = _FLAT_LITERAL.fullmatch(text)
-    if m is not None:
-        negs, predicate, args = m.groups()
-        args = tuple(_ARG.findall(args)) if args else ()
-    else:
-        m = _FLAT_RELATION.fullmatch(text)
-        if m is None:
-            prop, pos = _parse_prop(text, 0)
-            if text[pos:].strip():
-                raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
-            return prop
-        negs, antecedent, consequent = m.groups()
-        args = (_parse_memo(memo, antecedent), _parse_memo(memo, consequent))
-        predicate = SUPPORTS
+    m = _FLAT_RELATION.fullmatch(text)
+    if m is None:
+        prop, pos = _parse_prop(text, 0)
+        if text[pos:].strip():
+            raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
+        return prop
+    negs, antecedent, consequent = m.groups()
+    args = (_parse_memo(memo, antecedent), _parse_memo(memo, consequent))
     negated = (negs.count("~") + negs.count("¬")) % 2 == 1
-    return _trusted_prop(negated, predicate, args, _text_of(negated, predicate, args))
+    return _trusted_prop(negated, SUPPORTS, args, _text_of(negated, SUPPORTS, args))
 
 
 def _parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:

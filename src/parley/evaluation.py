@@ -10,7 +10,7 @@ relation have themselves been accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .beliefs import (
     Belief,
@@ -67,40 +67,60 @@ class ProposalNode:
         """In preorder: this node's proposition, then for each child the
         relation to it followed by the child's own props."""
         out: list[Proposition] = []
-        stack: list[tuple[Optional[Proposition], ProposalNode]] = [(None, self)]
-        while stack:
-            relation, node = stack.pop()
-            if relation is not None:
-                out.append(relation)
-            out.append(node.prop)
-            stack.extend(zip(reversed(node.relations), reversed(node.children)))
+        for node, parent, i, done in walk(self):
+            if not done:
+                out += (node.prop,) if parent is None else (parent.relations[i], node.prop)
         return tuple(out)
+
+
+def walk(root, enter: Optional[Callable] = None) -> Iterator[tuple]:
+    """Yield ``(node, parent, i, done)`` for each node under ``root``, where
+    ``node`` is ``parent.children[i]`` and the root's parent is None: depth
+    first, once on the way down and again with ``done`` after the subtree,
+    which is skipped if ``enter(node)``, asked after the way down, is false.
+    The walk keeps its own stack, so a tree of any depth walks."""
+    stack = [(root, None, 0, False)]
+    while stack:
+        node, parent, i, done = visit = stack.pop()
+        yield visit
+        if not done:
+            stack.append((node, parent, i, True))
+            if enter is None or enter(node):
+                children = node.children
+                for j in range(len(children) - 1, -1, -1):
+                    stack.append((children[j], node, j, False))
 
 
 def validate_tree(tree: ProposalNode) -> None:
     """Reject a tree that repeats a proposition, or its negation, on one
-    root-to-leaf path; the first offender in preorder is named."""
+    root-to-leaf path, or that asserts a proposition and its negation
+    anywhere; the first offender in preorder is named."""
     path: set[Proposition] = set()
-    stack: list[tuple[ProposalNode, bool]] = [(tree, False)]
-    while stack:
-        node, leaving = stack.pop()
-        if leaving:
+    asserted: set[Proposition] = set()
+    for node, parent, i, done in walk(tree):
+        if done:
             path.discard(node.prop)
             continue
         if node.prop in path or node.prop.negate() in path:
             raise StructureError(f"proposal tree revisits {node.prop}")
         path.add(node.prop)
-        stack.append((node, True))
-        stack.extend((child, False) for child in reversed(node.children))
+        for prop in (node.prop,) if parent is None else (parent.relations[i], node.prop):
+            if prop.negate() in asserted:
+                raise StructureError(f"proposal tree asserts both {prop.negate()} and {prop}")
+            asserted.add(prop)
 
 
 def render_tree(tree: ProposalNode) -> str:
-    if not tree.children:
-        return tree.prop.render()
-    parts = []
-    for child in tree.children:
-        parts.append(child.prop.render() if not child.children else f"({render_tree(child)})")
-    return f"{tree.prop.render()} ⊣ {', '.join(parts)}"
+    """``root ⊣ leaf, (inner ⊣ leaf)``: an inner node is parenthesised."""
+    parts: list[str] = []
+    for node, parent, i, done in walk(tree):
+        nested = parent is not None and node.children
+        if not done:
+            parts += (", " if i else "", "(" if nested else "", node.prop.render())
+            parts.append(" ⊣ " if node.children else "")
+        elif nested:
+            parts.append(")")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -116,30 +136,23 @@ def record_proposal(
     leaves and relations as plain assertions.  An entry of the same polarity
     that is already modelled, or noted earlier in the tree, is kept as is,
     while a contradicting entry is replaced by the newly asserted one.  The
-    whole tree goes into the model in one write.
-    """
+    whole tree goes into the model in one write, each node after its
+    subtree and before the relation to it."""
     pending = _PendingAdds(kb, own=False)
-    _note(pending, assertions_by(speaker, expertise), tree)
+    endorse = assertions_by(speaker, expertise)
+    for node, parent, i, done in walk(tree):
+        if not done:
+            continue
+        if pending.belief(node.prop) is None:
+            if node.children:
+                support = (child.prop for child in node.children)
+                endorsement = Endorsement.derived(node.asserted_level, support)
+            else:
+                endorsement = endorse(node.asserted_level)
+            pending.add(Belief(node.prop, endorsement))
+        if parent is not None and pending.belief(parent.relations[i]) is None:
+            pending.add(Belief(parent.relations[i], endorse(node.asserted_level)))
     return pending.store()
-
-
-# A module-level function, not a closure that calls itself: that would be a
-# reference cycle, and the store held by ``pending`` would wait for the
-# collector.
-def _note(pending: _PendingAdds, endorse, node: ProposalNode) -> None:
-    """Note ``node`` and everything beneath it, each child before the
-    relation to it and the node last."""
-    for child, relation in zip(node.children, node.relations):
-        _note(pending, endorse, child)
-        if pending.belief(relation) is None:
-            pending.add(Belief(relation, endorse(child.asserted_level)))
-    if pending.belief(node.prop) is None:
-        if node.children:
-            support = (child.prop for child in node.children)
-            endorsement = Endorsement.derived(node.asserted_level, support)
-        else:
-            endorsement = endorse(node.asserted_level)
-        pending.add(Belief(node.prop, endorsement))
 
 
 # ---------------------------------------------------------------------------
@@ -147,26 +160,17 @@ def _note(pending: _PendingAdds, endorse, node: ProposalNode) -> None:
 
 
 @dataclass(frozen=True)
-class EvaluatedChild:
-    evaluated: "EvaluatedNode"
-    relation: Proposition
-    relation_verdict: Verdict
-    relation_lookup: bool
-
-    @property
-    def relation_accepted(self) -> bool:
-        return self.relation_verdict.outcome is VerdictOutcome.ACCEPT
-
-    @property
-    def counted(self) -> bool:
-        return self.evaluated.accepted and self.relation_accepted
-
-
-@dataclass(frozen=True)
 class EvaluatedNode:
+    """One judged proposal node.  The relation to its parent, that
+    relation's verdict and whether it was a store lookup are None at the
+    root."""
+
     node: ProposalNode
     verdict: Verdict
-    children: tuple[EvaluatedChild, ...]
+    children: tuple["EvaluatedNode", ...]
+    relation: Optional[Proposition] = None
+    relation_verdict: Optional[Verdict] = None
+    relation_lookup: Optional[bool] = None
 
     @property
     def prop(self) -> Proposition:
@@ -175,6 +179,15 @@ class EvaluatedNode:
     @property
     def accepted(self) -> bool:
         return self.verdict.outcome is VerdictOutcome.ACCEPT
+
+    @property
+    def relation_accepted(self) -> bool:
+        return self.relation_verdict.outcome is VerdictOutcome.ACCEPT
+
+    @property
+    def counted(self) -> bool:
+        """Both it and the relation to it were accepted: it backs its parent."""
+        return self.accepted and self.relation_accepted
 
 
 def evaluate_proposal(
@@ -197,42 +210,37 @@ def evaluate_proposal(
     validate_tree(tree)
     # the proposer's assertion endorsements, shared by every presented case
     endorse = assertions_by(proposer, proposer_expertise)
-
-    def walk(node: ProposalNode) -> EvaluatedNode:
-        evaluated_children: list[EvaluatedChild] = []
-        backing: list[tuple] = []
-        for child, relation in zip(node.children, node.relations):
-            child_eval = walk(child)
-            held = kb.own_belief(relation)
-            held_neg = kb.own_belief(relation.negate())
-            lookup = held is not None or held_neg is not None
-            if lookup:
-                # a held relation is its own evidence, at the level held
-                if held is not None:
-                    level = held.endorsement.level
-                    rel_verdict = Verdict(VerdictOutcome.ACCEPT, level, 0, prior_support=held)
-                else:
-                    rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.endorsement.level)
-                record_verdict(trace, agent, relation, rel_verdict, method="lookup")
-            else:
-                rel_verdict = revise_detail(
-                    kb,
-                    relation,
-                    _case(relation, proposer_expertise, endorse),
-                    tau,
-                    trace=trace,
-                    agent=agent,
-                )
-            evaluated_children.append(EvaluatedChild(child_eval, relation, rel_verdict, lookup))
-            if child_eval.accepted and rel_verdict.outcome is VerdictOutcome.ACCEPT:
-                levels = (child_eval.verdict.accepted_strength(), rel_verdict.accepted_strength())
-                backing.append((child.prop, relation, *levels))
-
+    # the judged children of each node on the current path
+    judged: list[list[EvaluatedNode]] = [[]]
+    for node, parent, i, done in walk(tree):
+        if not done:
+            judged.append([])
+            continue
+        children = tuple(judged.pop())
+        backing = []
+        for c in children:
+            if c.counted:
+                levels = (c.verdict.accepted_strength(), c.relation_verdict.accepted_strength())
+                backing.append((c.prop, c.relation, *levels))
         presented = _case(node.prop, proposer_expertise, endorse, backing)
         verdict = revise_detail(kb, node.prop, presented, tau, trace=trace, agent=agent)
-        return EvaluatedNode(node, verdict, tuple(evaluated_children))
-
-    return walk(tree)
+        if parent is None:
+            return EvaluatedNode(node, verdict, children)
+        relation = parent.relations[i]
+        held = kb.own_belief(relation)
+        held_neg = kb.own_belief(relation.negate())
+        lookup = held is not None or held_neg is not None
+        # a held relation is its own evidence, at the level held
+        if held is not None:
+            rel_verdict = Verdict(VerdictOutcome.ACCEPT, held.endorsement.level, 0, prior_support=held)
+        elif held_neg is not None:
+            rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.endorsement.level)
+        else:
+            case = _case(relation, proposer_expertise, endorse)
+            rel_verdict = revise_detail(kb, relation, case, tau, trace=trace, agent=agent)
+        if lookup:
+            record_verdict(trace, agent, relation, rel_verdict, method="lookup")
+        judged[-1].append(EvaluatedNode(node, verdict, children, relation, rel_verdict, lookup))
 
 
 def assimilate_evaluated(
@@ -242,29 +250,22 @@ def assimilate_evaluated(
 
     Only callable when the root was accepted.  Accepted nodes, and relations
     accepted by revision, are each adopted from their own verdict's support,
-    as :func:`assimilate` adopts one, and all in one write; nothing is taken
-    from rejected branches.  Returns the updated store and every
-    proposition now agreed to.
+    as :func:`assimilate` adopts one, and all in one write, each before the
+    relation to it; nothing is taken from beneath a rejected node.  Returns
+    the updated store and every proposition now agreed to.
     """
     if not evaluated.accepted:
         raise ContractViolation("cannot assimilate a proposal that was not accepted")
     agreed: list[Proposition] = []
     pending = _PendingAdds(kb, own=True)
-    _adopt_accepted(pending, evaluated, agreed)
+    for ev, parent, _, done in walk(evaluated, lambda node: node.accepted):
+        if not done:
+            continue
+        if ev.accepted:
+            agreed.append(ev.prop)
+            pending.adopt(ev.prop, ev.verdict.support_pieces)
+        if parent is not None and ev.relation_accepted:
+            agreed.append(ev.relation)
+            if not ev.relation_lookup:
+                pending.adopt(ev.relation, ev.relation_verdict.support_pieces)
     return pending.store(), tuple(sorted(set(agreed)))
-
-
-# module-level for the reason given at ``_note``
-def _adopt_accepted(pending: _PendingAdds, ev: EvaluatedNode, agreed: list) -> None:
-    """Adopt the accepted node ``ev`` and what was accepted beneath it,
-    each child before the relation to it and the node last, and list each
-    in ``agreed``."""
-    for child in ev.children:
-        if child.evaluated.accepted:
-            _adopt_accepted(pending, child.evaluated, agreed)
-        if child.relation_accepted:
-            agreed.append(child.relation)
-            if not child.relation_lookup:
-                pending.adopt(child.relation, child.relation_verdict.support_pieces)
-    agreed.append(ev.prop)
-    pending.adopt(ev.prop, ev.verdict.support_pieces)

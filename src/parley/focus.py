@@ -26,7 +26,7 @@ from .beliefs import (
     removal_closure,
     revise,
 )
-from .evaluation import EvaluatedNode
+from .evaluation import EvaluatedNode, walk
 
 
 def flips(verdict: Verdict) -> bool:
@@ -113,20 +113,10 @@ def _asserted_evidence(
 ) -> tuple[EvidencePiece, ...]:
     """The proposer's case for ``ev`` as presented: the bare assertion plus
     every child, accepted or not, at the strength it was asserted."""
-    return presented_case(
-        ev.prop,
-        proposer,
-        proposer_expertise,
-        (
-            (
-                c.evaluated.prop,
-                c.relation,
-                c.evaluated.node.asserted_level,
-                c.evaluated.node.asserted_level,
-            )
-            for c in ev.children
-        ),
+    backing = (
+        (c.prop, c.relation, c.node.asserted_level, c.node.asserted_level) for c in ev.children
     )
+    return presented_case(ev.prop, proposer, proposer_expertise, backing)
 
 
 def _standing_attack(
@@ -190,26 +180,8 @@ def select_focus_modification(
         case += _standing_attack(kb, prop, agent)
         return frozenset({prop}) if flipped(prop, case, (), note) else None
 
-    def walk(ev: EvaluatedNode) -> Optional[frozenset]:
-        if not ev.children:
-            return emit(ev.prop, "leaf", head_on(ev.prop, "leaf"))
-
-        presented = _asserted_evidence(ev, proposer, proposer_expertise)
-        both_sides = presented + _standing_attack(kb, ev.prop, agent)
-        member_focus: dict[Proposition, frozenset] = {}
-        for child in ev.children:
-            if child.counted:
-                continue
-            if not child.evaluated.accepted:
-                focus = walk(child.evaluated)
-                if focus is None and not child.relation_accepted:
-                    # belief cannot be shaken; see whether the link can
-                    focus = head_on(child.relation, "relation")
-            else:
-                focus = emit(child.relation, "relation", head_on(child.relation, "relation"))
-            if focus is not None:
-                member_focus[child.evaluated.prop] = focus
-
+    def judged(ev: EvaluatedNode, presented, both_sides, member_focus) -> Optional[frozenset]:
+        """The focus of the internal node ``ev``, given its members' foci."""
         cand = tuple(sorted(member_focus))
 
         def undermined(hypothesized, note: str, base: frozenset) -> Optional[frozenset]:
@@ -232,4 +204,32 @@ def select_focus_modification(
             return emit(ev.prop, "both", focus, cand)
         return emit(ev.prop, "nil", None, cand)
 
-    return walk(evaluated)
+    # a member is a child not counted for its parent: an unaccepted one is
+    # walked into, an accepted one can only lose the relation to it.  Each
+    # internal node on the path keeps its two cases and its members' foci.
+    cases: list[tuple] = []
+    foci: list[dict[Proposition, frozenset]] = []
+    for ev, parent, _, done in walk(evaluated, lambda node: node is evaluated or not node.accepted):
+        if parent is not None and ev.accepted:
+            if done and not ev.relation_accepted:
+                focus = emit(ev.relation, "relation", head_on(ev.relation, "relation"))
+                if focus is not None:
+                    foci[-1][ev.prop] = focus
+            continue
+        if not done:
+            if ev.children:
+                presented = _asserted_evidence(ev, proposer, proposer_expertise)
+                cases.append((presented, presented + _standing_attack(kb, ev.prop, agent)))
+                foci.append({})
+            continue
+        if ev.children:
+            focus = judged(ev, *cases.pop(), foci.pop())
+        else:
+            focus = emit(ev.prop, "leaf", head_on(ev.prop, "leaf"))
+        if parent is None:
+            return focus
+        if focus is None and not ev.relation_accepted:
+            # belief cannot be shaken; see whether the link can
+            focus = head_on(ev.relation, "relation")
+        if focus is not None:
+            foci[-1][ev.prop] = focus

@@ -12,7 +12,7 @@ then canonical order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .beliefs import (
     Expertise,
@@ -25,6 +25,7 @@ from .beliefs import (
     presented_case,
     revise,
 )
+from .evaluation import walk
 
 
 class NoSufficientJustification(RuntimeError):
@@ -51,16 +52,8 @@ class JustificationLink:
             key += child._key
         object.__setattr__(self, "_key", tuple(key))
 
-    def walk(self) -> Iterator["JustificationLink"]:
-        """This link and every link beneath it, in preorder."""
-        stack = [self]
-        while stack:
-            link = stack.pop()
-            yield link
-            stack.extend(reversed(link.children))
-
     def key(self) -> tuple[str, ...]:
-        """The rendered proposition of every link in :meth:`walk` order."""
+        """The rendered proposition of every link, in preorder."""
         return self._key
 
 
@@ -149,7 +142,7 @@ def select_justification(
         raise NoSufficientJustification(f"no sufficient justification for {claim}")
 
     def score(combo):
-        links = [link for chain in combo for link in chain.walk()]
+        links = [link for chain in combo for link, _, _, done in walk(chain) if not done]
         fresh = sum(
             1
             for link in links
@@ -193,8 +186,9 @@ def realized_beliefs(
     already modelled as holding them."""
     out: list[Proposition] = [claim]
     for chain in chains:
-        for link in chain.walk():
-            out.append(link.prop)
-            if not model.holds(link.relation):
-                out.append(link.relation)
+        for link, _, _, done in walk(chain):
+            if not done:
+                out.append(link.prop)
+                if not model.holds(link.relation):
+                    out.append(link.relation)
     return tuple(out)

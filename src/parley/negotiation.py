@@ -40,6 +40,7 @@ from .evaluation import (
     evaluate_proposal,
     record_proposal,
     render_tree,
+    walk,
 )
 from .focus import select_focus_modification
 from .justification import (
@@ -174,12 +175,13 @@ def _asserted_level(kb: KnowledgeBase, prop: Proposition) -> StrengthLevel:
 def _claim_tree(
     kb: KnowledgeBase, claim: Proposition, chains: tuple[JustificationLink, ...]
 ) -> ProposalNode:
-    # reversed preorder reaches every link after all the links beneath it,
-    # so each node is built from finished children, with no recursion
+    # each link is built on its way up, from the links built beneath it
     nodes: dict[int, ProposalNode] = {}
-    for link in reversed([link for chain in chains for link in chain.walk()]):
-        children = tuple(nodes[id(c)] for c in link.children)
-        nodes[id(link)] = ProposalNode(link.prop, link.belief_level, children)
+    for chain in chains:
+        for link, _, _, done in walk(chain):
+            if done:
+                children = tuple(nodes[id(c)] for c in link.children)
+                nodes[id(link)] = ProposalNode(link.prop, link.belief_level, children)
     return ProposalNode(
         claim, _asserted_level(kb, claim), tuple(nodes[id(link)] for link in chains)
     )
@@ -187,23 +189,22 @@ def _claim_tree(
 
 def _apply_correction(tree: ProposalNode, member: Proposition) -> tuple[ProposalNode, Optional[str]]:
     """Drop the focused member from the proposal: pruning a belief node is a
-    node modification, detaching a disputed relation removes the edge."""
-    changed: list[str] = []
-
-    def walk(node: ProposalNode) -> ProposalNode:
-        kept: list[ProposalNode] = []
-        for child, relation in zip(node.children, node.relations):
-            if child.prop == member:
-                changed.append("modify-node")
-                continue
-            if relation == member:
-                changed.append("remove-node")
-                continue
-            kept.append(walk(child))
-        return ProposalNode(node.prop, node.asserted_level, tuple(kept))
-
-    pruned = walk(tree)
-    return pruned, (changed[0] if changed else None)
+    node modification, detaching a disputed relation removes the edge.  The
+    recipe is the first pruning's, or None when nothing was pruned."""
+    recipe = None
+    # the rebuilt children of each kept node on the current path; ``enter``
+    # is asked after the way-down visit, so a pruned subtree is not walked
+    kept: list[list[ProposalNode]] = [[]]
+    for node, parent, i, done in walk(tree, lambda node: not pruned):
+        pruned = parent is not None and member in (node.prop, parent.relations[i])
+        if pruned:
+            recipe = recipe or ("modify-node" if node.prop == member else "remove-node")
+        elif not done:
+            kept.append([])
+        else:
+            children = tuple(kept.pop())
+            kept[-1].append(ProposalNode(node.prop, node.asserted_level, children))
+    return kept[0][0], recipe
 
 
 def _hypothetical_concession(
@@ -307,18 +308,22 @@ def _settle(
     heard: Optional[EvaluatedNode] = None,
 ) -> _Step:
     """Negotiate ``tree`` until it settles or stalls; the first round uses
-    ``heard``, the evaluator's judgement of ``tree``, if it was made already."""
+    ``heard``, the evaluator's judgement of ``tree``, if it was made already.
+
+    The rounds end.  A retry, and a disputed correction proposed again at
+    the same depth, each follow the member loop of :func:`_handle_rejection`,
+    which concedes unless every member adds to ``session.presented``.  So
+    each grows the number of (speaker, claim, proposition) triples
+    presented, which the input's propositions, relations and negations
+    bound.  A retry that does not raises :class:`ContractViolation`."""
     if depth > session.config.max_depth:
         raise DepthExceededError(f"nesting exceeded {session.config.max_depth}")
     session.depth_max = max(session.depth_max, depth)
 
     fresh = True
     current = tree
-    guard = 0
     while True:
-        guard += 1
-        if guard > 256:
-            raise ContractViolation("negotiation round failed to terminate")
+        measure = sum(map(len, session.presented.values()))
         session.rounds += 1
         evaluated = heard if heard is not None else _hear(session, proposer, evaluator, current)
         outcome = evaluated.verdict.outcome
@@ -336,6 +341,8 @@ def _settle(
         step = _handle_rejection(session, proposer, evaluator, current, evaluated, depth)
         if step.kind != "retry":
             return step
+        if sum(map(len, session.presented.values())) == measure:
+            raise ContractViolation("a retried round left the presented propositions unchanged")
         current, fresh, heard = step.tree, False, None
 
 

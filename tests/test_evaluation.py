@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from parley import (
@@ -12,6 +15,7 @@ from parley import (
     VerdictOutcome,
     assimilate_evaluated,
     evaluate_proposal,
+    negotiate,
     piece_strength,
     record_proposal,
     render_tree,
@@ -19,6 +23,7 @@ from parley import (
     validate_tree,
 )
 from parley.focus import _asserted_evidence, _standing_attack
+from parley.negotiation import _apply_correction
 from parley.trace import Trace
 
 from conftest import ground, load_bench, load_bundled
@@ -73,6 +78,12 @@ class TestTrees:
         with pytest.raises(StructureError):
             validate_tree(ProposalNode(TGT, S, (ProposalNode(TGT.negate(), S),)))
 
+    def test_rejects_a_relation_asserted_with_its_negation(self):
+        # relations are asserted too: t ⊣ p, ¬supports(p, t)
+        tree = ProposalNode(TGT, S, (ProposalNode(P, S), ProposalNode(REL.negate(), S)))
+        with pytest.raises(StructureError, match=r"asserts both supports\(p\(x\), t\(x\)\) and ¬"):
+            validate_tree(tree)
+
     def test_deep_chain_walks_without_recursion(self):
         # a chain built in code has no nesting bound, unlike parsed text
         d = 3000
@@ -92,6 +103,37 @@ class TestTrees:
         assert tree.props() == tuple(expected)
         with pytest.raises(StructureError, match=r"revisits ¬n0\(x\)$"):
             validate_tree(chain(props[0].negate()))
+
+        # every walk over a proposal or its evaluation keeps its own stack:
+        # with the interpreter's limit below the chain's depth, a chain is
+        # rendered, negotiated by a hearer who accepts every node and by one
+        # who rejects every node, and corrected at its foot
+        d = 250
+        tree = chain(props[d])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            assert d > sys.getrecursionlimit()
+            rendered = render_tree(tree)
+            empty = KnowledgeBase(own=(), user_model=(), expertise=Expertise.EXPERT)
+            accepted = negotiate({"u": empty, "s": empty}, "u", tree)
+            doubter = kb_of(*(rec(prop.negate()) for prop in props[: d + 1]))
+            proposer = kb_of(expertise=Expertise.NON_EXPERT)
+            rejected = negotiate({"u": proposer, "s": doubter}, "u", tree)
+            foot, foot_recipe = _apply_correction(tree, props[d])
+            edge, edge_recipe = _apply_correction(tree, supports_prop(props[d], props[d - 1]))
+        finally:
+            sys.setrecursionlimit(limit)
+        inner = " ⊣ (".join(prop.render() for prop in props[:d])
+        assert rendered == f"{inner} ⊣ n{d}(x)" + ")" * (d - 1)
+        assert (accepted.outcome, accepted.depth) == ("agreement", 0)
+        assert accepted.final_beliefs["s"].holds(props[d])
+        assert (rejected.outcome, rejected.depth) == ("unresolved-needs-sharing", 1)
+        assert [act.content() for act in rejected.acts[1:]] == [
+            f"INFORM ¬n{d}(x)", f"ACCEPT ¬n{d}(x)", "INFOSHARE n0(x)"
+        ]
+        assert (foot_recipe, edge_recipe) == ("modify-node", "remove-node")
+        assert foot.props() == edge.props() == tree.props()[:-2]
 
     def test_first_revisit_in_preorder_is_named(self):
         tree = ProposalNode(
@@ -180,7 +222,7 @@ class TestEvaluate:
             kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), expertise=Expertise.NON_EXPERT
         )
         child = ev.children[0]
-        assert child.evaluated.verdict.accepted_strength() is S
+        assert child.verdict.accepted_strength() is S
         credited = [pc for pc in ev.verdict.support_pieces if pc.belief.prop == P]
         assert [piece_strength(pc) for pc in credited] == [S]
         presented = _asserted_evidence(ev, "u", Expertise.NON_EXPERT)
@@ -190,7 +232,7 @@ class TestEvaluate:
     def test_rejected_child_still_in_presented_evidence(self):
         kb = kb_of(rec(P.negate()), rec(REL))
         ev = self.evaluate(kb, ProposalNode(TGT, S, (ProposalNode(P, W),)))
-        assert not ev.children[0].evaluated.accepted
+        assert not ev.children[0].accepted
         presented = _asserted_evidence(ev, "u", Expertise.EXPERT)
         assert [pc.belief.prop for pc in presented] == [TGT, P]
 
@@ -265,6 +307,21 @@ class TestAssimilateEvaluated:
         assert REL in agreed
         assert kb2.own_belief(REL).endorsement == Endorsement.derived(T, {x})
         assert kb2.own_belief(P).endorsement.speaker == "u"
+
+    def test_nothing_adopted_from_beneath_a_rejected_node(self):
+        # p is rejected against the hearer's case for ¬p; r beneath it is
+        # accepted on its own, yet the hearer does not take it on
+        q = ground("q")
+        kb = kb_of(rec(P.negate()), rec(q), rec(supports_prop(q, P.negate())))
+        ev = evaluate_proposal(
+            kb, ProposalNode(TGT, S, (ProposalNode(P, S, (ProposalNode(R, S),)),)), 1,
+            proposer="u", proposer_expertise=Expertise.NON_EXPERT,
+        )
+        (child,) = ev.children
+        assert ev.accepted and not child.accepted and child.children[0].accepted
+        kb2, agreed = assimilate_evaluated(kb, ev)
+        assert agreed == tuple(sorted([TGT, REL]))
+        assert kb2.own_belief(R) is None
 
     def test_requires_accepted_root(self):
         kb = kb_of(rec(TGT.negate()))

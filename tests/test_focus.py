@@ -205,6 +205,16 @@ class TestFocusSelection:
             "both", names(A, TGT), names(A)
         )
 
+    def test_accepted_member_is_not_walked_into(self):
+        # p is accepted though r beneath it is not; only the relation from p
+        # can be disputed, so r is never a focus candidate
+        link = supports_prop(A, TGT)
+        evaluator = kb_of(rec(A), rec(R.negate()), rec(link.negate()), rec(TGT.negate()))
+        tree = ProposalNode(TGT, T, (ProposalNode(A, T, (ProposalNode(R, T),)),))
+        trace = Trace()
+        run_sfm(evaluator, kb_of(), tree, trace)
+        assert [r.payload["target"] for r in trace.by_kind("foci")] == [link.render(), "t(x)"]
+
     def test_nothing_winnable(self):
         evaluator = kb_of(*self.counterweight(TGT, Q))
         model = kb_of(

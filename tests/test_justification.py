@@ -24,6 +24,8 @@ from parley import (
     supports_prop,
 )
 from parley.beliefs import Proposition, assertion_strength, minimal_subsets, revise
+from parley import justification
+from parley.evaluation import walk
 from parley.justification import realized_beliefs
 from parley.trace import Trace
 
@@ -324,7 +326,7 @@ def seed_select(chains, model, claim, tau, expertise):
         )
         return (
             -int(min(min(link.belief_level, link.relation_level)
-                     for c in combo for link in c.walk())),
+                     for c in combo for link, _, _, done in walk(c) if not done)),
             -fresh,
             sum(len(props(c)) for c in combo),
             tuple(tuple(p.render() for p in props(c)) for c in combo),
@@ -374,8 +376,8 @@ def random_chain_case(rng):
     for i in range(rng.randint(0, 3)):
         beliefs.extend(backing(CLAIM.negate(), ground(f"c{i}"), rng.choice(levels)))
     for chain in chains:
-        for link in chain.walk():
-            if rng.random() < 0.2:
+        for link, _, _, done in walk(chain):
+            if not done and rng.random() < 0.2:
                 beliefs.append(rec(rng.choice([link.prop, link.prop.negate()]), W))
     model = KnowledgeBase(own=tuple(beliefs), expertise=rng.choice(list(Expertise)))
     return chains, model, rng.choice(list(Expertise)), rng.choice([1, 1, 2, 3])
@@ -431,7 +433,7 @@ def test_flat_chain_keys_cost_linear_work(monkeypatch):
         kb = parse_scenario(json.dumps(flat_chain(n))).evaluator.kb
         calls = {"walk": 0, "render": 0}
         with monkeypatch.context() as patch:
-            for owner, name in ((JustificationLink, "walk"), (Proposition, "render")):
+            for owner, name in ((justification, "walk"), (Proposition, "render")):
                 method = getattr(owner, name)
 
                 def counted(*args, method=method, name=name, **kwargs):

@@ -21,7 +21,9 @@ from parley import (
     KnowledgeBase,
     NegotiationConfig,
     ProposalNode,
+    ScenarioError,
     StrengthLevel,
+    StructureError,
     assimilate,
     assimilate_evaluated,
     evaluate_proposal,
@@ -29,10 +31,12 @@ from parley import (
     parse_proposition,
     parse_scenario,
     record_proposal,
+    render_tree,
     supports_prop,
 )
 from parley.beliefs import assertion_strength
-from parley.negotiation import _observe_acceptance, _Session
+from parley import negotiation
+from parley.negotiation import _apply_correction, _observe_acceptance, _Session
 from parley.trace import Trace
 
 from conftest import (
@@ -209,6 +213,55 @@ def test_depth_bound_enforced():
     assert transcript.realize() == run_scenario(scenario).realize()
     with pytest.raises(DepthExceededError):
         run(1)
+
+
+def test_correction_prunes_whole_subtrees_and_keeps_the_first_recipe():
+    # the member is the relation from a to b and, in the other branch, a
+    # node with c beneath it; the relation comes first in preorder
+    t, a, b, c = (parse_proposition(f"{name}(x)") for name in "tabc")
+    member = supports_prop(a, b)
+    strong = StrengthLevel.STRONG
+    tree = ProposalNode(t, strong, (
+        ProposalNode(b, strong, (ProposalNode(a, strong),)),
+        ProposalNode(member, strong, (ProposalNode(c, strong),)),
+    ))
+    pruned, recipe = _apply_correction(tree, member)
+    assert (render_tree(pruned), recipe) == ("t(x) ⊣ b(x)", "remove-node")
+
+
+def test_self_contradictory_proposal_is_refused():
+    # judged against one store, both branches of p ⊣ ¬q, q are accepted by
+    # a hearer holding q weakly; adopting ¬q would then drop q, leaving
+    # nothing to adopt q from
+    q = parse_proposition("q(x)")
+    strong = StrengthLevel.STRONG
+    branches = (ProposalNode(q.negate(), strong), ProposalNode(q, strong))
+    tree = ProposalNode(parse_proposition("p(x)"), strong, branches)
+    hearer = KnowledgeBase(
+        own=(Belief(q, Endorsement.kb_record(StrengthLevel.WEAK)),),
+        user_model=(),
+        expertise=Expertise.EXPERT,
+    )
+    speaker = KnowledgeBase(own=(), user_model=(), expertise=Expertise.EXPERT)
+    with pytest.raises(StructureError, match=r"asserts both ¬q\(x\) and q\(x\)$"):
+        negotiate({"u": speaker, "s": hearer}, "u", tree)
+    with pytest.raises(ScenarioError, match=r"\$\.proposal: proposal tree asserts both"):
+        dialogue(
+            ("expert", []),
+            ("expert", [("q(x)", "weak")]),
+            ("p(x)", "strong", [("~q(x)", "strong"), ("q(x)", "strong")]),
+        )
+
+
+def test_retry_that_presents_nothing_new_is_a_contract_violation(smith, monkeypatch):
+    # each retried round must grow what the session has presented; that
+    # measure is what bounds the rounds
+    def retry_unchanged(session, proposer, evaluator, tree, evaluated, depth):
+        return negotiation._Step("retry", tree=tree)
+
+    monkeypatch.setattr(negotiation, "_handle_rejection", retry_unchanged)
+    with pytest.raises(ContractViolation, match="presented propositions unchanged"):
+        run_scenario(smith)
 
 
 def test_deep_chain_is_near_linear():
@@ -640,8 +693,8 @@ def seed_assimilate_evaluated(kb, evaluated):
 
     def walk(kb, ev):
         for child in ev.children:
-            if child.evaluated.accepted:
-                kb = walk(kb, child.evaluated)
+            if child.accepted:
+                kb = walk(kb, child)
             if child.relation_accepted:
                 agreed.append(child.relation)
                 if not child.relation_lookup:
@@ -701,14 +754,6 @@ def proposal_trees(draw, path=frozenset()):
     return ProposalNode(ground(name, draw(st.booleans())), draw(st.sampled_from(LEVELS)), children)
 
 
-def outcome_of(call, *args):
-    # (None, result), or the contract violation's message and None
-    try:
-        return None, call(*args)
-    except ContractViolation as error:
-        return str(error), None
-
-
 def assert_same_store(kb, expected):
     assert kb == expected
     for side in ("_own_by_consequent", "_model_by_consequent"):
@@ -736,19 +781,20 @@ def test_heard_proposal_writes_match_one_write_per_belief(tree, expertise, data)
     heard = record_proposal(kb, tree, speaker="u", expertise=expertise)
     assert_same_store(heard, seed_record_proposal(kb, tree, speaker="u", expertise=expertise))
 
-    evaluated = evaluate_proposal(heard, tree, proposer="u", proposer_expertise=expertise)
-    if evaluated.accepted:
-        # both fail alike on a tree whose sibling branches were each
-        # accepted, one for a proposition the hearer held with nothing
-        # credited and one for its negation
-        adopted, expected = (
-            outcome_of(adopt, heard, evaluated)
-            for adopt in (assimilate_evaluated, seed_assimilate_evaluated)
-        )
-        assert adopted[0] == expected[0]
-        if adopted[0] is None:
-            assert adopted[1][1] == expected[1][1]
-            assert_same_store(adopted[1][0], expected[1][0])
+    asserted = set(tree.props())
+    if any(prop.negate() in asserted for prop in asserted):
+        # a tree holding p in one branch and ¬p in another is not judged:
+        # each branch would be judged against the same store, and adopting
+        # both could leave one of them with nothing to adopt it from
+        with pytest.raises(StructureError, match="asserts both"):
+            evaluate_proposal(heard, tree, proposer="u", proposer_expertise=expertise)
+    else:
+        evaluated = evaluate_proposal(heard, tree, proposer="u", proposer_expertise=expertise)
+        if evaluated.accepted:
+            adopted, agreed = assimilate_evaluated(heard, evaluated)
+            expected, expected_agreed = seed_assimilate_evaluated(heard, evaluated)
+            assert agreed == expected_agreed
+            assert_same_store(adopted, expected)
 
     # the speaker sees the hearer accept every proposition of the tree
     speaker = KnowledgeBase(own=(), user_model=observed, expertise=expertise)
