@@ -83,25 +83,18 @@ _NAME = re.compile(r"[a-z_][a-z0-9_]*")
 _ARG = re.compile(r"[a-z0-9_]+")
 _WS = re.compile(r"\s*")
 
-# A whole-text pattern for ``~supports(A, B)`` over two flat literals
-# ``~name(arg, ...)`` whose names are not ``supports``, with any whitespace
-# the recursive parser skips.  Every quantifier is possessive, so a
-# whitespace run is read at most twice and a miss costs linear time, never a
-# backtracking search.
-_NEGS = r"(?:[~¬]\s*+)*+"
-_LITERAL_NAME = r"(?!supports(?![a-z0-9_]))[a-z_][a-z0-9_]*+"
-_ARGS = r"[a-z0-9_]++(?:\s*+,\s*+[a-z0-9_]++)*+"
-_LITERAL = rf"{_NEGS}{_LITERAL_NAME}(?:\s*+\(\s*+{_ARGS}\s*+\))?+"
-_FLAT_RELATION = re.compile(
-    rf"\s*+(?P<negs>{_NEGS}){SUPPORTS}\s*+\("
-    rf"\s*+(?P<a>{_LITERAL})\s*+,\s*+(?P<b>{_LITERAL})\s*+\)\s*+"
-)
 # A flat literal spelled as ``render`` spells it, but perhaps with ``~`` for
-# its one ``¬``: the parser keeps that text rather than rebuilding it.
+# its one ``¬``: the parser keeps that text rather than rebuilding it.  A
+# relation spelled that way over two such literals has its own pattern; any
+# other spelling goes to the recursive parser.  Every quantifier is
+# possessive, so a miss costs linear time, never a backtracking search.
+_LITERAL_NAME = r"(?!supports(?![a-z0-9_]))[a-z_][a-z0-9_]*+"
+_LITERAL_ARGS = r"[a-z0-9_]++(?:, [a-z0-9_]++)*+"
 _CANONICAL_LITERAL = re.compile(
-    rf"(?P<neg>[~¬]?+)(?P<body>(?P<name>{_LITERAL_NAME})"
-    rf"(?:\((?P<args>[a-z0-9_]++(?:, [a-z0-9_]++)*+)\))?+)"
+    rf"(?P<neg>[~¬]?+)(?P<body>(?P<name>{_LITERAL_NAME})(?:\((?P<args>{_LITERAL_ARGS})\))?+)"
 )
+_LITERAL = rf"[~¬]?+{_LITERAL_NAME}(?:\({_LITERAL_ARGS}\))?+"
+_CANONICAL_RELATION = re.compile(rf"([~¬]?+){SUPPORTS}\(({_LITERAL}), ({_LITERAL})\)")
 
 # How many supports(...) may enclose one another in parsed text.  Only the
 # recursive-descent parser needs this bound: a proposition builds its text
@@ -237,16 +230,15 @@ def _parse_text(text: str, memo: dict[str, Proposition]) -> Proposition:
         neg, body, predicate, args = m.groups()
         args = tuple(args.split(", ")) if args else ()
         return _trusted_prop(neg != "", predicate, args, text if neg != "~" else f"¬{body}")
-    m = _FLAT_RELATION.fullmatch(text)
+    m = _CANONICAL_RELATION.fullmatch(text)
     if m is None:
         prop, pos = _parse_prop(text, 0)
         if text[pos:].strip():
             raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
         return prop
-    negs, antecedent, consequent = m.groups()
+    neg, antecedent, consequent = m.groups()
     args = (_parse_memo(memo, antecedent), _parse_memo(memo, consequent))
-    negated = (negs.count("~") + negs.count("¬")) % 2 == 1
-    return _trusted_prop(negated, SUPPORTS, args, _text_of(negated, SUPPORTS, args))
+    return _trusted_prop(neg != "", SUPPORTS, args, _text_of(neg != "", SUPPORTS, args))
 
 
 def _parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:
@@ -453,52 +445,28 @@ def assertions_by(speaker: str, expertise: Expertise) -> Callable[[StrengthLevel
 # knowledge bases
 
 
-def _index(beliefs: Iterable[Belief], label: str) -> tuple[dict, dict]:
-    """One side of a store: its beliefs keyed by proposition, and its
-    consequent index."""
+def _index(beliefs: Iterable[Belief], label: str, by_consequent: dict) -> dict:
+    """One side of a store: its beliefs keyed by proposition.  Its positive
+    relations are listed in ``by_consequent`` in the same pass."""
     by_prop: dict[Proposition, Belief] = {}
-    by_consequent: dict[str, list] = {}
     for i, b in enumerate(beliefs):
         prop = b.prop
         # one dict operation per belief: a duplicate leaves the size as it was
         by_prop[prop] = b
         if len(by_prop) == i:
             raise StructureError(f"duplicate belief in {label}: {prop}")
-        if _is_indexed(prop):
-            by_consequent.setdefault(prop.args[1]._text, []).append(prop)
+        _index_relation(by_consequent, prop)
     texts = {prop._text for prop in by_prop}
     for prop in by_prop:
         if prop.negated and prop._text[1:] in texts:
             raise ContradictionError(f"{label} holds both {prop._text[1:]} and {prop}")
-    return by_prop, by_consequent
+    return by_prop
 
 
-def _is_indexed(prop: Proposition) -> bool:
-    """Whether a consequent index holds ``prop``: a positive relation."""
-    return prop.predicate == SUPPORTS and not prop.negated
-
-
-def _reindexed(by_consequent: dict, changed: Iterable[Proposition], side: dict) -> dict:
-    """A copy of a consequent index that lists each positive relation of
-    ``changed`` if ``side`` now holds it and drops it if not; only the
-    buckets touched are copied, once each."""
-    by_consequent = dict(by_consequent)
-    copied: dict[str, list] = {}
-    for rel in changed:
-        key = rel.args[1]._text
-        bucket = copied.get(key)
-        if bucket is None:
-            bucket = copied[key] = list(by_consequent.get(key, ()))
-        if rel in side:
-            bucket.append(rel)
-        else:
-            bucket.remove(rel)
-    for key, bucket in copied.items():
-        if bucket:
-            by_consequent[key] = bucket
-        else:
-            del by_consequent[key]
-    return by_consequent
+def _index_relation(by_consequent: dict, prop: Proposition) -> None:
+    """List ``prop`` in a consequent index if it is a positive relation."""
+    if prop.predicate == SUPPORTS and not prop.negated:
+        by_consequent.setdefault(prop.args[1]._text, {})[prop] = None
 
 
 def _in_text_order(side: dict[Proposition, Belief]) -> tuple[Belief, ...]:
@@ -512,28 +480,28 @@ class KnowledgeBase:
     Each side is one dict from proposition to belief, contradiction-free;
     its order means nothing, and ``own`` and ``user_model`` sort it by text
     on every read, for output.  All update helpers return a new instance;
-    instances are never mutated.  An update copies only the side it writes,
+    no side is ever mutated.  An update copies only the side it writes,
     once, in O(n), and re-validates nothing: a removal drops every
     proposition it is given; an add drops the negation and then inserts.
     Each helper takes any number of propositions or beliefs and applies
     them in order within that one copy, so a step that writes k beliefs
-    copies the side once, not k times; a one-belief write is the same call
-    with one argument.
+    copies the side once, not k times.
 
-    Beside each side sits its consequent index: the text of each
-    proposition ``c`` maps to the positive ``supports(a, c)`` propositions
-    the side holds, in no set order.  It holds propositions, not beliefs, so
-    a relation re-added at another level leaves it alone.  A write copies it
-    only when the write adds or drops a positive relation, and then copies
-    the outer dict and each bucket it touches once; a bucket is never
-    mutated once built.  The index does not take part in equality.
+    Both sides share one consequent index, which only grows: the text of
+    each proposition ``c`` maps to positive ``supports(a, c)`` propositions,
+    the keys of a dict.  The constructor builds it; every store derived
+    from that one (each write's result, each ``model_view()``) shares it,
+    and an add lists each positive relation it writes.  Nothing is dropped
+    or copied, so it is a superset of what any store of the lineage holds,
+    bounded by the relations given to the constructor plus those the
+    lineage wrote; a reader keeps what the side it reads holds.  A
+    negotiation does not copy it.  It takes no part in equality.
     """
 
     _own: dict
     _model: dict
     expertise: Expertise
-    _own_by_consequent: dict = field(compare=False, repr=False)
-    _model_by_consequent: dict = field(compare=False, repr=False)
+    _by_consequent: dict = field(compare=False, repr=False)
 
     def __init__(
         self,
@@ -541,13 +509,13 @@ class KnowledgeBase:
         user_model: Iterable[Belief] = (),
         expertise: Expertise = Expertise.EXPERT,
     ) -> None:
-        own, own_by_consequent = _index(own, "own beliefs")
-        model, model_by_consequent = _index(user_model, "user model")
+        by_consequent: dict[str, dict] = {}
+        own = _index(own, "own beliefs", by_consequent)
+        model = _index(user_model, "user model", by_consequent)
         _setattr(self, "_own", own)
         _setattr(self, "_model", model)
         _setattr(self, "expertise", expertise)
-        _setattr(self, "_own_by_consequent", own_by_consequent)
-        _setattr(self, "_model_by_consequent", model_by_consequent)
+        _setattr(self, "_by_consequent", by_consequent)
 
     @property
     def own(self) -> tuple[Belief, ...]:
@@ -568,7 +536,7 @@ class KnowledgeBase:
 
     def model_view(self) -> "KnowledgeBase":
         """The user model as a store's own beliefs, with no model of its own."""
-        return _trusted(self._model, {}, Expertise.EXPERT, self._model_by_consequent, {})
+        return _trusted(self._model, {}, Expertise.EXPERT, self._by_consequent)
 
     def own_add(self, *beliefs: Belief) -> "KnowledgeBase":
         return self._write(True, (), beliefs)
@@ -589,46 +557,29 @@ class KnowledgeBase:
         one copy: ``dropped`` removed, then each of ``added`` in turn
         inserted in place of its negation and of any belief in the same
         proposition."""
-        before = self._own if own else self._model
-        side = dict(before)
-        # the positive relations dropped or inserted: only they can change
-        # the index
-        touched = []
+        side = dict(self._own if own else self._model)
         for prop in dropped:
-            if side.pop(prop, None) is not None and _is_indexed(prop):
-                touched.append(prop)
+            side.pop(prop, None)
+        index = self._by_consequent
         for belief in added:
             prop = belief.prop
-            negation = prop.negate()
-            if side.pop(negation, None) is not None and _is_indexed(negation):
-                touched.append(negation)
-            if _is_indexed(prop):
-                touched.append(prop)
+            side.pop(prop.negate(), None)
             side[prop] = belief
-        index = self._own_by_consequent if own else self._model_by_consequent
-        if touched:
-            # a batch may insert a relation and drop it again, so only the
-            # two ends of the write count
-            changed = [p for p in dict.fromkeys(touched) if (p in before) != (p in side)]
-            if changed:
-                index = _reindexed(index, changed, side)
+            _index_relation(index, prop)
         if own:
-            return _trusted(side, self._model, self.expertise, index, self._model_by_consequent)
-        return _trusted(self._own, side, self.expertise, self._own_by_consequent, index)
+            return _trusted(side, self._model, self.expertise, index)
+        return _trusted(self._own, side, self.expertise, index)
 
 
-def _trusted(
-    own: dict, model: dict, expertise: Expertise, own_by_consequent: dict, model_by_consequent: dict
-) -> KnowledgeBase:
+def _trusted(own: dict, model: dict, expertise: Expertise, by_consequent: dict) -> KnowledgeBase:
     """A store from sides already keyed by proposition and free of
-    contradictions, with their consequent indexes, built without
-    ``__init__``.  The dicts are shared, never mutated."""
+    contradictions, with the consequent index it shares, built without
+    ``__init__``.  The sides are shared, never mutated."""
     kb = object.__new__(KnowledgeBase)
     _setattr(kb, "_own", own)
     _setattr(kb, "_model", model)
     _setattr(kb, "expertise", expertise)
-    _setattr(kb, "_own_by_consequent", own_by_consequent)
-    _setattr(kb, "_model_by_consequent", model_by_consequent)
+    _setattr(kb, "_by_consequent", by_consequent)
     return kb
 
 
@@ -719,13 +670,17 @@ def build_evidence_set(
     returned in canonical order.
     """
     sides = (target, target.negate())
-    own, index = kb._own, kb._own_by_consequent
+    own, index = kb._own, kb._by_consequent
     pieces: list[EvidencePiece] = []
     for side in sides:
+        # the index is shared by the store's whole lineage: keep only the
+        # relations this store holds
         for rel in index.get(side._text, ()):
-            basis = own.get(rel.args[0])
-            if basis is not None:
-                pieces.append(_trusted_piece(basis, own[rel]))
+            relation = own.get(rel)
+            if relation is not None:
+                basis = own.get(rel.args[0])
+                if basis is not None:
+                    pieces.append(_trusted_piece(basis, relation))
     for pc in presented:
         if pc.consequent not in sides:
             raise StructureError(f"evidence piece does not address {target}: {pc.relation.prop}")

@@ -102,10 +102,11 @@ class NegotiationConfig:
     max_depth: int = 16
 
     def __post_init__(self) -> None:
-        if self.tau < 1:
-            raise ContractViolation(f"threshold must be at least 1, got {self.tau}")
-        if self.max_depth < 1:
-            raise ContractViolation(f"max depth must be at least 1, got {self.max_depth}")
+        for what, value in (("threshold", self.tau), ("max depth", self.max_depth)):
+            # a bool is an int, and a float or a str would pass or crash
+            # the comparison, so the type is checked first
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ContractViolation(f"{what} must be an integer at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -271,8 +272,9 @@ def negotiate(
     """Run one full negotiation and return its transcript.
 
     ``kbs`` maps exactly two agent names to their stores; ``proposer``
-    speaks first.  The session mutates working copies only (callers keep
-    their stores) and every verdict along the way lands in ``trace``.
+    speaks first.  The session writes new stores only (callers keep theirs;
+    the consequent index they share grows by what it writes, uncopied) and
+    every verdict along the way lands in ``trace``.
     """
     if len(kbs) != 2 or proposer not in kbs:
         raise ContractViolation("negotiation needs exactly two agents, proposer included")

@@ -264,19 +264,27 @@ def _render_node(node: ProposalNode) -> dict:
 
 
 def render_scenario(scenario: Scenario) -> str:
-    """Canonical text form; parsing it yields an equal Scenario."""
-    data = {
-        "v": FORMAT_VERSION,
-        "agents": [
-            {
-                "id": agent.id,
-                "expertise": agent.kb.expertise.value,
-                "beliefs": [_render_belief(b) for b in agent.kb.own],
-                "userModel": [_render_belief(b) for b in agent.kb.user_model],
-            }
-            for agent in scenario.agents
-        ],
-        "proposal": _render_node(scenario.proposal),
-        "config": {"tau": scenario.tau, "maxDepth": scenario.max_depth},
-    }
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """Canonical text form; parsing it yields an equal Scenario.  The
+    indented ``json.dumps`` recurses once per proposal level, so a proposal
+    deeper than about 490 levels (at the default recursion limit) raises
+    ``ScenarioError`` at ``$.proposal``."""
+    agents = [
+        {
+            "id": agent.id,
+            "expertise": agent.kb.expertise.value,
+            "beliefs": [_render_belief(b) for b in agent.kb.own],
+            "userModel": [_render_belief(b) for b in agent.kb.user_model],
+        }
+        for agent in scenario.agents
+    ]
+    try:
+        data = {
+            "v": FORMAT_VERSION,
+            "agents": agents,
+            "proposal": _render_node(scenario.proposal),
+            "config": {"tau": scenario.tau, "maxDepth": scenario.max_depth},
+        }
+        return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    except RecursionError:
+        # the agents are flat: only the proposal nests
+        raise ScenarioError("$.proposal", "proposal nested too deeply to render") from None

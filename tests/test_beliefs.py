@@ -45,8 +45,8 @@ from parley.beliefs import (
 from conftest import (
     LEVELS,
     added_in_turn,
+    assert_index_covers,
     ground,
-    index_contents,
     random_revision_case,
     random_store,
 )
@@ -677,9 +677,7 @@ index_writes = st.one_of(
 
 
 def assert_lookups_match_scans(kb: KnowledgeBase, removals) -> None:
-    fresh = KnowledgeBase(own=kb.own, user_model=kb.user_model, expertise=kb.expertise)
-    assert index_contents(kb._own_by_consequent) == index_contents(fresh._own_by_consequent)
-    assert index_contents(kb._model_by_consequent) == index_contents(fresh._model_by_consequent)
+    assert_index_covers(kb)
     for store in (kb, kb.model_view()):
         for target in INDEX_LITERALS + INDEX_RELATIONS[:4]:
             assert build_evidence_set(store, target) == seed_build_evidence_set(store, target)
@@ -698,9 +696,9 @@ def assert_lookups_match_scans(kb: KnowledgeBase, removals) -> None:
     st.lists(st.sets(st.sampled_from(INDEX_LITERALS), max_size=3), min_size=1, max_size=3),
 )
 def test_indexed_lookups_match_full_scans(own, model, writes, removals):
-    # after construction and after every write, the consequent index holds
-    # what a fresh build would, and the evidence set and removal closure
-    # equal the full scans they replaced
+    # after construction and after every write, the consequent index lists
+    # every relation the store holds, and the evidence set and removal
+    # closure equal the full scans they replaced
     kb = KnowledgeBase(own=added_in_turn(own), user_model=added_in_turn(model))
     assert_lookups_match_scans(kb, removals)
     for writer, arg in writes:
@@ -713,6 +711,34 @@ def test_indexed_lookups_match_full_scans(own, model, writes, removals):
         else:
             kb = getattr(kb, writer)(*arg)
         assert_lookups_match_scans(kb, removals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(index_beliefs, max_size=8),
+    st.lists(index_beliefs, max_size=8),
+    st.lists(st.tuples(st.integers(min_value=0), st.booleans(), index_writes), max_size=10),
+    st.lists(st.sets(st.sampled_from(INDEX_LITERALS), max_size=3), min_size=1, max_size=2),
+)
+def test_branching_writes_keep_every_store_exact(own, model, writes, removals):
+    # the stores form a tree from one base: each write goes to any store made
+    # so far, or to its model view.  They all share one index that the
+    # writes only grow, yet after every write is made each store, older ones
+    # and sibling branches included, still holds what it held and still
+    # answers as the full scans do
+    base = KnowledgeBase(own=added_in_turn(own), user_model=added_in_turn(model))
+    stores = [(base, base.own, base.user_model)]
+    for pick, via_view, (writer, arg) in writes:
+        parent = stores[pick % len(stores)][0]
+        if via_view:
+            parent = parent.model_view()
+            stores.append((parent, parent.own, parent.user_model))
+        child = getattr(parent, writer)(*arg)
+        assert child._by_consequent is parent._by_consequent
+        stores.append((child, child.own, child.user_model))
+    for store, held, modelled in stores:
+        assert (store.own, store.user_model) == (held, modelled)
+        assert_lookups_match_scans(store, removals)
 
 
 # ---------------------------------------------------------------------------

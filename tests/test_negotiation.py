@@ -42,9 +42,9 @@ from parley.trace import Trace
 from conftest import (
     LEVELS,
     added_in_turn,
+    assert_index_covers,
     dissenters,
     ground,
-    index_contents,
     load_bench,
     load_bundled,
     run_scenario,
@@ -281,6 +281,18 @@ def test_needs_exactly_two_agents(smith):
         negotiate({"U": kbs["U"]}, "U", smith.proposal)
     with pytest.raises(ContractViolation):
         negotiate(kbs, "nobody", smith.proposal)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"tau": 0}, {"tau": True}, {"tau": 1.5}, {"tau": "1"}]
+    + [{"max_depth": 0}, {"max_depth": False}, {"max_depth": 2.5}, {"max_depth": None}],
+    ids=repr,
+)
+def test_config_takes_only_positive_integers(bad):
+    # a bool is an int, and a float or a str must not reach a comparison
+    with pytest.raises(ContractViolation, match="at least 1"):
+        NegotiationConfig(**bad)
 
 
 def test_unwinnable_defense_concedes():
@@ -756,8 +768,8 @@ def proposal_trees(draw, path=frozenset()):
 
 def assert_same_store(kb, expected):
     assert kb == expected
-    for side in ("_own_by_consequent", "_model_by_consequent"):
-        assert index_contents(getattr(kb, side)) == index_contents(getattr(expected, side))
+    assert_index_covers(kb)
+    assert_index_covers(expected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ from parley import (
     Expertise,
     KnowledgeBase,
     NegotiationConfig,
+    ProposalNode,
     Proposition,
     Scenario,
     ScenarioError,
@@ -162,6 +163,26 @@ def test_render_is_stable():
     assert text.endswith("\n")
     assert render_scenario(parse_scenario(text)) == text
     assert "¬" not in text  # files stay plain ASCII
+
+
+def chain_scenario(depth: int) -> Scenario:
+    node = ProposalNode(Proposition(False, f"p{depth - 1}"), StrengthLevel.STRONG)
+    for i in reversed(range(depth - 1)):
+        node = ProposalNode(Proposition(False, f"p{i}"), StrengthLevel.STRONG, (node,))
+    kb = KnowledgeBase(own=())
+    return Scenario((AgentSpec("U", kb), AgentSpec("S", kb)), node)
+
+
+def test_render_refuses_a_proposal_too_deep_to_render():
+    # the indented encoder recurses once per level, so a deep chain built in
+    # code is refused at its path rather than with a RecursionError
+    with pytest.raises(ScenarioError) as info:
+        render_scenario(chain_scenario(600))
+    assert info.value.path == "$.proposal"
+    text = render_scenario(chain_scenario(300))
+    parsed = parse_scenario(text)
+    assert render_scenario(parsed) == text
+    assert parsed.proposal.props() == chain_scenario(300).proposal.props()
 
 
 @pytest.mark.parametrize("name", BUNDLED)

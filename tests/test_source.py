@@ -126,10 +126,10 @@ def test_trusted_construction_stays_in_beliefs():
 
 
 def test_store_sides_are_read_in_beliefs_only():
-    # a store's two dicts and their consequent indexes are its
+    # a store's two dicts and its consequent index are its
     # representation: other modules go through its lookups and writers, so
     # the representation can change in one module
-    fields = ("_own", "_model", "_own_by_consequent", "_model_by_consequent")
+    fields = ("_own", "_model", "_by_consequent")
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
