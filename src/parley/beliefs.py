@@ -15,7 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from functools import partial, total_ordering
+from functools import total_ordering
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -47,7 +47,7 @@ class StrengthLevel(IntEnum):
     def parse(cls, text: str) -> "StrengthLevel":
         try:
             return _LEVELS_BY_TEXT[text]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise StructureError(f"unknown strength level: {text!r}") from None
 
 
@@ -61,10 +61,15 @@ class Expertise(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Expertise":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise StructureError(f"unknown expertise: {text!r}")
+        try:
+            return _EXPERTISE_BY_TEXT[text]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise StructureError(f"unknown expertise: {text!r}") from None
+
+
+# exactly the values ``render_scenario`` writes; parsed once per agent and
+# once per assertion source
+_EXPERTISE_BY_TEXT = {member.value: member for member in Expertise}
 
 
 def assertion_strength(expertise: Expertise) -> StrengthLevel:
@@ -90,9 +95,7 @@ _WS = re.compile(r"\s*")
 # possessive, so a miss costs linear time, never a backtracking search.
 _LITERAL_NAME = r"(?!supports(?![a-z0-9_]))[a-z_][a-z0-9_]*+"
 _LITERAL_ARGS = r"[a-z0-9_]++(?:, [a-z0-9_]++)*+"
-_CANONICAL_LITERAL = re.compile(
-    rf"(?P<neg>[~¬]?+)(?P<body>(?P<name>{_LITERAL_NAME})(?:\((?P<args>{_LITERAL_ARGS})\))?+)"
-)
+_CANONICAL_LITERAL = re.compile(rf"([~¬]?+)({_LITERAL_NAME})(?:\(({_LITERAL_ARGS})\))?+")
 _LITERAL = rf"[~¬]?+{_LITERAL_NAME}(?:\({_LITERAL_ARGS}\))?+"
 _CANONICAL_RELATION = re.compile(rf"([~¬]?+){SUPPORTS}\(({_LITERAL}), ({_LITERAL})\)")
 
@@ -206,39 +209,43 @@ def parse_proposition(text: str) -> Proposition:
 def proposition_parser() -> Callable[[str], Proposition]:
     """A :func:`parse_proposition` for one document, which parses each text
     once and returns one shared object per proposition."""
-    # a partial, not a closure that calls itself: that would be a reference
-    # cycle, and the document's propositions would wait for the collector
-    return partial(_parse_memo, {})
+    # the memo's own lookup: a text already read costs no Python call.  A
+    # bound method, not a closure that calls itself: that would be a
+    # reference cycle, and the document's propositions would wait for the
+    # collector.
+    return _Memo().__getitem__
 
 
-def _parse_memo(memo: dict[str, Proposition], text: str) -> Proposition:
-    """``text`` parsed, through ``memo``: a text and the rendered text of its
-    result both map to that result."""
-    prop = memo.get(text)
-    if prop is None:
-        prop = _parse_text(text, memo)
-        prop = memo[text] = memo.setdefault(prop._text, prop)
-    return prop
+class _Memo(dict):
+    # proposition texts read for one document: a text and the ``~``
+    # rendering of its result both map to that result
 
-
-def _parse_text(text: str, memo: dict[str, Proposition]) -> Proposition:
-    """``text`` parsed whole; a flat relation's literals go through ``memo``.
-    Text that no whole-text pattern matches goes to the recursive parser,
-    which owns every error message."""
-    m = _CANONICAL_LITERAL.fullmatch(text)
-    if m is not None:
-        neg, body, predicate, args = m.groups()
-        args = tuple(args.split(", ")) if args else ()
-        return _trusted_prop(neg != "", predicate, args, text if neg != "~" else f"¬{body}")
-    m = _CANONICAL_RELATION.fullmatch(text)
-    if m is None:
-        prop, pos = _parse_prop(text, 0)
-        if text[pos:].strip():
-            raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
+    def __missing__(self, text: str) -> Proposition:
+        # ``text`` parsed whole, and stored.  The patterns differ from what
+        # ``render`` spells only in allowing ``~`` for ``¬``, so a matched
+        # text's rendering needs no rebuilding.  Text that neither matches
+        # goes to the recursive parser, which owns every error message.
+        m = _CANONICAL_LITERAL.fullmatch(text)
+        if m is not None:
+            neg, predicate, args = m.groups()
+            args = tuple(args.split(", ")) if args else ()
+            prop = _trusted_prop(neg != "", predicate, args, text.replace("~", "¬"))
+        elif (m := _CANONICAL_RELATION.fullmatch(text)) is not None:
+            neg, antecedent, consequent = m.groups()
+            args = (self[antecedent], self[consequent])
+            prop = _trusted_prop(neg != "", SUPPORTS, args, text.replace("~", "¬"))
+        else:
+            prop, pos = _parse_prop(text, 0)
+            if text[pos:].strip():
+                raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
+        # each result is kept under the text ``render(ascii_not=True)``
+        # gives it, the spelling of a file ``render_scenario`` wrote, so a
+        # text spelled that way is stored once: a matched text is spelled
+        # so unless it holds a ``¬``
+        if m is None or "¬" in text:
+            prop = self.setdefault(prop._text.replace("¬", "~"), prop)
+        self[text] = prop
         return prop
-    neg, antecedent, consequent = m.groups()
-    args = (_parse_memo(memo, antecedent), _parse_memo(memo, consequent))
-    return _trusted_prop(neg != "", SUPPORTS, args, _text_of(neg != "", SUPPORTS, args))
 
 
 def _parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:
@@ -337,6 +344,13 @@ def _check_level(level: StrengthLevel) -> StrengthLevel:
     if not isinstance(level, StrengthLevel):
         raise StructureError(f"level must be a StrengthLevel, got {level!r}")
     return level
+
+
+def _check_count(what: str, value: int) -> None:
+    # a bool is an int, and a float or a str would pass or crash the
+    # comparison, so the type is checked first
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ContractViolation(f"{what} must be an integer at least 1, got {value!r}")
 
 
 # the endorsements with neither speaker nor support, one shared instance each
@@ -447,18 +461,23 @@ def assertions_by(speaker: str, expertise: Expertise) -> Callable[[StrengthLevel
 
 def _index(beliefs: Iterable[Belief], label: str, by_consequent: dict) -> dict:
     """One side of a store: its beliefs keyed by proposition.  Its positive
-    relations are listed in ``by_consequent`` in the same pass."""
+    relations are listed in ``by_consequent`` in the same pass, and only its
+    negated propositions are then checked against its texts."""
     by_prop: dict[Proposition, Belief] = {}
+    negated = []
     for i, b in enumerate(beliefs):
         prop = b.prop
         # one dict operation per belief: a duplicate leaves the size as it was
         by_prop[prop] = b
         if len(by_prop) == i:
             raise StructureError(f"duplicate belief in {label}: {prop}")
-        _index_relation(by_consequent, prop)
+        if prop.negated:
+            negated.append(prop)
+        elif prop.predicate == SUPPORTS:
+            by_consequent.setdefault(prop.args[1]._text, {})[prop] = None
     texts = {prop._text for prop in by_prop}
-    for prop in by_prop:
-        if prop.negated and prop._text[1:] in texts:
+    for prop in negated:
+        if prop._text[1:] in texts:
             raise ContradictionError(f"{label} holds both {prop._text[1:]} and {prop}")
     return by_prop
 
@@ -756,8 +775,7 @@ def revise_detail(
     note: str = "",
 ) -> Verdict:
     """:func:`revise`, with the verdict recorded to ``trace``."""
-    if tau < 1:
-        raise ContractViolation(f"threshold must be at least 1, got {tau}")
+    _check_count("threshold", tau)
     negated = target.negate()
     pool = build_evidence_set(kb, target, presented)
     support = [pc for pc in pool if pc.consequent == target]

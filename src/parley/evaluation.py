@@ -33,7 +33,7 @@ from .beliefs import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProposalNode:
     """One asserted proposition; children are its offered justifications."""
 
@@ -52,6 +52,21 @@ class ProposalNode:
             if not isinstance(child, ProposalNode):
                 raise StructureError(f"proposal node child must be a ProposalNode, got {child!r}")
         object.__setattr__(self, "children", children)
+
+    # a tree compares and hashes as its nodes' parts in preorder, which only
+    # an equal tree shares; ``walk`` reads them without recursion, so trees
+    # of any depth compare
+    def _preorder(self) -> tuple:
+        nodes = (node for node, *_, done in walk(self) if not done)
+        return tuple((n.prop, n.asserted_level, len(n.children)) for n in nodes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProposalNode):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
 
     @property
     def relations(self) -> tuple[Proposition, ...]:

@@ -26,6 +26,7 @@ from .beliefs import (
     Verdict,
     VerdictOutcome,
     _PendingAdds,
+    _check_count,
     assertion_strength,
     assertions_by,
     assimilate,
@@ -102,11 +103,8 @@ class NegotiationConfig:
     max_depth: int = 16
 
     def __post_init__(self) -> None:
-        for what, value in (("threshold", self.tau), ("max depth", self.max_depth)):
-            # a bool is an int, and a float or a str would pass or crash
-            # the comparison, so the type is checked first
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ContractViolation(f"{what} must be an integer at least 1, got {value!r}")
+        _check_count("threshold", self.tau)
+        _check_count("max depth", self.max_depth)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from .beliefs import (
     Belief,
@@ -22,6 +22,7 @@ from .beliefs import (
     SourceKind,
     StrengthLevel,
     StructureError,
+    _LEVELS_BY_TEXT,
     _PLAIN,
     proposition_parser,
 )
@@ -95,7 +96,7 @@ def _parse_str(value: Any, path: str, parse: Callable[[str], Any]) -> Any:
 
 
 # the shared plain endorsements, keyed by their source and level texts as a
-# file spells them, for the fast path of ``_parse_belief``
+# file spells them
 _PLAIN_SOURCES = {(kind.value, level.render()): e for (kind, level), e in _PLAIN.items()}
 
 
@@ -103,10 +104,10 @@ def _parse_source(
     value: Any, level: StrengthLevel, path: str, parse: Callable[[str], Proposition]
 ) -> Endorsement:
     if isinstance(value, str):
-        # a plain source never gets here: the fast path of ``_parse_belief``
-        # reads every belief whose prop and level parse, and only a dict or
-        # str subclass could miss it, which ``json.loads`` never makes
-        raise ScenarioError(path, f"unknown source: {value!r}")
+        endorsement = _PLAIN_SOURCES.get((value, level.render()))
+        if endorsement is None:
+            raise ScenarioError(path, f"unknown source: {value!r}")
+        return endorsement
     if isinstance(value, dict):
         if set(value) == {"assertion"}:
             fields = ("speaker", "expertise")
@@ -130,24 +131,50 @@ def _parse_source(
     raise ScenarioError(path, f"bad source: {value!r}")
 
 
+def _derived_source(source: Any, level: str, parse: Callable) -> Optional[Endorsement]:
+    # the endorsement of a source ``{"derived": {"from": [str, ...]}}`` at a
+    # level spelled ``level``; None for any other shape or level.  An empty
+    # list fails the check of ``Endorsement.derived``.
+    if type(source) is dict and len(source) == 1 and level in _LEVELS_BY_TEXT:
+        body = source.get("derived")
+        if type(body) is dict and len(body) == 1:
+            support = body.get("from")
+            if type(support) is list and all(type(s) is str for s in support):
+                return Endorsement.derived(_LEVELS_BY_TEXT[level], map(parse, support))
+    return None
+
+
 def _parse_belief(value: Any, path: str, parse: Callable[[str], Proposition]) -> Belief:
-    # fast path: exactly three string fields with a plain source, the shape
-    # of most beliefs in a file.  Anything else, and any proposition text
-    # that fails to parse, goes through the checks below, which report it.
-    if type(value) is dict and len(value) == 3:
-        text, level, source = value.get("prop"), value.get("level"), value.get("source")
-        if type(text) is str and type(level) is str and type(source) is str:
-            endorsement = _PLAIN_SOURCES.get((source, level))
-            if endorsement is not None:
-                try:
-                    return Belief(parse(text), endorsement)
-                except StructureError:
-                    pass
     fields = ("prop", "level", "source")
     obj = _expect_object(value, path, set(fields), fields)
     prop = _parse_str(obj["prop"], f"{path}.prop", parse)
     level = _parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
     return Belief(prop, _parse_source(obj["source"], level, f"{path}.source", parse))
+
+
+def _parse_beliefs(value: Any, path: str, parse: Callable[[str], Proposition]) -> list[Belief]:
+    beliefs = []
+    for i, item in enumerate(_expect_list(value, path)):
+        # the fast path: exactly three string fields with a plain source, or
+        # two and a source ``_derived_source`` reads, the shapes of most
+        # beliefs in a file.  Any other item, and any text that fails to
+        # parse, goes to ``_parse_belief``, which reports it; only then is
+        # the item's path built.
+        if type(item) is dict and len(item) == 3:
+            try:
+                text, level, source = item["prop"], item["level"], item["source"]
+                if type(text) is str and type(level) is str:
+                    if type(source) is str:
+                        endorsement = _PLAIN_SOURCES.get((source, level))
+                    else:
+                        endorsement = _derived_source(source, level, parse)
+                    if endorsement is not None:
+                        beliefs.append(Belief(parse(text), endorsement))
+                        continue
+            except (KeyError, StructureError):
+                pass
+        beliefs.append(_parse_belief(item, f"{path}[{i}]", parse))
+    return beliefs
 
 
 def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> AgentSpec:
@@ -156,16 +183,10 @@ def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> 
     )
     agent_id = _expect_str(obj["id"], f"{path}.id")
     expertise = _parse_str(obj["expertise"], f"{path}.expertise", Expertise.parse)
-    beliefs = [
-        _parse_belief(b, f"{path}.beliefs[{i}]", parse)
-        for i, b in enumerate(_expect_list(obj["beliefs"], f"{path}.beliefs"))
-    ]
-    model = [
-        _parse_belief(b, f"{path}.userModel[{i}]", parse)
-        for i, b in enumerate(_expect_list(obj.get("userModel", []), f"{path}.userModel"))
-    ]
+    beliefs = _parse_beliefs(obj["beliefs"], f"{path}.beliefs", parse)
+    model = _parse_beliefs(obj.get("userModel", []), f"{path}.userModel", parse)
     try:
-        kb = KnowledgeBase(own=tuple(beliefs), user_model=tuple(model), expertise=expertise)
+        kb = KnowledgeBase(own=beliefs, user_model=model, expertise=expertise)
     except (ContradictionError, StructureError) as exc:
         raise ScenarioError(path, str(exc)) from None
     return AgentSpec(agent_id, kb)

@@ -32,9 +32,11 @@ from parley import (
     parse_scenario,
     record_proposal,
     render_tree,
+    revise,
     supports_prop,
 )
 from parley.beliefs import assertion_strength
+from parley.focus import predict
 from parley import negotiation
 from parley.negotiation import _apply_correction, _observe_acceptance, _Session
 from parley.trace import Trace
@@ -293,6 +295,29 @@ def test_config_takes_only_positive_integers(bad):
     # a bool is an int, and a float or a str must not reach a comparison
     with pytest.raises(ContractViolation, match="at least 1"):
         NegotiationConfig(**bad)
+
+
+@pytest.mark.parametrize("tau", [True, 1.5, "1", 0], ids=repr)
+@pytest.mark.parametrize("entry", ["revise", "predict", "evaluate_proposal"])
+def test_every_threshold_takes_only_positive_integers(entry, tau):
+    # the check NegotiationConfig makes: True and 1.5 used to pass here, and
+    # "1" to crash the comparison with a TypeError
+    target, kb = ground("t"), KnowledgeBase(own=())
+    calls = {
+        "revise": lambda: revise(kb, target, tau=tau),
+        "predict": lambda: predict(kb, target, tau=tau),
+        "evaluate_proposal": lambda: evaluate_proposal(
+            kb,
+            ProposalNode(target, StrengthLevel.STRONG),
+            tau,
+            proposer="U",
+            proposer_expertise=Expertise.EXPERT,
+        ),
+    }
+    message = f"threshold must be an integer at least 1, got {tau!r}"
+    with pytest.raises(ContractViolation) as info:
+        calls[entry]()
+    assert str(info.value) == message
 
 
 def test_unwinnable_defense_concedes():

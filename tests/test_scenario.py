@@ -1,7 +1,11 @@
+import inspect
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parley import (
     AgentSpec,
@@ -18,12 +22,21 @@ from parley import (
     parse_scenario,
     render_scenario,
 )
-from parley.beliefs import proposition_parser
+from parley.beliefs import (
+    SUPPORTS,
+    ContradictionError,
+    StructureError,
+    _trusted,
+    proposition_parser,
+)
 from parley.scenario import (
+    _PLAIN_SOURCES,
     _expect_list,
     _expect_object,
     _expect_str,
+    _parse_agent,
     _parse_belief,
+    _parse_source,
     _parse_str,
 )
 from parley.trace import Trace
@@ -128,6 +141,17 @@ def test_diagnostics_name_the_offending_path(mutate, path_hint):
     assert err(doc).path == path_hint
 
 
+@pytest.mark.parametrize("text", ["", "Expert", "WEAK", " strong", 2, None, [], {"x": 1}], ids=repr)
+def test_level_and_expertise_texts_are_looked_up_exactly(text):
+    # one dict lookup each; an unhashable value is refused like any other
+    for parse, what in ((Expertise.parse, "expertise"), (StrengthLevel.parse, "strength level")):
+        with pytest.raises(StructureError) as info:
+            parse(text)
+        assert str(info.value) == f"unknown {what}: {text!r}"
+    assert Expertise.parse("non-expert") is Expertise.NON_EXPERT
+    assert StrengthLevel.parse("warranted") is StrengthLevel.WARRANTED
+
+
 def test_derived_source_requires_basis():
     doc = minimal()
     doc["agents"][0]["beliefs"][0]["source"] = {"derived": {"from": []}}
@@ -183,6 +207,36 @@ def test_render_refuses_a_proposal_too_deep_to_render():
     parsed = parse_scenario(text)
     assert render_scenario(parsed) == text
     assert parsed.proposal.props() == chain_scenario(300).proposal.props()
+
+
+def test_deep_proposals_compare_and_hash_without_recursion():
+    # the generated dataclass methods recursed once per level and raised
+    # RecursionError at 300 levels (comparing) and 600 (hashing).  Render's
+    # limit of about 490 levels holds for a caller at the top of the stack,
+    # so the frames beneath this test are added to the recursion limit.
+    scenario = chain_scenario(480)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + len(inspect.stack(0)))
+    try:
+        parsed = parse_scenario(render_scenario(scenario))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert parsed == scenario and hash(parsed.proposal) == hash(scenario.proposal)
+    assert hash(chain_scenario(600).proposal) == hash(chain_scenario(600).proposal)
+    chain = scenario.proposal
+    node = ProposalNode(Proposition(False, "other"), StrengthLevel.STRONG)
+    for i in reversed(range(479)):
+        node = ProposalNode(Proposition(False, f"p{i}"), StrengthLevel.STRONG, (node,))
+    # ``node`` is ``chain`` with another deepest leaf
+    assert node != chain and chain != node
+    assert ProposalNode(chain.prop, StrengthLevel.WEAK, chain.children) != chain
+    # the same propositions in preorder, in another shape
+    a, b, c = (ProposalNode(Proposition(False, n), StrengthLevel.STRONG) for n in "abc")
+    flat = ProposalNode(a.prop, a.asserted_level, (b, c))
+    b_over_c = ProposalNode(b.prop, b.asserted_level, (c,))
+    assert flat != ProposalNode(a.prop, a.asserted_level, (b_over_c,))
+    assert flat == ProposalNode(a.prop, a.asserted_level, (b, c))
+    assert flat.__eq__("a") is NotImplemented
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -355,3 +409,164 @@ def test_belief_fast_path_builds_what_the_seed_parser_builds(source, level, prop
     assert fast == seed
     # one shared endorsement per plain source and level
     assert fast.endorsement is seed.endorsement
+
+
+# ---------------------------------------------------------------------------
+# the belief-list loop against a copy of the per-belief parser it replaced
+
+
+def seed_fast_parse_belief(value, path, parse):
+    if type(value) is dict and len(value) == 3:
+        text, level, source = value.get("prop"), value.get("level"), value.get("source")
+        if type(text) is str and type(level) is str and type(source) is str:
+            endorsement = _PLAIN_SOURCES.get((source, level))
+            if endorsement is not None:
+                try:
+                    return Belief(parse(text), endorsement)
+                except StructureError:
+                    pass
+    fields = ("prop", "level", "source")
+    obj = _expect_object(value, path, set(fields), fields)
+    prop = _parse_str(obj["prop"], f"{path}.prop", parse)
+    level = _parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
+    return Belief(prop, _parse_source(obj["source"], level, f"{path}.source", parse))
+
+
+def seed_index(beliefs, label, by_consequent):
+    by_prop = {}
+    for i, b in enumerate(beliefs):
+        prop = b.prop
+        by_prop[prop] = b
+        if len(by_prop) == i:
+            raise StructureError(f"duplicate belief in {label}: {prop}")
+        if prop.predicate == SUPPORTS and not prop.negated:
+            by_consequent.setdefault(prop.args[1]._text, {})[prop] = None
+    texts = {prop._text for prop in by_prop}
+    for prop in by_prop:
+        if prop.negated and prop._text[1:] in texts:
+            raise ContradictionError(f"{label} holds both {prop._text[1:]} and {prop}")
+    return by_prop
+
+
+def seed_parse_agent(value, path, parse):
+    obj = _expect_object(
+        value, path, {"id", "expertise", "beliefs", "userModel"}, ("id", "expertise", "beliefs")
+    )
+    agent_id = _expect_str(obj["id"], f"{path}.id")
+    expertise = _parse_str(obj["expertise"], f"{path}.expertise", Expertise.parse)
+    beliefs = [
+        seed_fast_parse_belief(b, f"{path}.beliefs[{i}]", parse)
+        for i, b in enumerate(_expect_list(obj["beliefs"], f"{path}.beliefs"))
+    ]
+    model = [
+        seed_fast_parse_belief(b, f"{path}.userModel[{i}]", parse)
+        for i, b in enumerate(_expect_list(obj.get("userModel", []), f"{path}.userModel"))
+    ]
+    by_consequent = {}
+    try:
+        own = seed_index(beliefs, "own beliefs", by_consequent)
+        modelled = seed_index(model, "user model", by_consequent)
+    except (ContradictionError, StructureError) as exc:
+        raise ScenarioError(path, str(exc)) from None
+    return AgentSpec(agent_id, _trusted(own, modelled, expertise, by_consequent))
+
+
+def agent_outcome(parse_agent, value):
+    """The file a parsed agent renders to, or the path and message of the
+    error that refused it."""
+    try:
+        agent = parse_agent(value, "$.agents[0]", proposition_parser())
+    except ScenarioError as exc:
+        return (exc.path, str(exc))
+    other = AgentSpec("other", KnowledgeBase(()))
+    proposal = ProposalNode(Proposition(False, "root"), StrengthLevel.STRONG)
+    # however a text is spelled, the document holds one object for it; the
+    # recursive parser's inner parts of a relation are the exception
+    beliefs = agent.kb.own + agent.kb.user_model
+    props = [b.prop for b in beliefs] + [p for b in beliefs for p in b.endorsement.support]
+    assert len({id(p) for p in props}) == len({p.render() for p in props})
+    return render_scenario(Scenario((agent, other), proposal))
+
+
+# few names, so that lists often repeat or contradict a proposition
+NAMES = st.sampled_from(["p", "q_1(a)", "r(a, b)"])
+
+
+@st.composite
+def belief_texts(draw):
+    """A proposition text: a literal or a relation between two, negated with
+    ``~`` or ``¬`` or not at all, in its canonical spelling or spaced."""
+
+    def literal():
+        return draw(st.sampled_from(["", "~", "¬"])) + draw(NAMES)
+
+    text = literal()
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(["", "~", "¬"])) + f"{SUPPORTS}({text}, {literal()})"
+    if draw(st.integers(0, 3)) == 0:
+        text = draw(st.sampled_from([" ", "~ ~", "¬¬"])) + text.replace(", ", " ,  ")
+    return text
+
+
+@st.composite
+def belief_items(draw):
+    """A belief as a file writes it, or, one time in eight, a malformed one."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(MALFORMED_BELIEFS))
+    kind = draw(st.sampled_from(["kb-record", "stereotype", "derived", "assertion"]))
+    if kind == "derived":
+        source = {"derived": {"from": draw(st.lists(belief_texts(), min_size=1, max_size=3))}}
+    elif kind == "assertion":
+        expertise = draw(st.sampled_from(["expert", "non-expert"]))
+        source = {"assertion": {"speaker": "S", "expertise": expertise}}
+    else:
+        source = kind
+    level = draw(st.sampled_from(["weak", "strong", "warranted"]))
+    return {"prop": draw(belief_texts()), "level": level, "source": source}
+
+
+def plain(prop: str) -> dict:
+    return {"prop": prop, "level": "weak", "source": "kb-record"}
+
+
+NOT_LISTS = st.sampled_from([None, "p", {"prop": "p"}, 1])
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.lists(belief_items(), max_size=10), NOT_LISTS),
+    st.one_of(st.none(), st.lists(belief_items(), max_size=4), NOT_LISTS),
+)
+@example([plain("q_1(a)"), plain("~p"), plain("p"), plain("¬q_1(a)")], None)
+@example([plain("p"), plain(" p"), plain("~p")], [plain("¬ p"), plain("p")])
+def test_belief_lists_read_as_the_seed_parser_reads_them(beliefs, model):
+    # duplicates and contradictions arise from the small name pool; the
+    # first fault in file order is the one reported, at the same path.  A
+    # model of None leaves the field out.
+    agent = {"id": "A", "expertise": "expert", "beliefs": beliefs}
+    if model is not None:
+        agent["userModel"] = model
+    assert agent_outcome(_parse_agent, agent) == agent_outcome(seed_parse_agent, agent)
+
+
+MALFORMED_DERIVED = [
+    {"prop": prop, "level": level, "source": {"derived": body}}
+    for prop, level, body in [
+        ("p", "weak", {"from": ["q"], "x": 1}),
+        ("p", "severe", {"from": ["q"]}),
+        ("p", "weak", {"from": ["q", "Bad("]}),
+        ("p", "weak", {"from": ["q", 1]}),
+        ("p", "weak", {"from": ["q", ""]}),
+        ("Bad(", "weak", {"from": ["q"]}),
+        ("p", "weak", ["q"]),
+    ]
+]
+
+
+@pytest.mark.parametrize("value", MALFORMED_BELIEFS + MALFORMED_DERIVED, ids=repr)
+def test_belief_lists_report_each_malformed_item_as_the_seed_parser(value):
+    # every shape the checks refuse, behind a belief the fast path takes
+    agent = {"id": "A", "expertise": "expert", "beliefs": [plain("p"), value]}
+    seed = agent_outcome(seed_parse_agent, agent)
+    assert isinstance(seed, tuple)
+    assert agent_outcome(_parse_agent, agent) == seed

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import parley.scenario
 from parley import beliefs, parse_scenario
 from parley.trace import Trace
 
@@ -182,6 +183,40 @@ def test_parsing_plain_beliefs_runs_no_constructor_check(monkeypatch):
     scenario = parse_scenario(text)
     assert len(scenario.evaluator.kb.own) == 1_501
     assert calls == {"Endorsement": 0, "Proposition": 0}
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("document", [lambda: filler_document(1_500), lambda: chain_document(40)])
+def test_parsing_checks_no_belief_field_by_field(monkeypatch, document):
+    # plain and derived beliefs are all read by the fast path, so no belief
+    # is checked field by field and no belief's JSON path is built
+    doc = json.loads(document())
+    calls = count_calls(monkeypatch, parley.scenario, "_parse_belief")
+    parse_scenario(json.dumps(doc))
+    assert calls == []
+    # an assertion source is not read by the fast path: the count sees it
+    source = {"assertion": {"speaker": "U", "expertise": "expert"}}
+    doc["agents"][1]["beliefs"].append({"prop": "said(u)", "level": "weak", "source": source})
+    parse_scenario(json.dumps(doc))
+    last = len(doc["agents"][1]["beliefs"]) - 1
+    assert [path for _, path, _ in calls] == [f"$.agents[1].beliefs[{last}]"]
+
+
+def test_parsing_relations_rebuilds_no_text(monkeypatch):
+    # a relation spelled as ``render`` spells it, ``~`` aside, keeps its
+    # text: nothing joins it again from its arguments' texts
+    calls = count_calls(monkeypatch, beliefs, "_text_of")
+    parse_scenario(filler_document(1_500))
+    assert calls == []
+    # the recursive parser builds each part with the checked constructor
+    beliefs.parse_proposition("supports(p ,q)")
+    assert [args[1] for args in calls] == ["p", "q", "supports"]
 
 
 def test_evidence_lookup_is_independent_of_store_size(monkeypatch):
