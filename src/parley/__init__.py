@@ -10,15 +10,14 @@ from .beliefs import (
     KnowledgeBase,
     Proposition,
     SourceKind,
+    Speaker,
     StrengthLevel,
     StructureError,
     Verdict,
     VerdictOutcome,
-    assertion_strength,
     assimilate,
     build_evidence_set,
     parse_proposition,
-    piece_strength,
     revise,
     supports_prop,
 )
@@ -31,7 +30,7 @@ from .evaluation import (
     render_tree,
     validate_tree,
 )
-from .focus import predict, select_focus_modification, select_min_set
+from .focus import predict, select_focus_modification
 from .justification import (
     JustificationLink,
     NoSufficientJustification,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import total_ordering
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -405,54 +405,46 @@ def piece_strength(piece: EvidencePiece) -> StrengthLevel:
     return min(piece.belief.endorsement.level, piece.relation.endorsement.level)
 
 
-def presented_case(
-    claim: Proposition, speaker: str, expertise: Expertise, backing: Iterable[tuple] = ()
-) -> tuple[EvidencePiece, ...]:
-    """What ``speaker`` puts forward for ``claim``: the bare assertion, then
-    one piece per ``(prop, relation, belief_level, relation_level)`` in
-    ``backing``, both parts asserted by ``speaker`` at the given strengths.
-    The bare piece's self-relation is warranted, so it carries exactly
-    ``assertion_strength(expertise)``.  The pieces share one checked
-    endorsement per level."""
-    return _case(claim, expertise, assertions_by(speaker, expertise), backing)
+@dataclass(frozen=True)
+class Speaker:
+    """A source of assertions: a name and the expertise that sets how
+    strongly its bare say-so is believed.  Every case it presents, and
+    every assertion it is credited with, is endorsed through ``endorse``."""
 
+    name: str
+    expertise: Expertise
+    # one checked assertion endorsement per level, built on first use
+    _endorsements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-def _case(
-    claim: Proposition,
-    expertise: Expertise,
-    endorse: Callable[[StrengthLevel], Endorsement],
-    backing: Iterable[tuple] = (),
-) -> tuple[EvidencePiece, ...]:
-    """:func:`presented_case`, endorsed through ``endorse``, the speaker's
-    :func:`assertions_by`, which a caller may share across its cases."""
-    bare = _trusted_piece(
-        Belief(claim, endorse(assertion_strength(expertise))),
-        Belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
-    )
-    return (
-        bare,
-        *(
-            EvidencePiece(
-                Belief(prop, endorse(belief_level)), Belief(relation, endorse(relation_level))
-            )
-            for prop, relation, belief_level, relation_level in backing
-        ),
-    )
-
-
-def assertions_by(speaker: str, expertise: Expertise) -> Callable[[StrengthLevel], Endorsement]:
-    """``Endorsement.assertion`` for one speaker: one checked endorsement
-    per level, built on first use and shared after."""
-    endorsements: dict[StrengthLevel, Endorsement] = {}
-
-    def endorse(level: StrengthLevel) -> Endorsement:
+    def endorse(self, level: StrengthLevel) -> Endorsement:
+        """``Endorsement.assertion`` by this speaker, shared per level."""
         # checked before the lookup: an int finds the level it equals
-        endorsement = endorsements.get(_check_level(level))
+        endorsement = self._endorsements.get(_check_level(level))
         if endorsement is None:
-            endorsement = endorsements[level] = Endorsement.assertion(level, speaker, expertise)
+            endorsement = Endorsement.assertion(level, self.name, self.expertise)
+            self._endorsements[level] = endorsement
         return endorsement
 
-    return endorse
+    def case(self, claim: Proposition, backing: Iterable[tuple] = ()) -> tuple[EvidencePiece, ...]:
+        """What the speaker puts forward for ``claim``: the bare assertion,
+        then one piece per ``(prop, relation, belief_level, relation_level)``
+        in ``backing``, both parts asserted at the given strengths.  The
+        bare piece's self-relation is warranted, so it carries exactly
+        ``assertion_strength(expertise)``."""
+        endorse = self.endorse
+        bare = _trusted_piece(
+            Belief(claim, endorse(assertion_strength(self.expertise))),
+            Belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
+        )
+        return (
+            bare,
+            *(
+                EvidencePiece(
+                    Belief(prop, endorse(belief_level)), Belief(relation, endorse(relation_level))
+                )
+                for prop, relation, belief_level, relation_level in backing
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +901,15 @@ def _adopted(
 ) -> Optional[Belief]:
     """``prop`` at the strength of the strongest piece of ``evidence``, all
     of which counts for ``prop``; None if ``prior``, the belief held in
-    ``prop``, is already that strong."""
+    ``prop``, is already that strong.
+
+    With no basis beside ``prop``, every piece stands on ``prop`` itself,
+    and the strongest piece's endorsement is kept, already at that
+    strength.  A presented bare piece has a warranted self-relation, so its
+    strength is its endorsement's level.  A store piece over a held
+    ``supports(prop, prop)`` needs ``prop`` held, so it is no stronger
+    than the prior, and nothing is adopted; within one batch of adds the
+    prior only rises."""
     if not evidence:
         if prior is None:
             raise ContractViolation(f"cannot adopt {prop} with no evidence and no prior")
@@ -919,14 +919,10 @@ def _adopted(
         return None
     basis = {pc.belief.prop for pc in evidence if pc.belief.prop != prop}
     if basis:
-        endorsement = Endorsement.derived(win, basis)
-    else:
-        # bare assertion: keep the assertion provenance rather than a
-        # self-referential derivation
-        endorsement = max(evidence, key=piece_strength).belief.endorsement
-        if endorsement.level != win:
-            endorsement = replace(endorsement, level=win)
-    return Belief(prop, endorsement)
+        return Belief(prop, Endorsement.derived(win, basis))
+    # bare assertion: keep the assertion provenance rather than a
+    # self-referential derivation
+    return Belief(prop, max(evidence, key=piece_strength).belief.endorsement)
 
 
 def assimilate(kb: KnowledgeBase, verdict: Verdict, target: Proposition) -> KnowledgeBase:

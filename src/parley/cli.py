@@ -111,10 +111,8 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _run(args)
-    raise AssertionError("unreachable")
+    # ``run`` is the one subcommand, and the parser requires it
+    return _run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

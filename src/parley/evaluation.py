@@ -16,17 +16,15 @@ from .beliefs import (
     Belief,
     ContractViolation,
     Endorsement,
-    Expertise,
     KnowledgeBase,
     Proposition,
+    Speaker,
     StrengthLevel,
     StructureError,
     Verdict,
     VerdictOutcome,
-    _case,
     _check_level,
     _PendingAdds,
-    assertions_by,
     record_verdict,
     revise_detail,
     supports_prop,
@@ -68,6 +66,9 @@ class ProposalNode:
     def __hash__(self) -> int:
         return hash(self._preorder())
 
+    def __repr__(self) -> str:
+        return _tree_repr(self, lambda n: f"{n.prop}, {n.asserted_level.render()}")
+
     @property
     def relations(self) -> tuple[Proposition, ...]:
         """``supports(child, this)`` for each child, in order, built on
@@ -106,6 +107,19 @@ def walk(root, enter: Optional[Callable] = None) -> Iterator[tuple]:
                     stack.append((children[j], node, j, False))
 
 
+def _tree_repr(root, label: Callable) -> str:
+    """``Name(label, [child, ...])`` for each node under ``root``, written
+    by ``walk``, so a tree of any depth prints."""
+    parts: list[str] = []
+    for node, _, i, done in walk(root):
+        if not done:
+            parts += (", " if i else "", f"{type(node).__name__}({label(node)}")
+            parts.append(", [" if node.children else "")
+        else:
+            parts.append("])" if node.children else ")")
+    return "".join(parts)
+
+
 def validate_tree(tree: ProposalNode) -> None:
     """Reject a tree that repeats a proposition, or its negation, on one
     root-to-leaf path, or that asserts a proposition and its negation
@@ -142,9 +156,7 @@ def render_tree(tree: ProposalNode) -> str:
 # recording assertions into the model of the other agent
 
 
-def record_proposal(
-    kb: KnowledgeBase, tree: ProposalNode, *, speaker: str, expertise: Expertise
-) -> KnowledgeBase:
+def record_proposal(kb: KnowledgeBase, tree: ProposalNode, *, speaker: Speaker) -> KnowledgeBase:
     """Note everything the speaker just committed to in the user model.
 
     Internal nodes are recorded as derived from their stated justifications;
@@ -154,7 +166,7 @@ def record_proposal(
     whole tree goes into the model in one write, each node after its
     subtree and before the relation to it."""
     pending = _PendingAdds(kb, own=False)
-    endorse = assertions_by(speaker, expertise)
+    endorse = speaker.endorse
     for node, parent, i, done in walk(tree):
         if not done:
             continue
@@ -187,6 +199,9 @@ class EvaluatedNode:
     relation_verdict: Optional[Verdict] = None
     relation_lookup: Optional[bool] = None
 
+    def __repr__(self) -> str:
+        return _tree_repr(self, lambda ev: f"{ev.prop}: {ev.verdict.outcome.value}")
+
     @property
     def prop(self) -> Proposition:
         return self.node.prop
@@ -210,8 +225,7 @@ def evaluate_proposal(
     tree: ProposalNode,
     tau: int = 1,
     *,
-    proposer: str,
-    proposer_expertise: Expertise,
+    proposer: Speaker,
     trace=None,
     agent: str = "",
 ) -> EvaluatedNode:
@@ -223,8 +237,6 @@ def evaluate_proposal(
     then only at the strength the evaluation actually granted them.
     """
     validate_tree(tree)
-    # the proposer's assertion endorsements, shared by every presented case
-    endorse = assertions_by(proposer, proposer_expertise)
     # the judged children of each node on the current path
     judged: list[list[EvaluatedNode]] = [[]]
     for node, parent, i, done in walk(tree):
@@ -237,7 +249,7 @@ def evaluate_proposal(
             if c.counted:
                 levels = (c.verdict.accepted_strength(), c.relation_verdict.accepted_strength())
                 backing.append((c.prop, c.relation, *levels))
-        presented = _case(node.prop, proposer_expertise, endorse, backing)
+        presented = proposer.case(node.prop, backing)
         verdict = revise_detail(kb, node.prop, presented, tau, trace=trace, agent=agent)
         if parent is None:
             return EvaluatedNode(node, verdict, children)
@@ -251,7 +263,7 @@ def evaluate_proposal(
         elif held_neg is not None:
             rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.endorsement.level)
         else:
-            case = _case(relation, proposer_expertise, endorse)
+            case = proposer.case(relation)
             rel_verdict = revise_detail(kb, relation, case, tau, trace=trace, agent=agent)
         if lookup:
             record_verdict(trace, agent, relation, rel_verdict, method="lookup")

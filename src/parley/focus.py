@@ -2,7 +2,7 @@
 
 The rejecting agent simulates the proposer with its user model: it predicts
 how the proposer would re-judge each disputed proposition if particular
-beliefs were given up, with both sides' cases (``presented_case``) on the
+beliefs were given up, with both sides' cases (``Speaker.case``) on the
 table.  The smallest set of beliefs whose removal flips the proposer is the
 focus of modification; only the ``foci`` trace records say how it was found.
 """
@@ -14,14 +14,13 @@ from typing import Iterable, Optional
 from .beliefs import (
     ContractViolation,
     EvidencePiece,
-    Expertise,
     KnowledgeBase,
     Proposition,
+    Speaker,
     Verdict,
     VerdictOutcome,
     build_evidence_set,
     minimal_subsets,
-    presented_case,
     record_verdict,
     removal_closure,
     revise,
@@ -108,26 +107,25 @@ def select_min_set(
     return chosen
 
 
-def _asserted_evidence(
-    ev: EvaluatedNode, proposer: str, proposer_expertise: Expertise
-) -> tuple[EvidencePiece, ...]:
+def _asserted_evidence(ev: EvaluatedNode, proposer: Speaker) -> tuple[EvidencePiece, ...]:
     """The proposer's case for ``ev`` as presented: the bare assertion plus
     every child, accepted or not, at the strength it was asserted."""
     backing = (
         (c.prop, c.relation, c.node.asserted_level, c.node.asserted_level) for c in ev.children
     )
-    return presented_case(ev.prop, proposer, proposer_expertise, backing)
+    return proposer.case(ev.prop, backing)
 
 
 def _standing_attack(
-    kb: KnowledgeBase, target: Proposition, agent: str
+    kb: KnowledgeBase, target: Proposition, evaluator: Speaker
 ) -> tuple[EvidencePiece, ...]:
-    """The evaluator's own case against ``target``: held counterevidence plus
-    a direct counter-assertion when the negation itself is held."""
+    """The case of ``evaluator``, whose store is ``kb``, against ``target``:
+    held counterevidence plus a direct counter-assertion when the negation
+    itself is held."""
     negated = target.negate()
     pieces = [pc for pc in build_evidence_set(kb, target) if pc.consequent == negated]
     if kb.holds(negated):
-        pieces.extend(presented_case(negated, agent, kb.expertise))
+        pieces.extend(evaluator.case(negated))
     return tuple(pieces)
 
 
@@ -136,24 +134,25 @@ def select_focus_modification(
     kb: KnowledgeBase,
     tau: int = 1,
     *,
-    proposer: str,
-    proposer_expertise: Expertise,
+    proposer: Speaker,
     trace=None,
     agent: str = "",
 ) -> Optional[frozenset]:
     """Walk an evaluated (and unaccepted) proposal and return the focus to
     dispute, or None when no modification looks winnable.
 
-    ``kb`` is the evaluator's store; the proposer is simulated with its user
-    model.  Leaves are flippable or not by direct prediction.  For internal
-    nodes, first try undermining the flippable members alone, then a
-    head-on counter, then both combined; each stage predicts with the
-    proposer's own presented evidence, plus this agent's counterevidence
-    for the head-on stages.  Both kinds of evidence are built only for the
+    ``kb`` is the store of the evaluator ``agent``, which speaks through one
+    ``Speaker`` for the call; the proposer is simulated with its user model.
+    Leaves are flippable or not by direct prediction.  For internal nodes,
+    first try undermining the flippable members alone, then a head-on
+    counter, then both combined; each stage predicts with the proposer's
+    own presented evidence, plus this agent's counterevidence for the
+    head-on stages.  Both kinds of evidence are built only for the
     nodes and relations the walk visits.  Each visited node leaves one
     ``foci`` record, the root's last.
     """
     model = kb.model_view()
+    evaluator = Speaker(agent, kb.expertise)
 
     def emit(target: Proposition, step: str, focus, cand=()) -> Optional[frozenset]:
         if trace is not None:
@@ -176,8 +175,7 @@ def select_focus_modification(
     def head_on(prop: Proposition, note: str) -> Optional[frozenset]:
         """``{prop}`` when the proposer's bare assertion of ``prop`` loses to
         this agent's standing case against it, else None."""
-        case = presented_case(prop, proposer, proposer_expertise)
-        case += _standing_attack(kb, prop, agent)
+        case = proposer.case(prop) + _standing_attack(kb, prop, evaluator)
         return frozenset({prop}) if flipped(prop, case, (), note) else None
 
     def judged(ev: EvaluatedNode, presented, both_sides, member_focus) -> Optional[frozenset]:
@@ -218,8 +216,8 @@ def select_focus_modification(
             continue
         if not done:
             if ev.children:
-                presented = _asserted_evidence(ev, proposer, proposer_expertise)
-                cases.append((presented, presented + _standing_attack(kb, ev.prop, agent)))
+                presented = _asserted_evidence(ev, proposer)
+                cases.append((presented, presented + _standing_attack(kb, ev.prop, evaluator)))
                 foci.append({})
             continue
         if ev.children:

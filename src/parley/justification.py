@@ -2,7 +2,7 @@
 
 Before uttering a counter-claim, an agent checks whether the hearer would
 take it on bare say-so: ``hearer_accepts`` with no chains weighs the claim
-as ``presented_case`` builds it from the assertion alone.  If not, it
+as ``Speaker.case`` builds it from the assertion alone.  If not, it
 assembles chains of its own evidence, recursively justifying any link the
 hearer would balk at, then picks the cheapest sufficient bundle: highest
 worst-link confidence, then most novel to the hearer, then fewest beliefs,
@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .beliefs import (
-    Expertise,
     KnowledgeBase,
     Proposition,
+    Speaker,
     StrengthLevel,
     VerdictOutcome,
     build_evidence_set,
     minimal_subsets,
-    presented_case,
     revise,
 )
 from .evaluation import walk
@@ -61,18 +60,14 @@ def hearer_accepts(
     model: KnowledgeBase,
     claim: Proposition,
     chains: Iterable[JustificationLink],
-    speaker: str,
-    expertise: Expertise,
+    speaker: Speaker,
     tau: int,
 ) -> bool:
     """Would the hearer accept the claim, asserted together with the top
     link of each of ``chains`` as the speaker's evidence?  Only the links'
     strengths reach the verdict."""
-    presented = presented_case(
-        claim,
-        speaker,
-        expertise,
-        ((c.prop, c.relation, c.belief_level, c.relation_level) for c in chains),
+    presented = speaker.case(
+        claim, ((c.prop, c.relation, c.belief_level, c.relation_level) for c in chains)
     )
     return revise(model, claim, presented, tau=tau).outcome is VerdictOutcome.ACCEPT
 
@@ -83,13 +78,12 @@ def build_justification_chains(
     claim: Proposition,
     tau: int = 1,
     *,
-    speaker: str,
+    speaker: Speaker,
     _path: frozenset = frozenset(),
 ) -> tuple[JustificationLink, ...]:
     """Every way the evidence in the speaker's store ``kb`` can back
     ``claim`` for the hearer ``model``.  Links the hearer would reject bare
     are justified recursively; evidence with no convincing story is dropped."""
-    expertise = kb.expertise
     path = _path | {claim}
     chains: list[JustificationLink] = []
     for piece in build_evidence_set(kb, claim):
@@ -99,14 +93,12 @@ def build_justification_chains(
         if prop == claim or prop in path or prop.negate() in path:
             continue
         levels = (piece.belief.endorsement.level, piece.relation.endorsement.level)
-        if hearer_accepts(model, prop, (), speaker, expertise, tau):
+        if hearer_accepts(model, prop, (), speaker, tau):
             chains.append(JustificationLink(prop, piece.relation.prop, *levels))
             continue
         sub = build_justification_chains(kb, model, prop, tau, speaker=speaker, _path=path)
         children = next(
-            minimal_subsets(
-                sub, lambda combo: hearer_accepts(model, prop, combo, speaker, expertise, tau)
-            ),
+            minimal_subsets(sub, lambda combo: hearer_accepts(model, prop, combo, speaker, tau)),
             None,
         )
         if children is None:
@@ -121,8 +113,7 @@ def select_justification(
     claim: Proposition,
     tau: int = 1,
     *,
-    speaker: str,
-    expertise: Expertise,
+    speaker: Speaker,
     trace=None,
 ) -> tuple[JustificationLink, ...]:
     """Pick the bundle of chains the speaker utters.
@@ -134,9 +125,7 @@ def select_justification(
     """
     pool = sorted(chains, key=lambda c: c.key())
     survivors = list(
-        minimal_subsets(
-            pool, lambda combo: hearer_accepts(model, claim, combo, speaker, expertise, tau)
-        )
+        minimal_subsets(pool, lambda combo: hearer_accepts(model, claim, combo, speaker, tau))
     )
     if not survivors:
         raise NoSufficientJustification(f"no sufficient justification for {claim}")
@@ -169,7 +158,7 @@ def select_justification(
             ]
         trace.emit(
             "heuristic",
-            agent=speaker,
+            agent=speaker.name,
             claim=claim.render(),
             chosen=[c.key()[0] for c in best],
             candidates=len(survivors),

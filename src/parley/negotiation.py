@@ -19,18 +19,16 @@ from .beliefs import (
     Belief,
     ContractViolation,
     Endorsement,
-    Expertise,
     KnowledgeBase,
     Proposition,
+    Speaker,
     StrengthLevel,
     Verdict,
     VerdictOutcome,
     _PendingAdds,
     _check_count,
     assertion_strength,
-    assertions_by,
     assimilate,
-    presented_case,
     removal_closure,
     revise_detail,
 )
@@ -124,6 +122,8 @@ class Transcript:
 @dataclass
 class _Session:
     kbs: dict[str, KnowledgeBase]
+    # each agent as the source of its assertions, one for the whole session
+    speakers: dict[str, Speaker]
     config: NegotiationConfig
     trace: Trace
     acts: list[DiscourseAct] = field(default_factory=list)
@@ -131,9 +131,6 @@ class _Session:
     conceded_by: Optional[str] = None
     depth_max: int = 0
     rounds: int = 0
-
-    def expertise(self, agent: str) -> Expertise:
-        return self.kbs[agent].expertise
 
     def act(
         self,
@@ -215,30 +212,22 @@ def _hypothetical_concession(
 
 
 def _observe_acceptance(session: _Session, observer: str, acceptor: str, props) -> None:
-    expertise = session.expertise(acceptor)
-    level = assertion_strength(expertise)
-    endorse = assertions_by(acceptor, expertise)
+    speaker = session.speakers[acceptor]
+    level = assertion_strength(speaker.expertise)
     pending = _PendingAdds(session.kbs[observer], own=False)
     for prop in sorted(props):
         existing = pending.belief(prop)
         if existing is None or existing.endorsement.level < level:
-            pending.add(Belief(prop, endorse(level)))
+            pending.add(Belief(prop, speaker.endorse(level)))
     session.kbs[observer] = pending.store()
 
 
 def _hear(session: _Session, speaker: str, hearer: str, tree: ProposalNode) -> EvaluatedNode:
     """The hearer notes what the speaker proposed and judges it."""
-    expertise = session.expertise(speaker)
-    kb = record_proposal(session.kbs[hearer], tree, speaker=speaker, expertise=expertise)
-    session.kbs[hearer] = kb
+    source = session.speakers[speaker]
+    kb = session.kbs[hearer] = record_proposal(session.kbs[hearer], tree, speaker=source)
     return evaluate_proposal(
-        kb,
-        tree,
-        session.config.tau,
-        proposer=speaker,
-        proposer_expertise=expertise,
-        trace=session.trace,
-        agent=hearer,
+        kb, tree, session.config.tau, proposer=source, trace=session.trace, agent=hearer
     )
 
 
@@ -250,7 +239,7 @@ def _agree(session: _Session, speaker: str, hearer: str, evaluated: EvaluatedNod
 
 def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> _Step:
     root = tree.prop
-    case = presented_case(root, winner, session.expertise(winner))
+    case = session.speakers[winner].case(root)
     verdict = Verdict(VerdictOutcome.ACCEPT, 0, 0, support_pieces=case)
     session.kbs[loser] = assimilate(session.kbs[loser], verdict, root)
     session.act(ActKind.ACCEPT, loser, prop=root)
@@ -277,7 +266,8 @@ def negotiate(
     if len(kbs) != 2 or proposer not in kbs:
         raise ContractViolation("negotiation needs exactly two agents, proposer included")
     evaluator = next(a for a in kbs if a != proposer)
-    session = _Session(kbs=dict(kbs), config=config, trace=trace or Trace())
+    speakers = {agent: Speaker(agent, kb.expertise) for agent, kb in kbs.items()}
+    session = _Session(dict(kbs), speakers, config, trace or Trace())
 
     session.act(ActKind.PROPOSE, proposer, proposal=proposal)
     session.already_presented(proposer, proposal.prop, proposal.props())
@@ -359,8 +349,7 @@ def _handle_rejection(
         evaluated,
         session.kbs[evaluator],
         tau,
-        proposer=proposer,
-        proposer_expertise=session.expertise(proposer),
+        proposer=session.speakers[proposer],
         trace=session.trace,
         agent=evaluator,
     )
@@ -376,26 +365,21 @@ def _handle_rejection(
         mutual_beliefs=[m.negate().render() for m in members],
     )
 
-    expertise = session.expertise(evaluator)
+    speaker = session.speakers[evaluator]
+    level = assertion_strength(speaker.expertise)
     working = session.kbs[evaluator].model_view()
     counters: list[ProposalNode] = []
     informs: list[Proposition] = []
     for member in members:
         claim = member.negate()
         chains = ()
-        if not hearer_accepts(working, claim, (), evaluator, expertise, tau):
+        if not hearer_accepts(working, claim, (), speaker, tau):
             pool = build_justification_chains(
-                session.kbs[evaluator], working, claim, tau, speaker=evaluator
+                session.kbs[evaluator], working, claim, tau, speaker=speaker
             )
             try:
                 chains = select_justification(
-                    pool,
-                    working,
-                    claim,
-                    tau,
-                    speaker=evaluator,
-                    expertise=expertise,
-                    trace=session.trace,
+                    pool, working, claim, tau, speaker=speaker, trace=session.trace
                 )
             except NoSufficientJustification:
                 return _concede(session, evaluator, proposer, tree)
@@ -404,7 +388,7 @@ def _handle_rejection(
             return _concede(session, evaluator, proposer, tree)
         informs.extend(realized)
         counters.append(_claim_tree(session.kbs[evaluator], claim, chains))
-        working = _hypothetical_concession(working, member, claim, assertion_strength(expertise))
+        working = _hypothetical_concession(working, member, claim, level)
 
     for prop in informs:
         session.act(ActKind.INFORM, evaluator, prop=prop)

@@ -37,6 +37,7 @@ class ScenarioError(ValueError):
 
     def __init__(self, path: str, message: str) -> None:
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}" if path else message)
 
 
@@ -193,16 +194,20 @@ def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> 
 
 
 def _parse_node(value: Any, path: str, parse: Callable[[str], Proposition]) -> ProposalNode:
-    obj = _expect_object(
-        value, path, {"prop", "assertedLevel", "children"}, ("prop", "assertedLevel")
-    )
+    """The proposal node at ``path``.  Its children are parsed at the empty
+    path, and this node's path is put before an error's as it unwinds, so
+    a valid tree builds no path below its root."""
+    fields = ("prop", "assertedLevel")
+    obj = _expect_object(value, path, {*fields, "children"}, fields)
     prop = _parse_str(obj["prop"], f"{path}.prop", parse)
     level = _parse_str(obj["assertedLevel"], f"{path}.assertedLevel", StrengthLevel.parse)
-    children = tuple(
-        _parse_node(c, f"{path}.children[{i}]", parse)
-        for i, c in enumerate(_expect_list(obj.get("children", []), f"{path}.children"))
-    )
-    return ProposalNode(prop, level, children)
+    children = []
+    for i, child in enumerate(_expect_list(obj.get("children", []), f"{path}.children")):
+        try:
+            children.append(_parse_node(child, "", parse))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}.children[{i}]{exc.path}", exc.message) from None
+    return ProposalNode(prop, level, tuple(children))
 
 
 def parse_scenario(text: str) -> Scenario:

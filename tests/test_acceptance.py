@@ -19,18 +19,17 @@ from parley import (
     Endorsement,
     EvidencePiece,
     Expertise,
+    Speaker,
     StrengthLevel,
     VerdictOutcome,
     assimilate,
-    piece_strength,
     predict,
     render_scenario,
     revise,
-    select_min_set,
     supports_prop,
 )
-from parley.beliefs import presented_case, revise_detail
-from parley.focus import flips
+from parley.beliefs import piece_strength, revise_detail
+from parley.focus import flips, select_min_set
 from parley.trace import Trace
 
 from conftest import (
@@ -212,7 +211,7 @@ def _min_set_case(rng: random.Random):
     cand = tuple(sorted(rng.sample(menu, rng.randint(1, min(8, len(menu))))))
     hyp = ()
     if rng.random() < 0.5:
-        hyp = presented_case(target, "u", rng.choice(list(Expertise)))
+        hyp = Speaker("u", rng.choice(list(Expertise))).case(target)
     tau = rng.choice([1, 1, 2])
     if not flips(predict(model, target, hyp, cand, tau)):
         return None

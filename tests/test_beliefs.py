@@ -6,6 +6,7 @@ import re
 import sys
 import time
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,24 +20,27 @@ from parley import (
     EvidencePiece,
     Expertise,
     KnowledgeBase,
+    ProposalNode,
     Proposition,
+    SourceKind,
+    Speaker,
     StrengthLevel,
     StructureError,
     Verdict,
     VerdictOutcome,
-    assertion_strength,
     assimilate,
+    assimilate_evaluated,
     build_evidence_set,
+    evaluate_proposal,
     parse_proposition,
-    piece_strength,
     revise,
     supports_prop,
 )
 from parley.beliefs import (
     MAX_PROP_NESTING,
-    SourceKind,
     _standing,
-    presented_case,
+    assertion_strength,
+    piece_strength,
     proposition_parser,
     removal_closure,
     revise_detail,
@@ -312,14 +316,15 @@ class TestRevision:
     def test_standing_prior_subsumes_self_assertion(self):
         t = ground("t")
         kb = kb_of(rec(t, T))
-        piece = presented_case(t, "u", Expertise.EXPERT)[0]
+        piece = Speaker("u", Expertise.EXPERT).case(t)[0]
         v = revise(kb, t, [piece])
         assert v.support_score == 3  # prior only, not prior + assertion
 
-    def test_presented_case_shares_one_endorsement_per_level(self):
+    def test_speaker_case_shares_one_endorsement_per_level(self):
         t, p, q = ground("t"), ground("p"), ground("q")
         backing = [(p, supports_prop(p, t), T, S), (q, supports_prop(q, t), S, T)]
-        case = presented_case(t, "u", Expertise.EXPERT, backing)
+        speaker = Speaker("u", Expertise.EXPERT)
+        case = speaker.case(t, backing)
         by_level = {}
         for piece in case:
             for part in (piece.belief, piece.relation):
@@ -329,17 +334,24 @@ class TestRevision:
                 )
                 assert by_level.setdefault(e.level, e) is e
         assert sorted(by_level) == [S, T]
+        # and with every later case and endorsement by the same speaker
+        assert speaker.case(q)[0].belief.endorsement is by_level[T]
+        assert all(speaker.endorse(level) is e for level, e in by_level.items())
 
-    @pytest.mark.parametrize("bad", [2, "strong", None])
-    def test_presented_case_checks_every_level(self, bad):
-        # a level the case already holds must not let an equal int through
+    @pytest.mark.parametrize("bad", [2, "strong", None, True])
+    def test_speaker_checks_every_level(self, bad):
+        # a level the speaker already shares must not let an equal int through
         t, p = ground("t"), ground("p")
+        speaker = Speaker("u", Expertise.NON_EXPERT)
+        assert speaker.endorse(S) is speaker.endorse(S)
         with pytest.raises(StructureError, match="must be a StrengthLevel"):
-            presented_case(t, "u", Expertise.NON_EXPERT, [(p, supports_prop(p, t), S, bad)])
+            speaker.case(t, [(p, supports_prop(p, t), S, bad)])
+        with pytest.raises(StructureError, match="must be a StrengthLevel"):
+            speaker.endorse(bad)
 
     def test_presented_pieces_must_address_target(self):
         t, u = ground("t"), ground("u")
-        piece = presented_case(u, "u", Expertise.EXPERT)[0]
+        piece = Speaker("u", Expertise.EXPERT).case(u)[0]
         with pytest.raises(StructureError):
             revise(kb_of(), t, [piece])
 
@@ -356,7 +368,7 @@ class TestAssimilation:
 
     def test_bare_assertion_adopts_assertion_source(self):
         t = ground("t")
-        piece = presented_case(t, "u", Expertise.EXPERT)[0]
+        piece = Speaker("u", Expertise.EXPERT).case(t)[0]
         kb2 = assimilate(kb_of(), revise_detail(kb_of(), t, [piece]), t)
         held = kb2.own_belief(t)
         assert held.endorsement.speaker == "u"
@@ -385,17 +397,61 @@ class TestAssimilation:
 
     def test_bare_assertion_keeps_an_endorsement_at_the_winning_level(self):
         t = ground("t")
-        case = presented_case(t, "u", Expertise.NON_EXPERT)
+        case = Speaker("u", Expertise.NON_EXPERT).case(t)
         kb = assimilate(kb_of(), revise(kb_of(), t, case), t)
         assert kb.own_belief(t).endorsement is case[0].belief.endorsement
 
     def test_keeps_stronger_prior(self):
         t = ground("t")
         kb = kb_of(rec(t, T))
-        piece = presented_case(t, "u", Expertise.NON_EXPERT)[0]
+        piece = Speaker("u", Expertise.NON_EXPERT).case(t)[0]
         verdict = Verdict(VerdictOutcome.ACCEPT, 0, 0, support_pieces=(piece,))
         kb2 = assimilate(kb, verdict, t)
         assert kb2.own_belief(t).endorsement.level is T
+
+    @pytest.mark.parametrize("expertise", list(Expertise))
+    @pytest.mark.parametrize("derived", [False, True], ids=["kb-record", "baseless-derived"])
+    def test_weak_self_support_adopts_as_before(self, derived, expertise):
+        # p held strong beside a weak supports(p, p), the shape suspected of
+        # reaching the branch that re-levelled a bare piece's endorsement.
+        # The store's own piece over it is no stronger than p, and the
+        # speaker's bare piece, which shares its key, has a warranted
+        # self-relation, so adoption gives the store it gave with the branch.
+        p = ground("p")
+        held = Belief(p, Endorsement.derived(S, [ground("q")])) if derived else rec(p, S)
+        kb = kb_of(held, rec(supports_prop(p, p), W))
+        speaker = Speaker("u", expertise)
+
+        def expected(verdict):
+            assert verdict.outcome is VerdictOutcome.ACCEPT
+            belief = seed_adopted(kb.own_belief(p), p, verdict.support_pieces)
+            return kb if belief is None else kb.own_add(belief)
+
+        for presented in ((), speaker.case(p)):
+            verdict = revise(kb, p, presented)
+            assert assimilate(kb, verdict, p) == expected(verdict)
+        evaluated = evaluate_proposal(kb, ProposalNode(p, S), proposer=speaker)
+        assert assimilate_evaluated(kb, evaluated) == (expected(evaluated.verdict), (p,))
+
+
+def seed_adopted(prior, prop, evidence):
+    """``beliefs._adopted`` with the branch it had, which re-levelled a bare
+    piece's endorsement to the piece's strength."""
+    if not evidence:
+        if prior is None:
+            raise ContractViolation(f"cannot adopt {prop} with no evidence and no prior")
+        return None
+    win = max(piece_strength(pc) for pc in evidence)
+    if prior is not None and prior.endorsement.level >= win:
+        return None
+    basis = {pc.belief.prop for pc in evidence if pc.belief.prop != prop}
+    if basis:
+        endorsement = Endorsement.derived(win, basis)
+    else:
+        endorsement = max(evidence, key=piece_strength).belief.endorsement
+        if endorsement.level != win:
+            endorsement = replace(endorsement, level=win)
+    return Belief(prop, endorsement)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +506,67 @@ def test_negation_symmetry(seed):
         assert m.outcome is swap[v.outcome]
     else:
         assert m.outcome in (VerdictOutcome.UNCERTAIN, VerdictOutcome.ABANDON)
+
+
+def seed_presented_case(claim, speaker, expertise, backing=()):
+    """``presented_case`` as it was before ``Speaker``: the bare assertion,
+    then one piece per ``(prop, relation, belief_level, relation_level)``,
+    endorsed through one ``assertions_by(speaker, expertise)``."""
+    endorsements = {}
+
+    def endorse(level):
+        if not isinstance(level, StrengthLevel):
+            raise StructureError(f"level must be a StrengthLevel, got {level!r}")
+        if level not in endorsements:
+            endorsements[level] = Endorsement.assertion(level, speaker, expertise)
+        return endorsements[level]
+
+    bare = EvidencePiece(
+        Belief(claim, endorse(assertion_strength(expertise))),
+        Belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
+    )
+    return (
+        bare,
+        *(
+            EvidencePiece(Belief(prop, endorse(bl)), Belief(rel, endorse(rl)))
+            for prop, rel, bl, rl in backing
+        ),
+    )
+
+
+CASE_LITERALS = [ground(n, negated) for n in ("p", "q", "r") for negated in (False, True)]
+case_claims = st.one_of(
+    st.sampled_from(CASE_LITERALS),
+    st.builds(supports_prop, st.sampled_from(CASE_LITERALS), st.sampled_from(CASE_LITERALS)),
+)
+
+
+@settings(max_examples=300)
+@given(case_claims, st.text(min_size=1, max_size=3), st.sampled_from(Expertise), st.data())
+def test_speaker_case_matches_presented_case(claim, name, expertise, data):
+    # each backing piece counts for the claim or its negation, from any
+    # literal or relation, at any pair of levels
+    backing = data.draw(
+        st.lists(
+            st.builds(
+                lambda prop, side, bl, rl: (prop, supports_prop(prop, side), bl, rl),
+                case_claims,
+                st.sampled_from((claim, claim.negate())),
+                st.sampled_from(LEVELS),
+                st.sampled_from(LEVELS),
+            ),
+            max_size=4,
+        )
+    )
+    speaker = Speaker(name, expertise)
+    case = speaker.case(claim, backing)
+    assert case == seed_presented_case(claim, name, expertise, backing)
+    for level in LEVELS:
+        assert speaker.endorse(level) is speaker.endorse(level)
+        assert speaker.endorse(level) == Endorsement.assertion(level, name, expertise)
+    for piece in case:
+        for part in (piece.belief, piece.relation):
+            assert part.endorsement is speaker.endorse(part.endorsement.level)
 
 
 @settings(max_examples=150)
@@ -681,7 +798,7 @@ def assert_lookups_match_scans(kb: KnowledgeBase, removals) -> None:
     for store in (kb, kb.model_view()):
         for target in INDEX_LITERALS + INDEX_RELATIONS[:4]:
             assert build_evidence_set(store, target) == seed_build_evidence_set(store, target)
-            case = presented_case(target, "u", Expertise.NON_EXPERT)
+            case = Speaker("u", Expertise.NON_EXPERT).case(target)
             expected = seed_build_evidence_set(store, target, case)
             assert build_evidence_set(store, target, case) == expected
         for removed in removals:

@@ -10,18 +10,19 @@ from parley import (
     Expertise,
     KnowledgeBase,
     ProposalNode,
+    Speaker,
     StrengthLevel,
     StructureError,
     VerdictOutcome,
     assimilate_evaluated,
     evaluate_proposal,
     negotiate,
-    piece_strength,
     record_proposal,
     render_tree,
     supports_prop,
     validate_tree,
 )
+from parley.beliefs import piece_strength
 from parley.focus import _asserted_evidence, _standing_attack
 from parley.negotiation import _apply_correction
 from parley.trace import Trace
@@ -135,6 +136,27 @@ class TestTrees:
         assert (foot_recipe, edge_recipe) == ("modify-node", "remove-node")
         assert foot.props() == edge.props() == tree.props()[:-2]
 
+    def test_trees_print_without_recursion(self):
+        # the dataclass-generated reprs recursed once per level, through
+        # ``children``, and a chain 1,000 deep raised RecursionError
+        tree = ProposalNode(TGT, S, (ProposalNode(P, T), ProposalNode(R, W)))
+        assert repr(tree) == (
+            "ProposalNode(t(x), strong, [ProposalNode(p(x), warranted), ProposalNode(r(x), weak)])"
+        )
+        d = 1000
+        assert sys.getrecursionlimit() <= d
+        tree = ProposalNode(ground("n0"), W)
+        for i in range(1, d):
+            tree = ProposalNode(ground(f"n{i}"), S, (tree,))
+        text = repr(tree)
+        assert text.startswith(f"ProposalNode(n{d - 1}(x), strong, [ProposalNode(n{d - 2}(x), ")
+        assert text.endswith("ProposalNode(n0(x), weak)" + "])" * (d - 1))
+        empty = KnowledgeBase(own=())
+        evaluated = evaluate_proposal(empty, tree, proposer=Speaker("u", Expertise.EXPERT))
+        text = repr(evaluated)
+        assert text.startswith(f"EvaluatedNode(n{d - 1}(x): accept, [EvaluatedNode(n{d - 2}(x): ")
+        assert text.endswith("EvaluatedNode(n0(x): accept)" + "])" * (d - 1))
+
     def test_first_revisit_in_preorder_is_named(self):
         tree = ProposalNode(
             TGT, S, (ProposalNode(P, S, (ProposalNode(P, S),)), ProposalNode(TGT, S))
@@ -153,7 +175,7 @@ class TestRecordProposal:
     def test_nodes_and_relations_modelled(self):
         kb = kb_of()
         tree = ProposalNode(TGT, S, (ProposalNode(P, T),))
-        kb2 = record_proposal(kb, tree, speaker="u", expertise=Expertise.EXPERT)
+        kb2 = record_proposal(kb, tree, speaker=Speaker("u", Expertise.EXPERT))
         root = kb2.model_belief(TGT)
         assert root.endorsement.support == frozenset({P})
         assert root.endorsement.level is S
@@ -166,14 +188,14 @@ class TestRecordProposal:
     def test_same_polarity_entry_kept(self):
         kb = kb_of(model=[Belief(P, Endorsement.kb_record(W))])
         kb2 = record_proposal(
-            kb, ProposalNode(P, T), speaker="u", expertise=Expertise.EXPERT
+            kb, ProposalNode(P, T), speaker=Speaker("u", Expertise.EXPERT)
         )
         assert kb2.model_belief(P).endorsement.level is W
 
     def test_contradicting_entry_replaced(self):
         kb = kb_of(model=[rec(P.negate())])
         kb2 = record_proposal(
-            kb, ProposalNode(P, T), speaker="u", expertise=Expertise.EXPERT
+            kb, ProposalNode(P, T), speaker=Speaker("u", Expertise.EXPERT)
         )
         assert kb2.model_belief(P.negate()) is None
         assert kb2.model_belief(P).endorsement.speaker == "u"
@@ -182,7 +204,7 @@ class TestRecordProposal:
 class TestEvaluate:
     def evaluate(self, kb, tree, expertise=Expertise.EXPERT, trace=None):
         return evaluate_proposal(
-            kb, tree, 1, proposer="u", proposer_expertise=expertise, trace=trace, agent="s"
+            kb, tree, 1, proposer=Speaker("u", expertise), trace=trace, agent="s"
         )
 
     def test_lookup_accepts_held_relation(self):
@@ -225,7 +247,7 @@ class TestEvaluate:
         assert child.verdict.accepted_strength() is S
         credited = [pc for pc in ev.verdict.support_pieces if pc.belief.prop == P]
         assert [piece_strength(pc) for pc in credited] == [S]
-        presented = _asserted_evidence(ev, "u", Expertise.NON_EXPERT)
+        presented = _asserted_evidence(ev, Speaker("u", Expertise.NON_EXPERT))
         asserted = [pc for pc in presented if pc.belief.prop == P]
         assert [piece_strength(pc) for pc in asserted] == [T]  # as claimed, not as granted
 
@@ -233,7 +255,7 @@ class TestEvaluate:
         kb = kb_of(rec(P.negate()), rec(REL))
         ev = self.evaluate(kb, ProposalNode(TGT, S, (ProposalNode(P, W),)))
         assert not ev.children[0].accepted
-        presented = _asserted_evidence(ev, "u", Expertise.EXPERT)
+        presented = _asserted_evidence(ev, Speaker("u", Expertise.EXPERT))
         assert [pc.belief.prop for pc in presented] == [TGT, P]
 
     def test_standing_attack_includes_counter_assertion(self):
@@ -242,7 +264,7 @@ class TestEvaluate:
         ev = self.evaluate(kb, ProposalNode(TGT, S))
         assert ev.verdict.outcome is VerdictOutcome.REJECT
         assert (ev.verdict.support_score, ev.verdict.attack_score) == (3, 6)
-        attackers = {pc.belief.prop for pc in _standing_attack(kb, TGT, "s")}
+        attackers = {pc.belief.prop for pc in _standing_attack(kb, TGT, Speaker("s", kb.expertise))}
         assert attackers == {TGT.negate(), q}
 
 
@@ -259,8 +281,7 @@ class TestEvaluate:
                 evaluator.kb,
                 scenario.proposal,
                 scenario.tau,
-                proposer=scenario.proposer.id,
-                proposer_expertise=scenario.proposer.kb.expertise,
+                proposer=Speaker(scenario.proposer.id, scenario.proposer.kb.expertise),
                 trace=trace,
                 agent=evaluator.id,
             )
@@ -275,7 +296,7 @@ class TestAssimilateEvaluated:
         kb = kb_of(rec(REL, S))
         ev = evaluate_proposal(
             kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), 1,
-            proposer="u", proposer_expertise=Expertise.EXPERT,
+            proposer=Speaker("u", Expertise.EXPERT),
         )
         kb2, agreed = assimilate_evaluated(kb, ev)
         assert agreed == tuple(sorted([P, TGT, REL]))
@@ -287,7 +308,7 @@ class TestAssimilateEvaluated:
         kb = kb_of()
         ev = evaluate_proposal(
             kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), 1,
-            proposer="u", proposer_expertise=Expertise.EXPERT,
+            proposer=Speaker("u", Expertise.EXPERT),
         )
         kb2, agreed = assimilate_evaluated(kb, ev)
         assert REL in agreed
@@ -301,7 +322,7 @@ class TestAssimilateEvaluated:
         kb = kb_of(rec(x), rec(supports_prop(x, REL)))
         ev = evaluate_proposal(
             kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), 1,
-            proposer="u", proposer_expertise=Expertise.EXPERT,
+            proposer=Speaker("u", Expertise.EXPERT),
         )
         kb2, agreed = assimilate_evaluated(kb, ev)
         assert REL in agreed
@@ -315,7 +336,7 @@ class TestAssimilateEvaluated:
         kb = kb_of(rec(P.negate()), rec(q), rec(supports_prop(q, P.negate())))
         ev = evaluate_proposal(
             kb, ProposalNode(TGT, S, (ProposalNode(P, S, (ProposalNode(R, S),)),)), 1,
-            proposer="u", proposer_expertise=Expertise.NON_EXPERT,
+            proposer=Speaker("u", Expertise.NON_EXPERT),
         )
         (child,) = ev.children
         assert ev.accepted and not child.accepted and child.children[0].accepted
@@ -326,7 +347,7 @@ class TestAssimilateEvaluated:
     def test_requires_accepted_root(self):
         kb = kb_of(rec(TGT.negate()))
         ev = evaluate_proposal(
-            kb, ProposalNode(TGT, W), 1, proposer="u", proposer_expertise=Expertise.NON_EXPERT
+            kb, ProposalNode(TGT, W), 1, proposer=Speaker("u", Expertise.NON_EXPERT)
         )
         assert not ev.accepted
         with pytest.raises(ContractViolation):

@@ -7,16 +7,15 @@ from parley import (
     Expertise,
     KnowledgeBase,
     ProposalNode,
+    Speaker,
     StrengthLevel,
     evaluate_proposal,
     predict,
     select_focus_modification,
-    select_min_set,
     supports_prop,
     VerdictOutcome,
 )
-from parley.beliefs import presented_case
-from parley.focus import removal_closure
+from parley.focus import removal_closure, select_min_set
 from parley.trace import Trace
 
 from conftest import ground
@@ -55,7 +54,7 @@ class TestPredict:
 
     def test_hypothesized_evidence_in_closure_is_dropped(self):
         model = kb_of(rec(A), der(TGT, S, A))
-        piece = presented_case(TGT, "u", Expertise.EXPERT)[0]
+        piece = Speaker("u", Expertise.EXPERT).case(TGT)[0]
         kept = predict(model, TGT, [piece])
         dropped = predict(model, TGT, [piece], removed=[A])
         assert kept.outcome is VerdictOutcome.ACCEPT
@@ -137,12 +136,12 @@ def run_sfm(evaluator: KnowledgeBase, model: KnowledgeBase, tree: ProposalNode, 
         own=evaluator.own, user_model=model.own, expertise=evaluator.expertise
     )
     ev = evaluate_proposal(
-        evaluator, tree, 1, proposer="u", proposer_expertise=Expertise.EXPERT
+        evaluator, tree, 1, proposer=Speaker("u", Expertise.EXPERT)
     )
     assert not ev.accepted
     trace = Trace() if trace is None else trace
     focus = select_focus_modification(
-        ev, evaluator, 1, proposer="u", proposer_expertise=Expertise.EXPERT, trace=trace, agent="s"
+        ev, evaluator, 1, proposer=Speaker("u", Expertise.EXPERT), trace=trace, agent="s"
     )
     root = trace.by_kind("foci")[-1].payload
     assert root["target"] == tree.prop.render()

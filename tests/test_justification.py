@@ -13,6 +13,7 @@ from parley import (
     JustificationLink,
     KnowledgeBase,
     NoSufficientJustification,
+    Speaker,
     StrengthLevel,
     StructureError,
     VerdictOutcome,
@@ -54,15 +55,15 @@ def leaf_chain(prop, level=T, claim=CLAIM) -> JustificationLink:
 
 class TestNeedsJustification:
     def test_unopposed_expert_word_suffices(self):
-        assert hearer_accepts(kb_of(), CLAIM, (), "s", EXPERT, 1)
+        assert hearer_accepts(kb_of(), CLAIM, (), Speaker("s", EXPERT), 1)
 
     def test_contrary_prior_forces_justification(self):
-        assert not hearer_accepts(kb_of(rec(CLAIM.negate())), CLAIM, (), "s", EXPERT, 1)
+        assert not hearer_accepts(kb_of(rec(CLAIM.negate())), CLAIM, (), Speaker("s", EXPERT), 1)
 
     def test_margin_respects_threshold(self):
         model = kb_of()
-        assert hearer_accepts(model, CLAIM, (), "s", Expertise.NON_EXPERT, 2)
-        assert not hearer_accepts(model, CLAIM, (), "s", Expertise.NON_EXPERT, 3)
+        assert hearer_accepts(model, CLAIM, (), Speaker("s", Expertise.NON_EXPERT), 2)
+        assert not hearer_accepts(model, CLAIM, (), Speaker("s", Expertise.NON_EXPERT), 3)
 
     @pytest.mark.parametrize(
         "link, message",
@@ -80,13 +81,13 @@ class TestNeedsJustification:
     def test_malformed_link_is_refused(self, link, message):
         # a caller's link is checked as an EvidencePiece, never credited
         with pytest.raises(StructureError) as exc:
-            hearer_accepts(kb_of(), CLAIM, (link,), "s", EXPERT, 1)
+            hearer_accepts(kb_of(), CLAIM, (link,), Speaker("s", EXPERT), 1)
         assert str(exc.value) == message
 
 
 class TestBuildChains:
     def build(self, kb, model, claim=CLAIM):
-        return build_justification_chains(kb, model, claim, speaker="s")
+        return build_justification_chains(kb, model, claim, speaker=Speaker("s", kb.expertise))
 
     def test_direct_link_when_hearer_takes_it_bare(self):
         kb = kb_of(*backing(CLAIM, A))
@@ -95,14 +96,18 @@ class TestBuildChains:
         assert chain.children == ()
         assert (chain.belief_level, chain.relation_level) == (T, T)
 
-    def test_speaker_expertise_comes_from_its_store(self):
+    def test_speaker_expertise_decides_bare_acceptance(self):
         # the hearer holds ¬a strongly: an expert's bare word outweighs
         # that, a non-expert's only ties it, and the store holds nothing
-        # more to back a with
+        # more to back a with.  The speaker's expertise counts, whatever
+        # the store records.
         model = kb_of(rec(A.negate(), S))
         for expertise, props in ((EXPERT, [A]), (Expertise.NON_EXPERT, [])):
-            kb = KnowledgeBase(own=backing(CLAIM, A), expertise=expertise)
-            assert [chain.prop for chain in self.build(kb, model)] == props
+            for stored in Expertise:
+                kb = KnowledgeBase(own=backing(CLAIM, A), expertise=stored)
+                speaker = Speaker("s", expertise)
+                chains = build_justification_chains(kb, model, CLAIM, speaker=speaker)
+                assert [chain.prop for chain in chains] == props
 
     def test_contested_evidence_justified_recursively(self):
         kb = kb_of(*backing(CLAIM, A), *backing(A, B))
@@ -130,7 +135,7 @@ class TestBuildChains:
 class TestSelectJustification:
     def select(self, chains, model, trace=None):
         return select_justification(
-            chains, model, CLAIM, speaker="s", expertise=EXPERT, trace=trace
+            chains, model, CLAIM, speaker=Speaker("s", EXPERT), trace=trace
         )
 
     def choose(self, chains, model):
@@ -400,7 +405,7 @@ def test_select_justification_matches_seed_algorithm():
 
         def accepts(combo):
             checks.append(combo)
-            return hearer_accepts(model, CLAIM, combo, "s", expertise, tau)
+            return hearer_accepts(model, CLAIM, combo, Speaker("s", expertise), tau)
 
         # the search for a chain's children takes the first hit only
         got_children = next(minimal_subsets(pool, accepts), None)
@@ -411,11 +416,11 @@ def test_select_justification_matches_seed_algorithm():
         if want is None:
             with pytest.raises(NoSufficientJustification):
                 select_justification(
-                    chains, model, CLAIM, tau, speaker="s", expertise=expertise, trace=trace
+                    chains, model, CLAIM, tau, speaker=Speaker("s", expertise), trace=trace
                 )
             continue
         chosen = select_justification(
-            chains, model, CLAIM, tau, speaker="s", expertise=expertise, trace=trace
+            chains, model, CLAIM, tau, speaker=Speaker("s", expertise), trace=trace
         )
         assert chosen == tuple(want), case
         (heuristic,) = trace.by_kind("heuristic")
@@ -442,7 +447,7 @@ def test_flat_chain_keys_cost_linear_work(monkeypatch):
 
                 patch.setattr(owner, name, counted)
             chains = build_justification_chains(
-                kb, kb.model_view(), parse_proposition("~s0"), speaker="S"
+                kb, kb.model_view(), parse_proposition("~s0"), speaker=Speaker("S", kb.expertise)
             )
         assert len(chains) == 1 and len(chains[0].key()) == n
         counts[n] = calls

@@ -22,6 +22,7 @@ from parley import (
     NegotiationConfig,
     ProposalNode,
     ScenarioError,
+    Speaker,
     StrengthLevel,
     StructureError,
     assimilate,
@@ -310,8 +311,7 @@ def test_every_threshold_takes_only_positive_integers(entry, tau):
             kb,
             ProposalNode(target, StrengthLevel.STRONG),
             tau,
-            proposer="U",
-            proposer_expertise=Expertise.EXPERT,
+            proposer=Speaker("U", Expertise.EXPERT),
         ),
     }
     message = f"threshold must be an integer at least 1, got {tau!r}"
@@ -745,14 +745,15 @@ def seed_assimilate_evaluated(kb, evaluated):
 
 def seed_observe_acceptance(session, observer, acceptor, props):
     """``_observe_acceptance`` as it was, with one model write per belief."""
-    level = assertion_strength(session.expertise(acceptor))
+    expertise = session.kbs[acceptor].expertise
+    level = assertion_strength(expertise)
     kb = session.kbs[observer]
     for prop in sorted(props):
         existing = kb.model_belief(prop)
         if existing is not None and existing.endorsement.level >= level:
             continue
         kb = kb.model_add(
-            Belief(prop, Endorsement.assertion(level, acceptor, session.expertise(acceptor)))
+            Belief(prop, Endorsement.assertion(level, acceptor, expertise))
         )
     session.kbs[observer] = kb
 
@@ -815,7 +816,7 @@ def test_heard_proposal_writes_match_one_write_per_belief(tree, expertise, data)
         for _ in range(3)
     )
     kb = KnowledgeBase(own=own, user_model=model, expertise=expertise)
-    heard = record_proposal(kb, tree, speaker="u", expertise=expertise)
+    heard = record_proposal(kb, tree, speaker=Speaker("u", expertise))
     assert_same_store(heard, seed_record_proposal(kb, tree, speaker="u", expertise=expertise))
 
     asserted = set(tree.props())
@@ -824,9 +825,9 @@ def test_heard_proposal_writes_match_one_write_per_belief(tree, expertise, data)
         # each branch would be judged against the same store, and adopting
         # both could leave one of them with nothing to adopt it from
         with pytest.raises(StructureError, match="asserts both"):
-            evaluate_proposal(heard, tree, proposer="u", proposer_expertise=expertise)
+            evaluate_proposal(heard, tree, proposer=Speaker("u", expertise))
     else:
-        evaluated = evaluate_proposal(heard, tree, proposer="u", proposer_expertise=expertise)
+        evaluated = evaluate_proposal(heard, tree, proposer=Speaker("u", expertise))
         if evaluated.accepted:
             adopted, agreed = assimilate_evaluated(heard, evaluated)
             expected, expected_agreed = seed_assimilate_evaluated(heard, evaluated)
@@ -835,8 +836,9 @@ def test_heard_proposal_writes_match_one_write_per_belief(tree, expertise, data)
 
     # the speaker sees the hearer accept every proposition of the tree
     speaker = KnowledgeBase(own=(), user_model=observed, expertise=expertise)
+    speakers = {"u": Speaker("u", expertise), "s": Speaker("s", expertise)}
     sessions = [
-        _Session(kbs={"u": speaker, "s": kb}, config=NegotiationConfig(), trace=Trace())
+        _Session({"u": speaker, "s": kb}, speakers, NegotiationConfig(), Trace())
         for _ in range(2)
     ]
     _observe_acceptance(sessions[0], "u", "s", tree.props())

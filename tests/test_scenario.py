@@ -197,6 +197,37 @@ def chain_scenario(depth: int) -> Scenario:
     return Scenario((AgentSpec("U", kb), AgentSpec("S", kb)), node)
 
 
+def chain_document(d: int, leaf: dict) -> dict:
+    """``minimal()`` proposing a chain of ``d`` nodes above ``leaf``, in the
+    second of two children of the root."""
+    node = leaf
+    for i in range(d - 1):
+        node = {"prop": f"n{i}(a)", "assertedLevel": "strong", "children": [node]}
+    other = {"prop": "q(a)", "assertedLevel": "weak"}
+    return minimal(proposal={"prop": "p(a)", "assertedLevel": "strong", "children": [other, node]})
+
+
+@pytest.mark.parametrize(
+    "leaf, tail",
+    [
+        ({"prop": "r(a)", "assertedLevel": "bogus"}, ".assertedLevel: unknown strength level: 'bogus'"),
+        ({"prop": "r(a", "assertedLevel": "weak"}, ".prop: unterminated argument list in 'r(a'"),
+        ({"prop": "r(a)"}, ": missing field: assertedLevel"),
+        ({"prop": "r(a)", "assertedLevel": "weak", "children": 3}, ".children: expected a list, got int"),
+        ({"prop": "r(a)", "assertedLevel": "weak", "kids": []}, ": unknown field(s): kids"),
+        (["r(a)"], ": expected an object, got list"),
+    ],
+)
+@pytest.mark.parametrize("d", [1, 2, 300])
+def test_a_bad_proposal_node_reports_its_full_path(leaf, tail, d):
+    # the path below the root is built as the error unwinds, and reads as
+    # it did when every node built its own
+    path = "$.proposal.children[1]" + ".children[0]" * (d - 1)
+    error = err(chain_document(d, leaf))
+    assert str(error) == path + tail
+    assert error.path == path + tail.partition(":")[0]
+
+
 def test_render_refuses_a_proposal_too_deep_to_render():
     # the indented encoder recurses once per level, so a deep chain built in
     # code is refused at its path rather than with a RecursionError

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,23 @@ def test_every_module_level_definition_is_used():
         and not any(stmt.name in names for key, names in refs.items() if key != (name, i))
     ]
     assert unused == []
+
+
+def test_every_export_is_named_in_readme():
+    # each name of the package surface is named, as code, in the README's
+    # Library section, so the surface and its documentation move together
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n### Library\n", 1)[1].split("\n## ", 1)[0]
+    exported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(exported) > 40
+    missing = [name for name in exported if not re.search(rf"`{name}\b", library)]
+    assert missing == []
 
 
 def test_trusted_construction_stays_in_beliefs():

@@ -120,18 +120,19 @@ def test_bundled_negotiation_never_reads_stores_in_text_order(name, monkeypatch)
 
 # Endorsement.__post_init__ calls during one negotiation of each bundled
 # scenario: the assertion and derived endorsements the dialogue creates.
-# One call speaking for one speaker (an evaluation and all the cases it
-# presents, the recording of a proposal, an observed acceptance, a presented
-# case) shares one assertion endorsement per level; a derived endorsement is
-# built only for a belief actually written; and adoption keeps an
+# Each agent is one Speaker for the whole negotiation, so everything it
+# asserts (its cases, its recorded proposals, its observed acceptances)
+# shares one assertion endorsement per level; the focus search speaks for
+# the evaluator through one Speaker per call.  A derived endorsement is
+# built only for a belief actually written, and adoption keeps an
 # endorsement already at the winning level.
 ENDORSEMENT_CHECKS = {
-    "both": 22,
-    "evidence": 23,
-    "nest": 35,
-    "smith": 23,
-    "tie": 3,
-    "visit": 18,
+    "both": 6,
+    "evidence": 8,
+    "nest": 9,
+    "smith": 8,
+    "tie": 2,
+    "visit": 7,
 }
 
 
@@ -219,6 +220,22 @@ def test_parsing_relations_rebuilds_no_text(monkeypatch):
     assert [args[1] for args in calls] == ["p", "q", "supports"]
 
 
+def test_proposal_paths_grow_linearly_with_depth(monkeypatch):
+    # a node below the root builds its JSON path only to report an error,
+    # so each node hands the checks the same path text; a path repeating
+    # every ancestor's made a chain of d nodes cost about 6·d² characters
+    built = {}
+    for d in (100, 200, 300):
+        checks = [
+            count_calls(monkeypatch, parley.scenario, name)
+            for name in ("_expect_object", "_expect_list", "_parse_str")
+        ]
+        parse_scenario(chain_document(d))
+        built[d] = sum(len(args[1]) for calls in checks for args in calls)
+        monkeypatch.undo()
+    assert built[300] - built[200] == built[200] - built[100]
+
+
 def test_evidence_lookup_is_independent_of_store_size(monkeypatch):
     # the consequent index answers from the target's two buckets, so the
     # filler beliefs around the dispute cost no comparisons: a scan of the
@@ -227,7 +244,7 @@ def test_evidence_lookup_is_independent_of_store_size(monkeypatch):
     for n in (150, 3_000):
         scenario = parse_scenario(filler_document(n))
         target = scenario.proposal.prop
-        case = beliefs.presented_case(target, "U", beliefs.Expertise.NON_EXPERT)
+        case = beliefs.Speaker("U", beliefs.Expertise.NON_EXPERT).case(target)
         calls = {"__eq__": 0, "__hash__": 0}
         with monkeypatch.context() as patch:
             for name in calls:
