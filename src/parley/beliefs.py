@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from functools import total_ordering
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -415,6 +415,12 @@ class Speaker:
     expertise: Expertise
     # one checked assertion endorsement per level, built on first use
     _endorsements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise StructureError("a speaker needs a non-empty name")
+        if not isinstance(self.expertise, Expertise):
+            raise StructureError(f"speaker expertise must be an Expertise, got {self.expertise!r}")
 
     def endorse(self, level: StrengthLevel) -> Endorsement:
         """``Endorsement.assertion`` by this speaker, shared per level."""
@@ -901,15 +907,7 @@ def _adopted(
 ) -> Optional[Belief]:
     """``prop`` at the strength of the strongest piece of ``evidence``, all
     of which counts for ``prop``; None if ``prior``, the belief held in
-    ``prop``, is already that strong.
-
-    With no basis beside ``prop``, every piece stands on ``prop`` itself,
-    and the strongest piece's endorsement is kept, already at that
-    strength.  A presented bare piece has a warranted self-relation, so its
-    strength is its endorsement's level.  A store piece over a held
-    ``supports(prop, prop)`` needs ``prop`` held, so it is no stronger
-    than the prior, and nothing is adopted; within one batch of adds the
-    prior only rises."""
+    ``prop``, is already that strong."""
     if not evidence:
         if prior is None:
             raise ContractViolation(f"cannot adopt {prop} with no evidence and no prior")
@@ -921,8 +919,12 @@ def _adopted(
     if basis:
         return Belief(prop, Endorsement.derived(win, basis))
     # bare assertion: keep the assertion provenance rather than a
-    # self-referential derivation
-    return Belief(prop, max(evidence, key=piece_strength).belief.endorsement)
+    # self-referential derivation, at the piece's strength, which a
+    # caller-built self-relation may hold below the assertion's level
+    endorsement = max(evidence, key=piece_strength).belief.endorsement
+    if endorsement.level != win:
+        endorsement = replace(endorsement, level=win)
+    return Belief(prop, endorsement)
 
 
 def assimilate(kb: KnowledgeBase, verdict: Verdict, target: Proposition) -> KnowledgeBase:

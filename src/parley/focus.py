@@ -135,14 +135,14 @@ def select_focus_modification(
     tau: int = 1,
     *,
     proposer: Speaker,
+    evaluator: Speaker,
     trace=None,
-    agent: str = "",
 ) -> Optional[frozenset]:
     """Walk an evaluated (and unaccepted) proposal and return the focus to
     dispute, or None when no modification looks winnable.
 
-    ``kb`` is the store of the evaluator ``agent``, which speaks through one
-    ``Speaker`` for the call; the proposer is simulated with its user model.
+    ``kb`` is the store of ``evaluator``, the speaker of its counter-cases;
+    the proposer is simulated with its user model.
     Leaves are flippable or not by direct prediction.  For internal nodes,
     first try undermining the flippable members alone, then a head-on
     counter, then both combined; each stage predicts with the proposer's
@@ -152,7 +152,7 @@ def select_focus_modification(
     ``foci`` record, the root's last.
     """
     model = kb.model_view()
-    evaluator = Speaker(agent, kb.expertise)
+    agent = evaluator.name
 
     def emit(target: Proposition, step: str, focus, cand=()) -> Optional[frozenset]:
         if trace is not None:

@@ -350,8 +350,8 @@ def _handle_rejection(
         session.kbs[evaluator],
         tau,
         proposer=session.speakers[proposer],
+        evaluator=session.speakers[evaluator],
         trace=session.trace,
-        agent=evaluator,
     )
     if focus is None:
         return _concede(session, evaluator, proposer, tree)

@@ -349,6 +349,14 @@ class TestRevision:
         with pytest.raises(StructureError, match="must be a StrengthLevel"):
             speaker.endorse(bad)
 
+    @pytest.mark.parametrize(
+        "name, expertise",
+        [("u", "expert"), ("u", None), ("u", 1), ("", Expertise.EXPERT), (None, Expertise.EXPERT)],
+    )
+    def test_speaker_checks_its_fields(self, name, expertise):
+        with pytest.raises(StructureError, match="speaker"):
+            Speaker(name, expertise)
+
     def test_presented_pieces_must_address_target(self):
         t, u = ground("t"), ground("u")
         piece = Speaker("u", Expertise.EXPERT).case(u)[0]
@@ -401,6 +409,25 @@ class TestAssimilation:
         kb = assimilate(kb_of(), revise(kb_of(), t, case), t)
         assert kb.own_belief(t).endorsement is case[0].belief.endorsement
 
+    def test_caller_built_weak_self_relation_caps_the_adopted_level(self):
+        # a bare piece built by hand may hold its self-relation below its
+        # belief; the target is then held at the piece's strength, the
+        # verdict's accepted strength, with the assertion's provenance
+        t = ground("t")
+        piece = EvidencePiece(
+            Belief(t, Endorsement.assertion(S, "u", Expertise.EXPERT)),
+            Belief(supports_prop(t, t), Endorsement.assertion(W, "u", Expertise.EXPERT)),
+        )
+        kb = kb_of()
+        for verdict in (
+            revise(kb, t, [piece]),
+            Verdict(VerdictOutcome.ACCEPT, 1, 0, support_pieces=(piece,)),
+        ):
+            assert verdict.accepted_strength() is W
+            kb2 = assimilate(kb, verdict, t)
+            assert kb2 == kb.own_add(seed_adopted(None, t, (piece,)))
+            assert kb2.own_belief(t).endorsement == Endorsement.assertion(W, "u", Expertise.EXPERT)
+
     def test_keeps_stronger_prior(self):
         t = ground("t")
         kb = kb_of(rec(t, T))
@@ -412,11 +439,10 @@ class TestAssimilation:
     @pytest.mark.parametrize("expertise", list(Expertise))
     @pytest.mark.parametrize("derived", [False, True], ids=["kb-record", "baseless-derived"])
     def test_weak_self_support_adopts_as_before(self, derived, expertise):
-        # p held strong beside a weak supports(p, p), the shape suspected of
-        # reaching the branch that re-levelled a bare piece's endorsement.
-        # The store's own piece over it is no stronger than p, and the
-        # speaker's bare piece, which shares its key, has a warranted
-        # self-relation, so adoption gives the store it gave with the branch.
+        # p held strong beside a weak supports(p, p): the store's own piece
+        # over it is no stronger than p, and the speaker's bare piece, which
+        # shares its key, has a warranted self-relation, so adoption gives
+        # the store the reference gives.
         p = ground("p")
         held = Belief(p, Endorsement.derived(S, [ground("q")])) if derived else rec(p, S)
         kb = kb_of(held, rec(supports_prop(p, p), W))
@@ -435,8 +461,8 @@ class TestAssimilation:
 
 
 def seed_adopted(prior, prop, evidence):
-    """``beliefs._adopted`` with the branch it had, which re-levelled a bare
-    piece's endorsement to the piece's strength."""
+    """Reference ``beliefs._adopted``: a bare piece's endorsement is
+    re-levelled to the piece's strength."""
     if not evidence:
         if prior is None:
             raise ContractViolation(f"cannot adopt {prop} with no evidence and no prior")

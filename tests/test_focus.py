@@ -141,7 +141,12 @@ def run_sfm(evaluator: KnowledgeBase, model: KnowledgeBase, tree: ProposalNode, 
     assert not ev.accepted
     trace = Trace() if trace is None else trace
     focus = select_focus_modification(
-        ev, evaluator, 1, proposer=Speaker("u", Expertise.EXPERT), trace=trace, agent="s"
+        ev,
+        evaluator,
+        1,
+        proposer=Speaker("u", Expertise.EXPERT),
+        evaluator=Speaker("s", evaluator.expertise),
+        trace=trace,
     )
     root = trace.by_kind("foci")[-1].payload
     assert root["target"] == tree.prop.render()

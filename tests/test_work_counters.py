@@ -122,17 +122,17 @@ def test_bundled_negotiation_never_reads_stores_in_text_order(name, monkeypatch)
 # scenario: the assertion and derived endorsements the dialogue creates.
 # Each agent is one Speaker for the whole negotiation, so everything it
 # asserts (its cases, its recorded proposals, its observed acceptances)
-# shares one assertion endorsement per level; the focus search speaks for
-# the evaluator through one Speaker per call.  A derived endorsement is
+# shares one assertion endorsement per level, the focus search's counter-
+# cases included.  A derived endorsement is
 # built only for a belief actually written, and adoption keeps an
 # endorsement already at the winning level.
 ENDORSEMENT_CHECKS = {
-    "both": 6,
-    "evidence": 8,
-    "nest": 9,
-    "smith": 8,
+    "both": 5,
+    "evidence": 7,
+    "nest": 6,
+    "smith": 7,
     "tie": 2,
-    "visit": 7,
+    "visit": 6,
 }
 
 
