@@ -72,13 +72,6 @@ class Expertise(str, Enum):
 _EXPERTISE_BY_TEXT = {member.value: member for member in Expertise}
 
 
-def assertion_strength(expertise: Expertise) -> StrengthLevel:
-    """Strength at which a bare assertion is endorsed, by speaker expertise."""
-    if expertise is Expertise.EXPERT:
-        return StrengthLevel.WARRANTED
-    return StrengthLevel.STRONG
-
-
 # ---------------------------------------------------------------------------
 # propositions
 
@@ -316,6 +309,7 @@ class Endorsement:
         if self.kind is SourceKind.ASSERTION:
             if self.speaker is None or self.expertise is None:
                 raise StructureError("assertion endorsements need speaker and expertise")
+            _check_expertise("assertion", self.expertise)
         if self.kind is SourceKind.DERIVED and not self.support:
             raise StructureError("derived endorsements need a nonempty support set")
 
@@ -328,12 +322,6 @@ class Endorsement:
         return _PLAIN[SourceKind.STEREOTYPE, _check_level(level)]
 
     @classmethod
-    def assertion(
-        cls, level: StrengthLevel, speaker: str, expertise: Expertise
-    ) -> "Endorsement":
-        return cls(level, SourceKind.ASSERTION, speaker=speaker, expertise=expertise)
-
-    @classmethod
     def derived(cls, level: StrengthLevel, support: Iterable[Proposition]) -> "Endorsement":
         return cls(level, SourceKind.DERIVED, support=frozenset(support))
 
@@ -344,6 +332,14 @@ def _check_level(level: StrengthLevel) -> StrengthLevel:
     if not isinstance(level, StrengthLevel):
         raise StructureError(f"level must be a StrengthLevel, got {level!r}")
     return level
+
+
+def _check_expertise(what: str, expertise: Expertise) -> Expertise:
+    # a plain string compares and hashes equal to its member, so only the
+    # type tells them apart
+    if not isinstance(expertise, Expertise):
+        raise StructureError(f"{what} expertise must be an Expertise, got {expertise!r}")
+    return expertise
 
 
 def _check_count(what: str, value: int) -> None:
@@ -413,21 +409,23 @@ class Speaker:
 
     name: str
     expertise: Expertise
+    # what its bare say-so is worth: warranted from an expert, else strong
+    level: StrengthLevel = field(init=False, repr=False, compare=False)
     # one checked assertion endorsement per level, built on first use
     _endorsements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise StructureError("a speaker needs a non-empty name")
-        if not isinstance(self.expertise, Expertise):
-            raise StructureError(f"speaker expertise must be an Expertise, got {self.expertise!r}")
+        expert = _check_expertise("speaker", self.expertise) is Expertise.EXPERT
+        _setattr(self, "level", StrengthLevel.WARRANTED if expert else StrengthLevel.STRONG)
 
     def endorse(self, level: StrengthLevel) -> Endorsement:
-        """``Endorsement.assertion`` by this speaker, shared per level."""
+        """This speaker's assertion endorsement at ``level``, shared per level."""
         # checked before the lookup: an int finds the level it equals
         endorsement = self._endorsements.get(_check_level(level))
         if endorsement is None:
-            endorsement = Endorsement.assertion(level, self.name, self.expertise)
+            endorsement = Endorsement(level, SourceKind.ASSERTION, self.name, self.expertise)
             self._endorsements[level] = endorsement
         return endorsement
 
@@ -436,10 +434,10 @@ class Speaker:
         then one piece per ``(prop, relation, belief_level, relation_level)``
         in ``backing``, both parts asserted at the given strengths.  The
         bare piece's self-relation is warranted, so it carries exactly
-        ``assertion_strength(expertise)``."""
+        ``level``."""
         endorse = self.endorse
         bare = _trusted_piece(
-            Belief(claim, endorse(assertion_strength(self.expertise))),
+            Belief(claim, endorse(self.level)),
             Belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
         )
         return (
@@ -526,6 +524,7 @@ class KnowledgeBase:
         user_model: Iterable[Belief] = (),
         expertise: Expertise = Expertise.EXPERT,
     ) -> None:
+        _check_expertise("store", expertise)
         by_consequent: dict[str, dict] = {}
         own = _index(own, "own beliefs", by_consequent)
         model = _index(user_model, "user model", by_consequent)

@@ -186,11 +186,12 @@ def record_proposal(kb: KnowledgeBase, tree: ProposalNode, *, speaker: Speaker) 
 # evaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluatedNode:
     """One judged proposal node.  The relation to its parent, that
     relation's verdict and whether it was a store lookup are None at the
-    root."""
+    root, where the relation reads as not accepted.  Two evaluations are
+    equal only if they are the same object."""
 
     node: ProposalNode
     verdict: Verdict
@@ -212,7 +213,8 @@ class EvaluatedNode:
 
     @property
     def relation_accepted(self) -> bool:
-        return self.relation_verdict.outcome is VerdictOutcome.ACCEPT
+        verdict = self.relation_verdict
+        return verdict is not None and verdict.outcome is VerdictOutcome.ACCEPT
 
     @property
     def counted(self) -> bool:

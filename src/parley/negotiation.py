@@ -27,7 +27,6 @@ from .beliefs import (
     VerdictOutcome,
     _PendingAdds,
     _check_count,
-    assertion_strength,
     assimilate,
     removal_closure,
     revise_detail,
@@ -161,15 +160,15 @@ class _Step:
     tree: Optional[ProposalNode] = None
 
 
-def _asserted_level(kb: KnowledgeBase, prop: Proposition) -> StrengthLevel:
+def _asserted_level(kb: KnowledgeBase, speaker: Speaker, prop: Proposition) -> StrengthLevel:
     held = kb.own_belief(prop)
     if held is not None:
         return held.endorsement.level
-    return revise_detail(kb, prop).accepted_strength() or assertion_strength(kb.expertise)
+    return revise_detail(kb, prop).accepted_strength() or speaker.level
 
 
 def _claim_tree(
-    kb: KnowledgeBase, claim: Proposition, chains: tuple[JustificationLink, ...]
+    kb: KnowledgeBase, speaker: Speaker, claim: Proposition, chains: tuple[JustificationLink, ...]
 ) -> ProposalNode:
     # each link is built on its way up, from the links built beneath it
     nodes: dict[int, ProposalNode] = {}
@@ -179,7 +178,7 @@ def _claim_tree(
                 children = tuple(nodes[id(c)] for c in link.children)
                 nodes[id(link)] = ProposalNode(link.prop, link.belief_level, children)
     return ProposalNode(
-        claim, _asserted_level(kb, claim), tuple(nodes[id(link)] for link in chains)
+        claim, _asserted_level(kb, speaker, claim), tuple(nodes[id(link)] for link in chains)
     )
 
 
@@ -213,12 +212,11 @@ def _hypothetical_concession(
 
 def _observe_acceptance(session: _Session, observer: str, acceptor: str, props) -> None:
     speaker = session.speakers[acceptor]
-    level = assertion_strength(speaker.expertise)
     pending = _PendingAdds(session.kbs[observer], own=False)
     for prop in sorted(props):
         existing = pending.belief(prop)
-        if existing is None or existing.endorsement.level < level:
-            pending.add(Belief(prop, speaker.endorse(level)))
+        if existing is None or existing.endorsement.level < speaker.level:
+            pending.add(Belief(prop, speaker.endorse(speaker.level)))
     session.kbs[observer] = pending.store()
 
 
@@ -366,7 +364,6 @@ def _handle_rejection(
     )
 
     speaker = session.speakers[evaluator]
-    level = assertion_strength(speaker.expertise)
     working = session.kbs[evaluator].model_view()
     counters: list[ProposalNode] = []
     informs: list[Proposition] = []
@@ -387,8 +384,8 @@ def _handle_rejection(
         if session.already_presented(evaluator, claim, realized):
             return _concede(session, evaluator, proposer, tree)
         informs.extend(realized)
-        counters.append(_claim_tree(session.kbs[evaluator], claim, chains))
-        working = _hypothetical_concession(working, member, claim, level)
+        counters.append(_claim_tree(session.kbs[evaluator], speaker, claim, chains))
+        working = _hypothetical_concession(working, member, claim, speaker.level)
 
     for prop in informs:
         session.act(ActKind.INFORM, evaluator, prop=prop)
@@ -444,9 +441,8 @@ def _handle_rejection(
     session.trace.emit(
         "recipe", agent=proposer, recipe="insert-correction", target=corrected.render()
     )
-    corrected_tree = ProposalNode(
-        corrected, _asserted_level(session.kbs[evaluator], corrected)
-    )
+    level = _asserted_level(session.kbs[evaluator], session.speakers[evaluator], corrected)
+    corrected_tree = ProposalNode(corrected, level)
     ratified = _hear(session, evaluator, proposer, corrected_tree)
     if ratified.verdict.outcome is VerdictOutcome.ACCEPT:
         _agree(session, evaluator, proposer, ratified)

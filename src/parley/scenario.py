@@ -20,6 +20,7 @@ from .beliefs import (
     KnowledgeBase,
     Proposition,
     SourceKind,
+    Speaker,
     StrengthLevel,
     StructureError,
     _LEVELS_BY_TEXT,
@@ -117,7 +118,7 @@ def _parse_source(
             expertise = _parse_str(
                 body["expertise"], f"{path}.assertion.expertise", Expertise.parse
             )
-            return Endorsement.assertion(level, speaker, expertise)
+            return Speaker(speaker, expertise).endorse(level)
         if set(value) == {"derived"}:
             body = _expect_object(value["derived"], f"{path}.derived", {"from"})
             props = _expect_list(body.get("from"), f"{path}.derived.from")

@@ -20,6 +20,7 @@ from parley import (
     ProposalNode,
     Proposition,
     Scenario,
+    SourceKind,
     StrengthLevel,
     negotiate,
     parse_scenario,
@@ -28,6 +29,18 @@ from parley import (
 from parley.trace import Trace
 
 LEVELS = (StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED)
+
+# the level of a bare assertion by a speaker of each expertise, spelled out
+# here so that reference implementations need not go through ``Speaker``
+ASSERTED_LEVEL = {
+    Expertise.EXPERT: StrengthLevel.WARRANTED,
+    Expertise.NON_EXPERT: StrengthLevel.STRONG,
+}
+
+
+def asserted(level: StrengthLevel, speaker: str, expertise: Expertise) -> Endorsement:
+    """An assertion endorsement from the raw constructor."""
+    return Endorsement(level, SourceKind.ASSERTION, speaker, expertise)
 
 
 def load_bundled(name: str) -> Scenario:
@@ -119,7 +132,6 @@ def random_revision_case(rng: random.Random):
     """A store, a target, one pool of presented evidence for either side,
     and a threshold."""
     from parley import EvidencePiece
-    from parley.beliefs import assertion_strength
 
     names = [f"p{i}" for i in range(5)]
     kb = random_store(rng, names)

@@ -39,7 +39,6 @@ from parley import (
 from parley.beliefs import (
     MAX_PROP_NESTING,
     _standing,
-    assertion_strength,
     piece_strength,
     proposition_parser,
     removal_closure,
@@ -47,9 +46,11 @@ from parley.beliefs import (
 )
 
 from conftest import (
+    ASSERTED_LEVEL,
     LEVELS,
     added_in_turn,
     assert_index_covers,
+    asserted,
     ground,
     random_revision_case,
     random_store,
@@ -201,16 +202,19 @@ class TestEndorsements:
             lambda: Endorsement(level, SourceKind.KB_RECORD),
             lambda: Endorsement.kb_record(level),
             lambda: Endorsement.stereotype(level),
-            lambda: Endorsement.assertion(level, "s", Expertise.EXPERT),
+            lambda: Endorsement(level, SourceKind.ASSERTION, "s", Expertise.EXPERT),
+            lambda: Speaker("s", Expertise.EXPERT).endorse(level),
             lambda: Endorsement.derived(level, [ground("p")]),
         )
         for build in builders:
             with pytest.raises(StructureError, match="must be a StrengthLevel"):
                 build()
 
-    def test_assertion_strength_by_expertise(self):
-        assert assertion_strength(Expertise.EXPERT) is T
-        assert assertion_strength(Expertise.NON_EXPERT) is S
+    def test_speaker_level_by_expertise(self):
+        for expertise, level in ASSERTED_LEVEL.items():
+            speaker = Speaker("s", expertise)
+            assert speaker.level is level
+            assert speaker.case(ground("p"))[0].belief.endorsement.level is level
 
 
 class TestKnowledgeBase:
@@ -413,10 +417,9 @@ class TestAssimilation:
         # a bare piece built by hand may hold its self-relation below its
         # belief; the target is then held at the piece's strength, the
         # verdict's accepted strength, with the assertion's provenance
-        t = ground("t")
+        t, u = ground("t"), Speaker("u", Expertise.EXPERT)
         piece = EvidencePiece(
-            Belief(t, Endorsement.assertion(S, "u", Expertise.EXPERT)),
-            Belief(supports_prop(t, t), Endorsement.assertion(W, "u", Expertise.EXPERT)),
+            Belief(t, u.endorse(S)), Belief(supports_prop(t, t), u.endorse(W))
         )
         kb = kb_of()
         for verdict in (
@@ -426,7 +429,7 @@ class TestAssimilation:
             assert verdict.accepted_strength() is W
             kb2 = assimilate(kb, verdict, t)
             assert kb2 == kb.own_add(seed_adopted(None, t, (piece,)))
-            assert kb2.own_belief(t).endorsement == Endorsement.assertion(W, "u", Expertise.EXPERT)
+            assert kb2.own_belief(t).endorsement == u.endorse(W)
 
     def test_keeps_stronger_prior(self):
         t = ground("t")
@@ -544,11 +547,11 @@ def seed_presented_case(claim, speaker, expertise, backing=()):
         if not isinstance(level, StrengthLevel):
             raise StructureError(f"level must be a StrengthLevel, got {level!r}")
         if level not in endorsements:
-            endorsements[level] = Endorsement.assertion(level, speaker, expertise)
+            endorsements[level] = asserted(level, speaker, expertise)
         return endorsements[level]
 
     bare = EvidencePiece(
-        Belief(claim, endorse(assertion_strength(expertise))),
+        Belief(claim, endorse(ASSERTED_LEVEL[expertise])),
         Belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
     )
     return (
@@ -589,7 +592,7 @@ def test_speaker_case_matches_presented_case(claim, name, expertise, data):
     assert case == seed_presented_case(claim, name, expertise, backing)
     for level in LEVELS:
         assert speaker.endorse(level) is speaker.endorse(level)
-        assert speaker.endorse(level) == Endorsement.assertion(level, name, expertise)
+        assert speaker.endorse(level) == asserted(level, name, expertise)
     for piece in case:
         for part in (piece.belief, piece.relation):
             assert part.endorsement is speaker.endorse(part.endorsement.level)
@@ -1104,6 +1107,23 @@ GUARDED = [
         lambda: Endorsement(T, SourceKind.ASSERTION, speaker="S"),
         StructureError,
         "assertion endorsements need speaker and expertise",
+    ),
+    # "expert" equals Expertise.EXPERT, but a plain string would be read
+    # as a non-expert
+    (
+        lambda: Endorsement(T, SourceKind.ASSERTION, "S", "expert"),
+        StructureError,
+        "assertion expertise must be an Expertise, got 'expert'",
+    ),
+    (
+        lambda: KnowledgeBase((), expertise="expert"),
+        StructureError,
+        "store expertise must be an Expertise, got 'expert'",
+    ),
+    (
+        lambda: Speaker("S", "expert"),
+        StructureError,
+        "speaker expertise must be an Expertise, got 'expert'",
     ),
     (
         lambda: Endorsement(T, SourceKind.DERIVED),

@@ -220,6 +220,26 @@ class TestEvaluate:
         methods = [r.payload["method"] for r in trace.by_kind("revise")]
         assert methods == ["scores", "lookup", "scores"]  # child, relation, root
 
+    def test_root_relation_reads_not_accepted(self):
+        # the root has no relation to a parent, so it backs nothing
+        ev = self.evaluate(kb_of(), ProposalNode(TGT, S, (ProposalNode(P, T),)))
+        assert ev.accepted and ev.relation_verdict is None
+        assert (ev.relation_accepted, ev.counted) == (False, False)
+        assert ev.children[0].counted
+
+    def test_evaluations_compare_by_identity_without_recursion(self):
+        # a generated __eq__ and __hash__ recursed once per level, through
+        # ``children``, and a chain 1,000 deep raised RecursionError
+        d = 1000
+        assert sys.getrecursionlimit() <= d
+        tree = ProposalNode(ground("n0"), W)
+        for i in range(1, d):
+            tree = ProposalNode(ground(f"n{i}"), S, (tree,))
+        a, b = self.evaluate(kb_of(), tree), self.evaluate(kb_of(), tree)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
     def test_lookup_rejects_on_held_negation(self):
         kb = kb_of(rec(REL.negate()))
         ev = self.evaluate(kb, ProposalNode(TGT, S, (ProposalNode(P, T),)))

@@ -24,13 +24,13 @@ from parley import (
     select_justification,
     supports_prop,
 )
-from parley.beliefs import Proposition, assertion_strength, minimal_subsets, revise
+from parley.beliefs import Proposition, minimal_subsets, revise
 from parley import justification
 from parley.evaluation import walk
 from parley.justification import realized_beliefs
 from parley.trace import Trace
 
-from conftest import flat_chain, ground
+from conftest import ASSERTED_LEVEL, asserted, flat_chain, ground
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
 CLAIM, A, B, C = ground("claim"), ground("a"), ground("b"), ground("c")
@@ -299,7 +299,7 @@ def seed_accepts(model, claim, combo, expertise, tau):
     # self-relation, and each top link as kb-record evidence
     presented = [
         EvidencePiece(
-            Belief(claim, Endorsement.assertion(assertion_strength(expertise), "s", expertise)),
+            Belief(claim, asserted(ASSERTED_LEVEL[expertise], "s", expertise)),
             Belief(supports_prop(claim, claim), Endorsement.kb_record(T)),
         )
     ]

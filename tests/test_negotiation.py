@@ -36,16 +36,17 @@ from parley import (
     revise,
     supports_prop,
 )
-from parley.beliefs import assertion_strength
 from parley.focus import predict
 from parley import negotiation
 from parley.negotiation import _apply_correction, _observe_acceptance, _Session
 from parley.trace import Trace
 
 from conftest import (
+    ASSERTED_LEVEL,
     LEVELS,
     added_in_turn,
     assert_index_covers,
+    asserted,
     dissenters,
     ground,
     load_bench,
@@ -711,13 +712,13 @@ def seed_record_proposal(kb, tree, *, speaker, expertise):
             kb = note(
                 kb,
                 supports_prop(child.prop, node.prop),
-                Endorsement.assertion(child.asserted_level, speaker, expertise),
+                asserted(child.asserted_level, speaker, expertise),
             )
         if node.children:
             support = (child.prop for child in node.children)
             endorsement = Endorsement.derived(node.asserted_level, support)
         else:
-            endorsement = Endorsement.assertion(node.asserted_level, speaker, expertise)
+            endorsement = asserted(node.asserted_level, speaker, expertise)
         return note(kb, node.prop, endorsement)
 
     return walk(kb, tree)
@@ -746,14 +747,14 @@ def seed_assimilate_evaluated(kb, evaluated):
 def seed_observe_acceptance(session, observer, acceptor, props):
     """``_observe_acceptance`` as it was, with one model write per belief."""
     expertise = session.kbs[acceptor].expertise
-    level = assertion_strength(expertise)
+    level = ASSERTED_LEVEL[expertise]
     kb = session.kbs[observer]
     for prop in sorted(props):
         existing = kb.model_belief(prop)
         if existing is not None and existing.endorsement.level >= level:
             continue
         kb = kb.model_add(
-            Belief(prop, Endorsement.assertion(level, acceptor, expertise))
+            Belief(prop, asserted(level, acceptor, expertise))
         )
     session.kbs[observer] = kb
 
@@ -770,7 +771,7 @@ store_beliefs = st.builds(
     st.one_of(
         st.sampled_from(LEVELS).map(Endorsement.kb_record),
         st.builds(
-            Endorsement.assertion,
+            asserted,
             st.sampled_from(LEVELS),
             st.just("u"),
             st.sampled_from(Expertise),

@@ -19,6 +19,7 @@ from parley import (
     Scenario,
     ScenarioError,
     StrengthLevel,
+    parse_proposition,
     parse_scenario,
     render_scenario,
 )
@@ -41,7 +42,7 @@ from parley.scenario import (
 )
 from parley.trace import Trace
 
-from conftest import load_bench, load_bundled, run_scenario
+from conftest import asserted, load_bench, load_bundled, run_scenario
 
 BUNDLED = ("smith", "evidence", "visit", "both", "nest", "tie")
 
@@ -348,7 +349,7 @@ def seed_parse_source(value, level, path, parse):
             expertise = _parse_str(
                 body["expertise"], f"{path}.assertion.expertise", Expertise.parse
             )
-            return Endorsement.assertion(level, speaker, expertise)
+            return asserted(level, speaker, expertise)
         if set(value) == {"derived"}:
             body = _expect_object(value["derived"], f"{path}.derived", {"from"})
             props = _expect_list(body.get("from"), f"{path}.derived.from")
@@ -601,3 +602,85 @@ def test_belief_lists_report_each_malformed_item_as_the_seed_parser(value):
     seed = agent_outcome(seed_parse_agent, agent)
     assert isinstance(seed, tuple)
     assert agent_outcome(_parse_agent, agent) == seed
+
+
+# ---------------------------------------------------------------------------
+# valid documents of every source kind survive a render and a parse
+
+LEVEL_TEXTS = st.sampled_from(["weak", "strong", "warranted"])
+NEGATIONS = st.sampled_from(["", "~", "¬"])
+
+
+@st.composite
+def nested_texts(draw, depth=0):
+    """A literal, or ``supports(...)`` over two such texts nested at most
+    three deep, each part negated with ``~`` or ``¬`` or not at all."""
+    if depth < 3 and draw(st.integers(0, 2)) == 0:
+        antecedent, consequent = draw(nested_texts(depth + 1)), draw(nested_texts(depth + 1))
+        return f"{draw(NEGATIONS)}{SUPPORTS}({antecedent}, {consequent})"
+    return draw(NEGATIONS) + draw(NAMES)
+
+
+def positive(text: str) -> Proposition:
+    prop = parse_proposition(text)
+    return prop.negate() if prop.negated else prop
+
+
+@st.composite
+def valid_beliefs(draw, max_size):
+    """Beliefs in distinct propositions, so no store repeats or contradicts
+    one, with sources of all four kinds."""
+    beliefs = []
+    for text in draw(st.lists(nested_texts(), max_size=max_size, unique_by=positive)):
+        kind = draw(st.sampled_from(["kb-record", "stereotype", "derived", "assertion"]))
+        if kind == "derived":
+            source = {"derived": {"from": draw(st.lists(nested_texts(), min_size=1, max_size=3))}}
+        elif kind == "assertion":
+            speaker = draw(st.sampled_from(["U", "S", "x_1"]))
+            expertise = draw(st.sampled_from(["expert", "non-expert"]))
+            source = {"assertion": {"speaker": speaker, "expertise": expertise}}
+        else:
+            source = kind
+        beliefs.append({"prop": text, "level": draw(LEVEL_TEXTS), "source": source})
+    return beliefs
+
+
+@st.composite
+def valid_proposals(draw):
+    """A tree of one to four nodes, each over a name of its own, so no path
+    revisits a proposition and no two nodes contradict."""
+    names = draw(st.permutations(["a", "b", "c", "d"]))[: draw(st.integers(1, 4))]
+    nodes = [
+        {"prop": f"{draw(NEGATIONS)}n({name})", "assertedLevel": draw(LEVEL_TEXTS)}
+        for name in names
+    ]
+    for i, node in enumerate(nodes[1:], 1):
+        nodes[draw(st.integers(0, i - 1))].setdefault("children", []).append(node)
+    return nodes[0]
+
+
+@st.composite
+def valid_documents(draw):
+    agents = [
+        {
+            "id": agent_id,
+            "expertise": draw(st.sampled_from(["expert", "non-expert"])),
+            "beliefs": draw(valid_beliefs(5)),
+            "userModel": draw(valid_beliefs(3)),
+        }
+        for agent_id in ("U", "S")
+    ]
+    doc = {"v": 1, "agents": agents, "proposal": draw(valid_proposals())}
+    if draw(st.booleans()):
+        limits = {"tau": st.integers(1, 3), "maxDepth": st.integers(1, 20)}
+        doc["config"] = draw(st.fixed_dictionaries({}, optional=limits))
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_documents())
+def test_valid_documents_round_trip(doc):
+    scenario = parse(doc)
+    text = render_scenario(scenario)
+    assert parse_scenario(text) == scenario
+    assert render_scenario(parse_scenario(text)) == text

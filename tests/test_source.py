@@ -155,3 +155,28 @@ def test_store_sides_are_read_in_beliefs_only():
         if isinstance(node, ast.Attribute) and node.attr in fields
     ]
     assert found and all(site.startswith("beliefs.py:") for site in found), found
+
+
+def test_only_negotiate_reads_expertise_in_the_engine():
+    # what a speaker's bare word is worth is decided by ``Speaker`` alone:
+    # the engine reads an agent's expertise once, where ``negotiate`` makes
+    # the agent's speaker.  beliefs.py and scenario.py read and write it as
+    # the file format and the store hold it, so they are not checked.
+    engine = ("cli", "evaluation", "focus", "justification", "negotiation", "trace")
+    found = []
+    for name in (f"{module}.py" for module in engine):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef) and func.name == "negotiate"
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "expertise"
+            and id(node) not in allowed
+        ]
+    assert found == []
