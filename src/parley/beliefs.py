@@ -295,7 +295,9 @@ class SourceKind(str, Enum):
 
 @dataclass(frozen=True)
 class Endorsement:
-    """How strongly a belief is held and where that strength comes from."""
+    """How strongly a belief is held and where that strength comes from.
+    Only an assertion has a speaker and expertise, and only a derived
+    endorsement has support: a nonempty set of propositions."""
 
     level: StrengthLevel
     kind: SourceKind
@@ -305,13 +307,25 @@ class Endorsement:
 
     def __post_init__(self) -> None:
         _check_level(self.level)
-        object.__setattr__(self, "support", frozenset(self.support))
-        if self.kind is SourceKind.ASSERTION:
+        kind, support = self.kind, frozenset(self.support)
+        object.__setattr__(self, "support", support)
+        if not isinstance(kind, SourceKind):
+            raise StructureError(f"endorsement kind must be a SourceKind, got {kind!r}")
+        if kind is SourceKind.ASSERTION:
             if self.speaker is None or self.expertise is None:
                 raise StructureError("assertion endorsements need speaker and expertise")
+            _check_name("assertion speaker", self.speaker)
             _check_expertise("assertion", self.expertise)
-        if self.kind is SourceKind.DERIVED and not self.support:
-            raise StructureError("derived endorsements need a nonempty support set")
+        elif self.speaker is not None or self.expertise is not None:
+            raise StructureError(f"{kind.value} endorsements have no speaker or expertise")
+        if kind is SourceKind.DERIVED:
+            if not support:
+                raise StructureError("derived endorsements need a nonempty support set")
+            for member in support:
+                if not isinstance(member, Proposition):
+                    raise StructureError(f"derived support must be propositions, got {member!r}")
+        elif support:
+            raise StructureError(f"{kind.value} endorsements have no support set")
 
     @classmethod
     def kb_record(cls, level: StrengthLevel) -> "Endorsement":
@@ -332,6 +346,13 @@ def _check_level(level: StrengthLevel) -> StrengthLevel:
     if not isinstance(level, StrengthLevel):
         raise StructureError(f"level must be a StrengthLevel, got {level!r}")
     return level
+
+
+def _check_name(what: str, name: str) -> None:
+    # a scenario file spells a name as a non-empty string, so no other
+    # name would read back
+    if not isinstance(name, str) or not name:
+        raise StructureError(f"{what} must be a non-empty string, got {name!r}")
 
 
 def _check_expertise(what: str, expertise: Expertise) -> Expertise:
@@ -415,8 +436,7 @@ class Speaker:
     _endorsements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise StructureError("a speaker needs a non-empty name")
+        _check_name("speaker name", self.name)
         expert = _check_expertise("speaker", self.expertise) is Expertise.EXPERT
         _setattr(self, "level", StrengthLevel.WARRANTED if expert else StrengthLevel.STRONG)
 
@@ -944,6 +964,6 @@ def assimilate(kb: KnowledgeBase, verdict: Verdict, target: Proposition) -> Know
     elif verdict.outcome is VerdictOutcome.ABANDON:
         return kb.own_remove(target)
     else:
-        raise ContractViolation("an uncertain verdict cannot be assimilated")
+        raise ContractViolation(f"an uncertain verdict on {target} cannot be assimilated")
     belief = _adopted(kb.own_belief(prop), prop, evidence)
     return kb if belief is None else kb.own_add(belief)

@@ -188,17 +188,14 @@ def record_proposal(kb: KnowledgeBase, tree: ProposalNode, *, speaker: Speaker) 
 
 @dataclass(frozen=True, eq=False)
 class EvaluatedNode:
-    """One judged proposal node.  The relation to its parent, that
-    relation's verdict and whether it was a store lookup are None at the
-    root, where the relation reads as not accepted.  Two evaluations are
-    equal only if they are the same object."""
+    """One judged proposal node, with the verdict on the relation to each
+    child in ``relation_verdicts``, in the order of ``node.relations``.  Two
+    evaluations are equal only if they are the same object."""
 
     node: ProposalNode
     verdict: Verdict
     children: tuple["EvaluatedNode", ...]
-    relation: Optional[Proposition] = None
-    relation_verdict: Optional[Verdict] = None
-    relation_lookup: Optional[bool] = None
+    relation_verdicts: tuple[Verdict, ...]
 
     def __repr__(self) -> str:
         return _tree_repr(self, lambda ev: f"{ev.prop}: {ev.verdict.outcome.value}")
@@ -210,16 +207,6 @@ class EvaluatedNode:
     @property
     def accepted(self) -> bool:
         return self.verdict.outcome is VerdictOutcome.ACCEPT
-
-    @property
-    def relation_accepted(self) -> bool:
-        verdict = self.relation_verdict
-        return verdict is not None and verdict.outcome is VerdictOutcome.ACCEPT
-
-    @property
-    def counted(self) -> bool:
-        """Both it and the relation to it were accepted: it backs its parent."""
-        return self.accepted and self.relation_accepted
 
 
 def evaluate_proposal(
@@ -239,26 +226,28 @@ def evaluate_proposal(
     then only at the strength the evaluation actually granted them.
     """
     validate_tree(tree)
-    # the judged children of each node on the current path
-    judged: list[list[EvaluatedNode]] = [[]]
+    # for each node on the current path, each child judged so far paired
+    # with the verdict on the relation to it
+    judged: list[list[tuple]] = [[]]
     for node, parent, i, done in walk(tree):
         if not done:
             judged.append([])
             continue
-        children = tuple(judged.pop())
-        backing = []
-        for c in children:
-            if c.counted:
-                levels = (c.verdict.accepted_strength(), c.relation_verdict.accepted_strength())
-                backing.append((c.prop, c.relation, *levels))
+        # a leaf has no pairs to unzip
+        children, relation_verdicts = tuple(zip(*judged.pop())) or ((), ())
+        backing = [
+            (c.prop, relation, c.verdict.accepted_strength(), rv.accepted_strength())
+            for c, relation, rv in zip(children, node.relations, relation_verdicts)
+            if c.accepted and rv.outcome is VerdictOutcome.ACCEPT
+        ]
         presented = proposer.case(node.prop, backing)
         verdict = revise_detail(kb, node.prop, presented, tau, trace=trace, agent=agent)
+        evaluated = EvaluatedNode(node, verdict, children, relation_verdicts)
         if parent is None:
-            return EvaluatedNode(node, verdict, children)
+            return evaluated
         relation = parent.relations[i]
         held = kb.own_belief(relation)
         held_neg = kb.own_belief(relation.negate())
-        lookup = held is not None or held_neg is not None
         # a held relation is its own evidence, at the level held
         if held is not None:
             rel_verdict = Verdict(VerdictOutcome.ACCEPT, held.endorsement.level, 0, prior_support=held)
@@ -267,9 +256,9 @@ def evaluate_proposal(
         else:
             case = proposer.case(relation)
             rel_verdict = revise_detail(kb, relation, case, tau, trace=trace, agent=agent)
-        if lookup:
+        if held is not None or held_neg is not None:
             record_verdict(trace, agent, relation, rel_verdict, method="lookup")
-        judged[-1].append(EvaluatedNode(node, verdict, children, relation, rel_verdict, lookup))
+        judged[-1].append((evaluated, rel_verdict))
 
 
 def assimilate_evaluated(
@@ -277,24 +266,24 @@ def assimilate_evaluated(
 ) -> tuple[KnowledgeBase, tuple[Proposition, ...]]:
     """Fold an accepted proposal into the store, bottom-up.
 
-    Only callable when the root was accepted.  Accepted nodes, and relations
-    accepted by revision, are each adopted from their own verdict's support,
-    as :func:`assimilate` adopts one, and all in one write, each before the
-    relation to it; nothing is taken from beneath a rejected node.  Returns
-    the updated store and every proposition now agreed to.
+    Only callable when the root was accepted.  Accepted nodes and relations
+    are each adopted from their own verdict's support, as :func:`assimilate`
+    adopts one, and all in one write, each node before the relation to it;
+    nothing is taken from beneath a rejected node, and a relation accepted
+    by lookup is held already.  Returns the updated store and every
+    proposition now agreed to.
     """
     if not evaluated.accepted:
-        raise ContractViolation("cannot assimilate a proposal that was not accepted")
+        raise ContractViolation(f"cannot assimilate {evaluated.prop}: proposal not accepted")
     agreed: list[Proposition] = []
     pending = _PendingAdds(kb, own=True)
-    for ev, parent, _, done in walk(evaluated, lambda node: node.accepted):
+    for ev, parent, i, done in walk(evaluated, lambda node: node.accepted):
         if not done:
             continue
         if ev.accepted:
             agreed.append(ev.prop)
             pending.adopt(ev.prop, ev.verdict.support_pieces)
-        if parent is not None and ev.relation_accepted:
-            agreed.append(ev.relation)
-            if not ev.relation_lookup:
-                pending.adopt(ev.relation, ev.relation_verdict.support_pieces)
+        if parent is not None and parent.relation_verdicts[i].outcome is VerdictOutcome.ACCEPT:
+            agreed.append(parent.node.relations[i])
+            pending.adopt(parent.node.relations[i], parent.relation_verdicts[i].support_pieces)
     return pending.store(), tuple(sorted(set(agreed)))

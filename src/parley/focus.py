@@ -82,7 +82,7 @@ def select_min_set(
     """
     cand = sorted(set(cand_set))
     if not cand:
-        raise ContractViolation("no candidates to select from")
+        raise ContractViolation(f"no candidates to select from for {target}")
     hypothesized = tuple(hypothesized)
     # the full set is the last subset tried, so a search that finds nothing
     # means it does not flip; the candidates are sorted and combinations
@@ -94,7 +94,7 @@ def select_min_set(
         None,
     )
     if chosen is None:
-        raise ContractViolation("full candidate set does not flip the target")
+        raise ContractViolation(f"full candidate set does not flip {target}")
     if trace is not None:
         trace.emit(
             "minset",
@@ -111,7 +111,8 @@ def _asserted_evidence(ev: EvaluatedNode, proposer: Speaker) -> tuple[EvidencePi
     """The proposer's case for ``ev`` as presented: the bare assertion plus
     every child, accepted or not, at the strength it was asserted."""
     backing = (
-        (c.prop, c.relation, c.node.asserted_level, c.node.asserted_level) for c in ev.children
+        (c.prop, relation, c.node.asserted_level, c.node.asserted_level)
+        for c, relation in zip(ev.children, ev.node.relations)
     )
     return proposer.case(ev.prop, backing)
 
@@ -178,9 +179,11 @@ def select_focus_modification(
         case = proposer.case(prop) + _standing_attack(kb, prop, evaluator)
         return frozenset({prop}) if flipped(prop, case, (), note) else None
 
-    def judged(ev: EvaluatedNode, presented, both_sides, member_focus) -> Optional[frozenset]:
+    def judged(ev: EvaluatedNode, member_focus) -> Optional[frozenset]:
         """The focus of the internal node ``ev``, given its members' foci."""
         cand = tuple(sorted(member_focus))
+        presented = _asserted_evidence(ev, proposer)
+        both_sides = presented + _standing_attack(kb, ev.prop, evaluator)
 
         def undermined(hypothesized, note: str, base: frozenset) -> Optional[frozenset]:
             """``base`` plus the foci of the fewest members whose removal
@@ -204,30 +207,28 @@ def select_focus_modification(
 
     # a member is a child not counted for its parent: an unaccepted one is
     # walked into, an accepted one can only lose the relation to it.  Each
-    # internal node on the path keeps its two cases and its members' foci.
-    cases: list[tuple] = []
+    # internal node on the path keeps its members' foci.
     foci: list[dict[Proposition, frozenset]] = []
-    for ev, parent, _, done in walk(evaluated, lambda node: node is evaluated or not node.accepted):
+    for ev, parent, i, done in walk(evaluated, lambda node: node is evaluated or not node.accepted):
         if parent is not None and ev.accepted:
-            if done and not ev.relation_accepted:
-                focus = emit(ev.relation, "relation", head_on(ev.relation, "relation"))
+            if done and parent.relation_verdicts[i].outcome is not VerdictOutcome.ACCEPT:
+                relation = parent.node.relations[i]
+                focus = emit(relation, "relation", head_on(relation, "relation"))
                 if focus is not None:
                     foci[-1][ev.prop] = focus
             continue
         if not done:
             if ev.children:
-                presented = _asserted_evidence(ev, proposer)
-                cases.append((presented, presented + _standing_attack(kb, ev.prop, evaluator)))
                 foci.append({})
             continue
         if ev.children:
-            focus = judged(ev, *cases.pop(), foci.pop())
+            focus = judged(ev, foci.pop())
         else:
             focus = emit(ev.prop, "leaf", head_on(ev.prop, "leaf"))
         if parent is None:
             return focus
-        if focus is None and not ev.relation_accepted:
+        if focus is None and parent.relation_verdicts[i].outcome is not VerdictOutcome.ACCEPT:
             # belief cannot be shaken; see whether the link can
-            focus = head_on(ev.relation, "relation")
+            focus = head_on(parent.node.relations[i], "relation")
         if focus is not None:
             foci[-1][ev.prop] = focus

@@ -262,7 +262,10 @@ def negotiate(
     every verdict along the way lands in ``trace``.
     """
     if len(kbs) != 2 or proposer not in kbs:
-        raise ContractViolation("negotiation needs exactly two agents, proposer included")
+        raise ContractViolation(
+            "negotiation needs exactly two agents, proposer included; "
+            f"got {list(kbs)!r} with proposer {proposer!r}"
+        )
     evaluator = next(a for a in kbs if a != proposer)
     speakers = {agent: Speaker(agent, kb.expertise) for agent, kb in kbs.items()}
     session = _Session(dict(kbs), speakers, config, trace or Trace())
@@ -330,7 +333,10 @@ def _settle(
         if step.kind != "retry":
             return step
         if sum(map(len, session.presented.values())) == measure:
-            raise ContractViolation("a retried round left the presented propositions unchanged")
+            raise ContractViolation(
+                f"a retried round of {proposer} to {evaluator} on {current.prop} at depth "
+                f"{depth} left the presented propositions unchanged"
+            )
         current, fresh, heard = step.tree, False, None
 
 

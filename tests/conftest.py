@@ -10,6 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from parley import (
     Belief,
@@ -225,3 +226,52 @@ def added_in_turn(beliefs) -> tuple:
         side.pop(b.prop.negate(), None)
         side[b.prop] = b
     return tuple(side.values())
+
+
+# proposal trees and stores about them, for the hypothesis oracles
+
+TREE_NAMES = ("p", "q", "r", "s")
+TREE_LITERALS = [ground(n, negated) for n in TREE_NAMES for negated in (False, True)]
+TREE_RELATIONS = [supports_prop(a, b) for a in TREE_LITERALS for b in TREE_LITERALS if a != b]
+store_beliefs = st.builds(
+    Belief,
+    st.one_of(
+        st.sampled_from(TREE_LITERALS),
+        st.sampled_from(TREE_RELATIONS + [r.negate() for r in TREE_RELATIONS]),
+    ),
+    st.one_of(
+        st.sampled_from(LEVELS).map(Endorsement.kb_record),
+        st.builds(
+            asserted,
+            st.sampled_from(LEVELS),
+            st.just("u"),
+            st.sampled_from(Expertise),
+        ),
+    ),
+)
+
+
+@st.composite
+def proposal_trees(draw, path=frozenset()):
+    """A tree over four names that names each at most once per path, so a
+    proposition may repeat in two branches and its negation sit in a
+    sibling branch."""
+    name = draw(st.sampled_from([n for n in TREE_NAMES if n not in path]))
+    path = path | {name}
+    children = ()
+    if len(path) < len(TREE_NAMES) and draw(st.booleans()):
+        children = tuple(draw(st.lists(proposal_trees(path), min_size=1, max_size=3)))
+    return ProposalNode(ground(name, draw(st.booleans())), draw(st.sampled_from(LEVELS)), children)
+
+
+def beliefs_about(props):
+    """Beliefs in each of ``props``, or its negation, from a record at any
+    level."""
+    return st.builds(
+        lambda prop, negate, level: Belief(
+            prop.negate() if negate else prop, Endorsement.kb_record(level)
+        ),
+        st.sampled_from(props),
+        st.booleans(),
+        st.sampled_from(LEVELS),
+    )

@@ -1135,6 +1135,53 @@ GUARDED = [
         StructureError,
         "derived endorsements need a nonempty support set",
     ),
+    # each field an endorsement's kind cannot carry, and each speaker the
+    # scenario parser refuses, would render to text that does not read back
+    (
+        lambda: Endorsement(T, SourceKind.KB_RECORD, support={P}),
+        StructureError,
+        "kb-record endorsements have no support set",
+    ),
+    (
+        lambda: Endorsement(T, SourceKind.STEREOTYPE, "S", Expertise.EXPERT),
+        StructureError,
+        "stereotype endorsements have no speaker or expertise",
+    ),
+    (
+        lambda: Endorsement(T, SourceKind.DERIVED, "S", support={P}),
+        StructureError,
+        "derived endorsements have no speaker or expertise",
+    ),
+    (
+        lambda: Endorsement(T, SourceKind.ASSERTION, "S", Expertise.EXPERT, {P}),
+        StructureError,
+        "assertion endorsements have no support set",
+    ),
+    (
+        lambda: Endorsement(T, SourceKind.ASSERTION, "", Expertise.EXPERT),
+        StructureError,
+        "assertion speaker must be a non-empty string, got ''",
+    ),
+    (
+        lambda: Endorsement(T, SourceKind.ASSERTION, 5, Expertise.EXPERT),
+        StructureError,
+        "assertion speaker must be a non-empty string, got 5",
+    ),
+    (
+        lambda: Endorsement.derived(T, [P, "q"]),
+        StructureError,
+        "derived support must be propositions, got 'q'",
+    ),
+    (
+        lambda: Endorsement(T, "kb-record"),
+        StructureError,
+        "endorsement kind must be a SourceKind, got 'kb-record'",
+    ),
+    (
+        lambda: Speaker("", Expertise.EXPERT),
+        StructureError,
+        "speaker name must be a non-empty string, got ''",
+    ),
     (
         lambda: EvidencePiece(rec(P), rec(supports_prop(P, Q).negate())),
         StructureError,

@@ -1,18 +1,25 @@
+import dataclasses
 import inspect
+import re
 import sys
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parley import (
     Belief,
     ContractViolation,
     Endorsement,
+    EvaluatedNode,
     Expertise,
     KnowledgeBase,
     ProposalNode,
     Speaker,
     StrengthLevel,
     StructureError,
+    Verdict,
     VerdictOutcome,
     assimilate_evaluated,
     evaluate_proposal,
@@ -22,12 +29,21 @@ from parley import (
     supports_prop,
     validate_tree,
 )
-from parley.beliefs import piece_strength
+from parley.beliefs import _PendingAdds, piece_strength, record_verdict, revise_detail
+from parley.evaluation import walk
 from parley.focus import _asserted_evidence, _standing_attack
 from parley.negotiation import _apply_correction
 from parley.trace import Trace
 
-from conftest import ground, load_bench, load_bundled
+from conftest import (
+    added_in_turn,
+    beliefs_about,
+    ground,
+    load_bench,
+    load_bundled,
+    proposal_trees,
+    store_beliefs,
+)
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
 P, R, TGT = ground("p"), ground("r"), ground("t")
@@ -211,21 +227,28 @@ class TestEvaluate:
         kb = kb_of(rec(REL, S))
         trace = Trace()
         ev = self.evaluate(kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), trace=trace)
-        child = ev.children[0]
-        assert child.relation_lookup and child.relation_accepted
-        assert child.relation_verdict.support_score == 2
-        assert child.relation_verdict.accepted_strength() is S
+        (relation_verdict,) = ev.relation_verdicts
+        assert relation_verdict.prior_support is kb.own_belief(REL)  # looked up
+        assert relation_verdict.outcome is VerdictOutcome.ACCEPT
+        assert relation_verdict.support_score == 2
+        assert relation_verdict.accepted_strength() is S
         assert ev.verdict.outcome is VerdictOutcome.ACCEPT
         assert (ev.verdict.support_score, ev.verdict.attack_score) == (5, 0)
         methods = [r.payload["method"] for r in trace.by_kind("revise")]
         assert methods == ["scores", "lookup", "scores"]  # child, relation, root
 
     def test_root_relation_reads_not_accepted(self):
-        # the root has no relation to a parent, so it backs nothing
+        # each relation's verdict is kept on its parent, so the root, which
+        # backs nothing, has no relation member to read
         ev = self.evaluate(kb_of(), ProposalNode(TGT, S, (ProposalNode(P, T),)))
-        assert ev.accepted and ev.relation_verdict is None
-        assert (ev.relation_accepted, ev.counted) == (False, False)
-        assert ev.children[0].counted
+        fields = [f.name for f in dataclasses.fields(EvaluatedNode)]
+        assert fields == ["node", "verdict", "children", "relation_verdicts"]
+        for gone in ("relation", "relation_verdict", "relation_lookup", "relation_accepted"):
+            assert not hasattr(ev, gone)
+        assert ev.accepted and not hasattr(ev, "counted")
+        (child,), (relation_verdict,) = ev.children, ev.relation_verdicts
+        assert child.accepted and relation_verdict.outcome is VerdictOutcome.ACCEPT
+        assert child.relation_verdicts == ()
 
     def test_evaluations_compare_by_identity_without_recursion(self):
         # a generated __eq__ and __hash__ recursed once per level, through
@@ -242,20 +265,25 @@ class TestEvaluate:
 
     def test_lookup_rejects_on_held_negation(self):
         kb = kb_of(rec(REL.negate()))
-        ev = self.evaluate(kb, ProposalNode(TGT, S, (ProposalNode(P, T),)))
-        child = ev.children[0]
-        assert child.relation_lookup and not child.relation_accepted
-        assert child.relation_verdict.attack_score == 3
-        assert not child.counted
+        trace = Trace()
+        ev = self.evaluate(kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), trace=trace)
+        (relation_verdict,) = ev.relation_verdicts
+        methods = [r.payload["method"] for r in trace.by_kind("revise")]
+        assert methods == ["scores", "lookup", "scores"]  # child, relation, root
+        assert relation_verdict.outcome is not VerdictOutcome.ACCEPT
+        assert relation_verdict.attack_score == 3
+        assert ev.children[0].accepted  # the child alone does not back the root
         assert ev.verdict.support_score == 3  # bare assertion only
 
     def test_unheld_relation_is_revised(self):
         kb = kb_of()
-        ev = self.evaluate(kb, ProposalNode(TGT, S, (ProposalNode(P, T),)))
-        child = ev.children[0]
-        assert not child.relation_lookup
-        assert child.relation_accepted
-        assert child.relation_verdict.accepted_strength() is T
+        trace = Trace()
+        ev = self.evaluate(kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), trace=trace)
+        (relation_verdict,) = ev.relation_verdicts
+        methods = [r.payload["method"] for r in trace.by_kind("revise")]
+        assert methods == ["scores", "scores", "scores"]  # child, relation, root
+        assert relation_verdict.outcome is VerdictOutcome.ACCEPT
+        assert relation_verdict.accepted_strength() is T
 
     def test_child_counts_at_granted_strength(self):
         # a non-expert overstates the leaf; evaluation grants only strong
@@ -372,3 +400,153 @@ class TestAssimilateEvaluated:
         assert not ev.accepted
         with pytest.raises(ContractViolation):
             assimilate_evaluated(kb, ev)
+
+
+# ---------------------------------------------------------------------------
+# relation verdicts kept on the parent against the child-side reference
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class SeedEvaluatedNode:
+    """``EvaluatedNode`` as it was: the relation to its parent, that
+    relation's verdict and whether it was looked up are kept on the child,
+    and are None at the root."""
+
+    node: ProposalNode
+    verdict: Verdict
+    children: tuple
+    relation: Optional[object] = None
+    relation_verdict: Optional[Verdict] = None
+    relation_lookup: Optional[bool] = None
+
+    @property
+    def prop(self):
+        return self.node.prop
+
+    @property
+    def accepted(self) -> bool:
+        return self.verdict.outcome is VerdictOutcome.ACCEPT
+
+    @property
+    def relation_accepted(self) -> bool:
+        verdict = self.relation_verdict
+        return verdict is not None and verdict.outcome is VerdictOutcome.ACCEPT
+
+    @property
+    def counted(self) -> bool:
+        return self.accepted and self.relation_accepted
+
+
+def seed_evaluate_proposal(kb, tree, tau, *, proposer, trace=None, agent=""):
+    """``evaluate_proposal`` as it was, building child-side nodes."""
+    validate_tree(tree)
+    judged = [[]]
+    for node, parent, i, done in walk(tree):
+        if not done:
+            judged.append([])
+            continue
+        children = tuple(judged.pop())
+        backing = []
+        for c in children:
+            if c.counted:
+                levels = (c.verdict.accepted_strength(), c.relation_verdict.accepted_strength())
+                backing.append((c.prop, c.relation, *levels))
+        presented = proposer.case(node.prop, backing)
+        verdict = revise_detail(kb, node.prop, presented, tau, trace=trace, agent=agent)
+        if parent is None:
+            return SeedEvaluatedNode(node, verdict, children)
+        relation = parent.relations[i]
+        held = kb.own_belief(relation)
+        held_neg = kb.own_belief(relation.negate())
+        lookup = held is not None or held_neg is not None
+        if held is not None:
+            rel_verdict = Verdict(VerdictOutcome.ACCEPT, held.endorsement.level, 0, prior_support=held)
+        elif held_neg is not None:
+            rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.endorsement.level)
+        else:
+            case = proposer.case(relation)
+            rel_verdict = revise_detail(kb, relation, case, tau, trace=trace, agent=agent)
+        if lookup:
+            record_verdict(trace, agent, relation, rel_verdict, method="lookup")
+        judged[-1].append(SeedEvaluatedNode(node, verdict, children, relation, rel_verdict, lookup))
+
+
+def seed_assimilate_evaluated(kb, evaluated):
+    """``assimilate_evaluated`` as it was: a relation accepted by lookup is
+    skipped by its flag."""
+    if not evaluated.accepted:
+        raise ContractViolation("cannot assimilate a proposal that was not accepted")
+    agreed = []
+    pending = _PendingAdds(kb, own=True)
+    for ev, parent, _, done in walk(evaluated, lambda node: node.accepted):
+        if not done:
+            continue
+        if ev.accepted:
+            agreed.append(ev.prop)
+            pending.adopt(ev.prop, ev.verdict.support_pieces)
+        if parent is not None and ev.relation_accepted:
+            agreed.append(ev.relation)
+            if not ev.relation_lookup:
+                pending.adopt(ev.relation, ev.relation_verdict.support_pieces)
+    return pending.store(), tuple(sorted(set(agreed)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    proposal_trees(),
+    st.sampled_from(Expertise),
+    st.sampled_from(Expertise),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_relation_verdicts_match_the_child_side_reference(tree, held_by, proposed_by, tau, data):
+    # the hearer holds some of the tree's propositions and relations, or
+    # their negations, beside other beliefs; a proposition may repeat
+    # across branches, and a tree holding p in one branch and ¬p in
+    # another is refused by both
+    about_tree = [beliefs_about(tree.props())]
+    relations = [prop for prop in tree.props() if prop.is_relation]
+    if relations:  # so that lookups, accepting and rejecting, are common
+        about_tree.append(beliefs_about(relations))
+    own = added_in_turn(data.draw(st.lists(st.one_of(*about_tree, store_beliefs), max_size=12)))
+    kb = KnowledgeBase(own, expertise=held_by)
+    proposer = Speaker("u", proposed_by)
+    traces = Trace(), Trace()
+    try:
+        expected = seed_evaluate_proposal(kb, tree, tau, proposer=proposer, trace=traces[0])
+    except StructureError as exc:
+        with pytest.raises(StructureError, match=re.escape(str(exc))):
+            evaluate_proposal(kb, tree, tau, proposer=proposer, trace=traces[1])
+        return
+    got = evaluate_proposal(kb, tree, tau, proposer=proposer, trace=traces[1])
+    assert traces[1].to_ndjson() == traces[0].to_ndjson()
+    for (ev, parent, i, done), (ref, *_) in zip(walk(got), walk(expected), strict=True):
+        if done:
+            continue
+        assert ev.node is ref.node and ev.verdict == ref.verdict
+        assert len(ev.relation_verdicts) == len(ev.children)
+        if parent is not None:
+            assert parent.relation_verdicts[i] == ref.relation_verdict
+    if not expected.accepted:
+        with pytest.raises(ContractViolation):
+            assimilate_evaluated(kb, got)
+        return
+    adopted, agreed = assimilate_evaluated(kb, got)
+    expected_store, expected_agreed = seed_assimilate_evaluated(kb, expected)
+    assert agreed == expected_agreed
+    assert adopted == expected_store
+
+
+def test_relation_held_before_stays_the_same_belief():
+    # a relation the hearer holds is accepted by lookup, credits no piece,
+    # and comes out of assimilation as the very belief held
+    kb = kb_of(rec(REL, S))
+    ev = evaluate_proposal(
+        kb, ProposalNode(TGT, S, (ProposalNode(P, T),)), 1, proposer=Speaker("u", Expertise.EXPERT)
+    )
+    (relation_verdict,) = ev.relation_verdicts
+    assert relation_verdict.prior_support is kb.own_belief(REL)
+    assert relation_verdict.support_pieces == ()
+    kb2, agreed = assimilate_evaluated(kb, ev)
+    assert REL in agreed
+    assert kb2.own_belief(REL) is kb.own_belief(REL)

@@ -25,6 +25,8 @@ from parley import (
     Speaker,
     StrengthLevel,
     StructureError,
+    Verdict,
+    VerdictOutcome,
     assimilate,
     assimilate_evaluated,
     evaluate_proposal,
@@ -36,22 +38,24 @@ from parley import (
     revise,
     supports_prop,
 )
-from parley.focus import predict
+from parley.focus import predict, select_min_set
 from parley import negotiation
 from parley.negotiation import _apply_correction, _observe_acceptance, _Session
 from parley.trace import Trace
 
 from conftest import (
     ASSERTED_LEVEL,
-    LEVELS,
     added_in_turn,
     assert_index_covers,
     asserted,
+    beliefs_about,
     dissenters,
     ground,
     load_bench,
     load_bundled,
+    proposal_trees,
     run_scenario,
+    store_beliefs,
 )
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
@@ -730,13 +734,12 @@ def seed_assimilate_evaluated(kb, evaluated):
     agreed = []
 
     def walk(kb, ev):
-        for child in ev.children:
+        for child, relation, verdict in zip(ev.children, ev.node.relations, ev.relation_verdicts):
             if child.accepted:
                 kb = walk(kb, child)
-            if child.relation_accepted:
-                agreed.append(child.relation)
-                if not child.relation_lookup:
-                    kb = assimilate(kb, child.relation_verdict, child.relation)
+            if verdict.outcome is VerdictOutcome.ACCEPT:
+                agreed.append(relation)
+                kb = assimilate(kb, verdict, relation)
         agreed.append(ev.prop)
         return assimilate(kb, ev.verdict, ev.prop)
 
@@ -759,40 +762,6 @@ def seed_observe_acceptance(session, observer, acceptor, props):
     session.kbs[observer] = kb
 
 
-TREE_NAMES = ("p", "q", "r", "s")
-TREE_LITERALS = [ground(n, negated) for n in TREE_NAMES for negated in (False, True)]
-TREE_RELATIONS = [supports_prop(a, b) for a in TREE_LITERALS for b in TREE_LITERALS if a != b]
-store_beliefs = st.builds(
-    Belief,
-    st.one_of(
-        st.sampled_from(TREE_LITERALS),
-        st.sampled_from(TREE_RELATIONS + [r.negate() for r in TREE_RELATIONS]),
-    ),
-    st.one_of(
-        st.sampled_from(LEVELS).map(Endorsement.kb_record),
-        st.builds(
-            asserted,
-            st.sampled_from(LEVELS),
-            st.just("u"),
-            st.sampled_from(Expertise),
-        ),
-    ),
-)
-
-
-@st.composite
-def proposal_trees(draw, path=frozenset()):
-    """A tree over four names that names each at most once per path, so a
-    proposition may repeat in two branches and its negation sit in a
-    sibling branch."""
-    name = draw(st.sampled_from([n for n in TREE_NAMES if n not in path]))
-    path = path | {name}
-    children = ()
-    if len(path) < len(TREE_NAMES) and draw(st.booleans()):
-        children = tuple(draw(st.lists(proposal_trees(path), min_size=1, max_size=3)))
-    return ProposalNode(ground(name, draw(st.booleans())), draw(st.sampled_from(LEVELS)), children)
-
-
 def assert_same_store(kb, expected):
     assert kb == expected
     assert_index_covers(kb)
@@ -804,14 +773,7 @@ def assert_same_store(kb, expected):
 def test_heard_proposal_writes_match_one_write_per_belief(tree, expertise, data):
     # each store holds some of the tree's propositions and relations, or
     # their negations, at any level, beside other beliefs
-    about_tree = st.builds(
-        lambda prop, negate, level: Belief(
-            prop.negate() if negate else prop, Endorsement.kb_record(level)
-        ),
-        st.sampled_from(tree.props()),
-        st.booleans(),
-        st.sampled_from(LEVELS),
-    )
+    about_tree = beliefs_about(tree.props())
     own, model, observed = (
         added_in_turn(data.draw(st.lists(st.one_of(about_tree, store_beliefs), max_size=10)))
         for _ in range(3)
@@ -845,3 +807,52 @@ def test_heard_proposal_writes_match_one_write_per_belief(tree, expertise, data)
     _observe_acceptance(sessions[0], "u", "s", tree.props())
     seed_observe_acceptance(sessions[1], "u", "s", tree.props())
     assert_same_store(sessions[0].kbs["u"], sessions[1].kbs["u"])
+
+
+# ---------------------------------------------------------------------------
+# a call outside its contract names what it was called with
+
+
+def _unaccepted_evaluation(prop):
+    kb = KnowledgeBase(own=(Belief(prop.negate(), Endorsement.kb_record(StrengthLevel.WARRANTED)),))
+    tree = ProposalNode(prop, StrengthLevel.WEAK)
+    return kb, evaluate_proposal(kb, tree, proposer=Speaker("u", Expertise.NON_EXPERT))
+
+
+CONTRACT_CALLS = {
+    "negotiate": (
+        lambda: negotiate(
+            {name: KnowledgeBase(own=()) for name in ("ann", "bea", "cy")},
+            "ann",
+            ProposalNode(ground("p"), StrengthLevel.STRONG),
+        ),
+        ["'ann', 'bea', 'cy'", "proposer 'ann'"],
+    ),
+    "select_min_set-empty": (
+        lambda: select_min_set(ground("lonely"), [], KnowledgeBase(own=())),
+        ["lonely(x)"],
+    ),
+    "select_min_set-no-flip": (
+        lambda: select_min_set(ground("firm"), [ground("q")], KnowledgeBase(own=())),
+        ["firm(x)"],
+    ),
+    "assimilate": (
+        lambda: assimilate(
+            KnowledgeBase(own=()), Verdict(VerdictOutcome.UNCERTAIN, 0, 0), ground("open")
+        ),
+        ["open(x)"],
+    ),
+    "assimilate_evaluated": (
+        lambda: assimilate_evaluated(*_unaccepted_evaluation(ground("denied"))),
+        ["denied(x)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_CALLS))
+def test_contract_violations_name_their_arguments(name):
+    call, named = CONTRACT_CALLS[name]
+    with pytest.raises(ContractViolation) as caught:
+        call()
+    for text in named:
+        assert text in str(caught.value)

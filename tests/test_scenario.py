@@ -18,6 +18,7 @@ from parley import (
     Proposition,
     Scenario,
     ScenarioError,
+    SourceKind,
     StrengthLevel,
     parse_proposition,
     parse_scenario,
@@ -684,3 +685,35 @@ def test_valid_documents_round_trip(doc):
     text = render_scenario(scenario)
     assert parse_scenario(text) == scenario
     assert render_scenario(parse_scenario(text)) == text
+
+
+SUPPORT_PROPS = [parse_proposition(t) for t in ("p(a)", "~q", "supports(p(a), ~q)")]
+
+
+# every field is drawn for every kind, strays included; whatever the
+# constructor accepts must read back equal from a rendered store
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SourceKind),
+    st.sampled_from(StrengthLevel),
+    st.one_of(st.none(), st.just(""), st.integers(), st.text(min_size=1, max_size=4)),
+    st.one_of(st.none(), st.sampled_from(Expertise), st.just("expert")),
+    st.frozensets(st.one_of(st.sampled_from(SUPPORT_PROPS), st.just("p")), max_size=3),
+)
+@example(SourceKind.KB_RECORD, StrengthLevel.WEAK, None, None, frozenset())
+@example(SourceKind.STEREOTYPE, StrengthLevel.STRONG, None, None, frozenset())
+@example(SourceKind.ASSERTION, StrengthLevel.WARRANTED, "S", Expertise.NON_EXPERT, frozenset())
+@example(SourceKind.DERIVED, StrengthLevel.WEAK, None, None, frozenset(SUPPORT_PROPS))
+def test_every_accepted_endorsement_round_trips(kind, level, speaker, expertise, support):
+    try:
+        endorsement = Endorsement(level, kind, speaker, expertise, support)
+    except StructureError:
+        return
+    beliefs = (Belief(parse_proposition("r(b)"), endorsement),)
+    kb = KnowledgeBase(beliefs, beliefs, expertise=Expertise.EXPERT)
+    other = KnowledgeBase((), expertise=Expertise.NON_EXPERT)
+    scenario = Scenario(
+        (AgentSpec("U", kb), AgentSpec("S", other)),
+        ProposalNode(parse_proposition("t"), StrengthLevel.STRONG),
+    )
+    assert parse_scenario(render_scenario(scenario)) == scenario

@@ -1,0 +1,219 @@
+"""Compare two parley source trees in one process: first their outputs, then
+their speed.
+
+    python3 tools/ab.py BASE_SRC CHANGE_SRC --diff [--workload W ...] [--limit N]
+    python3 tools/ab.py BASE_SRC CHANGE_SRC --time --workload W --blocks N [--aa]
+
+``BASE_SRC`` and ``CHANGE_SRC`` are directories that each hold a ``parley``
+package, such as the ``src`` of two checkouts.  Each is loaded under its own
+package name, which works because the package imports itself only
+relatively.  The inputs are the seed-0 inputs of ``bench/workloads.py``,
+read-only; ``--limit N`` takes the first N of each workload without drawing
+the rest, as ``bench/run.py`` does for its golden inputs.
+
+``--diff`` runs every input on both trees, as ``parley run --trace`` does,
+and compares the transcript lines, outcome, depth, rounds, ratified root,
+trace NDJSON and ``render_scenario`` of the two final stores (a refusal is
+compared by its message).  It prints per-workload counts and the first
+input that differs, with the part that differs, and exits 1 on any
+difference.
+
+``--time`` first checks that the workload's outputs are identical.  It then
+times ``--blocks`` pairs of blocks, each block the same passes over the
+inputs, with the tree that runs first alternating from pair to pair.  It
+prints the median change/base ratio of CPU time, its quartiles and in how
+many pairs the change was faster.  ``--aa`` loads the base tree a second
+time in place of the change, which shows the spread of identical code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import process_time
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
+
+SCENARIOS = ROOT / "src" / "parley" / "scenarios"
+SEED = 0
+# CPU seconds the base tree should take per block; the passes per block are
+# set from one timed pass
+BLOCK_S = 0.2
+
+
+def load(src: Path, name: str):
+    """The ``parley`` package under ``src``, imported as ``name``."""
+    init = src / "parley" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"ab: no parley package in {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def inputs(workload: str, limit: int | None) -> list:
+    if limit is None:
+        return workloads.generate(workload, SEED, SCENARIOS)
+    if workload == "bundled_mix":
+        count = max(limit - len(workloads.BUNDLED), 0)
+        return workloads.bundled_mix(SEED, SCENARIOS, count=count)[:limit]
+    return workloads.generate(workload, SEED, SCENARIOS)[:limit]
+
+
+def operation(parley, text: str):
+    """One negotiation, as ``parley run --trace`` performs it."""
+    scenario = parley.parse_scenario(text)
+    trace = parley.Trace()
+    transcript = parley.negotiate(
+        {agent.id: agent.kb for agent in scenario.agents},
+        scenario.proposer.id,
+        scenario.proposal,
+        parley.NegotiationConfig(tau=scenario.tau, max_depth=scenario.max_depth),
+        trace=trace,
+    )
+    return scenario, transcript, transcript.realize(), trace.to_ndjson()
+
+
+def outputs(parley, text: str) -> dict[str, str]:
+    """Every output of one input that the comparison reads, as text."""
+    try:
+        scenario, transcript, lines, ndjson = operation(parley, text)
+    except Exception as exc:  # a raising input is compared by what it raised
+        return {"raised": f"{type(exc).__name__}: {exc}"}
+    final = parley.Scenario(
+        tuple(
+            parley.AgentSpec(agent.id, transcript.final_beliefs[agent.id])
+            for agent in scenario.agents
+        ),
+        scenario.proposal,
+        scenario.tau,
+        scenario.max_depth,
+    )
+    try:
+        stores = parley.render_scenario(final)
+    except parley.ScenarioError as exc:
+        stores = f"refused: {exc}"
+    root = transcript.ratified_root
+    return {
+        "transcript": "\n".join(lines),
+        "outcome": transcript.outcome,
+        "depth": str(transcript.depth),
+        "rounds": str(transcript.rounds),
+        "ratified": "" if root is None else root.render(),
+        "trace": ndjson,
+        "stores": stores,
+    }
+
+
+def first_difference(base: dict, change: dict) -> str | None:
+    """The first part that differs, with its first differing line on each
+    side; None when every part is equal."""
+    for part in sorted(base.keys() | change.keys()):
+        a, b = base.get(part), change.get(part)
+        if a == b:
+            continue
+        if a is None or b is None:
+            return f"{part}: only the {'change' if a is None else 'base'} has it"
+        a_lines, b_lines = a.splitlines(), b.splitlines()
+        n = next(
+            (i for i, pair in enumerate(zip(a_lines, b_lines)) if pair[0] != pair[1]),
+            min(len(a_lines), len(b_lines)),
+        )
+        a_line = a_lines[n] if n < len(a_lines) else "<end>"
+        b_line = b_lines[n] if n < len(b_lines) else "<end>"
+        return f"{part}, line {n + 1}:\n  base:   {a_line}\n  change: {b_line}"
+    return None
+
+
+def diff(base, change, names: list[str], limit: int | None) -> int:
+    """Print per-workload counts and the first difference; 1 on any."""
+    status = 0
+    for workload in names:
+        cases = inputs(workload, limit)
+        differing = 0
+        for index, case in enumerate(cases):
+            found = first_difference(outputs(base, case.text), outputs(change, case.text))
+            if found is None:
+                continue
+            if not differing:
+                print(f"{workload}: input {index} ({case.label}) differs in {found}")
+            differing += 1
+        print(f"{workload}: {len(cases)} inputs, {differing} differ")
+        status |= differing > 0
+    return status
+
+
+def block(parley, texts: list[str], passes: int) -> float:
+    """CPU seconds of ``passes`` passes over ``texts``."""
+    gc.collect()
+    started = process_time()
+    for _ in range(passes):
+        for text in texts:
+            operation(parley, text)
+    return process_time() - started
+
+
+def time_pairs(base, change, workload: str, blocks: int, limit: int | None) -> None:
+    texts = [case.text for case in inputs(workload, limit)]
+    block(base, texts, 1)  # warms both trees' caches and bytecode
+    block(change, texts, 1)
+    passes = max(1, round(BLOCK_S / max(block(base, texts, 1), 1e-9)))
+    ratios = []
+    for pair in range(blocks):
+        if pair % 2:
+            changed = block(change, texts, passes)
+            based = block(base, texts, passes)
+        else:
+            based = block(base, texts, passes)
+            changed = block(change, texts, passes)
+        ratios.append(changed / based)
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    faster = sum(r < 1 for r in ratios)
+    print(
+        f"{workload}: {blocks} pairs of {passes} passes over {len(texts)} inputs, "
+        f"median change/base {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
+        f"change faster in {faster} of {blocks}"
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, metavar="BASE_SRC")
+    parser.add_argument("change", type=Path, metavar="CHANGE_SRC")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--diff", action="store_true")
+    mode.add_argument("--time", action="store_true")
+    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS)
+    parser.add_argument("--limit", type=int)
+    parser.add_argument("--blocks", type=int, default=20)
+    parser.add_argument("--aa", action="store_true")
+    args = parser.parse_args(argv)
+    if args.limit is not None and args.limit < 1:
+        parser.error("--limit must be at least 1")
+    if args.blocks < 2:
+        parser.error("--blocks must be at least 2, so that quartiles exist")
+    base = load(args.base, "parley_base")
+    change = load(args.base if args.aa else args.change, "parley_change")
+    if args.diff:
+        return diff(base, change, args.workload or list(workloads.WORKLOADS), args.limit)
+    if args.workload is None or len(args.workload) != 1:
+        parser.error("--time takes exactly one --workload")
+    (workload,) = args.workload
+    if diff(base, change, [workload], args.limit):
+        return 1
+    time_pairs(base, change, workload, args.blocks, args.limit)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
