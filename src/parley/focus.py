@@ -148,9 +148,9 @@ def select_focus_modification(
     first try undermining the flippable members alone, then a head-on
     counter, then both combined; each stage predicts with the proposer's
     own presented evidence, plus this agent's counterevidence for the
-    head-on stages.  Both kinds of evidence are built only for the
-    nodes and relations the walk visits.  Each visited node leaves one
-    ``foci`` record, the root's last.
+    head-on stages.  Evidence is built only for the nodes and relations
+    the walk visits, counterevidence only once a head-on stage is reached.
+    Each visited node leaves one ``foci`` record, the root's last.
     """
     model = kb.model_view()
     agent = evaluator.name
@@ -183,7 +183,6 @@ def select_focus_modification(
         """The focus of the internal node ``ev``, given its members' foci."""
         cand = tuple(sorted(member_focus))
         presented = _asserted_evidence(ev, proposer)
-        both_sides = presented + _standing_attack(kb, ev.prop, evaluator)
 
         def undermined(hypothesized, note: str, base: frozenset) -> Optional[frozenset]:
             """``base`` plus the foci of the fewest members whose removal
@@ -198,6 +197,7 @@ def select_focus_modification(
         focus = undermined(presented, "evidence", frozenset())
         if focus is not None:
             return emit(ev.prop, "evidence", focus, cand)
+        both_sides = presented + _standing_attack(kb, ev.prop, evaluator)
         if flipped(ev.prop, both_sides, (), "belief"):
             return emit(ev.prop, "belief", frozenset({ev.prop}), cand)
         focus = undermined(both_sides, "both", frozenset({ev.prop}))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .beliefs import (
     Belief,
@@ -126,7 +126,8 @@ class _Session:
     config: NegotiationConfig
     trace: Trace
     acts: list[DiscourseAct] = field(default_factory=list)
-    presented: dict[tuple[str, Proposition], set] = field(default_factory=dict)
+    # the (speaker, claim, proposition) triples presented so far
+    presented: set[tuple[str, Proposition, Proposition]] = field(default_factory=set)
     conceded_by: Optional[str] = None
     depth_max: int = 0
     rounds: int = 0
@@ -144,20 +145,20 @@ class _Session:
         self.trace.emit("act", speaker=speaker, act=kind.value, content=act.content())
 
     def already_presented(self, speaker: str, claim: Proposition, props) -> bool:
-        key = (speaker, claim)
-        seen = self.presented.get(key)
-        props = set(props)
-        if seen is not None and props <= seen:
+        triples = {(speaker, claim, prop) for prop in props}
+        if triples <= self.presented:
             return True
-        self.presented.setdefault(key, set()).update(props)
+        self.presented |= triples
         return False
 
 
-@dataclass(frozen=True)
-class _Step:
-    kind: str  # "settled" | "retry" | "unresolved"
-    ratified: Optional[Proposition] = None
-    tree: Optional[ProposalNode] = None
+class _NeedsSharing(Exception):
+    """A hearer asked for information, which ends the whole dialogue."""
+
+
+def _ask(session: _Session, hearer: str, prop: Proposition) -> NoReturn:
+    session.act(ActKind.INFO_SHARE_REQUEST, hearer, prop=prop)
+    raise _NeedsSharing
 
 
 def _asserted_level(kb: KnowledgeBase, speaker: Speaker, prop: Proposition) -> StrengthLevel:
@@ -235,7 +236,7 @@ def _agree(session: _Session, speaker: str, hearer: str, evaluated: EvaluatedNod
     _observe_acceptance(session, speaker, hearer, agreed)
 
 
-def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> _Step:
+def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> Proposition:
     root = tree.prop
     case = session.speakers[winner].case(root)
     verdict = Verdict(VerdictOutcome.ACCEPT, 0, 0, support_pieces=case)
@@ -243,7 +244,7 @@ def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> 
     session.act(ActKind.ACCEPT, loser, prop=root)
     session.conceded_by = loser
     _observe_acceptance(session, winner, loser, [root])
-    return _Step("settled", ratified=root)
+    return root
 
 
 def negotiate(
@@ -272,19 +273,17 @@ def negotiate(
 
     session.act(ActKind.PROPOSE, proposer, proposal=proposal)
     session.already_presented(proposer, proposal.prop, proposal.props())
-    result = _settle(session, proposer, evaluator, proposal, depth=0)
-
-    outcome = "unresolved-needs-sharing"
-    if result.kind == "settled":
-        outcome = (
-            f"concession:{session.conceded_by}" if session.conceded_by else "agreement"
-        )
+    try:
+        root = _settle(session, proposer, evaluator, proposal, depth=0)
+        outcome = f"concession:{session.conceded_by}" if session.conceded_by else "agreement"
+    except _NeedsSharing:
+        root, outcome = None, "unresolved-needs-sharing"
     return Transcript(
         acts=tuple(session.acts),
         outcome=outcome,
         depth=session.depth_max,
         rounds=session.rounds,
-        ratified_root=result.ratified,
+        ratified_root=root,
         final_beliefs=dict(session.kbs),
         conceded_by=session.conceded_by,
     )
@@ -297,9 +296,10 @@ def _settle(
     tree: ProposalNode,
     depth: int,
     heard: Optional[EvaluatedNode] = None,
-) -> _Step:
-    """Negotiate ``tree`` until it settles or stalls; the first round uses
-    ``heard``, the evaluator's judgement of ``tree``, if it was made already.
+) -> Optional[Proposition]:
+    """Negotiate ``tree`` until it settles and return the root ratified, None
+    when the claim is withdrawn; a stall raises :class:`_NeedsSharing`.  The
+    first round uses ``heard``, the evaluator's judgement of ``tree``, if made.
 
     The rounds end.  A retry, and a disputed correction proposed again at
     the same depth, each follow the member loop of :func:`_handle_rejection`,
@@ -314,7 +314,7 @@ def _settle(
     fresh = True
     current = tree
     while True:
-        measure = sum(map(len, session.presented.values()))
+        measure = len(session.presented)
         session.rounds += 1
         evaluated = heard if heard is not None else _hear(session, proposer, evaluator, current)
         outcome = evaluated.verdict.outcome
@@ -323,21 +323,20 @@ def _settle(
             if fresh:
                 session.act(ActKind.ACCEPT, evaluator, prop=current.prop)
             _agree(session, proposer, evaluator, evaluated)
-            return _Step("settled", ratified=current.prop)
+            return current.prop
 
         if outcome is VerdictOutcome.UNCERTAIN:
-            session.act(ActKind.INFO_SHARE_REQUEST, evaluator, prop=current.prop)
-            return _Step("unresolved")
+            _ask(session, evaluator, current.prop)
 
-        step = _handle_rejection(session, proposer, evaluator, current, evaluated, depth)
-        if step.kind != "retry":
-            return step
-        if sum(map(len, session.presented.values())) == measure:
+        retry, ratified = _handle_rejection(session, proposer, evaluator, current, evaluated, depth)
+        if retry is None:
+            return ratified
+        if len(session.presented) == measure:
             raise ContractViolation(
                 f"a retried round of {proposer} to {evaluator} on {current.prop} at depth "
                 f"{depth} left the presented propositions unchanged"
             )
-        current, fresh, heard = step.tree, False, None
+        current, fresh, heard = retry, False, None
 
 
 def _handle_rejection(
@@ -347,7 +346,8 @@ def _handle_rejection(
     tree: ProposalNode,
     evaluated: EvaluatedNode,
     depth: int,
-) -> _Step:
+) -> tuple[Optional[ProposalNode], Optional[Proposition]]:
+    """``(tree, None)`` to propose ``tree`` again, else ``(None, _settle's root)``."""
     tau = session.config.tau
     focus = select_focus_modification(
         evaluated,
@@ -358,7 +358,7 @@ def _handle_rejection(
         trace=session.trace,
     )
     if focus is None:
-        return _concede(session, evaluator, proposer, tree)
+        return None, _concede(session, evaluator, proposer, tree)
 
     members = sorted(focus)
     session.trace.emit(
@@ -385,10 +385,10 @@ def _handle_rejection(
                     pool, working, claim, tau, speaker=speaker, trace=session.trace
                 )
             except NoSufficientJustification:
-                return _concede(session, evaluator, proposer, tree)
+                return None, _concede(session, evaluator, proposer, tree)
         realized = realized_beliefs(claim, chains, working)
         if session.already_presented(evaluator, claim, realized):
-            return _concede(session, evaluator, proposer, tree)
+            return None, _concede(session, evaluator, proposer, tree)
         informs.extend(realized)
         counters.append(_claim_tree(session.kbs[evaluator], speaker, claim, chains))
         working = _hypothetical_concession(working, member, claim, speaker.level)
@@ -397,13 +397,11 @@ def _handle_rejection(
         session.act(ActKind.INFORM, evaluator, prop=prop)
 
     for counter in counters:
-        sub = _settle(session, evaluator, proposer, counter, depth + 1)
-        if sub.kind == "unresolved":
-            return sub
+        _settle(session, evaluator, proposer, counter, depth + 1)
 
     achieved = all(not session.kbs[proposer].holds(m) for m in members)
     if not achieved:
-        return _Step("retry", tree=tree)
+        return tree, None
 
     current = tree
     for member in members:
@@ -424,12 +422,11 @@ def _handle_rejection(
         note="re-revise",
     )
     if verdict.outcome is VerdictOutcome.UNCERTAIN:
-        session.act(ActKind.INFO_SHARE_REQUEST, proposer, prop=current.prop)
-        return _Step("unresolved")
+        _ask(session, proposer, current.prop)
     # the proposer keeps its re-judgement, whichever way it went
     session.kbs[proposer] = assimilate(session.kbs[proposer], verdict, current.prop)
     if verdict.outcome is VerdictOutcome.ACCEPT:
-        return _Step("retry", tree=current)
+        return current, None
 
     negated = current.prop.negate()
     corrected = negated if session.kbs[evaluator].holds(negated) else None
@@ -442,7 +439,7 @@ def _handle_rejection(
     )
     if corrected is None:
         # the claim is withdrawn outright and nothing replaces it
-        return _Step("settled", ratified=None)
+        return None, None
 
     session.trace.emit(
         "recipe", agent=proposer, recipe="insert-correction", target=corrected.render()
@@ -452,12 +449,11 @@ def _handle_rejection(
     ratified = _hear(session, evaluator, proposer, corrected_tree)
     if ratified.verdict.outcome is VerdictOutcome.ACCEPT:
         _agree(session, evaluator, proposer, ratified)
-        return _Step("settled", ratified=corrected)
+        return None, corrected
     if ratified.verdict.outcome is VerdictOutcome.UNCERTAIN:
-        session.act(ActKind.INFO_SHARE_REQUEST, proposer, prop=corrected)
-        return _Step("unresolved")
+        _ask(session, proposer, corrected)
 
     # the correction itself is disputed: the corrector must defend it
     session.act(ActKind.PROPOSE, evaluator, proposal=corrected_tree)
     session.already_presented(evaluator, corrected, corrected_tree.props())
-    return _settle(session, evaluator, proposer, corrected_tree, depth, heard=ratified)
+    return None, _settle(session, evaluator, proposer, corrected_tree, depth, heard=ratified)

@@ -54,6 +54,7 @@ from conftest import (
     load_bench,
     load_bundled,
     proposal_trees,
+    random_scenario,
     run_scenario,
     store_beliefs,
 )
@@ -265,7 +266,7 @@ def test_retry_that_presents_nothing_new_is_a_contract_violation(smith, monkeypa
     # each retried round must grow what the session has presented; that
     # measure is what bounds the rounds
     def retry_unchanged(session, proposer, evaluator, tree, evaluated, depth):
-        return negotiation._Step("retry", tree=tree)
+        return tree, None
 
     monkeypatch.setattr(negotiation, "_handle_rejection", retry_unchanged)
     with pytest.raises(ContractViolation, match="presented propositions unchanged"):
@@ -644,6 +645,68 @@ def test_disputed_ratification_asks_for_information():
     # A withdrew r and heard ¬r, but took neither side
     assert not t.final_beliefs["A"].holds(parse_proposition("r(x)"))
     assert not t.final_beliefs["A"].holds(parse_proposition("~r(x)"))
+
+
+# random_scenario seeds whose request for information comes inside a
+# counter-proposal: the deepest nesting and the transcript of each
+NESTED_STALLS = {
+    # A, hearing B's counter-claim p0 at depth 1, is uncertain of it
+    16: (
+        1,
+        [
+            "A: PROPOSE ¬p0(x)",
+            "B: INFORM p0(x)",
+            "B: INFORM ¬p2(x)",
+            "B: INFORM supports(¬p2(x), p0(x))",
+            "A: INFOSHARE p0(x)",
+        ],
+    ),
+    # A concedes p0 at depth 3, then its re-revision of ¬p0 at depth 2 is
+    # uncertain
+    2519: (
+        3,
+        [
+            "A: PROPOSE ¬p0(x)",
+            "B: INFORM p0(x)",
+            "A: INFORM ¬p0(x)",
+            "A: INFORM ¬p2(x)",
+            "A: INFORM supports(¬p2(x), ¬p0(x))",
+            "B: INFORM p0(x)",
+            "B: INFORM ¬p1(x)",
+            "B: INFORM supports(¬p1(x), p0(x))",
+            "A: ACCEPT p0(x)",
+            "A: INFOSHARE ¬p0(x)",
+        ],
+    ),
+    # A, hearing B's counter-claim p0 again at depth 3, is uncertain of it
+    30539: (
+        3,
+        [
+            "A: PROPOSE ¬p0(x)",
+            "B: INFORM p0(x)",
+            "A: INFORM ¬p0(x)",
+            "A: INFORM ¬p1(x)",
+            "A: INFORM supports(¬p1(x), ¬p0(x))",
+            "B: INFORM p0(x)",
+            "B: INFORM p2(x)",
+            "B: INFORM supports(p2(x), p0(x))",
+            "A: INFOSHARE p0(x)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(NESTED_STALLS))
+def test_a_request_for_information_in_a_subdialogue_ends_the_whole_dialogue(seed):
+    depth, lines = NESTED_STALLS[seed]
+    trace = Trace()
+    t = run_scenario(random_scenario(random.Random(seed)), trace)
+    assert (t.outcome, t.ratified_root, t.depth) == ("unresolved-needs-sharing", None, depth)
+    assert t.realize() == lines
+    assert t.acts[-1].kind is ActKind.INFO_SHARE_REQUEST
+    # nothing is heard after the request: it is the last trace record
+    last = json.loads(trace.to_ndjson().splitlines()[-1])
+    assert (last["kind"], last["payload"]["act"]) == ("act", "info-share-request")
 
 
 def test_disputed_correction_is_proposed_by_the_corrector():

@@ -27,9 +27,9 @@ COUNTERS = (
 # per scenario, in COUNTERS order
 PINNED = {
     "both": (14, 18, 5, 21, 1),
-    "evidence": (12, 15, 3, 18, 2),
-    "nest": (14, 20, 4, 25, 2),
-    "smith": (12, 15, 3, 18, 2),
+    "evidence": (12, 15, 3, 17, 2),
+    "nest": (14, 20, 4, 24, 2),
+    "smith": (12, 15, 3, 17, 2),
     "tie": (1, 1, 0, 1, 0),
     "visit": (6, 13, 2, 16, 1),
 }

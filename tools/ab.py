@@ -11,10 +11,11 @@ relatively.  The inputs are the seed-0 inputs of ``bench/workloads.py``,
 read-only; ``--limit N`` takes the first N of each workload without drawing
 the rest, as ``bench/run.py`` does for its golden inputs.
 
-``--diff`` runs every input on both trees, as ``parley run --trace`` does,
-and compares the transcript lines, outcome, depth, rounds, ratified root,
-trace NDJSON and ``render_scenario`` of the two final stores (a refusal is
-compared by its message).  It prints per-workload counts and the first
+``--diff`` runs every input on both trees with ``bench/run.py``'s
+``operation``, as ``parley run --trace`` does, and compares the transcript
+lines, outcome, depth, rounds, ratified root, trace NDJSON and
+``render_scenario`` of the two final stores (a refusal is compared by its
+message).  It prints per-workload counts and the first
 input that differs, with the part that differs, and exits 1 on any
 difference.
 
@@ -38,6 +39,7 @@ from time import process_time
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "parley" / "scenarios"
@@ -70,24 +72,10 @@ def inputs(workload: str, limit: int | None) -> list:
     return workloads.generate(workload, SEED, SCENARIOS)[:limit]
 
 
-def operation(parley, text: str):
-    """One negotiation, as ``parley run --trace`` performs it."""
-    scenario = parley.parse_scenario(text)
-    trace = parley.Trace()
-    transcript = parley.negotiate(
-        {agent.id: agent.kb for agent in scenario.agents},
-        scenario.proposer.id,
-        scenario.proposal,
-        parley.NegotiationConfig(tau=scenario.tau, max_depth=scenario.max_depth),
-        trace=trace,
-    )
-    return scenario, transcript, transcript.realize(), trace.to_ndjson()
-
-
 def outputs(parley, text: str) -> dict[str, str]:
     """Every output of one input that the comparison reads, as text."""
     try:
-        scenario, transcript, lines, ndjson = operation(parley, text)
+        scenario, transcript, _, lines, ndjson = run.operation(parley, text)
     except Exception as exc:  # a raising input is compared by what it raised
         return {"raised": f"{type(exc).__name__}: {exc}"}
     final = parley.Scenario(
@@ -159,7 +147,7 @@ def block(parley, texts: list[str], passes: int) -> float:
     started = process_time()
     for _ in range(passes):
         for text in texts:
-            operation(parley, text)
+            run.operation(parley, text)
     return process_time() - started
 
 
