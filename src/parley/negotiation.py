@@ -277,7 +277,8 @@ def negotiate(
         root = _settle(session, proposer, evaluator, proposal, depth=0)
         outcome = f"concession:{session.conceded_by}" if session.conceded_by else "agreement"
     except _NeedsSharing:
-        root, outcome = None, "unresolved-needs-sharing"
+        # a concession made in a subdialogue before the stall settles nothing
+        root, outcome, session.conceded_by = None, "unresolved-needs-sharing", None
     return Transcript(
         acts=tuple(session.acts),
         outcome=outcome,
@@ -290,33 +291,37 @@ def negotiate(
 
 
 def _settle(
-    session: _Session,
-    proposer: str,
-    evaluator: str,
-    tree: ProposalNode,
-    depth: int,
-    heard: Optional[EvaluatedNode] = None,
+    session: _Session, proposer: str, evaluator: str, tree: ProposalNode, depth: int
 ) -> Optional[Proposition]:
     """Negotiate ``tree`` until it settles and return the root ratified, None
-    when the claim is withdrawn; a stall raises :class:`_NeedsSharing`.  The
-    first round uses ``heard``, the evaluator's judgement of ``tree``, if made.
+    when the claim is withdrawn; a stall raises :class:`_NeedsSharing`.  Each
+    round is Propose, Evaluate and Modify.  A counter-claim is settled one
+    level deeper; a disputed correction is the next round, the corrector's.
 
-    The rounds end.  A retry, and a disputed correction proposed again at
-    the same depth, each follow the member loop of :func:`_handle_rejection`,
-    which concedes unless every member adds to ``session.presented``.  So
-    each grows the number of (speaker, claim, proposition) triples
-    presented, which the input's propositions, relations and negations
-    bound.  A retry that does not raises :class:`ContractViolation`."""
+    The rounds end.  A round that retries, or that hands on a disputed
+    correction, has passed the member loop of Modify, which concedes unless
+    every member adds to ``session.presented``.  So each grows the number of
+    (speaker, claim, proposition) triples presented, which the input's
+    propositions, relations and negations bound.  A retry that does not
+    raises :class:`ContractViolation`."""
     if depth > session.config.max_depth:
         raise DepthExceededError(f"nesting exceeded {session.config.max_depth}")
     session.depth_max = max(session.depth_max, depth)
+    tau = session.config.tau
 
-    fresh = True
-    current = tree
+    # ``heard`` is the next round's evaluation if already made (a disputed
+    # correction's ratification hearing), and ``retried`` the start-of-round
+    # measure of a round that retried
+    current, fresh, heard, retried = tree, True, None, None
     while True:
+        if retried is not None and len(session.presented) == retried:
+            raise ContractViolation(
+                f"a retried round of {proposer} to {evaluator} on {current.prop} at depth "
+                f"{depth} left the presented propositions unchanged"
+            )
         measure = len(session.presented)
         session.rounds += 1
-        evaluated = heard if heard is not None else _hear(session, proposer, evaluator, current)
+        evaluated = heard or _hear(session, proposer, evaluator, current)
         outcome = evaluated.verdict.outcome
 
         if outcome is VerdictOutcome.ACCEPT:
@@ -328,132 +333,113 @@ def _settle(
         if outcome is VerdictOutcome.UNCERTAIN:
             _ask(session, evaluator, current.prop)
 
-        retry, ratified = _handle_rejection(session, proposer, evaluator, current, evaluated, depth)
-        if retry is None:
-            return ratified
-        if len(session.presented) == measure:
-            raise ContractViolation(
-                f"a retried round of {proposer} to {evaluator} on {current.prop} at depth "
-                f"{depth} left the presented propositions unchanged"
-            )
-        current, fresh, heard = retry, False, None
+        focus = select_focus_modification(
+            evaluated,
+            session.kbs[evaluator],
+            tau,
+            proposer=session.speakers[proposer],
+            evaluator=session.speakers[evaluator],
+            trace=session.trace,
+        )
+        if focus is None:
+            return _concede(session, evaluator, proposer, current)
 
+        members = sorted(focus)
+        session.trace.emit(
+            "recipe",
+            agent=evaluator,
+            recipe="correct-node",
+            focus=[m.render() for m in members],
+            mutual_beliefs=[m.negate().render() for m in members],
+        )
 
-def _handle_rejection(
-    session: _Session,
-    proposer: str,
-    evaluator: str,
-    tree: ProposalNode,
-    evaluated: EvaluatedNode,
-    depth: int,
-) -> tuple[Optional[ProposalNode], Optional[Proposition]]:
-    """``(tree, None)`` to propose ``tree`` again, else ``(None, _settle's root)``."""
-    tau = session.config.tau
-    focus = select_focus_modification(
-        evaluated,
-        session.kbs[evaluator],
-        tau,
-        proposer=session.speakers[proposer],
-        evaluator=session.speakers[evaluator],
-        trace=session.trace,
-    )
-    if focus is None:
-        return None, _concede(session, evaluator, proposer, tree)
-
-    members = sorted(focus)
-    session.trace.emit(
-        "recipe",
-        agent=evaluator,
-        recipe="correct-node",
-        focus=[m.render() for m in members],
-        mutual_beliefs=[m.negate().render() for m in members],
-    )
-
-    speaker = session.speakers[evaluator]
-    working = session.kbs[evaluator].model_view()
-    counters: list[ProposalNode] = []
-    informs: list[Proposition] = []
-    for member in members:
-        claim = member.negate()
-        chains = ()
-        if not hearer_accepts(working, claim, (), speaker, tau):
-            pool = build_justification_chains(
-                session.kbs[evaluator], working, claim, tau, speaker=speaker
-            )
-            try:
-                chains = select_justification(
-                    pool, working, claim, tau, speaker=speaker, trace=session.trace
+        speaker = session.speakers[evaluator]
+        working = session.kbs[evaluator].model_view()
+        counters: list[ProposalNode] = []
+        informs: list[Proposition] = []
+        for member in members:
+            claim = member.negate()
+            chains = ()
+            if not hearer_accepts(working, claim, (), speaker, tau):
+                pool = build_justification_chains(
+                    session.kbs[evaluator], working, claim, tau, speaker=speaker
                 )
-            except NoSufficientJustification:
-                return None, _concede(session, evaluator, proposer, tree)
-        realized = realized_beliefs(claim, chains, working)
-        if session.already_presented(evaluator, claim, realized):
-            return None, _concede(session, evaluator, proposer, tree)
-        informs.extend(realized)
-        counters.append(_claim_tree(session.kbs[evaluator], speaker, claim, chains))
-        working = _hypothetical_concession(working, member, claim, speaker.level)
+                try:
+                    chains = select_justification(
+                        pool, working, claim, tau, speaker=speaker, trace=session.trace
+                    )
+                except NoSufficientJustification:
+                    return _concede(session, evaluator, proposer, current)
+            realized = realized_beliefs(claim, chains, working)
+            if session.already_presented(evaluator, claim, realized):
+                return _concede(session, evaluator, proposer, current)
+            informs.extend(realized)
+            counters.append(_claim_tree(session.kbs[evaluator], speaker, claim, chains))
+            working = _hypothetical_concession(working, member, claim, speaker.level)
 
-    for prop in informs:
-        session.act(ActKind.INFORM, evaluator, prop=prop)
+        for prop in informs:
+            session.act(ActKind.INFORM, evaluator, prop=prop)
 
-    for counter in counters:
-        _settle(session, evaluator, proposer, counter, depth + 1)
+        for counter in counters:
+            _settle(session, evaluator, proposer, counter, depth + 1)
 
-    achieved = all(not session.kbs[proposer].holds(m) for m in members)
-    if not achieved:
-        return tree, None
-
-    current = tree
-    for member in members:
-        if member == current.prop:
+        if any(session.kbs[proposer].holds(m) for m in members):
+            fresh, heard, retried = False, None, measure
             continue
-        current, recipe = _apply_correction(current, member)
-        if recipe is not None:
-            session.trace.emit(
-                "recipe", agent=proposer, recipe=recipe, target=member.render()
-            )
 
-    verdict = revise_detail(
-        session.kbs[proposer],
-        current.prop,
-        tau=tau,
-        trace=session.trace,
-        agent=proposer,
-        note="re-revise",
-    )
-    if verdict.outcome is VerdictOutcome.UNCERTAIN:
-        _ask(session, proposer, current.prop)
-    # the proposer keeps its re-judgement, whichever way it went
-    session.kbs[proposer] = assimilate(session.kbs[proposer], verdict, current.prop)
-    if verdict.outcome is VerdictOutcome.ACCEPT:
-        return current, None
+        for member in members:
+            if member == current.prop:
+                continue
+            current, recipe = _apply_correction(current, member)
+            if recipe is not None:
+                session.trace.emit(
+                    "recipe", agent=proposer, recipe=recipe, target=member.render()
+                )
 
-    negated = current.prop.negate()
-    corrected = negated if session.kbs[evaluator].holds(negated) else None
-    session.trace.emit(
-        "recipe",
-        agent=proposer,
-        recipe="alter-node",
-        target=current.prop.render(),
-        corrected=None if corrected is None else corrected.render(),
-    )
-    if corrected is None:
-        # the claim is withdrawn outright and nothing replaces it
-        return None, None
+        verdict = revise_detail(
+            session.kbs[proposer],
+            current.prop,
+            tau=tau,
+            trace=session.trace,
+            agent=proposer,
+            note="re-revise",
+        )
+        if verdict.outcome is VerdictOutcome.UNCERTAIN:
+            _ask(session, proposer, current.prop)
+        # the proposer keeps its re-judgement, whichever way it went
+        session.kbs[proposer] = assimilate(session.kbs[proposer], verdict, current.prop)
+        if verdict.outcome is VerdictOutcome.ACCEPT:
+            fresh, heard, retried = False, None, measure
+            continue
 
-    session.trace.emit(
-        "recipe", agent=proposer, recipe="insert-correction", target=corrected.render()
-    )
-    level = _asserted_level(session.kbs[evaluator], session.speakers[evaluator], corrected)
-    corrected_tree = ProposalNode(corrected, level)
-    ratified = _hear(session, evaluator, proposer, corrected_tree)
-    if ratified.verdict.outcome is VerdictOutcome.ACCEPT:
-        _agree(session, evaluator, proposer, ratified)
-        return None, corrected
-    if ratified.verdict.outcome is VerdictOutcome.UNCERTAIN:
-        _ask(session, proposer, corrected)
+        negated = current.prop.negate()
+        corrected = negated if session.kbs[evaluator].holds(negated) else None
+        session.trace.emit(
+            "recipe",
+            agent=proposer,
+            recipe="alter-node",
+            target=current.prop.render(),
+            corrected=None if corrected is None else corrected.render(),
+        )
+        if corrected is None:
+            # the claim is withdrawn outright and nothing replaces it
+            return None
 
-    # the correction itself is disputed: the corrector must defend it
-    session.act(ActKind.PROPOSE, evaluator, proposal=corrected_tree)
-    session.already_presented(evaluator, corrected, corrected_tree.props())
-    return None, _settle(session, evaluator, proposer, corrected_tree, depth, heard=ratified)
+        session.trace.emit(
+            "recipe", agent=proposer, recipe="insert-correction", target=corrected.render()
+        )
+        level = _asserted_level(session.kbs[evaluator], session.speakers[evaluator], corrected)
+        corrected_tree = ProposalNode(corrected, level)
+        ratified = _hear(session, evaluator, proposer, corrected_tree)
+        if ratified.verdict.outcome is VerdictOutcome.ACCEPT:
+            _agree(session, evaluator, proposer, ratified)
+            return corrected
+        if ratified.verdict.outcome is VerdictOutcome.UNCERTAIN:
+            _ask(session, proposer, corrected)
+
+        # the correction itself is disputed: the corrector defends it in the
+        # next round, and the ratification hearing is that round's evaluation
+        session.act(ActKind.PROPOSE, evaluator, proposal=corrected_tree)
+        session.already_presented(evaluator, corrected, corrected_tree.props())
+        proposer, evaluator = evaluator, proposer
+        current, fresh, heard, retried = corrected_tree, True, ratified, None

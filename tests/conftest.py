@@ -24,6 +24,7 @@ from parley import (
     SourceKind,
     StrengthLevel,
     negotiate,
+    parse_proposition,
     parse_scenario,
     supports_prop,
 )
@@ -183,6 +184,46 @@ def random_scenario(rng: random.Random) -> Scenario:
     return Scenario(
         agents=(AgentSpec("A", kb_a), AgentSpec("B", kb_b)),
         proposal=proposal,
+        tau=rng.choice([1, 1, 2]),
+        max_depth=16,
+    )
+
+
+# the stores of test_disputed_correction_is_proposed_by_the_corrector, less
+# P's derived r, and beliefs either agent may also hold; none contradicts
+# another, so any of them may go to either store
+DISPUTING_P = ("supports(r, ~r)", "x", "supports(x, r)", "supports(~r, r)")
+DISPUTING_E = ("~r", "~m", "y", "supports(y, ~m)", "supports(~m, ~r)")
+DISPUTING_EXTRAS = (
+    "z", "w", "~q", "supports(z, ~r)", "supports(w, ~m)", "supports(z, r)", "supports(q, r)"
+)
+
+
+def disputed_correction_scenario(rng: random.Random) -> Scenario:
+    """P proposes r, with m and maybe x beneath it, to E, from stores like
+    those of the disputed-correction fixture: E's correction ¬r is often
+    disputed, so that E proposes it in turn."""
+    from parley.scenario import AgentSpec
+
+    def plain(prop: str) -> Belief:
+        source = rng.choice([Endorsement.kb_record, Endorsement.stereotype])
+        return Belief(parse_proposition(prop), source(rng.choice(LEVELS)))
+
+    r, q = parse_proposition("r"), parse_proposition("q")
+    own_p = [Belief(r, Endorsement.derived(rng.choice(LEVELS), [q]))]
+    own_p += [plain(prop) for prop in DISPUTING_P]
+    own_e = [plain(prop) for prop in DISPUTING_E]
+    for prop in rng.sample(DISPUTING_EXTRAS, rng.randint(0, 5)):
+        rng.choice([own_p, own_e]).append(plain(prop))
+    children = [ProposalNode(parse_proposition("m"), rng.choice(LEVELS))]
+    if rng.random() < 0.5:
+        children.append(ProposalNode(parse_proposition("x"), rng.choice(LEVELS)))
+    return Scenario(
+        agents=(
+            AgentSpec("P", KnowledgeBase(own_p, expertise=rng.choice(list(Expertise)))),
+            AgentSpec("E", KnowledgeBase(own_e, expertise=rng.choice(list(Expertise)))),
+        ),
+        proposal=ProposalNode(r, rng.choice(LEVELS), tuple(children)),
         tau=rng.choice([1, 1, 2]),
         max_depth=16,
     )

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -49,6 +51,7 @@ from conftest import (
     assert_index_covers,
     asserted,
     beliefs_about,
+    disputed_correction_scenario,
     dissenters,
     ground,
     load_bench,
@@ -262,15 +265,17 @@ def test_self_contradictory_proposal_is_refused():
         )
 
 
-def test_retry_that_presents_nothing_new_is_a_contract_violation(smith, monkeypatch):
+def test_retry_that_presents_nothing_new_is_a_contract_violation(monkeypatch):
     # each retried round must grow what the session has presented; that
-    # measure is what bounds the rounds
-    def retry_unchanged(session, proposer, evaluator, tree, evaluated, depth):
-        return tree, None
-
-    monkeypatch.setattr(negotiation, "_handle_rejection", retry_unchanged)
-    with pytest.raises(ContractViolation, match="presented propositions unchanged"):
-        run_scenario(smith)
+    # measure is what bounds the rounds.  With nothing ever recorded as
+    # presented, nest's first retry grows nothing
+    monkeypatch.setattr(negotiation._Session, "already_presented", lambda self, *args: False)
+    with pytest.raises(ContractViolation) as info:
+        run_scenario(load_bundled("nest"))
+    assert str(info.value) == (
+        "a retried round of U to S on approve(plan) at depth 0 "
+        "left the presented propositions unchanged"
+    )
 
 
 def test_deep_chain_is_near_linear():
@@ -702,6 +707,8 @@ def test_a_request_for_information_in_a_subdialogue_ends_the_whole_dialogue(seed
     trace = Trace()
     t = run_scenario(random_scenario(random.Random(seed)), trace)
     assert (t.outcome, t.ratified_root, t.depth) == ("unresolved-needs-sharing", None, depth)
+    # a concession inside the subdialogue settled nothing
+    assert t.conceded_by is None
     assert t.realize() == lines
     assert t.acts[-1].kind is ActKind.INFO_SHARE_REQUEST
     # nothing is heard after the request: it is the last trace record
@@ -759,6 +766,30 @@ def test_disputed_correction_is_proposed_by_the_corrector():
         if r.payload["agent"] == "P" and r.payload["target"] == "¬r"
     ]
     assert heard == [(22, "abandon", 2, 2)]
+
+
+# sha256 over disputed_correction_scenario seeds 0-999: for each run, its
+# transcript lines, outcome, depth, rounds, ratified root and trace NDJSON
+DISPUTED_DIGEST = "2cee13552ed7451dab28bbb858add04c41bd559da0c5c69100e7af5ee90c499d"
+
+
+def test_seeded_disputed_corrections_are_pinned():
+    # a disputed correction is the next round of its level: the corpus pins
+    # what follows it, a concession, agreement, a stall or a counter one
+    # level deeper
+    digest, disputed = hashlib.sha256(), Counter()
+    for seed in range(1000):
+        trace = Trace()
+        t = run_scenario(disputed_correction_scenario(random.Random(seed)), trace)
+        lines = t.realize()
+        root = "" if t.ratified_root is None else t.ratified_root.render()
+        fields = ("\n".join(lines), t.outcome, str(t.depth), str(t.rounds), root)
+        digest.update(("\0".join(fields) + "\0" + trace.to_ndjson()).encode("utf-8"))
+        if sum(act.kind is ActKind.PROPOSE for act in t.acts) > 1:
+            disputed[t.outcome.split(":")[0]] += 1
+    assert sum(disputed.values()) >= 30
+    assert {"concession", "agreement", "unresolved-needs-sharing"} <= disputed.keys()
+    assert digest.hexdigest() == DISPUTED_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ the rest, as ``bench/run.py`` does for its golden inputs.
 
 ``--diff`` runs every input on both trees with ``bench/run.py``'s
 ``operation``, as ``parley run --trace`` does, and compares the transcript
-lines, outcome, depth, rounds, ratified root, trace NDJSON and
+lines, outcome, depth, rounds, ratified root, conceder, trace NDJSON and
 ``render_scenario`` of the two final stores (a refusal is compared by its
-message).  It prints per-workload counts and the first
+message): every field the CLI's JSON prints.  It prints per-workload counts and the first
 input that differs, with the part that differs, and exits 1 on any
 difference.
 
@@ -98,6 +98,7 @@ def outputs(parley, text: str) -> dict[str, str]:
         "depth": str(transcript.depth),
         "rounds": str(transcript.rounds),
         "ratified": "" if root is None else root.render(),
+        "conceded_by": transcript.conceded_by or "",
         "trace": ndjson,
         "stores": stores,
     }
