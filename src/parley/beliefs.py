@@ -218,19 +218,19 @@ class _Memo(dict):
         # ``render`` spells only in allowing ``~`` for ``¬``, so a matched
         # text's rendering needs no rebuilding.  Text that neither matches
         # goes to the recursive parser, which owns every error message.
-        m = _CANONICAL_LITERAL.fullmatch(text)
-        if m is not None:
-            neg, predicate, args = m.groups()
-            args = tuple(args.split(", ")) if args else ()
-            prop = _trusted_prop(neg != "", predicate, args, text.replace("~", "¬"))
-        elif (m := _CANONICAL_RELATION.fullmatch(text)) is not None:
-            neg, antecedent, consequent = m.groups()
-            args = (self[antecedent], self[consequent])
-            prop = _trusted_prop(neg != "", SUPPORTS, args, text.replace("~", "¬"))
-        else:
+        m = _canonical_match(text)
+        if m is None:
             prop, pos = _parse_prop(text, 0)
             if text[pos:].strip():
                 raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
+        elif m.re is _CANONICAL_LITERAL:
+            neg, predicate, args = m.groups()
+            args = tuple(args.split(", ")) if args else ()
+            prop = _trusted_prop(neg != "", predicate, args, text.replace("~", "¬"))
+        else:
+            neg, antecedent, consequent = m.groups()
+            args = (self[antecedent], self[consequent])
+            prop = _trusted_prop(neg != "", SUPPORTS, args, text.replace("~", "¬"))
         # each result is kept under the text ``render(ascii_not=True)``
         # gives it, the spelling of a file ``render_scenario`` wrote, so a
         # text spelled that way is stored once: a matched text is spelled
@@ -239,6 +239,11 @@ class _Memo(dict):
             prop = self.setdefault(prop._text.replace("¬", "~"), prop)
         self[text] = prop
         return prop
+
+
+def _canonical_match(text: str) -> Optional[re.Match]:
+    """``text`` matched whole by the literal or the relation pattern, or None."""
+    return _CANONICAL_LITERAL.fullmatch(text) or _CANONICAL_RELATION.fullmatch(text)
 
 
 def _parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:
@@ -475,68 +480,69 @@ class Speaker:
 # knowledge bases
 
 
-def _index(beliefs: Iterable[Belief], label: str, by_consequent: dict) -> dict:
-    """One side of a store: its beliefs keyed by proposition.  Its positive
-    relations are listed in ``by_consequent`` in the same pass, and only its
-    negated propositions are then checked against its texts."""
-    by_prop: dict[Proposition, Belief] = {}
+def _index(items: Iterable, label: str, by_consequent: dict) -> dict:
+    """One side of a store, keyed by canonical text: an item is a belief, or
+    a ``_canonical_match`` and a plain endorsement, kept unbuilt.  Positive
+    relations go in ``by_consequent``; only negated texts are checked."""
+    side: dict = {}
     negated = []
-    for i, b in enumerate(beliefs):
-        prop = b.prop
-        # one dict operation per belief: a duplicate leaves the size as it was
-        by_prop[prop] = b
-        if len(by_prop) == i:
-            raise StructureError(f"duplicate belief in {label}: {prop}")
-        if prop.negated:
-            negated.append(prop)
-        elif prop.predicate == SUPPORTS:
-            by_consequent.setdefault(prop.args[1]._text, {})[prop] = None
-    texts = {prop._text for prop in by_prop}
-    for prop in negated:
-        if prop._text[1:] in texts:
-            raise ContradictionError(f"{label} holds both {prop._text[1:]} and {prop}")
-    return by_prop
-
-
-def _index_relation(by_consequent: dict, prop: Proposition) -> None:
-    """List ``prop`` in a consequent index if it is a positive relation."""
-    if prop.predicate == SUPPORTS and not prop.negated:
-        by_consequent.setdefault(prop.args[1]._text, {})[prop] = None
-
-
-def _in_text_order(side: dict[Proposition, Belief]) -> tuple[Belief, ...]:
-    return tuple(side[prop] for prop in sorted(side))
+    for i, item in enumerate(items):
+        if type(item) is tuple:
+            m, item = item
+            text = m.string.replace("~", "¬")
+            consequent = m[3] if m.re is _CANONICAL_RELATION else None
+        else:
+            prop = item.prop
+            text = prop._text
+            consequent = prop.args[1]._text if prop.predicate == SUPPORTS else None
+        # one dict operation per item: a duplicate leaves the size as it was
+        side[text] = item
+        if len(side) == i:
+            raise StructureError(f"duplicate belief in {label}: {text}")
+        if text[0] == "¬":
+            negated.append(text)
+        elif consequent is not None:
+            by_consequent.setdefault(consequent.replace("~", "¬"), {})[text] = None
+    for text in negated:
+        if text[1:] in side:
+            raise ContradictionError(f"{label} holds both {text[1:]} and {text}")
+    return side
 
 
 @dataclass(frozen=True, init=False)
 class KnowledgeBase:
     """An agent's own beliefs plus its model of the other conversant.
 
-    Each side is one dict from proposition to belief, contradiction-free;
-    its order means nothing, and ``own`` and ``user_model`` sort it by text
-    on every read, for output.  All update helpers return a new instance;
-    no side is ever mutated.  An update copies only the side it writes,
-    once, in O(n), and re-validates nothing: a removal drops every
-    proposition it is given; an add drops the negation and then inserts.
-    Each helper takes any number of propositions or beliefs and applies
-    them in order within that one copy, so a step that writes k beliefs
-    copies the side once, not k times.
+    Each side is one dict keyed by canonical text (``¬`` spelling),
+    contradiction-free; its order means nothing.  A plain parsed belief is
+    its shared endorsement until its first read builds it in place, once,
+    through the document's proposition memo.  ``own`` and ``user_model``
+    build and sort a side on every read, for output; equality compares
+    built contents.  All update helpers return a new instance.  An update
+    copies only the side it writes, once, in O(n), and re-validates
+    nothing: a removal drops every proposition it is given; an add drops
+    the negation and then inserts.  Each helper takes any number of
+    propositions or beliefs and applies them in order within that one
+    copy, so a step that writes k beliefs copies the side once.
 
     Both sides share one consequent index, which only grows: the text of
-    each proposition ``c`` maps to positive ``supports(a, c)`` propositions,
-    the keys of a dict.  The constructor builds it; every store derived
-    from that one (each write's result, each ``model_view()``) shares it,
-    and an add lists each positive relation it writes.  Nothing is dropped
-    or copied, so it is a superset of what any store of the lineage holds,
-    bounded by the relations given to the constructor plus those the
-    lineage wrote; a reader keeps what the side it reads holds.  A
-    negotiation does not copy it.  It takes no part in equality.
+    each proposition ``c`` maps to the texts of positive ``supports(a, c)``
+    propositions, the keys of a dict.  The constructor builds it; every
+    store derived from that one (each write's result, each
+    ``model_view()``) shares it, and an add lists each positive relation
+    it writes.  Nothing is dropped or copied, so it is a superset of what
+    any store of the lineage holds, bounded by the relations given to the
+    constructor plus those the lineage wrote; a reader keeps what the side
+    it reads holds.  A negotiation does not copy it.  It takes no part in
+    equality.
     """
 
     _own: dict
     _model: dict
     expertise: Expertise
     _by_consequent: dict = field(compare=False, repr=False)
+    # the document's proposition memo, which builds an unbuilt item
+    _parse = None
 
     def __init__(
         self,
@@ -553,26 +559,34 @@ class KnowledgeBase:
         _setattr(self, "expertise", expertise)
         _setattr(self, "_by_consequent", by_consequent)
 
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is KnowledgeBase and self.expertise == other.expertise
+        return same and self.own == other.own and self.user_model == other.user_model
+
     @property
     def own(self) -> tuple[Belief, ...]:
-        return _in_text_order(self._own)
+        return tuple(self._read(self._own, text) for text in sorted(self._own))
 
     @property
     def user_model(self) -> tuple[Belief, ...]:
-        return _in_text_order(self._model)
+        return tuple(self._read(self._model, text) for text in sorted(self._model))
+
+    def _read(self, side: dict, text: str) -> Optional[Belief]:
+        # the belief ``side`` holds in ``text``, built on its first read
+        item = side.get(text)
+        if type(item) is Endorsement:
+            item = side[text] = Belief(self._parse(text), item)
+        return item
 
     def own_belief(self, prop: Proposition) -> Optional[Belief]:
-        return self._own.get(prop)
+        return self._read(self._own, prop._text)
 
     def holds(self, prop: Proposition) -> bool:
-        return prop in self._own
-
-    def model_belief(self, prop: Proposition) -> Optional[Belief]:
-        return self._model.get(prop)
+        return prop._text in self._own
 
     def model_view(self) -> "KnowledgeBase":
         """The user model as a store's own beliefs, with no model of its own."""
-        return _trusted(self._model, {}, Expertise.EXPERT, self._by_consequent)
+        return _trusted(self._model, {}, Expertise.EXPERT, self._by_consequent, self._parse)
 
     def own_add(self, *beliefs: Belief) -> "KnowledgeBase":
         return self._write(True, (), beliefs)
@@ -595,27 +609,36 @@ class KnowledgeBase:
         proposition."""
         side = dict(self._own if own else self._model)
         for prop in dropped:
-            side.pop(prop, None)
+            side.pop(prop._text, None)
         index = self._by_consequent
         for belief in added:
             prop = belief.prop
-            side.pop(prop.negate(), None)
-            side[prop] = belief
-            _index_relation(index, prop)
+            side.pop(prop.negate()._text, None)
+            side[prop._text] = belief
+            if prop.predicate == SUPPORTS and not prop.negated:
+                index.setdefault(prop.args[1]._text, {})[prop._text] = None
         if own:
-            return _trusted(side, self._model, self.expertise, index)
-        return _trusted(self._own, side, self.expertise, index)
+            return _trusted(side, self._model, self.expertise, index, self._parse)
+        return _trusted(self._own, side, self.expertise, index, self._parse)
 
 
-def _trusted(own: dict, model: dict, expertise: Expertise, by_consequent: dict) -> KnowledgeBase:
-    """A store from sides already keyed by proposition and free of
-    contradictions, with the consequent index it shares, built without
-    ``__init__``.  The sides are shared, never mutated."""
+def _trusted(own: dict, model: dict, expertise: Expertise, index: dict, parse=None) -> KnowledgeBase:
+    """A store from sides already keyed by text and free of contradictions,
+    with the consequent index it shares and the memo that builds its
+    unbuilt items, built without ``__init__``.  The sides are shared."""
     kb = object.__new__(KnowledgeBase)
     _setattr(kb, "_own", own)
     _setattr(kb, "_model", model)
     _setattr(kb, "expertise", expertise)
-    _setattr(kb, "_by_consequent", by_consequent)
+    _setattr(kb, "_by_consequent", index)
+    _setattr(kb, "_parse", parse)
+    return kb
+
+
+def _parsed_store(own: list, model: list, expertise: Expertise, parse) -> KnowledgeBase:
+    """The store of a document's belief lists; its memo ``parse`` builds unbuilt items."""
+    kb = KnowledgeBase(own, model, expertise)
+    _setattr(kb, "_parse", parse)
     return kb
 
 
@@ -629,17 +652,17 @@ class _PendingAdds:
         self._kb = kb
         self._to_own = own
         self._side = kb._own if own else kb._model
-        # each proposition an add wrote: its belief, or None if dropped
-        self._written: dict[Proposition, Optional[Belief]] = {}
+        # the text of each proposition an add wrote: its belief, or None if dropped
+        self._written: dict[str, Optional[Belief]] = {}
         self._beliefs: list[Belief] = []
 
     def belief(self, prop: Proposition) -> Optional[Belief]:
-        written = self._written
-        return written[prop] if prop in written else self._side.get(prop)
+        text, written = prop._text, self._written
+        return written[text] if text in written else self._kb._read(self._side, text)
 
     def add(self, belief: Belief) -> None:
-        self._written[belief.prop.negate()] = None
-        self._written[belief.prop] = belief
+        self._written[belief.prop.negate()._text] = None
+        self._written[belief.prop._text] = belief
         self._beliefs.append(belief)
 
     def adopt(self, prop: Proposition, evidence: Sequence[EvidencePiece]) -> None:
@@ -706,15 +729,20 @@ def build_evidence_set(
     returned in canonical order.
     """
     sides = (target, target.negate())
-    own, index = kb._own, kb._by_consequent
+    own, read, index = kb._own, kb._read, kb._by_consequent
     pieces: list[EvidencePiece] = []
     for side in sides:
         # the index is shared by the store's whole lineage: keep only the
         # relations this store holds
         for rel in index.get(side._text, ()):
+            # ``_read`` inline for a built item, which most reads here find
             relation = own.get(rel)
+            if type(relation) is Endorsement:
+                relation = read(own, rel)
             if relation is not None:
-                basis = own.get(rel.args[0])
+                basis = own.get(relation.prop.args[0]._text)
+                if type(basis) is Endorsement:
+                    basis = read(own, relation.prop.args[0]._text)
                 if basis is not None:
                     pieces.append(_trusted_piece(basis, relation))
     for pc in presented:
@@ -873,7 +901,8 @@ def removal_closure(model: KnowledgeBase, removed: Iterable[Proposition]) -> fro
     # each support member, mapped to the derived beliefs resting on it
     dependents: dict[Proposition, list[Belief]] = {}
     for belief in model._own.values():
-        e = belief.endorsement
+        # an unbuilt item is its plain endorsement, never a derived one
+        e = belief if type(belief) is Endorsement else belief.endorsement
         if e.kind is SourceKind.DERIVED and belief.prop not in closure:
             for member in e.support:
                 dependents.setdefault(member, []).append(belief)

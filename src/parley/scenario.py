@@ -25,6 +25,8 @@ from .beliefs import (
     StructureError,
     _LEVELS_BY_TEXT,
     _PLAIN,
+    _canonical_match,
+    _parsed_store,
     proposition_parser,
 )
 from .evaluation import ProposalNode, validate_tree
@@ -154,20 +156,24 @@ def _parse_belief(value: Any, path: str, parse: Callable[[str], Proposition]) ->
     return Belief(prop, _parse_source(obj["source"], level, f"{path}.source", parse))
 
 
-def _parse_beliefs(value: Any, path: str, parse: Callable[[str], Proposition]) -> list[Belief]:
-    beliefs = []
+def _parse_beliefs(value: Any, path: str, parse: Callable[[str], Proposition]) -> list:
+    beliefs: list = []
     for i, item in enumerate(_expect_list(value, path)):
         # the fast path: exactly three string fields with a plain source, or
         # two and a source ``_derived_source`` reads, the shapes of most
-        # beliefs in a file.  Any other item, and any text that fails to
-        # parse, goes to ``_parse_belief``, which reports it; only then is
-        # the item's path built.
+        # beliefs in a file.  A plain belief whose text a canonical pattern
+        # matches stays unbuilt until the engine reads it.  Any other item,
+        # and any text that fails to parse, goes to ``_parse_belief``, which
+        # reports it; only then is the item's path built.
         if type(item) is dict and len(item) == 3:
             try:
                 text, level, source = item["prop"], item["level"], item["source"]
                 if type(text) is str and type(level) is str:
                     if type(source) is str:
                         endorsement = _PLAIN_SOURCES.get((source, level))
+                        if endorsement is not None and (m := _canonical_match(text)):
+                            beliefs.append((m, endorsement))
+                            continue
                     else:
                         endorsement = _derived_source(source, level, parse)
                     if endorsement is not None:
@@ -188,7 +194,7 @@ def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> 
     beliefs = _parse_beliefs(obj["beliefs"], f"{path}.beliefs", parse)
     model = _parse_beliefs(obj.get("userModel", []), f"{path}.userModel", parse)
     try:
-        kb = KnowledgeBase(own=beliefs, user_model=model, expertise=expertise)
+        kb = _parsed_store(beliefs, model, expertise, parse)
     except (ContradictionError, StructureError) as exc:
         raise ScenarioError(path, str(exc)) from None
     return AgentSpec(agent_id, kb)

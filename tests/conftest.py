@@ -252,12 +252,14 @@ def flat_chain(n: int) -> dict:
 
 def assert_index_covers(kb) -> None:
     # the consequent index a store shares with its lineage only grows: it
-    # lists, each under its consequent, only positive relations, and every
-    # one that either side of this store holds
+    # lists, each under its consequent, only the texts of positive
+    # relations, and every one that either side of this store holds
     indexed = {(key, rel) for key, bucket in kb._by_consequent.items() for rel in bucket}
-    assert all(r.is_relation and not r.negated and r.args[1]._text == k for k, r in indexed)
-    held = [p for p in (*kb._own, *kb._model) if p.is_relation and not p.negated]
-    assert {(p.args[1]._text, p) for p in held} <= indexed
+    for key, text in indexed:
+        r = parse_proposition(text)
+        assert r.is_relation and not r.negated and r.render() == text and r.args[1]._text == key
+    held = [parse_proposition(text) for text in (*kb._own, *kb._model)]
+    assert {(p.args[1]._text, p._text) for p in held if p.is_relation and not p.negated} <= indexed
 
 
 def added_in_turn(beliefs) -> tuple:

@@ -1,5 +1,6 @@
 import copy
 import gc
+import json
 import pickle
 import random
 import re
@@ -33,6 +34,7 @@ from parley import (
     build_evidence_set,
     evaluate_proposal,
     parse_proposition,
+    parse_scenario,
     revise,
     supports_prop,
 )
@@ -686,15 +688,15 @@ def test_store_writes_match_fresh_construction(seed):
         )
         assert kb == fresh
         assert kb.own == fresh.own and kb.user_model == fresh.user_model
-        view = kb.model_view()
+        view, fresh_view = kb.model_view(), fresh.model_view()
         assert view == KnowledgeBase(own=fresh.user_model)
         for q in universe:
             for r in (q, q.negate()):
                 assert kb.own_belief(r) == fresh.own_belief(r)
-                assert kb.model_belief(r) == fresh.model_belief(r) == view.own_belief(r)
+                assert view.own_belief(r) == fresh_view.own_belief(r)
                 assert kb.holds(r) == fresh.holds(r)
             assert not (kb.holds(q) and kb.holds(q.negate()))
-            assert not (kb.model_belief(q) and kb.model_belief(q.negate()))
+            assert not (view.own_belief(q) and view.own_belief(q.negate()))
 
 
 def seed_standing(kb: KnowledgeBase, belief: Belief, seen: frozenset = frozenset()) -> bool:
@@ -739,7 +741,8 @@ def seed_build_evidence_set(kb, target, presented=()):
     """The full-store scan that the consequent index replaced."""
     sides = (target, target.negate())
     pieces = []
-    for rel in kb._own.values():
+    for text in kb._own:
+        rel = kb._read(kb._own, text)
         p = rel.prop
         if not p.is_relation or p.negated or p.args[1] not in sides:
             continue
@@ -765,7 +768,8 @@ def seed_removal_closure(model, removed):
     changed = True
     while changed:
         changed = False
-        for belief in model._own.values():
+        for text in model._own:
+            belief = model._read(model._own, text)
             if belief.prop in closure:
                 continue
             e = belief.endorsement
@@ -885,6 +889,136 @@ def test_branching_writes_keep_every_store_exact(own, model, writes, removals):
     for store, held, modelled in stores:
         assert (store.own, store.user_model) == (held, modelled)
         assert_lookups_match_scans(store, removals)
+
+
+# ---------------------------------------------------------------------------
+# a parsed store, whose plain beliefs are built on first read, against the
+# store built eagerly from the same beliefs
+
+LAZY_LITERALS = [parse_proposition(s + name) for name in ("p", "q(a)", "r(a, b)") for s in ("", "¬")]
+LAZY_RELATIONS = [supports_prop(a, b) for a in LAZY_LITERALS for b in LAZY_LITERALS if a != b]
+LAZY_UNIVERSE = LAZY_LITERALS + LAZY_RELATIONS + [r.negate() for r in LAZY_RELATIONS]
+LAZY_TARGETS = LAZY_LITERALS + LAZY_RELATIONS[:4]
+LEVEL_TEXTS = ("weak", "strong", "warranted")
+
+
+@st.composite
+def spelling(draw, prop: Proposition) -> str:
+    """A text of ``prop`` with each ``¬`` spelled ``~`` or ``¬``; one time in
+    four spaced, so that the recursive parser reads it."""
+    text = "".join(draw(st.sampled_from("~¬")) if ch == "¬" else ch for ch in prop.render())
+    return text.replace(", ", " ,  ") if draw(st.integers(0, 3)) == 0 else text
+
+
+@st.composite
+def belief_item(draw, prop: Proposition, kind: str) -> dict:
+    if kind == "derived":
+        basis = draw(st.lists(st.sampled_from(LAZY_LITERALS), min_size=1, max_size=2))
+        source = {"derived": {"from": [draw(spelling(b)) for b in basis]}}
+    elif kind == "assertion":
+        source = {"assertion": {"speaker": "B", "expertise": "non-expert"}}
+    else:
+        source = kind
+    level = draw(st.sampled_from(LEVEL_TEXTS))
+    return {"prop": draw(spelling(prop)), "level": level, "source": source}
+
+
+KINDS = ("kb-record", "stereotype", "derived", "assertion")
+
+
+@st.composite
+def belief_side(draw, shared: Proposition, kind: str) -> list:
+    """A valid belief list holding ``shared`` from a ``kind`` source."""
+    items, held = [draw(belief_item(shared, kind))], {shared}
+    for prop in draw(st.lists(st.sampled_from(LAZY_UNIVERSE), max_size=12)):
+        if prop not in held and prop.negate() not in held:
+            held.add(prop)
+            items.append(draw(belief_item(prop, draw(st.sampled_from(KINDS)))))
+    return draw(st.permutations(items))
+
+
+@st.composite
+def lazy_documents(draw) -> str:
+    """A document whose first agent holds one text in both sides, each from
+    a different source."""
+    shared = draw(st.sampled_from(LAZY_UNIVERSE))
+    own_kind, model_kind = draw(st.permutations(KINDS))[:2]
+    agent = {
+        "id": "A",
+        "expertise": draw(st.sampled_from(["expert", "non-expert"])),
+        "beliefs": draw(belief_side(shared, own_kind)),
+        "userModel": draw(belief_side(shared, model_kind)),
+    }
+    doc = {
+        "v": 1,
+        "agents": [agent, {"id": "B", "expertise": "expert", "beliefs": []}],
+        "proposal": {"prop": "root", "assertedLevel": "strong"},
+    }
+    return json.dumps(doc, ensure_ascii=False)
+
+
+lazy_writes = st.lists(
+    st.tuples(
+        st.integers(min_value=0),
+        st.sampled_from(WRITERS),
+        st.lists(st.sampled_from(LAZY_UNIVERSE), min_size=1, max_size=3),
+        st.sampled_from(LEVELS),
+    ),
+    max_size=4,
+)
+
+
+def answer(kb: KnowledgeBase, query: tuple):
+    kind, arg = query
+    if kind == "evidence":
+        return build_evidence_set(kb, arg)
+    if kind == "revise":
+        return revise(kb, arg)
+    if kind == "closure":
+        return removal_closure(kb, arg)
+    return getattr(kb, kind)(arg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lazy_documents(),
+    lazy_writes,
+    st.lists(st.frozensets(st.sampled_from(LAZY_LITERALS), max_size=3), min_size=1, max_size=2),
+    st.integers(min_value=0),
+)
+def test_parsed_store_reads_as_the_eagerly_built_store(document, writes, removals, seed):
+    # every store is made before anything is read, so the stores share
+    # unbuilt items: a write copies them and a model view shares its side.
+    # Then queries run in a random order over all stores, so each lookup
+    # meets some items unbuilt and some built through another store, and a
+    # build must never change what any store answers.
+    parsed = parse_scenario(document).agents[0].kb
+    eager = KnowledgeBase(own=parsed.own, user_model=parsed.user_model, expertise=parsed.expertise)
+    pairs = [(parse_scenario(document).agents[0].kb, eager)]
+    for pick, writer, props, level in writes:
+        if writer.endswith("add"):
+            args = [Belief(p, Endorsement.kb_record(level)) for p in props]
+        else:
+            args = props
+        parent = pairs[pick % len(pairs)]
+        pairs.append(tuple(getattr(kb, writer)(*args) for kb in parent))
+    pairs += [(lazy.model_view(), ref.model_view()) for lazy, ref in pairs]
+    queries = [(kind, p) for p in LAZY_UNIVERSE for kind in ("own_belief", "holds")]
+    queries += [(kind, t) for t in LAZY_TARGETS for kind in ("evidence", "revise")]
+    queries += [("closure", removed) for removed in removals]
+    rng = random.Random(seed)
+    for _ in range(2):  # before reads, then with every item built
+        work = [(pair, query) for pair in pairs for query in queries]
+        rng.shuffle(work)
+        for (lazy, ref), query in work:
+            assert answer(lazy, query) == answer(ref, query), query
+        for lazy, ref in pairs:
+            assert (lazy.own, lazy.user_model) == (ref.own, ref.user_model)
+            for _, other in pairs:
+                same = (lazy.own, lazy.user_model, lazy.expertise) == (
+                    other.own, other.user_model, other.expertise
+                )
+                assert (lazy == other) is same
 
 
 # ---------------------------------------------------------------------------

@@ -192,13 +192,13 @@ class TestRecordProposal:
         kb = kb_of()
         tree = ProposalNode(TGT, S, (ProposalNode(P, T),))
         kb2 = record_proposal(kb, tree, speaker=Speaker("u", Expertise.EXPERT))
-        root = kb2.model_belief(TGT)
+        root = kb2.model_view().own_belief(TGT)
         assert root.endorsement.support == frozenset({P})
         assert root.endorsement.level is S
-        leaf = kb2.model_belief(P)
+        leaf = kb2.model_view().own_belief(P)
         assert leaf.endorsement.speaker == "u"
         assert leaf.endorsement.level is T
-        rel = kb2.model_belief(REL)
+        rel = kb2.model_view().own_belief(REL)
         assert rel.endorsement.level is T  # carries the child's asserted level
 
     def test_same_polarity_entry_kept(self):
@@ -206,15 +206,15 @@ class TestRecordProposal:
         kb2 = record_proposal(
             kb, ProposalNode(P, T), speaker=Speaker("u", Expertise.EXPERT)
         )
-        assert kb2.model_belief(P).endorsement.level is W
+        assert kb2.model_view().own_belief(P).endorsement.level is W
 
     def test_contradicting_entry_replaced(self):
         kb = kb_of(model=[rec(P.negate())])
         kb2 = record_proposal(
             kb, ProposalNode(P, T), speaker=Speaker("u", Expertise.EXPERT)
         )
-        assert kb2.model_belief(P.negate()) is None
-        assert kb2.model_belief(P).endorsement.speaker == "u"
+        assert kb2.model_view().own_belief(P.negate()) is None
+        assert kb2.model_view().own_belief(P).endorsement.speaker == "u"
 
 
 class TestEvaluate:

@@ -800,7 +800,7 @@ def seed_record_proposal(kb, tree, *, speaker, expertise):
     """``record_proposal`` as it was, with one model write per belief."""
 
     def note(kb, prop, endorsement):
-        if kb.model_belief(prop) is not None:
+        if kb.model_view().own_belief(prop) is not None:
             return kb
         return kb.model_add(Belief(prop, endorsement))
 
@@ -847,7 +847,7 @@ def seed_observe_acceptance(session, observer, acceptor, props):
     level = ASSERTED_LEVEL[expertise]
     kb = session.kbs[observer]
     for prop in sorted(props):
-        existing = kb.model_belief(prop)
+        existing = kb.model_view().own_belief(prop)
         if existing is not None and existing.endorsement.level >= level:
             continue
         kb = kb.model_add(

@@ -260,6 +260,54 @@ def test_evidence_lookup_is_independent_of_store_size(monkeypatch):
     assert found[150] == found[3_000]
 
 
+def test_unread_plain_beliefs_are_never_built(monkeypatch):
+    # a plain belief stays its text until the engine reads it, and the
+    # dispute reads none of the filler: parsing and negotiating build as
+    # many beliefs, and parse as many texts, whatever the filler's size
+    found = {}
+    for n in (150, 3_000):
+        with monkeypatch.context() as patch:
+            built = count_calls(patch, beliefs.Belief, "__init__")
+            # the document's parser is the bound lookup of its memo
+            parsers = []
+            make = parley.scenario.proposition_parser
+            patch.setattr(
+                parley.scenario, "proposition_parser", lambda: parsers.append(make()) or parsers[-1]
+            )
+            run_scenario(parse_scenario(filler_document(n)), Trace())
+        found[n] = (len(built), len(parsers[0].__self__))
+    assert found[150] == found[3_000]
+
+
+def test_each_plain_belief_is_built_once(monkeypatch):
+    # the first read builds a belief and keeps it in place of its text
+    kb = parse_scenario(filler_document(150)).evaluator.kb
+    built = count_calls(monkeypatch, beliefs.Belief, "__init__")
+    assert kb.own == kb.own and len(kb.own) == 151
+    assert len(built) == 151
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # the other spelling of ``~fact1(e32)``, the filler's second belief
+        ({"prop": "¬fact1(e32)", "level": "weak", "source": "stereotype"},
+         "duplicate belief in own beliefs: ¬fact1(e32)"),
+        # a spaced negation of ``fact0(e48)``, its first, read by the recursive parser
+        ({"prop": "~ fact0(e48)", "level": "strong", "source": "kb-record"},
+         "own beliefs holds both fact0(e48) and ¬fact0(e48)"),
+    ],
+)
+def test_late_duplicate_and_contradiction_are_reported_in_file_terms(extra, message):
+    # validation stays eager: an offender after 1,500 unbuilt beliefs is
+    # found at parse time, named in canonical text, at the agent's path
+    doc = json.loads(filler_document(1_500))
+    doc["agents"][1]["beliefs"].append(extra)
+    with pytest.raises(parley.ScenarioError) as raised:
+        parse_scenario(json.dumps(doc))
+    assert (raised.value.path, raised.value.message) == ("$.agents[1]", message)
+
+
 @pytest.mark.parametrize("name", sorted(ENDORSEMENT_CHECKS))
 def test_bundled_negotiation_endorsement_checks(name, monkeypatch):
     scenario = load_bundled(name)
