@@ -3,7 +3,7 @@
 Before uttering a counter-claim, an agent checks whether the hearer would
 take it on bare say-so: ``hearer_accepts`` with no chains weighs the claim
 as ``Speaker.case`` builds it from the assertion alone.  If not, it
-assembles chains of its own evidence, recursively justifying any link the
+assembles chains of its own evidence, justifying in turn any link the
 hearer would balk at, then picks the cheapest sufficient bundle: highest
 worst-link confidence, then most novel to the hearer, then fewest beliefs,
 then canonical order.
@@ -79,32 +79,43 @@ def build_justification_chains(
     tau: int = 1,
     *,
     speaker: Speaker,
-    _path: frozenset = frozenset(),
 ) -> tuple[JustificationLink, ...]:
     """Every way the evidence in the speaker's store ``kb`` can back
     ``claim`` for the hearer ``model``.  Links the hearer would reject bare
-    are justified recursively; evidence with no convincing story is dropped."""
-    path = _path | {claim}
-    chains: list[JustificationLink] = []
-    for piece in build_evidence_set(kb, claim):
-        if piece.consequent != claim:
-            continue
-        prop = piece.belief.prop
-        if prop == claim or prop in path or prop.negate() in path:
-            continue
-        levels = (piece.belief.endorsement.level, piece.relation.endorsement.level)
-        if hearer_accepts(model, prop, (), speaker, tau):
-            chains.append(JustificationLink(prop, piece.relation.prop, *levels))
-            continue
-        sub = build_justification_chains(kb, model, prop, tau, speaker=speaker, _path=path)
-        children = next(
-            minimal_subsets(sub, lambda combo: hearer_accepts(model, prop, combo, speaker, tau)),
-            None,
-        )
-        if children is None:
-            continue
-        chains.append(JustificationLink(prop, piece.relation.prop, *levels, children=children))
-    return tuple(sorted(chains, key=lambda c: c.key()))
+    are justified in turn; evidence with no convincing story is dropped."""
+    # a frame: its claim, the fields of the link offering it (None at the
+    # top), the links found so far and the pieces not yet tried.  ``path`` is
+    # the set of claims on the stack; no link offers one of them or its
+    # negation.
+    path = {claim}
+    stack = [(claim, None, [], iter(build_evidence_set(kb, claim)))]
+    while True:
+        claim, offer, links, pieces = stack[-1]
+        for piece in pieces:
+            prop = piece.belief.prop
+            if piece.consequent != claim or prop in path or prop.negate() in path:
+                continue
+            levels = (piece.belief.endorsement.level, piece.relation.endorsement.level)
+            offered = (prop, piece.relation.prop, *levels)
+            if hearer_accepts(model, prop, (), speaker, tau):
+                links.append(JustificationLink(*offered))
+                continue
+            path.add(prop)
+            stack.append((prop, offered, [], iter(build_evidence_set(kb, prop))))
+            break
+        else:
+            stack.pop()
+            path.discard(claim)
+            # the pieces come in text order, one per proposition, so the
+            # links are already in ``key()`` order
+            if offer is None:
+                return tuple(links)
+            children = next(
+                minimal_subsets(links, lambda c: hearer_accepts(model, claim, c, speaker, tau)),
+                None,
+            )
+            if children is not None:
+                stack[-1][2].append(JustificationLink(*offer, children))
 
 
 def select_justification(

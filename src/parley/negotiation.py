@@ -23,7 +23,6 @@ from .beliefs import (
     Proposition,
     Speaker,
     StrengthLevel,
-    Verdict,
     VerdictOutcome,
     _PendingAdds,
     _check_count,
@@ -69,17 +68,12 @@ _VERBS = {
 
 @dataclass(frozen=True)
 class DiscourseAct:
-    """One dialogue move.  ``level`` separates moves about the domain from
-    moves steering the problem-solving process itself."""
+    """One dialogue move."""
 
     kind: ActKind
     speaker: str
     prop: Optional[Proposition] = None
     proposal: Optional[ProposalNode] = None
-
-    @property
-    def level(self) -> str:
-        return "control" if self.kind is ActKind.INFO_SHARE_REQUEST else "domain"
 
     def content(self) -> str:
         """The move as uttered, without the speaker."""
@@ -204,11 +198,11 @@ def _apply_correction(tree: ProposalNode, member: Proposition) -> tuple[Proposal
 
 
 def _hypothetical_concession(
-    model: KnowledgeBase, member: Proposition, claim: Proposition, level: StrengthLevel
+    model: KnowledgeBase, member: Proposition, level: StrengthLevel
 ) -> KnowledgeBase:
-    """Working copy of the hearer model assuming the pending claim lands."""
+    """Working copy of the hearer model assuming ``member``'s negation lands."""
     model = model.own_remove(*removal_closure(model, (member,)))
-    return model.own_add(Belief(claim, Endorsement.stereotype(level)))
+    return model.own_add(Belief(member.negate(), Endorsement.stereotype(level)))
 
 
 def _observe_acceptance(session: _Session, observer: str, acceptor: str, props) -> None:
@@ -238,9 +232,9 @@ def _agree(session: _Session, speaker: str, hearer: str, evaluated: EvaluatedNod
 
 def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> Proposition:
     root = tree.prop
-    case = session.speakers[winner].case(root)
-    verdict = Verdict(VerdictOutcome.ACCEPT, 0, 0, support_pieces=case)
-    session.kbs[loser] = assimilate(session.kbs[loser], verdict, root)
+    pending = _PendingAdds(session.kbs[loser], own=True)
+    pending.adopt(root, session.speakers[winner].case(root))
+    session.kbs[loser] = pending.store()
     session.act(ActKind.ACCEPT, loser, prop=root)
     session.conceded_by = loser
     _observe_acceptance(session, winner, loser, [root])
@@ -375,7 +369,7 @@ def _settle(
                 return _concede(session, evaluator, proposer, current)
             informs.extend(realized)
             counters.append(_claim_tree(session.kbs[evaluator], speaker, claim, chains))
-            working = _hypothetical_concession(working, member, claim, speaker.level)
+            working = _hypothetical_concession(working, member, speaker.level)
 
         for prop in informs:
             session.act(ActKind.INFORM, evaluator, prop=prop)

@@ -266,18 +266,14 @@ def _parse_document(text: str) -> Scenario:
 
 
 def _render_source(endorsement: Endorsement) -> Any:
-    if endorsement.kind is SourceKind.KB_RECORD:
-        return "kb-record"
-    if endorsement.kind is SourceKind.STEREOTYPE:
-        return "stereotype"
     if endorsement.kind is SourceKind.ASSERTION:
-        return {
-            "assertion": {
-                "speaker": endorsement.speaker,
-                "expertise": endorsement.expertise.value,
-            }
-        }
-    return {"derived": {"from": [p.render(ascii_not=True) for p in sorted(endorsement.support)]}}
+        speaker = {"speaker": endorsement.speaker, "expertise": endorsement.expertise.value}
+        return {"assertion": speaker}
+    if endorsement.kind is SourceKind.DERIVED:
+        support = sorted(endorsement.support)
+        return {"derived": {"from": [p.render(ascii_not=True) for p in support]}}
+    # a plain source is spelt as its kind, the way ``_PLAIN_SOURCES`` reads it
+    return endorsement.kind.value
 
 
 def _render_belief(belief: Belief) -> dict:

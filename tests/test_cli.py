@@ -180,15 +180,19 @@ def test_deeply_nested_proposition_diagnostic(tmp_path):
     assert len(result.stderr.splitlines()) == 1
 
 
-def test_long_flat_justification_chain(tmp_path):
+@pytest.mark.parametrize("n", [500, 2000])
+def test_long_flat_justification_chain(tmp_path, n):
+    # at n=2,000 the chain is longer than one self-call per link could reach
+    # under Python's recursion limit
     path = tmp_path / "flat.scenario"
-    path.write_text(json.dumps(flat_chain(500)))
+    path.write_text(json.dumps(flat_chain(n)))
     result = run_cli("run", str(path))
     assert result.returncode == 0
     assert "Traceback" not in result.stderr
     lines = result.stdout.splitlines()
+    assert len(lines) == 2 * n + 3
     assert lines[1] == "S: INFORM ¬s0"
-    assert lines[-2:] == ["S: INFORM supports(¬s500, ¬s499)", "U: ACCEPT ¬s0"]
+    assert lines[-2:] == [f"S: INFORM supports(¬s{n}, ¬s{n - 1})", "U: ACCEPT ¬s0"]
 
 
 def test_recursion_in_negotiation_is_a_diagnostic(monkeypatch, capsys):

@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parley import (
     Belief,
@@ -24,13 +26,22 @@ from parley import (
     select_justification,
     supports_prop,
 )
-from parley.beliefs import Proposition, minimal_subsets, revise
+from parley.beliefs import Proposition, build_evidence_set, minimal_subsets, revise
 from parley import justification
 from parley.evaluation import walk
 from parley.justification import realized_beliefs
 from parley.trace import Trace
 
-from conftest import ASSERTED_LEVEL, asserted, flat_chain, ground
+from conftest import (
+    ASSERTED_LEVEL,
+    LEVELS,
+    TREE_LITERALS,
+    TREE_NAMES,
+    TREE_RELATIONS,
+    asserted,
+    flat_chain,
+    ground,
+)
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
 CLAIM, A, B, C = ground("claim"), ground("a"), ground("b"), ground("c")
@@ -453,3 +464,98 @@ def test_flat_chain_keys_cost_linear_work(monkeypatch):
         counts[n] = calls
     assert counts[400]["walk"] <= 4 * counts[100]["walk"]
     assert counts[400]["render"] <= 4 * counts[100]["render"]
+
+
+def recursive_build(kb, model, claim, tau, speaker, path=frozenset()):
+    # the builder as it was while it called itself once per link, carrying
+    # the claims above it in ``path``: the oracle for the one that keeps its
+    # own stack
+    path = path | {claim}
+    chains = []
+    for piece in build_evidence_set(kb, claim):
+        if piece.consequent != claim:
+            continue
+        prop = piece.belief.prop
+        if prop == claim or prop in path or prop.negate() in path:
+            continue
+        levels = (piece.belief.endorsement.level, piece.relation.endorsement.level)
+        if justification.hearer_accepts(model, prop, (), speaker, tau):
+            chains.append(JustificationLink(prop, piece.relation.prop, *levels))
+            continue
+        sub = recursive_build(kb, model, prop, tau, speaker, path)
+        children = next(
+            minimal_subsets(
+                sub, lambda combo: justification.hearer_accepts(model, prop, combo, speaker, tau)
+            ),
+            None,
+        )
+        if children is None:
+            continue
+        chains.append(JustificationLink(prop, piece.relation.prop, *levels, children=children))
+    return tuple(sorted(chains, key=lambda c: c.key()))
+
+
+@st.composite
+def support_graphs(draw):
+    """A speaker's store holding one side of each name and relations from
+    those literals to any literal, a hearer model and a claim.  Cycles,
+    ``p``/``¬p`` pairs, diamonds and shared leaves all come up, and the
+    hearer opposing a literal makes the speaker justify it in turn."""
+    levels = st.sampled_from(LEVELS)
+    literals = [ground(name, draw(st.booleans())) for name in TREE_NAMES]
+    relations = [supports_prop(a, b) for a in literals for b in TREE_LITERALS if a != b]
+    relations = draw(st.lists(st.sampled_from(relations), unique=True, min_size=4, max_size=16))
+    held = [rec(p, draw(levels)) for p in literals + relations]
+    # the hearer holds nothing on a name, the speaker's side or, twice as
+    # often, the other
+    stances = draw(st.lists(st.sampled_from([None, False, True, True]), min_size=4, max_size=4))
+    model = [
+        rec(p.negate() if s else p, draw(levels))
+        for p, s in zip(literals, stances)
+        if s is not None
+    ]
+    claim = draw(st.sampled_from([r.args[1] for r in relations]))
+    speaker = Speaker("s", draw(st.sampled_from(Expertise)))
+    return kb_of(*held), kb_of(*model), claim, draw(st.sampled_from([1, 1, 2])), speaker
+
+
+def built_and_asked(monkeypatch, build, kb, model, claim, tau, speaker):
+    # each link in preorder, with its levels and number of children, and
+    # every question put to the hearer, in order
+    asked = []
+
+    def recorded(model, claim, chains, speaker, tau):
+        chains = tuple(chains)
+        asked.append((claim, tuple(c.key() for c in chains)))
+        return hearer_accepts(model, claim, chains, speaker, tau)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(justification, "hearer_accepts", recorded)
+        chains = build(kb, model, claim, tau, speaker)
+    links = [
+        (link.key(), link.relation, link.belief_level, link.relation_level, len(link.children))
+        for chain in chains
+        for link, _, _, done in walk(chain)
+        if not done
+    ]
+    return links, asked
+
+
+def stacked_build(kb, model, claim, tau, speaker):
+    return build_justification_chains(kb, model, claim, tau, speaker=speaker)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(support_graphs())
+def test_stacked_builder_matches_recursive_builder(monkeypatch, graph):
+    got = built_and_asked(monkeypatch, stacked_build, *graph)
+    assert got == built_and_asked(monkeypatch, recursive_build, *graph)
+
+
+def test_stacked_builder_matches_recursive_builder_on_a_flat_chain(monkeypatch):
+    kb = parse_scenario(json.dumps(flat_chain(400))).evaluator.kb
+    case = (kb, kb.model_view(), parse_proposition("~s0"), 1, Speaker("S", kb.expertise))
+    links, asked = built_and_asked(monkeypatch, stacked_build, *case)
+    # every link but the last is rejected bare and backed by the next
+    assert len(links) == 400 and len(asked) == 2 * 400 - 1
+    assert (links, asked) == built_and_asked(monkeypatch, recursive_build, *case)

@@ -139,10 +139,9 @@ def test_bundled_outcomes(name):
         assert t.ratified_root == parse_proposition(ratified)
 
 
-def test_info_share_is_control_level():
+def test_tie_ends_in_a_request_for_information():
     t = run_scenario(load_bundled("tie"))
-    assert [act.level for act in t.acts] == ["domain", "control"]
-    assert t.acts[1].kind is ActKind.INFO_SHARE_REQUEST
+    assert [act.kind for act in t.acts] == [ActKind.PROPOSE, ActKind.INFO_SHARE_REQUEST]
     assert t.conceded_by is None
 
 

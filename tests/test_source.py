@@ -180,3 +180,41 @@ def test_only_negotiate_reads_expertise_in_the_engine():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+# each engine function that calls itself, with the bound on its depth: the
+# text that enforces or reports that bound in the function's module
+SELF_CALLS = {
+    # proposition text nests supports(...) at most this deep
+    ("beliefs.py", "_parse_prop"): "MAX_PROP_NESTING",
+    # the JSON decoder's own nesting limit comes first
+    ("scenario.py", "_parse_node"): "document nested too deeply",
+    # render refuses a proposal past about 490 levels
+    ("scenario.py", "_render_node"): "proposal nested too deeply to render",
+    # one level per counter-claim, up to the scenario's maxDepth
+    ("negotiation.py", "_settle"): "max_depth",
+}
+
+
+def test_every_self_call_has_a_stated_bound():
+    # a function that calls itself runs out of Python's stack on deep
+    # enough input; every other walk keeps its own stack
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for func in ast.walk(ast.parse(source)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call)
+                and (
+                    isinstance(node.func, ast.Name)
+                    and node.func.id == func.name
+                    or isinstance(node.func, ast.Attribute)
+                    and node.func.attr == func.name
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("self", "cls")
+                )
+                for node in ast.walk(func)
+            ):
+                found[path.name, func.name] = source
+    assert sorted(found) == sorted(SELF_CALLS)
+    assert [key for key, bound in SELF_CALLS.items() if bound not in found[key]] == []
