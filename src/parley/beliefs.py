@@ -82,15 +82,19 @@ _ARG = re.compile(r"[a-z0-9_]+")
 _WS = re.compile(r"\s*")
 
 # A flat literal spelled as ``render`` spells it, but perhaps with ``~`` for
-# its one ``¬``: the parser keeps that text rather than rebuilding it.  A
-# relation spelled that way over two such literals has its own pattern; any
-# other spelling goes to the recursive parser.  Every quantifier is
-# possessive, so a miss costs linear time, never a backtracking search.
+# its one ``¬``, or a relation spelled that way over two such literals: the
+# parser keeps that text rather than rebuilding it.  One pattern matches
+# both, so a text is matched once; its groups are the negation, then a
+# literal's predicate and arguments or a relation's two literals.  Any other
+# spelling goes to the recursive parser.  Every quantifier is possessive,
+# so a miss costs linear time, never a backtracking search.
 _LITERAL_NAME = r"(?!supports(?![a-z0-9_]))[a-z_][a-z0-9_]*+"
 _LITERAL_ARGS = r"[a-z0-9_]++(?:, [a-z0-9_]++)*+"
-_CANONICAL_LITERAL = re.compile(rf"([~¬]?+)({_LITERAL_NAME})(?:\(({_LITERAL_ARGS})\))?+")
 _LITERAL = rf"[~¬]?+{_LITERAL_NAME}(?:\({_LITERAL_ARGS}\))?+"
-_CANONICAL_RELATION = re.compile(rf"([~¬]?+){SUPPORTS}\(({_LITERAL}), ({_LITERAL})\)")
+_CANONICAL = re.compile(
+    rf"([~¬]?+)(?:({_LITERAL_NAME})(?:\(({_LITERAL_ARGS})\))?+"
+    rf"|{SUPPORTS}\(({_LITERAL}), ({_LITERAL})\))"
+)
 
 # How many supports(...) may enclose one another in parsed text.  Only the
 # recursive-descent parser needs this bound: a proposition builds its text
@@ -214,23 +218,22 @@ class _Memo(dict):
     # rendering of its result both map to that result
 
     def __missing__(self, text: str) -> Proposition:
-        # ``text`` parsed whole, and stored.  The patterns differ from what
+        # ``text`` parsed whole, and stored.  The pattern differs from what
         # ``render`` spells only in allowing ``~`` for ``¬``, so a matched
-        # text's rendering needs no rebuilding.  Text that neither matches
+        # text's rendering needs no rebuilding.  Text it does not match
         # goes to the recursive parser, which owns every error message.
-        m = _canonical_match(text)
+        m = _CANONICAL.fullmatch(text)
         if m is None:
             prop, pos = _parse_prop(text, 0)
             if text[pos:].strip():
                 raise StructureError(f"trailing input after proposition: {text[pos:]!r}")
-        elif m.re is _CANONICAL_LITERAL:
-            neg, predicate, args = m.groups()
-            args = tuple(args.split(", ")) if args else ()
-            prop = _trusted_prop(neg != "", predicate, args, text.replace("~", "¬"))
         else:
-            neg, antecedent, consequent = m.groups()
-            args = (self[antecedent], self[consequent])
-            prop = _trusted_prop(neg != "", SUPPORTS, args, text.replace("~", "¬"))
+            neg, predicate, args, antecedent, consequent = m.groups()
+            if predicate is None:
+                predicate, args = SUPPORTS, (self[antecedent], self[consequent])
+            else:
+                args = tuple(args.split(", ")) if args else ()
+            prop = _trusted_prop(neg != "", predicate, args, text.replace("~", "¬"))
         # each result is kept under the text ``render(ascii_not=True)``
         # gives it, the spelling of a file ``render_scenario`` wrote, so a
         # text spelled that way is stored once: a matched text is spelled
@@ -239,11 +242,6 @@ class _Memo(dict):
             prop = self.setdefault(prop._text.replace("¬", "~"), prop)
         self[text] = prop
         return prop
-
-
-def _canonical_match(text: str) -> Optional[re.Match]:
-    """``text`` matched whole by the literal or the relation pattern, or None."""
-    return _CANONICAL_LITERAL.fullmatch(text) or _CANONICAL_RELATION.fullmatch(text)
 
 
 def _parse_prop(text: str, pos: int, depth: int = 0) -> tuple[Proposition, int]:
@@ -381,6 +379,8 @@ _PLAIN = {
     for kind in (SourceKind.KB_RECORD, SourceKind.STEREOTYPE)
     for level in StrengthLevel
 }
+# the same, keyed by their source and level texts as a file spells them
+_PLAIN_SOURCES = {(kind.value, level.render()): e for (kind, level), e in _PLAIN.items()}
 
 
 @dataclass(frozen=True)
@@ -480,33 +480,52 @@ class Speaker:
 # knowledge bases
 
 
-def _index(items: Iterable, label: str, by_consequent: dict) -> dict:
-    """One side of a store, keyed by canonical text: an item is a belief, or
-    a ``_canonical_match`` and a plain endorsement, kept unbuilt.  Positive
-    relations go in ``by_consequent``; only negated texts are checked."""
+def _index(
+    items: Iterable, label: str, by_consequent: dict, read: Optional[Callable] = None
+) -> tuple[dict, Optional[StructureError]]:
+    """One side of a store, keyed by canonical text, and its first fault
+    (the first duplicate, else the first contradiction) or None.  Positive
+    relations go in ``by_consequent``.  Given ``read``, an item is a belief
+    as a file spells it: a plain one whose text the pattern matches stays
+    unbuilt, as its shared endorsement; ``read(item, i)`` builds any other."""
     side: dict = {}
     negated = []
+    duplicate = None
+    match = _CANONICAL.fullmatch
     for i, item in enumerate(items):
-        if type(item) is tuple:
-            m, item = item
-            text = m.string.replace("~", "¬")
-            consequent = m[3] if m.re is _CANONICAL_RELATION else None
+        m = None
+        if read is not None and type(item) is dict and len(item) == 3:
+            try:
+                text, level, source = item["prop"], item["level"], item["source"]
+                if type(source) is str and type(level) is str:
+                    plain = _PLAIN_SOURCES.get((source, level))
+                    if plain is not None:
+                        m = match(text)
+            except (KeyError, TypeError):  # TypeError: a text that is no string
+                pass
+        if m is not None:
+            item, text, consequent = plain, text.replace("~", "¬"), m[5]
         else:
+            if read is not None:
+                item = read(item, i)
             prop = item.prop
             text = prop._text
             consequent = prop.args[1]._text if prop.predicate == SUPPORTS else None
-        # one dict operation per item: a duplicate leaves the size as it was
+        # one dict operation per item: a duplicate leaves the size as it
+        # was, and every later size one short, so only the first is noted
         side[text] = item
-        if len(side) == i:
-            raise StructureError(f"duplicate belief in {label}: {text}")
+        if len(side) == i and duplicate is None:
+            duplicate = text
         if text[0] == "¬":
             negated.append(text)
         elif consequent is not None:
             by_consequent.setdefault(consequent.replace("~", "¬"), {})[text] = None
+    if duplicate is not None:
+        return side, StructureError(f"duplicate belief in {label}: {duplicate}")
     for text in negated:
         if text[1:] in side:
-            raise ContradictionError(f"{label} holds both {text[1:]} and {text}")
-    return side
+            return side, ContradictionError(f"{label} holds both {text[1:]} and {text}")
+    return side, None
 
 
 @dataclass(frozen=True, init=False)
@@ -514,9 +533,10 @@ class KnowledgeBase:
     """An agent's own beliefs plus its model of the other conversant.
 
     Each side is one dict keyed by canonical text (``¬`` spelling),
-    contradiction-free; its order means nothing.  A plain parsed belief is
-    its shared endorsement until its first read builds it in place, once,
-    through the document's proposition memo.  ``own`` and ``user_model``
+    contradiction-free; its order means nothing.  ``_index`` reads each
+    list given to the constructor or read from a file into its side in one
+    pass.  A plain parsed belief is its shared endorsement until its first
+    read builds it in place, once, through the document's proposition memo.  ``own`` and ``user_model``
     build and sort a side on every read, for output; equality compares
     built contents.  All update helpers return a new instance.  An update
     copies only the side it writes, once, in O(n), and re-validates
@@ -527,7 +547,7 @@ class KnowledgeBase:
 
     Both sides share one consequent index, which only grows: the text of
     each proposition ``c`` maps to the texts of positive ``supports(a, c)``
-    propositions, the keys of a dict.  The constructor builds it; every
+    propositions, the keys of a dict.  ``_index`` builds it; every
     store derived from that one (each write's result, each
     ``model_view()``) shares it, and an add lists each positive relation
     it writes.  Nothing is dropped or copied, so it is a superset of what
@@ -552,8 +572,10 @@ class KnowledgeBase:
     ) -> None:
         _check_expertise("store", expertise)
         by_consequent: dict[str, dict] = {}
-        own = _index(own, "own beliefs", by_consequent)
-        model = _index(user_model, "user model", by_consequent)
+        own, fault = _index(own, "own beliefs", by_consequent)
+        model, model_fault = _index(user_model, "user model", by_consequent)
+        if fault or model_fault:
+            raise fault or model_fault
         _setattr(self, "_own", own)
         _setattr(self, "_model", model)
         _setattr(self, "expertise", expertise)
@@ -631,13 +653,6 @@ def _trusted(own: dict, model: dict, expertise: Expertise, index: dict, parse=No
     _setattr(kb, "_model", model)
     _setattr(kb, "expertise", expertise)
     _setattr(kb, "_by_consequent", index)
-    _setattr(kb, "_parse", parse)
-    return kb
-
-
-def _parsed_store(own: list, model: list, expertise: Expertise, parse) -> KnowledgeBase:
-    """The store of a document's belief lists; its memo ``parse`` builds unbuilt items."""
-    kb = KnowledgeBase(own, model, expertise)
     _setattr(kb, "_parse", parse)
     return kb
 

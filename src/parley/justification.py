@@ -11,7 +11,7 @@ then canonical order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .beliefs import (
@@ -42,18 +42,12 @@ class JustificationLink:
     belief_level: StrengthLevel
     relation_level: StrengthLevel
     children: tuple["JustificationLink", ...] = ()
-    # ``key()``, built once from the children's keys
-    _key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        key = [self.prop.render()]
-        for child in self.children:
-            key += child._key
-        object.__setattr__(self, "_key", tuple(key))
 
     def key(self) -> tuple[str, ...]:
-        """The rendered proposition of every link, in preorder."""
-        return self._key
+        """The rendered proposition of every link, in preorder, built on
+        each call: a link keeps no copy of its descendants' keys, which on
+        a chain of n links would hold n(n+1)/2 texts."""
+        return tuple(link.prop.render() for link, _, _, done in walk(self) if not done)
 
 
 def hearer_accepts(
@@ -171,7 +165,7 @@ def select_justification(
             "heuristic",
             agent=speaker.name,
             claim=claim.render(),
-            chosen=[c.key()[0] for c in best],
+            chosen=[c.prop.render() for c in best],
             candidates=len(survivors),
             rule=rule,
         )

@@ -14,7 +14,6 @@ from typing import Any, Callable, Optional
 
 from .beliefs import (
     Belief,
-    ContradictionError,
     Endorsement,
     Expertise,
     KnowledgeBase,
@@ -24,12 +23,12 @@ from .beliefs import (
     StrengthLevel,
     StructureError,
     _LEVELS_BY_TEXT,
-    _PLAIN,
-    _canonical_match,
-    _parsed_store,
+    _PLAIN_SOURCES,
+    _index,
+    _trusted,
     proposition_parser,
 )
-from .evaluation import ProposalNode, validate_tree
+from .evaluation import ProposalNode, validate_tree, walk
 from .negotiation import NegotiationConfig
 
 FORMAT_VERSION = 1
@@ -99,11 +98,6 @@ def _parse_str(value: Any, path: str, parse: Callable[[str], Any]) -> Any:
         raise ScenarioError(path, str(exc)) from None
 
 
-# the shared plain endorsements, keyed by their source and level texts as a
-# file spells them
-_PLAIN_SOURCES = {(kind.value, level.render()): e for (kind, level), e in _PLAIN.items()}
-
-
 def _parse_source(
     value: Any, level: StrengthLevel, path: str, parse: Callable[[str], Proposition]
 ) -> Endorsement:
@@ -156,33 +150,30 @@ def _parse_belief(value: Any, path: str, parse: Callable[[str], Proposition]) ->
     return Belief(prop, _parse_source(obj["source"], level, f"{path}.source", parse))
 
 
-def _parse_beliefs(value: Any, path: str, parse: Callable[[str], Proposition]) -> list:
-    beliefs: list = []
-    for i, item in enumerate(_expect_list(value, path)):
-        # the fast path: exactly three string fields with a plain source, or
-        # two and a source ``_derived_source`` reads, the shapes of most
-        # beliefs in a file.  A plain belief whose text a canonical pattern
-        # matches stays unbuilt until the engine reads it.  Any other item,
-        # and any text that fails to parse, goes to ``_parse_belief``, which
-        # reports it; only then is the item's path built.
+def _parse_beliefs(
+    value: Any, path: str, label: str, parse: Callable[[str], Proposition], index: dict
+) -> tuple[dict, Optional[StructureError]]:
+    """The store side of the belief list at ``path``, read by
+    ``beliefs._index``, and its first duplicate or contradiction."""
+
+    def read(item: Any, i: int) -> Belief:
+        # a belief off the loop's fast path.  One of three fields, a text
+        # and a level that are strings and a source ``_derived_source``
+        # reads, the shape of most of the rest, is built here.  Any other
+        # item, and any text that fails to parse, goes to ``_parse_belief``,
+        # which reports it; only then is the item's path built.
         if type(item) is dict and len(item) == 3:
             try:
-                text, level, source = item["prop"], item["level"], item["source"]
+                text, level = item["prop"], item["level"]
                 if type(text) is str and type(level) is str:
-                    if type(source) is str:
-                        endorsement = _PLAIN_SOURCES.get((source, level))
-                        if endorsement is not None and (m := _canonical_match(text)):
-                            beliefs.append((m, endorsement))
-                            continue
-                    else:
-                        endorsement = _derived_source(source, level, parse)
+                    endorsement = _derived_source(item["source"], level, parse)
                     if endorsement is not None:
-                        beliefs.append(Belief(parse(text), endorsement))
-                        continue
+                        return Belief(parse(text), endorsement)
             except (KeyError, StructureError):
                 pass
-        beliefs.append(_parse_belief(item, f"{path}[{i}]", parse))
-    return beliefs
+        return _parse_belief(item, f"{path}[{i}]", parse)
+
+    return _index(_expect_list(value, path), label, index, read)
 
 
 def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> AgentSpec:
@@ -191,13 +182,16 @@ def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> 
     )
     agent_id = _expect_str(obj["id"], f"{path}.id")
     expertise = _parse_str(obj["expertise"], f"{path}.expertise", Expertise.parse)
-    beliefs = _parse_beliefs(obj["beliefs"], f"{path}.beliefs", parse)
-    model = _parse_beliefs(obj.get("userModel", []), f"{path}.userModel", parse)
-    try:
-        kb = _parsed_store(beliefs, model, expertise, parse)
-    except (ContradictionError, StructureError) as exc:
-        raise ScenarioError(path, str(exc)) from None
-    return AgentSpec(agent_id, kb)
+    # a malformed item in either list is reported before a duplicate or a
+    # contradiction in either
+    index: dict = {}
+    own, fault = _parse_beliefs(obj["beliefs"], f"{path}.beliefs", "own beliefs", parse, index)
+    model, model_fault = _parse_beliefs(
+        obj.get("userModel", []), f"{path}.userModel", "user model", parse, index
+    )
+    if fault or model_fault:
+        raise ScenarioError(path, str(fault or model_fault))
+    return AgentSpec(agent_id, _trusted(own, model, expertise, index, parse))
 
 
 def _parse_node(value: Any, path: str, parse: Callable[[str], Proposition]) -> ProposalNode:
@@ -284,12 +278,18 @@ def _render_belief(belief: Belief) -> dict:
     }
 
 
-def _render_node(node: ProposalNode) -> dict:
-    return {
-        "prop": node.prop.render(ascii_not=True),
-        "assertedLevel": node.asserted_level.render(),
-        "children": [_render_node(c) for c in node.children],
-    }
+def _render_node(root: ProposalNode) -> dict:
+    """The proposal tree under ``root`` as JSON values, built by ``walk``
+    with no self-call: ``opened`` holds the objects of the path walked."""
+    opened = [{"children": []}]
+    for node, _, _, done in walk(root):
+        if done:
+            opened.pop()
+            continue
+        prop, level = node.prop.render(ascii_not=True), node.asserted_level.render()
+        opened.append({"prop": prop, "assertedLevel": level, "children": []})
+        opened[-2]["children"].append(opened[-1])
+    return opened[0]["children"][0]
 
 
 def render_scenario(scenario: Scenario) -> str:
@@ -306,13 +306,13 @@ def render_scenario(scenario: Scenario) -> str:
         }
         for agent in scenario.agents
     ]
+    data = {
+        "v": FORMAT_VERSION,
+        "agents": agents,
+        "proposal": _render_node(scenario.proposal),
+        "config": {"tau": scenario.tau, "maxDepth": scenario.max_depth},
+    }
     try:
-        data = {
-            "v": FORMAT_VERSION,
-            "agents": agents,
-            "proposal": _render_node(scenario.proposal),
-            "config": {"tau": scenario.tau, "maxDepth": scenario.max_depth},
-        }
         return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
     except RecursionError:
         # the agents are flat: only the proposal nests

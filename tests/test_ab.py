@@ -1,5 +1,6 @@
 """The in-process comparator of two source trees, ``tools/ab.py``."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -8,10 +9,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def ab_diff(base: Path, change: Path) -> subprocess.CompletedProcess:
-    command = [sys.executable, str(ROOT / "tools" / "ab.py"), str(base), str(change)]
+def ab_diff(base: Path, change: Path, limit=20, seed=0) -> subprocess.CompletedProcess:
+    command = [sys.executable, str(ROOT / "tools" / "ab.py"), str(base), str(change), "--diff"]
     return subprocess.run(
-        [*command, "--diff", "--limit", "20"], capture_output=True, text=True, timeout=60
+        [*command, "--limit", str(limit), "--seed", str(seed)],
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
 
 
@@ -36,3 +40,27 @@ def test_ab_diff_passes_a_tree_against_itself_and_names_a_renamed_trace_key(tmp_
     first = renamed.stdout.splitlines()[0]
     assert first.startswith("bundled_mix: input 0 (bundled:both) differs in trace, line 2:")
     assert "bundled_mix: 20 inputs, 20 differ" in renamed.stdout
+
+
+def test_ab_seed_draws_other_inputs_and_a_tree_still_matches_itself(monkeypatch):
+    src = ROOT / "src"
+    same = ab_diff(src, src, limit=5, seed=1)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout.splitlines() == [
+        "bundled_mix: 5 inputs, 0 differ",
+        "wide_store: 5 inputs, 0 differ",
+        "deep_chain: 5 inputs, 0 differ",
+        "search_fanout: 5 inputs, 0 differ",
+    ]
+    # the comparator's own draw, loaded in-process: the bundled files lead
+    # bundled_mix at every seed, and every drawn input after them differs
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    for workload, limit, kept in [
+        ("bundled_mix", 10, 6), ("wide_store", 5, 0), ("deep_chain", 5, 0), ("search_fanout", 5, 0)
+    ]:
+        seed0, seed1 = ([case.text for case in ab.inputs(workload, seed, limit)] for seed in (0, 1))
+        assert len(seed0) == len(seed1) == limit
+        assert [a == b for a, b in zip(seed0, seed1)] == [True] * kept + [False] * (limit - kept)

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -464,6 +465,25 @@ def test_flat_chain_keys_cost_linear_work(monkeypatch):
         counts[n] = calls
     assert counts[400]["walk"] <= 4 * counts[100]["walk"]
     assert counts[400]["render"] <= 4 * counts[100]["render"]
+
+
+def test_flat_chain_build_memory_grows_linearly():
+    # a link keeps no copy of its descendants' keys: with one, the chains
+    # of an n-link flat chain held n(n+1)/2 key texts, and doubling n
+    # multiplied the traced peak by about 3.4
+    peaks = {}
+    for n in (1_000, 2_000):
+        kb = parse_scenario(json.dumps(flat_chain(n))).evaluator.kb
+        model, claim = kb.model_view(), parse_proposition("~s0")
+        speaker = Speaker("S", kb.expertise)
+        tracemalloc.start()
+        try:
+            chains = build_justification_chains(kb, model, claim, speaker=speaker)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chains) == 1 and len(chains[0].key()) == n
+    assert peaks[2_000] <= 2.5 * peaks[1_000], peaks
 
 
 def recursive_build(kb, model, claim, tau, speaker, path=frozenset()):

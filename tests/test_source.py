@@ -189,8 +189,6 @@ SELF_CALLS = {
     ("beliefs.py", "_parse_prop"): "MAX_PROP_NESTING",
     # the JSON decoder's own nesting limit comes first
     ("scenario.py", "_parse_node"): "document nested too deeply",
-    # render refuses a proposal past about 490 levels
-    ("scenario.py", "_render_node"): "proposal nested too deeply to render",
     # one level per counter-claim, up to the scenario's maxDepth
     ("negotiation.py", "_settle"): "max_depth",
 }

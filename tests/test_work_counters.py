@@ -7,6 +7,8 @@ regression without any timing.
 
 import json
 import random
+import re
+import sys
 
 import pytest
 
@@ -93,7 +95,10 @@ def test_bundled_negotiation_never_rebuilds_a_store(name, monkeypatch):
     # during the negotiation patches the store it starts from
     calls = []
     index = beliefs._index
-    monkeypatch.setattr(beliefs, "_index", lambda *args: calls.append(args) or index(*args))
+    # the one indexing loop, under both names that call it: the store
+    # constructor's and the belief-list reader's in scenario.py
+    for module in (beliefs, parley.scenario):
+        monkeypatch.setattr(module, "_index", lambda *args: calls.append(args) or index(*args))
     scenario = load_bundled(name)
     assert calls
     calls.clear()
@@ -184,6 +189,38 @@ def test_parsing_plain_beliefs_runs_no_constructor_check(monkeypatch):
     scenario = parse_scenario(text)
     assert len(scenario.evaluator.kb.own) == 1_501
     assert calls == {"Endorsement": 0, "Proposition": 0}
+
+
+def canonical_matches(text: str) -> int:
+    """How many times parsing ``text`` calls ``fullmatch`` on a canonical
+    pattern of beliefs.py, however many it has, seen by a profile hook, so
+    nothing is patched."""
+    patterns = {
+        id(value)
+        for name, value in vars(beliefs).items()
+        if name.startswith("_CANONICAL") and isinstance(value, re.Pattern)
+    }
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "c_call" and arg.__name__ == "fullmatch" and id(arg.__self__) in patterns:
+            calls.append(arg)
+
+    sys.setprofile(hook)
+    try:
+        parse_scenario(text)
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_reading_plain_beliefs_matches_each_text_once():
+    # one pattern for literals and relations alike matches each plain
+    # belief's text once: the filler, the dispute's own belief, and the
+    # proposal's text, which the memo parses.  Trying a literal pattern and
+    # then a relation pattern made 4n/3 + 2 matches.
+    for n in (150, 1_500):
+        assert canonical_matches(filler_document(n)) == n + 2
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

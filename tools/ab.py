@@ -1,15 +1,17 @@
 """Compare two parley source trees in one process: first their outputs, then
 their speed.
 
-    python3 tools/ab.py BASE_SRC CHANGE_SRC --diff [--workload W ...] [--limit N]
-    python3 tools/ab.py BASE_SRC CHANGE_SRC --time --workload W --blocks N [--aa]
+    python3 tools/ab.py BASE_SRC CHANGE_SRC --diff [--workload W ...] [--limit N] [--seed N]
+    python3 tools/ab.py BASE_SRC CHANGE_SRC --time --workload W --blocks N [--aa] [--seed N]
 
 ``BASE_SRC`` and ``CHANGE_SRC`` are directories that each hold a ``parley``
 package, such as the ``src`` of two checkouts.  Each is loaded under its own
 package name, which works because the package imports itself only
-relatively.  The inputs are the seed-0 inputs of ``bench/workloads.py``,
-read-only; ``--limit N`` takes the first N of each workload without drawing
-the rest, as ``bench/run.py`` does for its golden inputs.
+relatively.  The inputs are those ``bench/workloads.py`` draws for
+``--seed`` (default 0), read-only, so a gain can be checked on a seed other
+than the one a change was tuned on; ``--limit N`` takes the first N of each
+workload without drawing the rest, as ``bench/run.py`` does for its golden
+inputs.
 
 ``--diff`` runs every input on both trees with ``bench/run.py``'s
 ``operation``, as ``parley run --trace`` does, and compares the transcript
@@ -43,7 +45,6 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "parley" / "scenarios"
-SEED = 0
 # CPU seconds the base tree should take per block; the passes per block are
 # set from one timed pass
 BLOCK_S = 0.2
@@ -63,13 +64,13 @@ def load(src: Path, name: str):
     return module
 
 
-def inputs(workload: str, limit: int | None) -> list:
+def inputs(workload: str, seed: int, limit: int | None) -> list:
     if limit is None:
-        return workloads.generate(workload, SEED, SCENARIOS)
+        return workloads.generate(workload, seed, SCENARIOS)
     if workload == "bundled_mix":
         count = max(limit - len(workloads.BUNDLED), 0)
-        return workloads.bundled_mix(SEED, SCENARIOS, count=count)[:limit]
-    return workloads.generate(workload, SEED, SCENARIOS)[:limit]
+        return workloads.bundled_mix(seed, SCENARIOS, count=count)[:limit]
+    return workloads.generate(workload, seed, SCENARIOS)[:limit]
 
 
 def outputs(parley, text: str) -> dict[str, str]:
@@ -124,11 +125,11 @@ def first_difference(base: dict, change: dict) -> str | None:
     return None
 
 
-def diff(base, change, names: list[str], limit: int | None) -> int:
+def diff(base, change, names: list[str], seed: int, limit: int | None) -> int:
     """Print per-workload counts and the first difference; 1 on any."""
     status = 0
     for workload in names:
-        cases = inputs(workload, limit)
+        cases = inputs(workload, seed, limit)
         differing = 0
         for index, case in enumerate(cases):
             found = first_difference(outputs(base, case.text), outputs(change, case.text))
@@ -152,8 +153,8 @@ def block(parley, texts: list[str], passes: int) -> float:
     return process_time() - started
 
 
-def time_pairs(base, change, workload: str, blocks: int, limit: int | None) -> None:
-    texts = [case.text for case in inputs(workload, limit)]
+def time_pairs(base, change, workload: str, blocks: int, seed: int, limit: int | None) -> None:
+    texts = [case.text for case in inputs(workload, seed, limit)]
     block(base, texts, 1)  # warms both trees' caches and bytecode
     block(change, texts, 1)
     passes = max(1, round(BLOCK_S / max(block(base, texts, 1), 1e-9)))
@@ -184,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--time", action="store_true")
     parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS)
     parser.add_argument("--limit", type=int)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--blocks", type=int, default=20)
     parser.add_argument("--aa", action="store_true")
     args = parser.parse_args(argv)
@@ -194,13 +196,14 @@ def main(argv: list[str] | None = None) -> int:
     base = load(args.base, "parley_base")
     change = load(args.base if args.aa else args.change, "parley_change")
     if args.diff:
-        return diff(base, change, args.workload or list(workloads.WORKLOADS), args.limit)
+        names = args.workload or list(workloads.WORKLOADS)
+        return diff(base, change, names, args.seed, args.limit)
     if args.workload is None or len(args.workload) != 1:
         parser.error("--time takes exactly one --workload")
     (workload,) = args.workload
-    if diff(base, change, [workload], args.limit):
+    if diff(base, change, [workload], args.seed, args.limit):
         return 1
-    time_pairs(base, change, workload, args.blocks, args.limit)
+    time_pairs(base, change, workload, args.blocks, args.seed, args.limit)
     return 0
 
 
