@@ -681,7 +681,7 @@ class _PendingAdds:
         self._beliefs.append(belief)
 
     def adopt(self, prop: Proposition, evidence: Sequence[EvidencePiece]) -> None:
-        """Add ``prop`` as :func:`assimilate` adopts an accepted target."""
+        """Add ``prop`` as :func:`_adopted` builds it, if it builds one."""
         belief = _adopted(self.belief(prop), prop, evidence)
         if belief is not None:
             self.add(belief)
@@ -1009,5 +1009,6 @@ def assimilate(kb: KnowledgeBase, verdict: Verdict, target: Proposition) -> Know
         return kb.own_remove(target)
     else:
         raise ContractViolation(f"an uncertain verdict on {target} cannot be assimilated")
-    belief = _adopted(kb.own_belief(prop), prop, evidence)
-    return kb if belief is None else kb.own_add(belief)
+    pending = _PendingAdds(kb, own=True)
+    pending.adopt(prop, evidence)
+    return pending.store()

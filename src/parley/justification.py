@@ -24,24 +24,31 @@ from .beliefs import (
     minimal_subsets,
     revise,
 )
-from .evaluation import walk
+from .evaluation import _tree_repr, walk
 
 
 class NoSufficientJustification(RuntimeError):
     """No combination of available evidence would convince the hearer."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JustificationLink:
     """One piece of offered evidence: a belief, the relation tying it to its
     parent claim, and the strengths both are held at.  With the links that
-    justify it in turn, a top link is a whole justification chain."""
+    justify it in turn, a top link is a whole justification chain.  Links
+    compare by identity, so a chain of any length hashes and prints."""
 
     prop: Proposition
     relation: Proposition
     belief_level: StrengthLevel
     relation_level: StrengthLevel
     children: tuple["JustificationLink", ...] = ()
+
+    def __repr__(self) -> str:
+        def label(n: JustificationLink) -> str:
+            return f"{n.prop}, {n.relation}, {n.belief_level.render()}, {n.relation_level.render()}"
+
+        return _tree_repr(self, label)
 
     def key(self) -> tuple[str, ...]:
         """The rendered proposition of every link, in preorder, built on

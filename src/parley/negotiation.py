@@ -31,7 +31,6 @@ from .beliefs import (
     revise_detail,
 )
 from .evaluation import (
-    EvaluatedNode,
     ProposalNode,
     assimilate_evaluated,
     evaluate_proposal,
@@ -138,6 +137,10 @@ class _Session:
         self.acts.append(act)
         self.trace.emit("act", speaker=speaker, act=kind.value, content=act.content())
 
+    def propose(self, speaker: str, tree: ProposalNode) -> None:
+        self.act(ActKind.PROPOSE, speaker, proposal=tree)
+        self.already_presented(speaker, tree.prop, tree.props())
+
     def already_presented(self, speaker: str, claim: Proposition, props) -> bool:
         triples = {(speaker, claim, prop) for prop in props}
         if triples <= self.presented:
@@ -215,23 +218,7 @@ def _observe_acceptance(session: _Session, observer: str, acceptor: str, props) 
     session.kbs[observer] = pending.store()
 
 
-def _hear(session: _Session, speaker: str, hearer: str, tree: ProposalNode) -> EvaluatedNode:
-    """The hearer notes what the speaker proposed and judges it."""
-    source = session.speakers[speaker]
-    kb = session.kbs[hearer] = record_proposal(session.kbs[hearer], tree, speaker=source)
-    return evaluate_proposal(
-        kb, tree, session.config.tau, proposer=source, trace=session.trace, agent=hearer
-    )
-
-
-def _agree(session: _Session, speaker: str, hearer: str, evaluated: EvaluatedNode) -> None:
-    """The hearer adopts the accepted proposal; the speaker sees it agree."""
-    session.kbs[hearer], agreed = assimilate_evaluated(session.kbs[hearer], evaluated)
-    _observe_acceptance(session, speaker, hearer, agreed)
-
-
-def _concede(session: _Session, loser: str, winner: str, tree: ProposalNode) -> Proposition:
-    root = tree.prop
+def _concede(session: _Session, loser: str, winner: str, root: Proposition) -> Proposition:
     pending = _PendingAdds(session.kbs[loser], own=True)
     pending.adopt(root, session.speakers[winner].case(root))
     session.kbs[loser] = pending.store()
@@ -265,8 +252,7 @@ def negotiate(
     speakers = {agent: Speaker(agent, kb.expertise) for agent, kb in kbs.items()}
     session = _Session(dict(kbs), speakers, config, trace or Trace())
 
-    session.act(ActKind.PROPOSE, proposer, proposal=proposal)
-    session.already_presented(proposer, proposal.prop, proposal.props())
+    session.propose(proposer, proposal)
     try:
         root = _settle(session, proposer, evaluator, proposal, depth=0)
         outcome = f"concession:{session.conceded_by}" if session.conceded_by else "agreement"
@@ -289,57 +275,67 @@ def _settle(
 ) -> Optional[Proposition]:
     """Negotiate ``tree`` until it settles and return the root ratified, None
     when the claim is withdrawn; a stall raises :class:`_NeedsSharing`.  Each
-    round is Propose, Evaluate and Modify.  A counter-claim is settled one
-    level deeper; a disputed correction is the next round, the corrector's.
+    round is Propose, Evaluate and Modify, and a counter-claim is settled one
+    level deeper.  The first round is "new"; a "retry" re-hears the claim its
+    proposer kept; a "ratify" round hears an inserted correction with the
+    roles swapped, and counts as the corrector's round once it is disputed.
 
-    The rounds end.  A round that retries, or that hands on a disputed
-    correction, has passed the member loop of Modify, which concedes unless
-    every member adds to ``session.presented``.  So each grows the number of
-    (speaker, claim, proposition) triples presented, which the input's
-    propositions, relations and negations bound.  A retry that does not
-    raises :class:`ContractViolation`."""
+    The rounds end.  A "retry" or "ratify" round follows a pass through the
+    member loop of Modify, which concedes unless every member grows the set
+    of (speaker, claim, proposition) triples presented, a set the input's
+    propositions, relations and negations bound.  A "retry" that finds the
+    set unchanged raises :class:`ContractViolation`."""
     if depth > session.config.max_depth:
         raise DepthExceededError(f"nesting exceeded {session.config.max_depth}")
     session.depth_max = max(session.depth_max, depth)
-    tau = session.config.tau
+    tau, kbs, trace = session.config.tau, session.kbs, session.trace
 
-    # ``heard`` is the next round's evaluation if already made (a disputed
-    # correction's ratification hearing), and ``retried`` the start-of-round
-    # measure of a round that retried
-    current, fresh, heard, retried = tree, True, None, None
+    # ``measure`` is the number of triples presented once the last round was
+    # heard, a disputed correction's PROPOSE included
+    current, kind, measure = tree, "new", 0
     while True:
-        if retried is not None and len(session.presented) == retried:
+        if kind == "retry" and len(session.presented) == measure:
             raise ContractViolation(
                 f"a retried round of {proposer} to {evaluator} on {current.prop} at depth "
                 f"{depth} left the presented propositions unchanged"
             )
-        measure = len(session.presented)
-        session.rounds += 1
-        evaluated = heard or _hear(session, proposer, evaluator, current)
-        outcome = evaluated.verdict.outcome
+        if kind != "ratify":
+            session.rounds += 1
+        source = session.speakers[proposer]
+        kb = kbs[evaluator] = record_proposal(kbs[evaluator], current, speaker=source)
+        evaluated = evaluate_proposal(
+            kb, current, tau, proposer=source, trace=trace, agent=evaluator
+        )
 
-        if outcome is VerdictOutcome.ACCEPT:
-            if fresh:
+        if evaluated.accepted:
+            if kind == "new":
                 session.act(ActKind.ACCEPT, evaluator, prop=current.prop)
-            _agree(session, proposer, evaluator, evaluated)
+            kbs[evaluator], agreed = assimilate_evaluated(kb, evaluated)
+            _observe_acceptance(session, proposer, evaluator, agreed)
             return current.prop
 
-        if outcome is VerdictOutcome.UNCERTAIN:
+        if evaluated.verdict.outcome is VerdictOutcome.UNCERTAIN:
             _ask(session, evaluator, current.prop)
+
+        if kind == "ratify":
+            # the correction itself is disputed: the corrector defends it
+            session.propose(proposer, current)
+            session.rounds += 1
+        measure = len(session.presented)
 
         focus = select_focus_modification(
             evaluated,
-            session.kbs[evaluator],
+            kbs[evaluator],
             tau,
             proposer=session.speakers[proposer],
             evaluator=session.speakers[evaluator],
-            trace=session.trace,
+            trace=trace,
         )
         if focus is None:
-            return _concede(session, evaluator, proposer, current)
+            return _concede(session, evaluator, proposer, current.prop)
 
         members = sorted(focus)
-        session.trace.emit(
+        trace.emit(
             "recipe",
             agent=evaluator,
             recipe="correct-node",
@@ -348,7 +344,7 @@ def _settle(
         )
 
         speaker = session.speakers[evaluator]
-        working = session.kbs[evaluator].model_view()
+        working = kbs[evaluator].model_view()
         counters: list[ProposalNode] = []
         informs: list[Proposition] = []
         for member in members:
@@ -356,19 +352,19 @@ def _settle(
             chains = ()
             if not hearer_accepts(working, claim, (), speaker, tau):
                 pool = build_justification_chains(
-                    session.kbs[evaluator], working, claim, tau, speaker=speaker
+                    kbs[evaluator], working, claim, tau, speaker=speaker
                 )
                 try:
                     chains = select_justification(
-                        pool, working, claim, tau, speaker=speaker, trace=session.trace
+                        pool, working, claim, tau, speaker=speaker, trace=trace
                     )
                 except NoSufficientJustification:
-                    return _concede(session, evaluator, proposer, current)
+                    return _concede(session, evaluator, proposer, current.prop)
             realized = realized_beliefs(claim, chains, working)
             if session.already_presented(evaluator, claim, realized):
-                return _concede(session, evaluator, proposer, current)
+                return _concede(session, evaluator, proposer, current.prop)
             informs.extend(realized)
-            counters.append(_claim_tree(session.kbs[evaluator], speaker, claim, chains))
+            counters.append(_claim_tree(kbs[evaluator], speaker, claim, chains))
             working = _hypothetical_concession(working, member, speaker.level)
 
         for prop in informs:
@@ -377,8 +373,9 @@ def _settle(
         for counter in counters:
             _settle(session, evaluator, proposer, counter, depth + 1)
 
-        if any(session.kbs[proposer].holds(m) for m in members):
-            fresh, heard, retried = False, None, measure
+        # the round is retried unless a correction is inserted below
+        kind = "retry"
+        if any(kbs[proposer].holds(m) for m in members):
             continue
 
         for member in members:
@@ -386,29 +383,26 @@ def _settle(
                 continue
             current, recipe = _apply_correction(current, member)
             if recipe is not None:
-                session.trace.emit(
-                    "recipe", agent=proposer, recipe=recipe, target=member.render()
-                )
+                trace.emit("recipe", agent=proposer, recipe=recipe, target=member.render())
 
         verdict = revise_detail(
-            session.kbs[proposer],
+            kbs[proposer],
             current.prop,
             tau=tau,
-            trace=session.trace,
+            trace=trace,
             agent=proposer,
             note="re-revise",
         )
         if verdict.outcome is VerdictOutcome.UNCERTAIN:
             _ask(session, proposer, current.prop)
         # the proposer keeps its re-judgement, whichever way it went
-        session.kbs[proposer] = assimilate(session.kbs[proposer], verdict, current.prop)
+        kbs[proposer] = assimilate(kbs[proposer], verdict, current.prop)
         if verdict.outcome is VerdictOutcome.ACCEPT:
-            fresh, heard, retried = False, None, measure
             continue
 
         negated = current.prop.negate()
-        corrected = negated if session.kbs[evaluator].holds(negated) else None
-        session.trace.emit(
+        corrected = negated if kbs[evaluator].holds(negated) else None
+        trace.emit(
             "recipe",
             agent=proposer,
             recipe="alter-node",
@@ -419,21 +413,8 @@ def _settle(
             # the claim is withdrawn outright and nothing replaces it
             return None
 
-        session.trace.emit(
-            "recipe", agent=proposer, recipe="insert-correction", target=corrected.render()
-        )
-        level = _asserted_level(session.kbs[evaluator], session.speakers[evaluator], corrected)
-        corrected_tree = ProposalNode(corrected, level)
-        ratified = _hear(session, evaluator, proposer, corrected_tree)
-        if ratified.verdict.outcome is VerdictOutcome.ACCEPT:
-            _agree(session, evaluator, proposer, ratified)
-            return corrected
-        if ratified.verdict.outcome is VerdictOutcome.UNCERTAIN:
-            _ask(session, proposer, corrected)
-
-        # the correction itself is disputed: the corrector defends it in the
-        # next round, and the ratification hearing is that round's evaluation
-        session.act(ActKind.PROPOSE, evaluator, proposal=corrected_tree)
-        session.already_presented(evaluator, corrected, corrected_tree.props())
+        trace.emit("recipe", agent=proposer, recipe="insert-correction", target=corrected.render())
+        level = _asserted_level(kbs[evaluator], session.speakers[evaluator], corrected)
+        # the next round hears the correction, with the corrector proposing
         proposer, evaluator = evaluator, proposer
-        current, fresh, heard, retried = corrected_tree, True, ratified, None
+        current, kind = ProposalNode(corrected, level), "ratify"

@@ -6,7 +6,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def ab(monkeypatch):
+    """The comparator, loaded in-process."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def ab_diff(base: Path, change: Path, limit=20, seed=0) -> subprocess.CompletedProcess:
@@ -19,7 +31,10 @@ def ab_diff(base: Path, change: Path, limit=20, seed=0) -> subprocess.CompletedP
     )
 
 
-def test_ab_diff_passes_a_tree_against_itself_and_names_a_renamed_trace_key(tmp_path):
+def test_ab_diff_passes_a_tree_against_itself_and_names_a_renamed_trace_key(tmp_path, ab):
+    # the source lines are counted by the benchmark's rule
+    counts = ab.run.sloc()
+    total, in_beliefs = sum(counts.values()), counts["beliefs.sloc"]
     src = ROOT / "src"
     same = ab_diff(src, src)
     assert same.returncode == 0, same.stdout + same.stderr
@@ -28,36 +43,39 @@ def test_ab_diff_passes_a_tree_against_itself_and_names_a_renamed_trace_key(tmp_
         "wide_store: 5 inputs, 0 differ",
         "deep_chain: 5 inputs, 0 differ",
         "search_fanout: 5 inputs, 0 differ",
+        f"sloc: base {total}, change {total}",
     ]
 
     shutil.copytree(src / "parley", tmp_path / "parley", ignore=shutil.ignore_patterns("*.pyc"))
     beliefs = tmp_path / "parley" / "beliefs.py"
     text = beliefs.read_text(encoding="utf-8")
     assert text.count('"supportScore"') == 1
-    beliefs.write_text(text.replace('"supportScore"', '"supportScores"'), encoding="utf-8")
+    text = text.replace('"supportScore"', '"supportScores"') + "\n# unread\nUNREAD = 0\n"
+    beliefs.write_text(text, encoding="utf-8")
     renamed = ab_diff(src, tmp_path)
     assert renamed.returncode == 1, renamed.stdout + renamed.stderr
-    first = renamed.stdout.splitlines()[0]
+    first, *_, last = renamed.stdout.splitlines()
     assert first.startswith("bundled_mix: input 0 (bundled:both) differs in trace, line 2:")
     assert "bundled_mix: 20 inputs, 20 differ" in renamed.stdout
+    assert last == (
+        f"sloc: base {total}, change {total + 1} (beliefs {in_beliefs} -> {in_beliefs + 1})"
+    )
 
 
-def test_ab_seed_draws_other_inputs_and_a_tree_still_matches_itself(monkeypatch):
+def test_ab_seed_draws_other_inputs_and_a_tree_still_matches_itself(ab):
     src = ROOT / "src"
     same = ab_diff(src, src, limit=5, seed=1)
     assert same.returncode == 0, same.stdout + same.stderr
+    total = sum(ab.sloc(src).values())
     assert same.stdout.splitlines() == [
         "bundled_mix: 5 inputs, 0 differ",
         "wide_store: 5 inputs, 0 differ",
         "deep_chain: 5 inputs, 0 differ",
         "search_fanout: 5 inputs, 0 differ",
+        f"sloc: base {total}, change {total}",
     ]
-    # the comparator's own draw, loaded in-process: the bundled files lead
-    # bundled_mix at every seed, and every drawn input after them differs
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    # the comparator's own draw: the bundled files lead bundled_mix at every
+    # seed, and every drawn input after them differs
     for workload, limit, kept in [
         ("bundled_mix", 10, 6), ("wide_store", 5, 0), ("deep_chain", 5, 0), ("search_fanout", 5, 0)
     ]:

@@ -486,6 +486,28 @@ def test_flat_chain_build_memory_grows_linearly():
     assert peaks[2_000] <= 2.5 * peaks[1_000], peaks
 
 
+def test_a_long_chain_hashes_compares_and_prints():
+    # links compare by identity and print through the walk: with the
+    # generated methods, hashing or printing this chain recursed once per
+    # link and raised RecursionError
+    top = None
+    for i in range(3_000):
+        prop = ground(f"s{i}")
+        top = JustificationLink(
+            prop, supports_prop(prop, ground(f"s{i + 1}")), W, S, () if top is None else (top,)
+        )
+    assert hash(top) == hash(top)
+    assert top == top and top != JustificationLink(top.prop, top.relation, W, S, top.children)
+    assert top in {top} and top.children[0] not in {top}
+    assert repr(top).count("JustificationLink(") == 3_000
+    assert repr(top).startswith("JustificationLink(s2999(x), supports(s2999(x), s3000(x)), weak, strong, [")
+    nested = JustificationLink(A, supports_prop(A, CLAIM), S, T, (leaf_chain(B, W, A),))
+    assert repr(nested) == (
+        "JustificationLink(a(x), supports(a(x), claim(x)), strong, warranted, "
+        "[JustificationLink(b(x), supports(b(x), a(x)), weak, weak)])"
+    )
+
+
 def recursive_build(kb, model, claim, tau, speaker, path=frozenset()):
     # the builder as it was while it called itself once per link, carrying
     # the claims above it in ``path``: the oracle for the one that keeps its

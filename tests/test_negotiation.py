@@ -599,6 +599,48 @@ def test_relation_focus_of_an_unshakeable_child():
     ]
 
 
+def test_flippable_link_of_an_unshakeable_child_is_the_focus():
+    # as above, but B also holds weak evidence against the link: A's belief
+    # in ¬p1 still cannot be moved, the link can, and it becomes the focus
+    # of the root, which names ¬p1 as its only candidate
+    link = "supports(¬p1(x), ¬p2(x))"
+    scenario = dialogue(
+        ("non-expert", []),
+        (
+            "non-expert",
+            [
+                ("p1(x)", "strong"),
+                ("p2(x)", "weak"),
+                ("supports(p1(x), p2(x))", "strong"),
+                ("~supports(~p1(x), ~p2(x))", "strong"),
+                ("e(x)", "weak"),
+                ("supports(e(x), ~supports(~p1(x), ~p2(x)))", "weak"),
+            ],
+        ),
+        ("~p2(x)", "strong", [("~p1(x)", "strong")]),
+    )
+    trace = Trace()
+    t = run_scenario(scenario, trace)
+    assert t.realize() == [
+        "A: PROPOSE ¬p2(x) ⊣ ¬p1(x)",
+        f"B: INFORM ¬{link}",
+        "B: INFORM e(x)",
+        f"B: INFORM supports(e(x), ¬{link})",
+        f"A: ACCEPT ¬{link}",
+        "A: INFOSHARE ¬p2(x)",
+    ]
+    assert t.outcome == "unresolved-needs-sharing"
+    assert [r.payload for r in trace.by_kind("foci")] == [
+        {"agent": "B", "target": "¬p1(x)", "step": "leaf", "focus": None, "cand": []},
+        {"agent": "B", "target": "¬p2(x)", "step": "evidence", "focus": [link], "cand": ["¬p1(x)"]},
+    ]
+    (correction,) = [r for r in trace.by_kind("recipe") if r.payload["recipe"] == "correct-node"]
+    assert correction.payload == {
+        "agent": "B", "recipe": "correct-node", "focus": [link], "mutual_beliefs": [f"¬{link}"]
+    }
+    assert ("B", "predict", "relation", link, "reject") in moves(trace)
+
+
 def test_disputed_ratification_asks_for_information():
     # A gives up c and, with it, r; B's correction ¬r is not enough for A to
     # take on the evidence A holds, so A asks for more

@@ -19,7 +19,10 @@ lines, outcome, depth, rounds, ratified root, conceder, trace NDJSON and
 ``render_scenario`` of the two final stores (a refusal is compared by its
 message): every field the CLI's JSON prints.  It prints per-workload counts and the first
 input that differs, with the part that differs, and exits 1 on any
-difference.
+difference.  Its last line gives each tree's source lines and, for each
+module whose count differs, both counts.  It counts as ``bench/run.py``'s
+``sloc`` does (non-blank lines not starting with ``#``), with that one-line
+rule repeated here, since ``run.sloc`` reads only its own checkout.
 
 ``--time`` first checks that the workload's outputs are identical.  It then
 times ``--blocks`` pairs of blocks, each block the same passes over the
@@ -143,6 +146,29 @@ def diff(base, change, names: list[str], seed: int, limit: int | None) -> int:
     return status
 
 
+def sloc(src: Path) -> dict[str, int]:
+    """Non-blank lines not starting with ``#`` of each module under ``src``."""
+    return {
+        path.stem.strip("_"): sum(
+            1 for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")
+        )
+        for path in sorted((src / "parley").glob("*.py"))
+    }
+
+
+def sloc_line(base: Path, change: Path) -> str:
+    """``sloc: base N, change M``, then each module whose count differs."""
+    a, b = sloc(base), sloc(change)
+    moved = ", ".join(
+        f"{name} {a.get(name, 0)} -> {b.get(name, 0)}"
+        for name in sorted(a.keys() | b.keys())
+        if a.get(name) != b.get(name)
+    )
+    line = f"sloc: base {sum(a.values())}, change {sum(b.values())}"
+    return f"{line} ({moved})" if moved else line
+
+
 def block(parley, texts: list[str], passes: int) -> float:
     """CPU seconds of ``passes`` passes over ``texts``."""
     gc.collect()
@@ -193,11 +219,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--limit must be at least 1")
     if args.blocks < 2:
         parser.error("--blocks must be at least 2, so that quartiles exist")
+    change_src = args.base if args.aa else args.change
     base = load(args.base, "parley_base")
-    change = load(args.base if args.aa else args.change, "parley_change")
+    change = load(change_src, "parley_change")
     if args.diff:
         names = args.workload or list(workloads.WORKLOADS)
-        return diff(base, change, names, args.seed, args.limit)
+        status = diff(base, change, names, args.seed, args.limit)
+        print(sloc_line(args.base, change_src))
+        return status
     if args.workload is None or len(args.workload) != 1:
         parser.error("--time takes exactly one --workload")
     (workload,) = args.workload
