@@ -15,7 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from functools import total_ordering
+from functools import partial, total_ordering
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -200,6 +200,8 @@ def supports_prop(antecedent: Proposition, consequent: Proposition) -> Propositi
 
 def parse_proposition(text: str) -> Proposition:
     """Parse a proposition from text.  Accepts either ``~`` or ``¬`` negation."""
+    if not isinstance(text, str):
+        raise StructureError(f"proposition text must be a string, got {text!r}")
     return proposition_parser()(text)
 
 
@@ -480,34 +482,42 @@ class Speaker:
 # knowledge bases
 
 
+def _given(label: str, item: object, i: int) -> Belief:
+    # item ``i`` of the list given to ``KnowledgeBase`` as ``label``, checked
+    if isinstance(item, Belief) and isinstance(item.prop, Proposition):
+        if isinstance(item.endorsement, Endorsement):
+            return item
+    raise StructureError(f"{label}[{i}] must be a Belief of a Proposition and an Endorsement")
+
+
 def _index(
-    items: Iterable, label: str, by_consequent: dict, read: Optional[Callable] = None
+    items: Iterable, label: str, by_consequent: dict, read: Callable, plain: dict
 ) -> tuple[dict, Optional[StructureError]]:
     """One side of a store, keyed by canonical text, and its first fault
     (the first duplicate, else the first contradiction) or None.  Positive
-    relations go in ``by_consequent``.  Given ``read``, an item is a belief
-    as a file spells it: a plain one whose text the pattern matches stays
-    unbuilt, as its shared endorsement; ``read(item, i)`` builds any other."""
+    relations go in ``by_consequent``.  A belief spelled as in a file, whose
+    source and level ``plain`` maps to an endorsement and whose text the
+    pattern matches, stays unbuilt, as that endorsement; ``read(item, i)``
+    returns the belief of any other item, or raises."""
     side: dict = {}
     negated = []
     duplicate = None
     match = _CANONICAL.fullmatch
     for i, item in enumerate(items):
         m = None
-        if read is not None and type(item) is dict and len(item) == 3:
+        if type(item) is dict and len(item) == 3:
             try:
                 text, level, source = item["prop"], item["level"], item["source"]
                 if type(source) is str and type(level) is str:
-                    plain = _PLAIN_SOURCES.get((source, level))
-                    if plain is not None:
+                    endorsement = plain.get((source, level))
+                    if endorsement is not None:
                         m = match(text)
             except (KeyError, TypeError):  # TypeError: a text that is no string
                 pass
         if m is not None:
-            item, text, consequent = plain, text.replace("~", "¬"), m[5]
+            item, text, consequent = endorsement, text.replace("~", "¬"), m[5]
         else:
-            if read is not None:
-                item = read(item, i)
+            item = read(item, i)
             prop = item.prop
             text = prop._text
             consequent = prop.args[1]._text if prop.predicate == SUPPORTS else None
@@ -572,8 +582,11 @@ class KnowledgeBase:
     ) -> None:
         _check_expertise("store", expertise)
         by_consequent: dict[str, dict] = {}
-        own, fault = _index(own, "own beliefs", by_consequent)
-        model, model_fault = _index(user_model, "user model", by_consequent)
+        # no plain sources: each item goes to the reader, which checks it
+        own, fault = _index(own, "own beliefs", by_consequent, partial(_given, "own beliefs"), {})
+        model, model_fault = _index(
+            user_model, "user model", by_consequent, partial(_given, "user model"), {}
+        )
         if fault or model_fault:
             raise fault or model_fault
         _setattr(self, "_own", own)

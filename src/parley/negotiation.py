@@ -248,6 +248,11 @@ def negotiate(
             "negotiation needs exactly two agents, proposer included; "
             f"got {list(kbs)!r} with proposer {proposer!r}"
         )
+    for agent, kb in kbs.items():
+        if not isinstance(kb, KnowledgeBase):
+            raise ContractViolation(f"agent {agent!r} needs a KnowledgeBase, got {kb!r}")
+    if not isinstance(proposal, ProposalNode):
+        raise ContractViolation(f"proposal must be a ProposalNode, got {proposal!r}")
     evaluator = next(a for a in kbs if a != proposer)
     speakers = {agent: Speaker(agent, kb.expertise) for agent, kb in kbs.items()}
     session = _Session(dict(kbs), speakers, config, trace or Trace())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .beliefs import (
     Belief,
@@ -22,7 +22,6 @@ from .beliefs import (
     Speaker,
     StrengthLevel,
     StructureError,
-    _LEVELS_BY_TEXT,
     _PLAIN_SOURCES,
     _index,
     _trusted,
@@ -65,10 +64,19 @@ class Scenario:
         return self.agents[1]
 
 
-def _expect_object(value: Any, path: str, allowed: set, required: tuple = ()) -> dict:
+# the fields of the objects the readers check
+_BELIEF = ("prop", "level", "source")
+_ASSERTION = ("speaker", "expertise")
+_NODE = ("prop", "assertedLevel")
+_NODE_FIELDS = (*_NODE, "children")
+_AGENT = ("id", "expertise", "beliefs")
+_AGENT_FIELDS = (*_AGENT, "userModel")
+
+
+def _expect_object(value: Any, path: str, allowed: Iterable, required: tuple = ()) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
-    unknown = set(value) - allowed
+    unknown = value.keys() - allowed
     if unknown:
         raise ScenarioError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
     for key in required:
@@ -98,56 +106,49 @@ def _parse_str(value: Any, path: str, parse: Callable[[str], Any]) -> Any:
         raise ScenarioError(path, str(exc)) from None
 
 
-def _parse_source(
-    value: Any, level: StrengthLevel, path: str, parse: Callable[[str], Proposition]
-) -> Endorsement:
+def _under(prefix: str, exc: ScenarioError) -> ScenarioError:
+    # ``exc``, raised at a path relative to some value, with ``prefix`` (that
+    # value's path in what holds it) put before its path.  Readers call it
+    # only as an error leaves them, so valid input spells no item's path.
+    return ScenarioError(prefix + exc.path, exc.message)
+
+
+def _parse_source(value: Any, level: StrengthLevel, parse: Callable) -> Endorsement:
+    # the endorsement at ``level`` of the source ``value``; errors are
+    # raised at paths relative to the belief that holds it
     if isinstance(value, str):
         endorsement = _PLAIN_SOURCES.get((value, level.render()))
         if endorsement is None:
-            raise ScenarioError(path, f"unknown source: {value!r}")
+            raise ScenarioError(".source", f"unknown source: {value!r}")
         return endorsement
-    if isinstance(value, dict):
-        if set(value) == {"assertion"}:
-            fields = ("speaker", "expertise")
-            body = _expect_object(value["assertion"], f"{path}.assertion", set(fields), fields)
-            speaker = _expect_str(body["speaker"], f"{path}.assertion.speaker")
-            expertise = _parse_str(
-                body["expertise"], f"{path}.assertion.expertise", Expertise.parse
-            )
-            return Speaker(speaker, expertise).endorse(level)
-        if set(value) == {"derived"}:
-            body = _expect_object(value["derived"], f"{path}.derived", {"from"})
-            props = _expect_list(body.get("from"), f"{path}.derived.from")
-            if not props:
-                raise ScenarioError(f"{path}.derived.from", "must not be empty")
-            support = [
-                _parse_str(p, f"{path}.derived.from[{i}]", parse)
-                for i, p in enumerate(props)
-            ]
-            return Endorsement.derived(level, support)
-        raise ScenarioError(path, "source object must be {'assertion': ...} or {'derived': ...}")
-    raise ScenarioError(path, f"bad source: {value!r}")
+    if not isinstance(value, dict):
+        raise ScenarioError(".source", f"bad source: {value!r}")
+    if set(value) == {"derived"}:
+        body = _expect_object(value["derived"], ".source.derived", ("from",))
+        props = _expect_list(body.get("from"), ".source.derived.from")
+        if not props:
+            raise ScenarioError(".source.derived.from", "must not be empty")
+        support = []
+        for i, text in enumerate(props):
+            try:
+                support.append(_parse_str(text, "", parse))
+            except ScenarioError as exc:
+                raise _under(f".source.derived.from[{i}]", exc) from None
+        return Endorsement.derived(level, support)
+    if set(value) == {"assertion"}:
+        body = _expect_object(value["assertion"], ".source.assertion", _ASSERTION, _ASSERTION)
+        speaker = _expect_str(body["speaker"], ".source.assertion.speaker")
+        expertise = _parse_str(body["expertise"], ".source.assertion.expertise", Expertise.parse)
+        return Speaker(speaker, expertise).endorse(level)
+    raise ScenarioError(".source", "source object must be {'assertion': ...} or {'derived': ...}")
 
 
-def _derived_source(source: Any, level: str, parse: Callable) -> Optional[Endorsement]:
-    # the endorsement of a source ``{"derived": {"from": [str, ...]}}`` at a
-    # level spelled ``level``; None for any other shape or level.  An empty
-    # list fails the check of ``Endorsement.derived``.
-    if type(source) is dict and len(source) == 1 and level in _LEVELS_BY_TEXT:
-        body = source.get("derived")
-        if type(body) is dict and len(body) == 1:
-            support = body.get("from")
-            if type(support) is list and all(type(s) is str for s in support):
-                return Endorsement.derived(_LEVELS_BY_TEXT[level], map(parse, support))
-    return None
-
-
-def _parse_belief(value: Any, path: str, parse: Callable[[str], Proposition]) -> Belief:
-    fields = ("prop", "level", "source")
-    obj = _expect_object(value, path, set(fields), fields)
-    prop = _parse_str(obj["prop"], f"{path}.prop", parse)
-    level = _parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
-    return Belief(prop, _parse_source(obj["source"], level, f"{path}.source", parse))
+def _parse_belief(value: Any, parse: Callable[[str], Proposition]) -> Belief:
+    # the belief ``value`` spells; errors are raised at paths relative to it
+    obj = _expect_object(value, "", _BELIEF, _BELIEF)
+    prop = _parse_str(obj["prop"], ".prop", parse)
+    level = _parse_str(obj["level"], ".level", StrengthLevel.parse)
+    return Belief(prop, _parse_source(obj["source"], level, parse))
 
 
 def _parse_beliefs(
@@ -157,29 +158,17 @@ def _parse_beliefs(
     ``beliefs._index``, and its first duplicate or contradiction."""
 
     def read(item: Any, i: int) -> Belief:
-        # a belief off the loop's fast path.  One of three fields, a text
-        # and a level that are strings and a source ``_derived_source``
-        # reads, the shape of most of the rest, is built here.  Any other
-        # item, and any text that fails to parse, goes to ``_parse_belief``,
-        # which reports it; only then is the item's path built.
-        if type(item) is dict and len(item) == 3:
-            try:
-                text, level = item["prop"], item["level"]
-                if type(text) is str and type(level) is str:
-                    endorsement = _derived_source(item["source"], level, parse)
-                    if endorsement is not None:
-                        return Belief(parse(text), endorsement)
-            except (KeyError, StructureError):
-                pass
-        return _parse_belief(item, f"{path}[{i}]", parse)
+        # an item the plain path of ``_index`` does not take
+        try:
+            return _parse_belief(item, parse)
+        except ScenarioError as exc:
+            raise _under(f"{path}[{i}]", exc) from None
 
-    return _index(_expect_list(value, path), label, index, read)
+    return _index(_expect_list(value, path), label, index, read, _PLAIN_SOURCES)
 
 
 def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> AgentSpec:
-    obj = _expect_object(
-        value, path, {"id", "expertise", "beliefs", "userModel"}, ("id", "expertise", "beliefs")
-    )
+    obj = _expect_object(value, path, _AGENT_FIELDS, _AGENT)
     agent_id = _expect_str(obj["id"], f"{path}.id")
     expertise = _parse_str(obj["expertise"], f"{path}.expertise", Expertise.parse)
     # a malformed item in either list is reported before a duplicate or a
@@ -195,11 +184,10 @@ def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> 
 
 
 def _parse_node(value: Any, path: str, parse: Callable[[str], Proposition]) -> ProposalNode:
-    """The proposal node at ``path``.  Its children are parsed at the empty
-    path, and this node's path is put before an error's as it unwinds, so
-    a valid tree builds no path below its root."""
-    fields = ("prop", "assertedLevel")
-    obj = _expect_object(value, path, {*fields, "children"}, fields)
+    """The proposal node at ``path``.  Its children are read at the empty
+    path, and an error's path is put after this node's as it unwinds, so a
+    valid tree spells no path below its root."""
+    obj = _expect_object(value, path, _NODE_FIELDS, _NODE)
     prop = _parse_str(obj["prop"], f"{path}.prop", parse)
     level = _parse_str(obj["assertedLevel"], f"{path}.assertedLevel", StrengthLevel.parse)
     children = []
@@ -207,7 +195,7 @@ def _parse_node(value: Any, path: str, parse: Callable[[str], Proposition]) -> P
         try:
             children.append(_parse_node(child, "", parse))
         except ScenarioError as exc:
-            raise ScenarioError(f"{path}.children[{i}]{exc.path}", exc.message) from None
+            raise _under(f"{path}.children[{i}]", exc) from None
     return ProposalNode(prop, level, tuple(children))
 
 
@@ -248,13 +236,12 @@ def _parse_document(text: str) -> Scenario:
         raise ScenarioError("$.proposal", str(exc)) from None
 
     limits = {"tau": NegotiationConfig.tau, "maxDepth": NegotiationConfig.max_depth}
-    if "config" in obj:
-        config = _expect_object(obj["config"], "$.config", set(limits))
-        for key in limits:
-            value = config.get(key, limits[key])
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ScenarioError(f"$.config.{key}", "must be an integer >= 1")
-            limits[key] = value
+    config = _expect_object(obj.get("config", {}), "$.config", limits)
+    for key in limits:
+        value = config.get(key, limits[key])
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ScenarioError(f"$.config.{key}", "must be an integer >= 1")
+        limits[key] = value
 
     return Scenario(agents, proposal, limits["tau"], limits["maxDepth"])
 

@@ -102,6 +102,13 @@ class TestPropositions:
         with pytest.raises(StructureError):
             parse_proposition(bad)
 
+    @pytest.mark.parametrize("bad", [123, None, ["p"], b"p"], ids=repr)
+    def test_refuses_what_is_no_text(self, bad):
+        # an unhashable value too: it never reaches the memo's lookup
+        with pytest.raises(StructureError) as info:
+            parse_proposition(bad)
+        assert str(info.value) == f"proposition text must be a string, got {bad!r}"
+
     def test_supports_nesting_is_bounded(self):
         def nested(levels):
             text = "p"
@@ -1366,6 +1373,34 @@ GUARDED = [
         lambda: KnowledgeBase((rec(P), rec(P.negate())), (rec(Q), rec(Q))),
         ContradictionError,
         "own beliefs holds both p(x) and ¬p(x)",
+    ),
+    # each item given is a Belief of a Proposition and an Endorsement,
+    # checked as it is read, so before any duplicate or contradiction
+    (
+        lambda: KnowledgeBase([1]),
+        StructureError,
+        "own beliefs[0] must be a Belief of a Proposition and an Endorsement",
+    ),
+    (
+        lambda: KnowledgeBase([], [rec(Q), None]),
+        StructureError,
+        "user model[1] must be a Belief of a Proposition and an Endorsement",
+    ),
+    (
+        lambda: KnowledgeBase([Belief(P, "x")]),
+        StructureError,
+        "own beliefs[0] must be a Belief of a Proposition and an Endorsement",
+    ),
+    (
+        lambda: KnowledgeBase([rec(P), rec(P), Belief("q(x)", rec(Q).endorsement)]),
+        StructureError,
+        "own beliefs[2] must be a Belief of a Proposition and an Endorsement",
+    ),
+    # a belief spelled as a scenario file spells it is not a Belief
+    (
+        lambda: KnowledgeBase([{"prop": "p(x)", "level": "weak", "source": "kb-record"}]),
+        StructureError,
+        "own beliefs[0] must be a Belief of a Proposition and an Endorsement",
     ),
 ]
 

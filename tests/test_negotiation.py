@@ -296,6 +296,20 @@ def test_needs_exactly_two_agents(smith):
         negotiate(kbs, "nobody", smith.proposal)
 
 
+def test_refuses_a_store_that_is_no_knowledge_base(smith):
+    kbs = {"U": smith.agents[0].kb, "S": "x"}
+    with pytest.raises(ContractViolation) as info:
+        negotiate(kbs, "U", smith.proposal)
+    assert str(info.value) == "agent 'S' needs a KnowledgeBase, got 'x'"
+
+
+def test_refuses_a_proposal_that_is_no_tree(smith):
+    kbs = {a.id: a.kb for a in smith.agents}
+    with pytest.raises(ContractViolation) as info:
+        negotiate(kbs, "U", "p")
+    assert str(info.value) == "proposal must be a ProposalNode, got 'p'"
+
+
 @pytest.mark.parametrize(
     "bad",
     [{"tau": 0}, {"tau": True}, {"tau": 1.5}, {"tau": "1"}]

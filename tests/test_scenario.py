@@ -38,7 +38,6 @@ from parley.scenario import (
     _expect_str,
     _parse_agent,
     _parse_belief,
-    _parse_source,
     _parse_str,
 )
 from parley.trace import Trace
@@ -332,7 +331,8 @@ def test_one_object_per_text(which):
 
 
 # ---------------------------------------------------------------------------
-# the belief parser's fast path against the checked parser it sits in front of
+# the belief reader, whose paths are relative to the belief, against a copy of
+# the checked parser that was given each belief's path
 
 
 def seed_parse_source(value, level, path, parse):
@@ -374,8 +374,15 @@ def seed_parse_belief(value, path, parse):
 
 
 def belief_outcome(parse_belief, value):
+    # the seed parser is given the belief's path; ``_parse_belief`` reports
+    # a path relative to the belief, which the same path is put before
     try:
-        return parse_belief(value, "$.b", proposition_parser())
+        if parse_belief is seed_parse_belief:
+            return seed_parse_belief(value, "$.b", proposition_parser())
+        try:
+            return parse_belief(value, proposition_parser())
+        except ScenarioError as exc:
+            raise ScenarioError(f"$.b{exc.path}", exc.message) from None
     except ScenarioError as exc:
         return (exc.path, str(exc))
 
@@ -462,7 +469,7 @@ def seed_fast_parse_belief(value, path, parse):
     obj = _expect_object(value, path, set(fields), fields)
     prop = _parse_str(obj["prop"], f"{path}.prop", parse)
     level = _parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
-    return Belief(prop, _parse_source(obj["source"], level, f"{path}.source", parse))
+    return Belief(prop, seed_parse_source(obj["source"], level, f"{path}.source", parse))
 
 
 def seed_index(beliefs, label, by_consequent):
@@ -598,7 +605,7 @@ MALFORMED_DERIVED = [
 
 @pytest.mark.parametrize("value", MALFORMED_BELIEFS + MALFORMED_DERIVED, ids=repr)
 def test_belief_lists_report_each_malformed_item_as_the_seed_parser(value):
-    # every shape the checks refuse, behind a belief the fast path takes
+    # every shape the checks refuse, behind a belief the plain path takes
     agent = {"id": "A", "expertise": "expert", "beliefs": [plain("p"), value]}
     seed = agent_outcome(seed_parse_agent, agent)
     assert isinstance(seed, tuple)

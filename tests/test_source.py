@@ -3,13 +3,15 @@
 import ast
 import importlib
 import re
+import tomllib
 from pathlib import Path
 
 import pytest
 
 from conftest import load_bench
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "parley"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "parley"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -115,7 +117,7 @@ def test_every_export_is_named_in_readme():
     # each name of the package surface is named, as code, in the README's
     # Library section, so the surface and its documentation move together
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n### Library\n", 1)[1].split("\n## ", 1)[0]
     exported = [
         alias.asname or alias.name
@@ -216,3 +218,10 @@ def test_every_self_call_has_a_stated_bound():
                 found[path.name, func.name] = source
     assert sorted(found) == sorted(SELF_CALLS)
     assert [key for key, bound in SELF_CALLS.items() if bound not in found[key]] == []
+
+
+def test_no_runtime_dependencies():
+    # the package needs only the standard library; test tools are extras
+    with open(ROOT / "pyproject.toml", "rb") as file:
+        project = tomllib.load(file)["project"]
+    assert project["dependencies"] == []

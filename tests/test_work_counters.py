@@ -231,19 +231,28 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
 
 @pytest.mark.parametrize("document", [lambda: filler_document(1_500), lambda: chain_document(40)])
-def test_parsing_checks_no_belief_field_by_field(monkeypatch, document):
-    # plain and derived beliefs are all read by the fast path, so no belief
-    # is checked field by field and no belief's JSON path is built
-    doc = json.loads(document())
-    calls = count_calls(monkeypatch, parley.scenario, "_parse_belief")
-    parse_scenario(json.dumps(doc))
+def test_parsing_valid_input_spells_no_item_path(monkeypatch, document):
+    # each reader reports an error at a path relative to what it reads, and
+    # a list puts an item's index before that path only as the error leaves
+    # it: a valid document spells no belief's, basis text's or child's path
+    calls = count_calls(monkeypatch, parley.scenario, "_under")
+    parse_scenario(document())
     assert calls == []
-    # an assertion source is not read by the fast path: the count sees it
-    source = {"assertion": {"speaker": "U", "expertise": "expert"}}
-    doc["agents"][1]["beliefs"].append({"prop": "said(u)", "level": "weak", "source": source})
-    parse_scenario(json.dumps(doc))
-    last = len(doc["agents"][1]["beliefs"]) - 1
-    assert [path for _, path, _ in calls] == [f"$.agents[1].beliefs[{last}]"]
+
+
+def test_bad_basis_text_deep_in_a_chain_is_reported_at_its_full_path(monkeypatch):
+    doc = json.loads(chain_document(40))
+    beliefs_u = doc["agents"][0]["beliefs"]
+    last = max(i for i, b in enumerate(beliefs_u) if isinstance(b["source"], dict))
+    beliefs_u[last]["source"]["derived"]["from"].append("Bad(")
+    calls = count_calls(monkeypatch, parley.scenario, "_under")
+    with pytest.raises(parley.scenario.ScenarioError) as info:
+        parse_scenario(json.dumps(doc))
+    assert info.value.path == f"$.agents[0].beliefs[{last}].source.derived.from[1]"
+    assert str(info.value).startswith(f"{info.value.path}: ")
+    # one prefix per list the error leaves: the basis texts, then the beliefs
+    prefixes = [".source.derived.from[1]", f"$.agents[0].beliefs[{last}]"]
+    assert [args[0] for args in calls] == prefixes
 
 
 def test_parsing_relations_rebuilds_no_text(monkeypatch):
