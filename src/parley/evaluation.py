@@ -38,8 +38,10 @@ class ProposalNode:
     prop: Proposition
     asserted_level: StrengthLevel
     children: tuple["ProposalNode", ...] = ()
-    # not a field: the relations to the children, once built
+    # not fields: the relations to the children, once built, and whether
+    # ``validate_tree`` passed this tree
     _relations = None
+    _valid = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.prop, Proposition):
@@ -93,18 +95,33 @@ def walk(root, enter: Optional[Callable] = None) -> Iterator[tuple]:
     """Yield ``(node, parent, i, done)`` for each node under ``root``, where
     ``node`` is ``parent.children[i]`` and the root's parent is None: depth
     first, once on the way down and again with ``done`` after the subtree,
-    which is skipped if ``enter(node)``, asked after the way down, is false.
-    The walk keeps its own stack, so a tree of any depth walks."""
+    which is skipped if ``enter(node, parent, i)``, asked after the way down,
+    is false.  The walk keeps its own stack, so a tree of any depth walks."""
     stack = [(root, None, 0, False)]
     while stack:
         node, parent, i, done = visit = stack.pop()
         yield visit
         if not done:
             stack.append((node, parent, i, True))
-            if enter is None or enter(node):
+            if enter is None or enter(node, parent, i):
                 children = node.children
                 for j in range(len(children) - 1, -1, -1):
                     stack.append((children[j], node, j, False))
+
+
+def fold(root, make: Callable, enter: Optional[Callable] = None):
+    """What ``make(node, parent, i, results)`` returns for ``root``, called
+    once per node of ``walk(root, enter)`` after its subtree, where
+    ``results`` lists what it returned for the node's children, in order;
+    a node whose subtree ``enter`` skips gets none."""
+    results: list[list] = [[]]
+    for node, parent, i, done in walk(root, enter):
+        if not done:
+            results.append([])
+        else:
+            made = make(node, parent, i, results.pop())
+            results[-1].append(made)
+    return results[0][0]
 
 
 def _tree_repr(root, label: Callable) -> str:
@@ -123,7 +140,10 @@ def _tree_repr(root, label: Callable) -> str:
 def validate_tree(tree: ProposalNode) -> None:
     """Reject a tree that repeats a proposition, or its negation, on one
     root-to-leaf path, or that asserts a proposition and its negation
-    anywhere; the first offender in preorder is named."""
+    anywhere; the first offender in preorder is named.  A tree that passes
+    is marked, so it is walked once however often it is checked."""
+    if tree._valid:
+        return
     path: set[Proposition] = set()
     asserted: set[Proposition] = set()
     for node, parent, i, done in walk(tree):
@@ -137,6 +157,7 @@ def validate_tree(tree: ProposalNode) -> None:
             if prop.negate() in asserted:
                 raise StructureError(f"proposal tree asserts both {prop.negate()} and {prop}")
             asserted.add(prop)
+    object.__setattr__(tree, "_valid", True)
 
 
 def render_tree(tree: ProposalNode) -> str:
@@ -226,15 +247,11 @@ def evaluate_proposal(
     then only at the strength the evaluation actually granted them.
     """
     validate_tree(tree)
-    # for each node on the current path, each child judged so far paired
-    # with the verdict on the relation to it
-    judged: list[list[tuple]] = [[]]
-    for node, parent, i, done in walk(tree):
-        if not done:
-            judged.append([])
-            continue
-        # a leaf has no pairs to unzip
-        children, relation_verdicts = tuple(zip(*judged.pop())) or ((), ())
+
+    def make(node, parent, i, pairs):
+        # each child's evaluation with the verdict on the relation to it; a
+        # leaf has no pairs to unzip
+        children, relation_verdicts = tuple(zip(*pairs)) or ((), ())
         backing = [
             (c.prop, relation, c.verdict.accepted_strength(), rv.accepted_strength())
             for c, relation, rv in zip(children, node.relations, relation_verdicts)
@@ -258,7 +275,9 @@ def evaluate_proposal(
             rel_verdict = revise_detail(kb, relation, case, tau, trace=trace, agent=agent)
         if held is not None or held_neg is not None:
             record_verdict(trace, agent, relation, rel_verdict, method="lookup")
-        judged[-1].append((evaluated, rel_verdict))
+        return evaluated, rel_verdict
+
+    return fold(tree, make)
 
 
 def assimilate_evaluated(
@@ -277,7 +296,7 @@ def assimilate_evaluated(
         raise ContractViolation(f"cannot assimilate {evaluated.prop}: proposal not accepted")
     agreed: list[Proposition] = []
     pending = _PendingAdds(kb, own=True)
-    for ev, parent, i, done in walk(evaluated, lambda node: node.accepted):
+    for ev, parent, i, done in walk(evaluated, lambda ev, *_: ev.accepted):
         if not done:
             continue
         if ev.accepted:

@@ -25,7 +25,7 @@ from .beliefs import (
     removal_closure,
     revise,
 )
-from .evaluation import EvaluatedNode, walk
+from .evaluation import EvaluatedNode, fold
 
 
 def flips(verdict: Verdict) -> bool:
@@ -179,7 +179,7 @@ def select_focus_modification(
         case = proposer.case(prop) + _standing_attack(kb, prop, evaluator)
         return frozenset({prop}) if flipped(prop, case, (), note) else None
 
-    def judged(ev: EvaluatedNode, member_focus) -> Optional[frozenset]:
+    def internal(ev: EvaluatedNode, member_focus) -> Optional[frozenset]:
         """The focus of the internal node ``ev``, given its members' foci."""
         cand = tuple(sorted(member_focus))
         presented = _asserted_evidence(ev, proposer)
@@ -205,30 +205,24 @@ def select_focus_modification(
             return emit(ev.prop, "both", focus, cand)
         return emit(ev.prop, "nil", None, cand)
 
-    # a member is a child not counted for its parent: an unaccepted one is
-    # walked into, an accepted one can only lose the relation to it.  Each
-    # internal node on the path keeps its members' foci.
-    foci: list[dict[Proposition, frozenset]] = []
-    for ev, parent, i, done in walk(evaluated, lambda node: node is evaluated or not node.accepted):
+    def make(ev: EvaluatedNode, parent, i, members):
+        # a node's focus, paired with its proposition below the root; a
+        # member is a child not counted for its parent: an unaccepted one is
+        # walked into, an accepted one can only lose the relation to it
+        linked = parent is None or parent.relation_verdicts[i].outcome is VerdictOutcome.ACCEPT
         if parent is not None and ev.accepted:
-            if done and parent.relation_verdicts[i].outcome is not VerdictOutcome.ACCEPT:
-                relation = parent.node.relations[i]
-                focus = emit(relation, "relation", head_on(relation, "relation"))
-                if focus is not None:
-                    foci[-1][ev.prop] = focus
-            continue
-        if not done:
-            if ev.children:
-                foci.append({})
-            continue
+            relation = parent.node.relations[i]
+            focus = None if linked else emit(relation, "relation", head_on(relation, "relation"))
+            return ev.prop, focus
         if ev.children:
-            focus = judged(ev, foci.pop())
+            focus = internal(ev, {prop: found for prop, found in members if found is not None})
         else:
             focus = emit(ev.prop, "leaf", head_on(ev.prop, "leaf"))
         if parent is None:
             return focus
-        if focus is None and parent.relation_verdicts[i].outcome is not VerdictOutcome.ACCEPT:
+        if focus is None and not linked:
             # belief cannot be shaken; see whether the link can
             focus = head_on(parent.node.relations[i], "relation")
-        if focus is not None:
-            foci[-1][ev.prop] = focus
+        return ev.prop, focus
+
+    return fold(evaluated, make, lambda ev, parent, i: parent is None or not ev.accepted)

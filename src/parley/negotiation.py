@@ -34,9 +34,9 @@ from .evaluation import (
     ProposalNode,
     assimilate_evaluated,
     evaluate_proposal,
+    fold,
     record_proposal,
     render_tree,
-    walk,
 )
 from .focus import select_focus_modification
 from .justification import (
@@ -168,36 +168,31 @@ def _asserted_level(kb: KnowledgeBase, speaker: Speaker, prop: Proposition) -> S
 def _claim_tree(
     kb: KnowledgeBase, speaker: Speaker, claim: Proposition, chains: tuple[JustificationLink, ...]
 ) -> ProposalNode:
-    # each link is built on its way up, from the links built beneath it
-    nodes: dict[int, ProposalNode] = {}
-    for chain in chains:
-        for link, _, _, done in walk(chain):
-            if done:
-                children = tuple(nodes[id(c)] for c in link.children)
-                nodes[id(link)] = ProposalNode(link.prop, link.belief_level, children)
-    return ProposalNode(
-        claim, _asserted_level(kb, speaker, claim), tuple(nodes[id(link)] for link in chains)
-    )
+    def make(link, parent, i, children):
+        return ProposalNode(link.prop, link.belief_level, tuple(children))
+
+    level = _asserted_level(kb, speaker, claim)
+    return ProposalNode(claim, level, tuple(fold(chain, make) for chain in chains))
 
 
 def _apply_correction(tree: ProposalNode, member: Proposition) -> tuple[ProposalNode, Optional[str]]:
     """Drop the focused member from the proposal: pruning a belief node is a
     node modification, detaching a disputed relation removes the edge.  The
     recipe is the first pruning's, or None when nothing was pruned."""
-    recipe = None
-    # the rebuilt children of each kept node on the current path; ``enter``
-    # is asked after the way-down visit, so a pruned subtree is not walked
-    kept: list[list[ProposalNode]] = [[]]
-    for node, parent, i, done in walk(tree, lambda node: not pruned):
-        pruned = parent is not None and member in (node.prop, parent.relations[i])
-        if pruned:
-            recipe = recipe or ("modify-node" if node.prop == member else "remove-node")
-        elif not done:
-            kept.append([])
-        else:
-            children = tuple(kept.pop())
-            kept[-1].append(ProposalNode(node.prop, node.asserted_level, children))
-    return kept[0][0], recipe
+    recipes: list[str] = []
+
+    def pruned(node, parent, i) -> bool:
+        return parent is not None and member in (node.prop, parent.relations[i])
+
+    def make(node, parent, i, children):
+        # a pruned subtree is not walked, and is rebuilt as None
+        if pruned(node, parent, i):
+            recipes.append("modify-node" if node.prop == member else "remove-node")
+            return None
+        return ProposalNode(node.prop, node.asserted_level, tuple(filter(None, children)))
+
+    # the fold runs before its recipes are read
+    return fold(tree, make, lambda *visit: not pruned(*visit)), recipes[0] if recipes else None
 
 
 def _hypothetical_concession(
@@ -253,6 +248,10 @@ def negotiate(
             raise ContractViolation(f"agent {agent!r} needs a KnowledgeBase, got {kb!r}")
     if not isinstance(proposal, ProposalNode):
         raise ContractViolation(f"proposal must be a ProposalNode, got {proposal!r}")
+    if not isinstance(config, NegotiationConfig):
+        raise ContractViolation(f"config must be a NegotiationConfig, got {config!r}")
+    if not isinstance(trace, (Trace, type(None))):
+        raise ContractViolation(f"trace must be a Trace or None, got {trace!r}")
     evaluator = next(a for a in kbs if a != proposer)
     speakers = {agent: Speaker(agent, kb.expertise) for agent, kb in kbs.items()}
     session = _Session(dict(kbs), speakers, config, trace or Trace())

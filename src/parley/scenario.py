@@ -27,7 +27,7 @@ from .beliefs import (
     _trusted,
     proposition_parser,
 )
-from .evaluation import ProposalNode, validate_tree, walk
+from .evaluation import ProposalNode, fold, validate_tree
 from .negotiation import NegotiationConfig
 
 FORMAT_VERSION = 1
@@ -265,18 +265,11 @@ def _render_belief(belief: Belief) -> dict:
     }
 
 
-def _render_node(root: ProposalNode) -> dict:
-    """The proposal tree under ``root`` as JSON values, built by ``walk``
-    with no self-call: ``opened`` holds the objects of the path walked."""
-    opened = [{"children": []}]
-    for node, _, _, done in walk(root):
-        if done:
-            opened.pop()
-            continue
-        prop, level = node.prop.render(ascii_not=True), node.asserted_level.render()
-        opened.append({"prop": prop, "assertedLevel": level, "children": []})
-        opened[-2]["children"].append(opened[-1])
-    return opened[0]["children"][0]
+def _render_node(node: ProposalNode, parent, i, children: list) -> dict:
+    # one proposal node as JSON values, given its children's; ``fold`` calls
+    # it once per node, so the tree is written with no self-call
+    prop, level = node.prop.render(ascii_not=True), node.asserted_level.render()
+    return {"prop": prop, "assertedLevel": level, "children": children}
 
 
 def render_scenario(scenario: Scenario) -> str:
@@ -296,7 +289,7 @@ def render_scenario(scenario: Scenario) -> str:
     data = {
         "v": FORMAT_VERSION,
         "agents": agents,
-        "proposal": _render_node(scenario.proposal),
+        "proposal": fold(scenario.proposal, _render_node),
         "config": {"tau": scenario.tau, "maxDepth": scenario.max_depth},
     }
     try:

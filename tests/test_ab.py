@@ -43,6 +43,7 @@ def test_ab_diff_passes_a_tree_against_itself_and_names_a_renamed_trace_key(tmp_
         "wide_store: 5 inputs, 0 differ",
         "deep_chain: 5 inputs, 0 differ",
         "search_fanout: 5 inputs, 0 differ",
+        "disputed_correction: 20 inputs, 0 differ",
         f"sloc: base {total}, change {total}",
     ]
 
@@ -72,12 +73,15 @@ def test_ab_seed_draws_other_inputs_and_a_tree_still_matches_itself(ab):
         "wide_store: 5 inputs, 0 differ",
         "deep_chain: 5 inputs, 0 differ",
         "search_fanout: 5 inputs, 0 differ",
+        "disputed_correction: 5 inputs, 0 differ",
         f"sloc: base {total}, change {total}",
     ]
     # the comparator's own draw: the bundled files lead bundled_mix at every
-    # seed, and every drawn input after them differs
+    # seed, and every drawn input after them differs; the disputed
+    # corrections are the same seeds whatever the seed
     for workload, limit, kept in [
-        ("bundled_mix", 10, 6), ("wide_store", 5, 0), ("deep_chain", 5, 0), ("search_fanout", 5, 0)
+        ("bundled_mix", 10, 6), ("wide_store", 5, 0), ("deep_chain", 5, 0), ("search_fanout", 5, 0),
+        ("disputed_correction", 5, 5),
     ]:
         seed0, seed1 = ([case.text for case in ab.inputs(workload, seed, limit)] for seed in (0, 1))
         assert len(seed0) == len(seed1) == limit

@@ -30,7 +30,7 @@ from parley import (
     validate_tree,
 )
 from parley.beliefs import _PendingAdds, piece_strength, record_verdict, revise_detail
-from parley.evaluation import walk
+from parley.evaluation import fold, walk
 from parley.focus import _asserted_evidence, _standing_attack
 from parley.negotiation import _apply_correction
 from parley.trace import Trace
@@ -172,6 +172,39 @@ class TestTrees:
         text = repr(evaluated)
         assert text.startswith(f"EvaluatedNode(n{d - 1}(x): accept, [EvaluatedNode(n{d - 2}(x): ")
         assert text.endswith("EvaluatedNode(n0(x): accept)" + "])" * (d - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(proposal_trees())
+    def test_fold_rebuilds_an_equal_tree(self, tree):
+        def make(node, parent, i, children):
+            assert parent is None or parent.children[i] is node
+            return ProposalNode(node.prop, node.asserted_level, tuple(children))
+
+        rebuilt = fold(tree, make)
+        assert rebuilt == tree and rebuilt is not tree
+        assert repr(rebuilt) == repr(tree)
+
+    def test_fold_runs_a_deep_chain_without_recursion(self):
+        d = 5000
+        assert sys.getrecursionlimit() < d
+        tree = ProposalNode(ground("n0"), W)
+        for i in range(1, d):
+            tree = ProposalNode(ground(f"n{i}"), S, (tree,))
+        assert fold(tree, lambda node, parent, i, depths: 1 + sum(depths)) == d
+
+    def test_fold_gives_a_skipped_subtree_no_results(self):
+        # p ⊣ (q ⊣ r), t: q's subtree is skipped, so q is made from no
+        # results and r is never made
+        q = ground("q")
+        tree = ProposalNode(P, S, (ProposalNode(q, S, (ProposalNode(R, S),)), ProposalNode(TGT, S)))
+        made = []
+
+        def make(node, parent, i, results):
+            made.append((node.prop.render(), i, results))
+            return node.prop.render()
+
+        assert fold(tree, make, lambda node, parent, i: node.prop != q) == "p(x)"
+        assert made == [("q(x)", 0, []), ("t(x)", 1, []), ("p(x)", 0, ["q(x)", "t(x)"])]
 
     def test_first_revisit_in_preorder_is_named(self):
         tree = ProposalNode(
@@ -478,7 +511,7 @@ def seed_assimilate_evaluated(kb, evaluated):
         raise ContractViolation("cannot assimilate a proposal that was not accepted")
     agreed = []
     pending = _PendingAdds(kb, own=True)
-    for ev, parent, _, done in walk(evaluated, lambda node: node.accepted):
+    for ev, parent, _, done in walk(evaluated, lambda ev, *_: ev.accepted):
         if not done:
             continue
         if ev.accepted:

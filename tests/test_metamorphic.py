@@ -1,23 +1,34 @@
 """Metamorphic relations: the engine checked against itself on a transformed
-scenario text, with no kept copy of replaced code as the oracle.
+scenario, with no kept copy of replaced code as the oracle.
 
-Each row is a transform of a scenario's JSON document and an inverse map on
-the final stores of the transformed run.  The parts compared are the
-transcript lines, the outcome, the trace NDJSON and ``render_scenario`` of
-the final stores.
+Each row runs a scenario transformed in one way that should not matter (its
+JSON document edited, its agents handed over in the other order, the drawn
+object run without its text, its predicates renamed) and maps the outputs
+back.  The parts compared are the transcript lines, the outcome, the trace
+NDJSON and the final stores, each written as ``render_scenario`` writes it.
 """
 
 import functools
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
-from parley import AgentSpec, KnowledgeBase, Scenario, parse_scenario, render_scenario
+from parley import (
+    AgentSpec,
+    KnowledgeBase,
+    NegotiationConfig,
+    Scenario,
+    negotiate,
+    parse_scenario,
+    render_scenario,
+)
+from parley.scenario import _render_belief
 from parley.trace import Trace
 
-from conftest import disputed_correction_scenario, random_scenario, run_scenario
+from conftest import disputed_correction_scenario, random_scenario
 
 CORPORA = {"random": (random_scenario, 500), "disputed": (disputed_correction_scenario, 250)}
 
@@ -26,19 +37,28 @@ def unchanged(final: Scenario) -> Scenario:
     return final
 
 
-def outputs(text: str, inverse=unchanged) -> dict:
-    """The parts of one negotiation of ``text`` that a relation compares,
-    the final stores mapped by ``inverse`` before they are rendered."""
-    scenario = parse_scenario(text)
+def outputs(scenario: Scenario, inverse=unchanged, order=list) -> dict:
+    """The parts of one negotiation of ``scenario`` that a relation
+    compares: the agents are handed to ``negotiate`` in ``order``, and the
+    final stores mapped by ``inverse`` before they are rendered."""
     trace = Trace()
-    transcript = run_scenario(scenario, trace)
+    kbs = {a.id: a.kb for a in order(scenario.agents)}
+    config = NegotiationConfig(tau=scenario.tau, max_depth=scenario.max_depth)
+    transcript = negotiate(kbs, scenario.proposer.id, scenario.proposal, config, trace=trace)
     agents = tuple(AgentSpec(a.id, transcript.final_beliefs[a.id]) for a in scenario.agents)
-    final = Scenario(agents, scenario.proposal, scenario.tau, scenario.max_depth)
+    final = inverse(Scenario(agents, scenario.proposal, scenario.tau, scenario.max_depth))
+    # each store as ``render_scenario`` writes it, without its indenting
+    # encoder, which would take most of the module's time
+    stores = [
+        [a.id, a.kb.expertise.value]
+        + [[_render_belief(b) for b in side] for side in (a.kb.own, a.kb.user_model)]
+        for a in final.agents
+    ]
     return {
-        "transcript": transcript.realize(),
+        "transcript": "\n".join(transcript.realize()),
         "outcome": transcript.outcome,
         "trace": trace.to_ndjson(),
-        "stores": render_scenario(inverse(final)),
+        "stores": json.dumps(stores, ensure_ascii=False),
     }
 
 
@@ -79,27 +99,71 @@ def strip_filler(final: Scenario) -> Scenario:
     return replace(final, agents=agents)
 
 
+def on_document(transform, inverse=unchanged):
+    """The row that runs the scenario's JSON document as ``transform``
+    leaves it, the final stores mapped back by ``inverse``."""
+
+    def row(drawn: Scenario, parsed: Scenario, text: str, rng) -> tuple[bool, dict]:
+        doc = json.loads(text)
+        transform(doc, rng)
+        return doc != json.loads(text), outputs(parse_scenario(json.dumps(doc)), inverse)
+
+    return row
+
+
+def reversed_kbs(drawn: Scenario, parsed: Scenario, text: str, rng) -> tuple[bool, dict]:
+    # the order of ``kbs`` means nothing: the proposer is named
+    return True, outputs(parsed, order=lambda agents: agents[::-1])
+
+
+def unparsed(drawn: Scenario, parsed: Scenario, text: str, rng) -> tuple[bool, dict]:
+    # the drawn scenario runs as its rendering parsed back does
+    return True, outputs(drawn)
+
+
+def renamed(drawn: Scenario, parsed: Scenario, text: str, rng) -> tuple[bool, dict]:
+    # ``pi`` becomes ``qi``, which keeps every text's canonical order, and
+    # back again in every output
+    renamed_text = re.sub(r"\bp(\d)", r"q\1", text)
+    got = outputs(parse_scenario(renamed_text))
+    back = {part: re.sub(r"\bq(\d)", r"p\1", value) for part, value in got.items()}
+    return renamed_text != text, back
+
+
 @functools.cache
-def untransformed(corpus: str, seed: int) -> tuple[str, dict]:
-    # shared by every relation's run over the corpus
-    text = render_scenario(CORPORA[corpus][0](random.Random(seed)))
-    return text, outputs(text)
+def untransformed(corpus: str, seed: int) -> tuple[Scenario, Scenario, str, dict]:
+    # shared by every relation's run over the corpus: the drawn scenario,
+    # its text parsed back, the text and the outputs of the parsed one
+    drawn = CORPORA[corpus][0](random.Random(seed))
+    text = render_scenario(drawn)
+    parsed = parse_scenario(text)
+    return drawn, parsed, text, outputs(parsed)
 
 
-RELATIONS = {"shuffle": (shuffle_beliefs, unchanged), "filler": (add_filler, strip_filler)}
+RELATIONS = {
+    "shuffle": on_document(shuffle_beliefs),
+    "filler": on_document(add_filler, strip_filler),
+    "reverse-kbs": reversed_kbs,
+    "render-parse": unparsed,
+    "rename": renamed,
+}
+# the disputed corpus names no ``pi``
+CASES = [
+    (relation, corpus)
+    for relation in sorted(RELATIONS)
+    for corpus in sorted(CORPORA)
+    if (relation, corpus) != ("rename", "disputed")
+]
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-@pytest.mark.parametrize("relation", sorted(RELATIONS))
+@pytest.mark.parametrize("relation, corpus", CASES)
 def test_relation_holds_over_the_corpus(relation, corpus):
-    transform, inverse = RELATIONS[relation]
     count = CORPORA[corpus][1]
     changed = 0
     for seed in range(count):
-        text, expected = untransformed(corpus, seed)
-        doc = json.loads(text)
-        transform(doc, random.Random(seed))
-        changed += doc != json.loads(text)
-        assert outputs(json.dumps(doc), inverse) == expected, (corpus, seed)
+        *inputs, expected = untransformed(corpus, seed)
+        transformed, got = RELATIONS[relation](*inputs, random.Random(seed))
+        changed += transformed
+        assert got == expected, (corpus, seed)
     # most inputs are really transformed
     assert changed > count // 2

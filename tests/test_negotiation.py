@@ -240,6 +240,17 @@ def test_correction_prunes_whole_subtrees_and_keeps_the_first_recipe():
     assert (render_tree(pruned), recipe) == ("t(x) ⊣ b(x)", "remove-node")
 
 
+def test_correction_walks_no_pruned_subtree():
+    # p ⊣ c ⊣ supports(c, p), the member being that relation: the edge from
+    # p to c is removed before the node beneath c, which would be modified,
+    # is reached
+    p, c = parse_proposition("p(x)"), parse_proposition("c(x)")
+    member = supports_prop(c, p)
+    strong = StrengthLevel.STRONG
+    tree = ProposalNode(p, strong, (ProposalNode(c, strong, (ProposalNode(member, strong),)),))
+    assert _apply_correction(tree, member) == (ProposalNode(p, strong), "remove-node")
+
+
 def test_self_contradictory_proposal_is_refused():
     # judged against one store, both branches of p ⊣ ¬q, q are accepted by
     # a hearer holding q weakly; adopting ¬q would then drop q, leaving
@@ -976,6 +987,26 @@ CONTRACT_CALLS = {
             ProposalNode(ground("p"), StrengthLevel.STRONG),
         ),
         ["'ann', 'bea', 'cy'", "proposer 'ann'"],
+    ),
+    # a wrong config or trace used to raise a raw AttributeError when the
+    # session first read it
+    "negotiate-config": (
+        lambda: negotiate(
+            {name: KnowledgeBase(own=()) for name in ("ann", "bea")},
+            "ann",
+            ProposalNode(ground("p"), StrengthLevel.STRONG),
+            {"tau": 1},
+        ),
+        ["config must be a NegotiationConfig, got {'tau': 1}"],
+    ),
+    "negotiate-trace": (
+        lambda: negotiate(
+            {name: KnowledgeBase(own=()) for name in ("ann", "bea")},
+            "ann",
+            ProposalNode(ground("p"), StrengthLevel.STRONG),
+            trace="out.ndjson",
+        ),
+        ["trace must be a Trace or None, got 'out.ndjson'"],
     ),
     "select_min_set-empty": (
         lambda: select_min_set(ground("lonely"), [], KnowledgeBase(own=())),

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import parley.scenario
-from parley import beliefs, parse_scenario
+from parley import beliefs, evaluation, parse_scenario
 from parley.trace import Trace
 
 from conftest import load_bench, load_bundled, run_scenario
@@ -87,6 +87,24 @@ def test_chain_store_writes_do_not_grow_with_depth():
     short, long = (work_counters(parse_scenario(chain_document(d))) for d in (10, 40))
     assert short["beliefs.revise_calls"] < long["beliefs.revise_calls"]
     assert short["beliefs.kb_writes"] == long["beliefs.kb_writes"]
+
+
+def test_a_parsed_proposal_is_validated_once(monkeypatch):
+    # parsing validates the proposal and marks it, so the negotiation's
+    # first evaluation does not walk it again; each walk is counted by its
+    # root when validate_tree starts it
+    roots = []
+    walk = evaluation.walk
+
+    def counted(root, enter=None):
+        if sys._getframe(1).f_code is evaluation.validate_tree.__code__:
+            roots.append(root)
+        return walk(root, enter)
+
+    monkeypatch.setattr(evaluation, "walk", counted)
+    scenario = parse_scenario(chain_document(60))
+    assert run_scenario(scenario, Trace()).outcome == "agreement"
+    assert [root is scenario.proposal for root in roots] == [True]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -11,7 +11,11 @@ relatively.  The inputs are those ``bench/workloads.py`` draws for
 ``--seed`` (default 0), read-only, so a gain can be checked on a seed other
 than the one a change was tuned on; ``--limit N`` takes the first N of each
 workload without drawing the rest, as ``bench/run.py`` does for its golden
-inputs.
+inputs.  One more input set, ``disputed_correction``, is
+``tests/conftest.py:disputed_correction_scenario`` at seeds 0-999 whatever
+``--seed``, each rendered once by the checkout's own ``parley`` and fed to
+both trees as text: these reach the round in which a disputed correction is
+proposed by its corrector, which no workload does.
 
 ``--diff`` runs every input on both trees with ``bench/run.py``'s
 ``operation``, as ``parley run --trace`` does, and compares the transcript
@@ -37,17 +41,22 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import random
 import statistics
 import sys
 from pathlib import Path
 from time import process_time
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src"), str(ROOT / "tests")]
+import conftest  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
+from parley import render_scenario  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "parley" / "scenarios"
+DISPUTED = "disputed_correction"
+NAMES = (*workloads.WORKLOADS, DISPUTED)
 # CPU seconds the base tree should take per block; the passes per block are
 # set from one timed pass
 BLOCK_S = 0.2
@@ -68,6 +77,10 @@ def load(src: Path, name: str):
 
 
 def inputs(workload: str, seed: int, limit: int | None) -> list:
+    if workload == DISPUTED:
+        seeds = range(min(limit or 1000, 1000))
+        drawn = (conftest.disputed_correction_scenario(random.Random(i)) for i in seeds)
+        return [workloads.Case(f"disputed:{i}", render_scenario(s)) for i, s in enumerate(drawn)]
     if limit is None:
         return workloads.generate(workload, seed, SCENARIOS)
     if workload == "bundled_mix":
@@ -209,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--diff", action="store_true")
     mode.add_argument("--time", action="store_true")
-    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS)
+    parser.add_argument("--workload", action="append", choices=NAMES)
     parser.add_argument("--limit", type=int)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--blocks", type=int, default=20)
@@ -223,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     base = load(args.base, "parley_base")
     change = load(change_src, "parley_change")
     if args.diff:
-        names = args.workload or list(workloads.WORKLOADS)
+        names = args.workload or list(NAMES)
         status = diff(base, change, names, args.seed, args.limit)
         print(sloc_line(args.base, change_src))
         return status
