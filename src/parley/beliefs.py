@@ -652,9 +652,8 @@ class KnowledgeBase:
             side[prop._text] = belief
             if prop.predicate == SUPPORTS and not prop.negated:
                 index.setdefault(prop.args[1]._text, {})[prop._text] = None
-        if own:
-            return _trusted(side, self._model, self.expertise, index, self._parse)
-        return _trusted(self._own, side, self.expertise, index, self._parse)
+        sides = (side, self._model) if own else (self._own, side)
+        return _trusted(*sides, self.expertise, index, self._parse)
 
 
 def _trusted(own: dict, model: dict, expertise: Expertise, index: dict, parse=None) -> KnowledgeBase:
@@ -807,6 +806,22 @@ def _standing(kb: KnowledgeBase, belief: Belief) -> bool:
     return False
 
 
+def _weigh(
+    kb: KnowledgeBase, pool: Sequence[EvidencePiece], prop: Proposition
+) -> tuple[Optional[Belief], bool, tuple[EvidencePiece, ...], int]:
+    """One side of a judgement: the judge's own belief in ``prop``, whether
+    it stands, the pieces of ``pool`` credited to ``prop`` and the side's
+    score.  A standing prior counts at its level and replaces a bare
+    self-assertion of ``prop``."""
+    prior = kb.own_belief(prop)
+    counts = prior is not None and _standing(kb, prior)
+    pieces = tuple(
+        pc for pc in pool if pc.consequent == prop and not (counts and pc.belief.prop == prop)
+    )
+    score = sum(int(piece_strength(pc)) for pc in pieces)
+    return prior, counts, pieces, score + (prior.endorsement.level if counts else 0)
+
+
 def record_verdict(
     trace,
     agent: str,
@@ -849,49 +864,20 @@ def revise_detail(
 ) -> Verdict:
     """:func:`revise`, with the verdict recorded to ``trace``."""
     _check_count("threshold", tau)
-    negated = target.negate()
     pool = build_evidence_set(kb, target, presented)
-    support = [pc for pc in pool if pc.consequent == target]
-    attack = [pc for pc in pool if pc.consequent == negated]
-
-    prior_t = kb.own_belief(target)
-    prior_n = kb.own_belief(negated)
-    t_counts = prior_t is not None and _standing(kb, prior_t)
-    n_counts = prior_n is not None and _standing(kb, prior_n)
-
-    # a standing prior subsumes a bare self-assertion of the same proposition
-    if t_counts:
-        support = [pc for pc in support if pc.belief.prop != target]
-    if n_counts:
-        attack = [pc for pc in attack if pc.belief.prop != negated]
-
-    support_score = sum(int(piece_strength(pc)) for pc in support)
-    attack_score = sum(int(piece_strength(pc)) for pc in attack)
-    if t_counts:
-        support_score += prior_t.endorsement.level
-    if n_counts:
-        attack_score += prior_n.endorsement.level
-
+    prior, counts, support, support_score = _weigh(kb, pool, target)
+    _, _, attack, attack_score = _weigh(kb, pool, target.negate())
     if support_score - attack_score >= tau:
         outcome = VerdictOutcome.ACCEPT
     elif attack_score - support_score >= tau:
         outcome = VerdictOutcome.REJECT
-    elif (
-        prior_t is not None
-        and prior_t.endorsement.kind is SourceKind.DERIVED
-        and not t_counts
-    ):
+    elif prior is not None and prior.endorsement.kind is SourceKind.DERIVED and not counts:
         outcome = VerdictOutcome.ABANDON
     else:
         outcome = VerdictOutcome.UNCERTAIN
 
     verdict = Verdict(
-        outcome,
-        support_score,
-        attack_score,
-        tuple(support),
-        tuple(attack),
-        prior_t if t_counts else None,
+        outcome, support_score, attack_score, support, attack, prior if counts else None
     )
     record_verdict(trace, agent, target, verdict, note, method="scores")
     return verdict

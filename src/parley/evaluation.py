@@ -265,16 +265,15 @@ def evaluate_proposal(
         relation = parent.relations[i]
         held = kb.own_belief(relation)
         held_neg = kb.own_belief(relation.negate())
-        # a held relation is its own evidence, at the level held
+        if held is None and held_neg is None:
+            case = proposer.case(relation)
+            return evaluated, revise_detail(kb, relation, case, tau, trace=trace, agent=agent)
+        # a held relation, or its held negation, is its own evidence, at the level held
         if held is not None:
             rel_verdict = Verdict(VerdictOutcome.ACCEPT, held.endorsement.level, 0, prior_support=held)
-        elif held_neg is not None:
-            rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.endorsement.level)
         else:
-            case = proposer.case(relation)
-            rel_verdict = revise_detail(kb, relation, case, tau, trace=trace, agent=agent)
-        if held is not None or held_neg is not None:
-            record_verdict(trace, agent, relation, rel_verdict, method="lookup")
+            rel_verdict = Verdict(VerdictOutcome.REJECT, 0, held_neg.endorsement.level)
+        record_verdict(trace, agent, relation, rel_verdict, method="lookup")
         return evaluated, rel_verdict
 
     return fold(tree, make)

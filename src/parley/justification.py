@@ -157,16 +157,16 @@ def select_justification(
             tuple(c.key() for c in combo),
         )
 
-    ranked = sorted(survivors, key=score)
-    best = ranked[0]
+    # the survivor index keeps ties in survivor order and leaves bundles uncompared
+    (b, _, best), *rest = sorted((score(combo), i, combo) for i, combo in enumerate(survivors))
     if trace is not None:
-        if len(survivors) == 1:
+        if not rest:
             rule = "only"
         else:
-            runner = ranked[1]
-            b, r = score(best), score(runner)
+            r = rest[0][0]
+            # a full tie falls to the last rule, which keeps survivor order
             rule = ("confidence", "novelty", "size", "canonical")[
-                next(i for i in range(4) if b[i] != r[i])
+                next((i for i in range(3) if b[i] != r[i]), 3)
             ]
         trace.emit(
             "heuristic",

@@ -531,11 +531,23 @@ def test_more_support_never_hurts(seed):
 def test_negation_symmetry(seed):
     rng = random.Random(seed)
     kb, target, presented, tau = random_revision_case(rng)
+    if rng.random() < 0.5:
+        # a derived prior on either side whose basis may be unheld, itself or
+        # circular, so that it may not stand
+        props = [ground(f"p{i}", rng.random() < 0.5) for i in range(5)]
+        side = rng.choice([target, target.negate()])
+        basis = rng.sample([side, *props], rng.randint(1, 2))
+        kb = kb.own_add(Belief(side, Endorsement.derived(rng.choice(LEVELS), basis)))
+    if rng.random() < 0.5:
+        # a bare self-assertion, which a standing prior on its side replaces
+        speaker = Speaker("s", rng.choice(list(Expertise)))
+        presented = [*presented, *speaker.case(rng.choice([target, target.negate()]))]
     # a piece counts for its relation's consequent, so the same pool argues
-    # the negation, with the two scores swapped
+    # the negation, with the two scores and the credited pieces swapped
     v = revise(kb, target, presented, tau)
     m = revise(kb, target.negate(), presented, tau)
     assert (v.support_score, v.attack_score) == (m.attack_score, m.support_score)
+    assert (v.support_pieces, v.attack_pieces) == (m.attack_pieces, m.support_pieces)
     swap = {
         VerdictOutcome.ACCEPT: VerdictOutcome.REJECT,
         VerdictOutcome.REJECT: VerdictOutcome.ACCEPT,

@@ -197,6 +197,15 @@ class TestSelectJustification:
         assert [c.prop for c in chosen] == [A]
         assert rule == "canonical"
 
+    def test_full_tie_is_canonical_in_survivor_order(self):
+        # two bundles equal on every score: the first survivor wins, traced
+        # or not, and the trace names the last rule
+        first, second = leaf_chain(A), leaf_chain(A)
+        assert self.select([first, second], kb_of()) == (first,)
+        chosen, rule = self.choose([first, second], kb_of())
+        assert chosen == (first,)
+        assert rule == "canonical"
+
     def test_supersets_of_survivors_discarded(self):
         model = kb_of(rec(CLAIM.negate(), W))
         chosen, _ = self.choose([leaf_chain(A), leaf_chain(B)], model)
