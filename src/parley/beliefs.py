@@ -772,23 +772,33 @@ def build_evidence_set(
                     basis = read(own, relation.prop.args[0]._text)
                 if basis is not None:
                     pieces.append(_trusted_piece(basis, relation))
-    for pc in presented:
-        if pc.consequent not in sides:
-            raise StructureError(f"evidence piece does not address {target}: {pc.relation.prop}")
-        pieces.append(pc)
-    best: dict[tuple[str, str], EvidencePiece] = {}
+    pieces += _addressing(target, presented)
+    best: dict[tuple[str, str], tuple[EvidencePiece, StrengthLevel]] = {}
     for pc in pieces:
+        strength = piece_strength(pc)
         key = pc.key()
         prev = best.get(key)
-        if prev is None or piece_strength(pc) > piece_strength(prev):
-            best[key] = pc
-    return tuple(sorted(best.values(), key=EvidencePiece.key))
+        if prev is None or strength > prev[1]:
+            best[key] = (pc, strength)
+    return tuple(best[key][0] for key in sorted(best))
 
 
-def _standing(kb: KnowledgeBase, belief: Belief) -> bool:
+def _addressing(target: Proposition, presented: Iterable[EvidencePiece]) -> list[EvidencePiece]:
+    """``presented`` as a list, each piece checked to count for ``target``
+    or its negation."""
+    sides = (target._text, target.negate()._text)
+    pieces = list(presented)
+    for pc in pieces:
+        if pc.relation.prop.args[1]._text not in sides:
+            raise StructureError(f"evidence piece does not address {target}: {pc.relation.prop}")
+    return pieces
+
+
+def _standing(kb: KnowledgeBase | _Removal, belief: Belief) -> bool:
     """A derived belief stands only while some member of its basis is still
     held and standing: it can reach a held belief that is not derived
-    through held derived beliefs."""
+    through held derived beliefs.  ``kb`` is a store, or a :class:`_Removal`
+    view of one."""
     if belief.endorsement.kind is not SourceKind.DERIVED:
         return True
     seen = {belief.prop}
@@ -807,19 +817,43 @@ def _standing(kb: KnowledgeBase, belief: Belief) -> bool:
 
 
 def _weigh(
-    kb: KnowledgeBase, pool: Sequence[EvidencePiece], prop: Proposition
+    kb: KnowledgeBase | _Removal, pool: Sequence[EvidencePiece], prop: Proposition
 ) -> tuple[Optional[Belief], bool, tuple[EvidencePiece, ...], int]:
     """One side of a judgement: the judge's own belief in ``prop``, whether
     it stands, the pieces of ``pool`` credited to ``prop`` and the side's
     score.  A standing prior counts at its level and replaces a bare
-    self-assertion of ``prop``."""
+    self-assertion of ``prop``.  ``kb`` is a store, or a :class:`_Removal`
+    view of one."""
+    text = prop._text
     prior = kb.own_belief(prop)
     counts = prior is not None and _standing(kb, prior)
-    pieces = tuple(
-        pc for pc in pool if pc.consequent == prop and not (counts and pc.belief.prop == prop)
+    score = prior.endorsement.level if counts else 0
+    pieces = []
+    for pc in pool:
+        if pc.relation.prop.args[1]._text == text and not (counts and pc.belief.prop._text == text):
+            pieces.append(pc)
+            score += piece_strength(pc)
+    return prior, counts, tuple(pieces), int(score)
+
+
+def _judged(
+    kb: KnowledgeBase | _Removal, target: Proposition, pool: Sequence[EvidencePiece], tau: int
+) -> Verdict:
+    """The verdict on ``target`` of the judge whose own beliefs ``kb``
+    reads, a store or a :class:`_Removal` view of one, weighing ``pool``."""
+    prior, counts, support, support_score = _weigh(kb, pool, target)
+    _, _, attack, attack_score = _weigh(kb, pool, target.negate())
+    if support_score - attack_score >= tau:
+        outcome = VerdictOutcome.ACCEPT
+    elif attack_score - support_score >= tau:
+        outcome = VerdictOutcome.REJECT
+    elif prior is not None and prior.endorsement.kind is SourceKind.DERIVED and not counts:
+        outcome = VerdictOutcome.ABANDON
+    else:
+        outcome = VerdictOutcome.UNCERTAIN
+    return Verdict(
+        outcome, support_score, attack_score, support, attack, prior if counts else None
     )
-    score = sum(int(piece_strength(pc)) for pc in pieces)
-    return prior, counts, pieces, score + (prior.endorsement.level if counts else 0)
 
 
 def record_verdict(
@@ -864,21 +898,7 @@ def revise_detail(
 ) -> Verdict:
     """:func:`revise`, with the verdict recorded to ``trace``."""
     _check_count("threshold", tau)
-    pool = build_evidence_set(kb, target, presented)
-    prior, counts, support, support_score = _weigh(kb, pool, target)
-    _, _, attack, attack_score = _weigh(kb, pool, target.negate())
-    if support_score - attack_score >= tau:
-        outcome = VerdictOutcome.ACCEPT
-    elif attack_score - support_score >= tau:
-        outcome = VerdictOutcome.REJECT
-    elif prior is not None and prior.endorsement.kind is SourceKind.DERIVED and not counts:
-        outcome = VerdictOutcome.ABANDON
-    else:
-        outcome = VerdictOutcome.UNCERTAIN
-
-    verdict = Verdict(
-        outcome, support_score, attack_score, support, attack, prior if counts else None
-    )
+    verdict = _judged(kb, target, build_evidence_set(kb, target, presented), tau)
     record_verdict(trace, agent, target, verdict, note, method="scores")
     return verdict
 
@@ -908,24 +928,125 @@ def revise(
 # hypothetical removal and minimal-subset search
 
 
+def _support(own: dict, text: str) -> Optional[Iterator[Proposition]]:
+    # the support members of the derived belief ``own`` holds in ``text``;
+    # None if it holds none there
+    item = own.get(text)
+    if type(item) is Belief and item.endorsement.kind is SourceKind.DERIVED:
+        return iter(item.endorsement.support)
+    return None
+
+
+class _Removal(dict):
+    """A store's own beliefs less what removing some propositions loses,
+    read in place, and whether each proposition is lost, keyed by text and
+    worked out on its first lookup.  A proposition is lost if it was
+    removed, or if it is a derived belief of the store and every member of
+    its support is lost; so a cycle of supports is lost only through a
+    removed member.  Each lookup costs what it visits, once per removal,
+    not a scan of the store.  ``own_belief`` still reads the ``kept``
+    proposition, if any, when it is lost: the target of a judgement."""
+
+    __slots__ = ("_kb", "_kept")
+
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        removed: Iterable[Proposition],
+        kept: Optional[Proposition] = None,
+        plain: Iterable = (),
+    ) -> None:
+        # ``plain`` maps texts that hold no derived belief to False: each is
+        # lost only if removed
+        super().__init__(plain)
+        self.update(dict.fromkeys([prop._text for prop in removed], True))
+        self._kb, self._kept = kb, None if kept is None else kept._text
+
+    def own_belief(self, prop: Proposition) -> Optional[Belief]:
+        text = prop._text
+        if text != self._kept and self[text]:
+            return None
+        return self._kb.own_belief(prop)
+
+    def __missing__(self, text: str) -> bool:
+        # depth first, on an explicit stack of (text, its members not yet
+        # looked at).  Each text on the stack is a member of the one below
+        # it, so one kept member keeps the whole stack; a text still on the
+        # stack reads as kept, as a cycle of supports must be.
+        own = self._kb._own
+        self[text] = False
+        stack = [(text, _support(own, text))]
+        while stack:
+            top, members = stack[-1]
+            if members is None:
+                return False
+            member = next(members, None)
+            if member is None:
+                self[top] = True
+                stack.pop()
+                continue
+            lost = self.get(member._text)
+            if lost is None:
+                self[member._text] = False
+                stack.append((member._text, _support(own, member._text)))
+            elif not lost:
+                return False
+        return True
+
+
+class _Pool:
+    """The evidence on ``target`` from ``model``'s own beliefs and from
+    ``hypothesized``, prepared once to be weighed under many removals.
+
+    The two sources stay apart until a removal is known: it drops a
+    hypothesized piece whose belief or relation it loses, and a held piece
+    whose relation, or whose belief other than the target, it loses (the
+    judged store keeps the target).  Deduplication comes after that, so
+    each key keeps its readings in the order it prefers them: stronger
+    first, then held before hypothesized, then as given.
+    """
+
+    __slots__ = ("_model", "_target", "_readings", "_plain")
+
+    def __init__(
+        self, model: KnowledgeBase, target: Proposition, hypothesized: Iterable[EvidencePiece] = ()
+    ) -> None:
+        text, own = target._text, model._own
+        found = [(pc, pc.belief.prop._text != text) for pc in build_evidence_set(model, target)]
+        found += [(pc, True) for pc in _addressing(target, hypothesized)]
+        readings: dict[tuple[str, str], list] = {}
+        # the texts a removal tests that no derived belief is held in: each
+        # is lost only if removed
+        self._plain = {}
+        for order, (pc, basis_tested) in enumerate(found):
+            basis, relation = key = pc.key()
+            tested = (basis, relation) if basis_tested else (relation,)
+            readings.setdefault(key, []).append((-piece_strength(pc), order, pc, tested))
+            self._plain.update((t, False) for t in tested if _support(own, t) is None)
+        self._model, self._target = model, target
+        self._readings = [sorted(readings[key]) for key in sorted(readings)]
+
+    def judge(self, removed: Sequence[Proposition], tau: int) -> Verdict:
+        """The verdict on the target once ``removed`` is gone from the model."""
+        model, target = self._model, self._target
+        lost = _Removal(model, removed, target, self._plain)
+        pool = []
+        for readings in self._readings:
+            for _, _, pc, tested in readings:
+                if not any(map(lost.__getitem__, tested)):
+                    pool.append(pc)
+                    break
+        return _judged(lost, target, pool, tau)
+
+
 def removal_closure(model: KnowledgeBase, removed: Iterable[Proposition]) -> frozenset:
-    """Everything lost when ``removed`` goes: the set itself plus every
-    modelled belief derived solely from members of the growing set."""
+    """Everything lost when ``removed`` goes, as :class:`_Removal` decides
+    it: the set itself plus every modelled belief lost with it."""
     closure = set(removed)
-    # each support member, mapped to the derived beliefs resting on it
-    dependents: dict[Proposition, list[Belief]] = {}
-    for belief in model._own.values():
-        # an unbuilt item is its plain endorsement, never a derived one
-        e = belief if type(belief) is Endorsement else belief.endorsement
-        if e.kind is SourceKind.DERIVED and belief.prop not in closure:
-            for member in e.support:
-                dependents.setdefault(member, []).append(belief)
-    todo = list(closure)
-    while todo:
-        for belief in dependents.get(todo.pop(), ()):
-            if belief.prop not in closure and belief.endorsement.support <= closure:
-                closure.add(belief.prop)
-                todo.append(belief.prop)
+    lost = _Removal(model, closure)
+    # an unbuilt item is its plain endorsement, never a derived one
+    own = model._own
+    closure.update([item.prop for text, item in own.items() if type(item) is Belief and lost[text]])
     return frozenset(closure)
 
 

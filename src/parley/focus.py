@@ -19,10 +19,11 @@ from .beliefs import (
     Speaker,
     Verdict,
     VerdictOutcome,
+    _check_count,
+    _Pool,
     build_evidence_set,
     minimal_subsets,
     record_verdict,
-    removal_closure,
     revise,
 )
 from .evaluation import EvaluatedNode, fold
@@ -45,22 +46,22 @@ def predict(
 ) -> Verdict:
     """Simulate the modelled agent revising ``target``.
 
-    ``removed`` beliefs (and everything resting solely on them) are taken
-    out of the model first; hypothesized evidence touching a removed
-    proposition is discarded rather than presented.  The target itself is
-    never deleted, so a derivation left baseless is abandoned, not merely
-    forgotten.
+    ``removed`` beliefs, and everything resting solely on them, are lost
+    from the model, which is read in place, not copied; hypothesized
+    evidence touching a lost proposition is discarded rather than
+    presented.  The target itself is never deleted, so a derivation left
+    baseless is abandoned, not merely forgotten.  ``hypothesized`` may also
+    be the pool :func:`select_min_set` prepared for ``model`` and ``target``.
     """
+    _check_count("threshold", tau)
     removed = tuple(removed)
-    closure = removal_closure(model, removed)
-    hyp = [
-        pc
-        for pc in hypothesized
-        if pc.belief.prop not in closure and pc.relation.prop not in closure
-    ]
-    dropped = closure - {target}
-    pruned = model.own_remove(*dropped) if dropped else model
-    verdict = revise(pruned, target, hyp, tau)
+    if type(hypothesized) is _Pool:
+        verdict = hypothesized.judge(removed, tau)
+    elif removed:
+        verdict = _Pool(model, target, hypothesized).judge(removed, tau)
+    else:
+        # nothing lost: an ordinary revision of the model
+        verdict = revise(model, target, hypothesized, tau)
     record_verdict(trace, agent, target, verdict, note, removed=removed)
     return verdict
 
@@ -83,14 +84,13 @@ def select_min_set(
     cand = sorted(set(cand_set))
     if not cand:
         raise ContractViolation(f"no candidates to select from for {target}")
-    hypothesized = tuple(hypothesized)
+    # the target's evidence, prepared once for every combination
+    pool = _Pool(model, target, hypothesized)
     # the full set is the last subset tried, so a search that finds nothing
     # means it does not flip; the candidates are sorted and combinations
     # come in lexicographic order, so the first found is the canonical least
     chosen = next(
-        minimal_subsets(
-            cand, lambda combo: flips(predict(model, target, hypothesized, combo, tau))
-        ),
+        minimal_subsets(cand, lambda combo: flips(predict(model, target, pool, combo, tau))),
         None,
     )
     if chosen is None:

@@ -4,6 +4,7 @@ seeded random generators."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 import sys
 from importlib import resources
@@ -248,6 +249,51 @@ def flat_chain(n: int) -> dict:
         ],
         "proposal": {"prop": "s0", "assertedLevel": "warranted"},
     }
+
+
+def seed_removal_closure(model, removed):
+    """What removing ``removed`` from ``model``'s own beliefs loses, by
+    rescanning the store until nothing changes: the least set that holds
+    ``removed`` and every derived belief whose support lies within it."""
+    closure = set(removed)
+    changed = True
+    while changed:
+        changed = False
+        for text in model._own:
+            belief = model._read(model._own, text)
+            if belief.prop in closure:
+                continue
+            e = belief.endorsement
+            if e.kind is SourceKind.DERIVED and e.support <= closure:
+                closure.add(belief.prop)
+                changed = True
+    return frozenset(closure)
+
+
+def rejected_chain_document(d: int, held: bool = False) -> str:
+    """A proposal chain of ``d`` nodes, each justified by the next, that U,
+    a non-expert, asserts strong and S, an expert, rejects node by node: S
+    holds each node's negation, warranted.  U holds nothing, or, if
+    ``held``, every node strong."""
+
+    def record(prop: str, level: str) -> dict:
+        return {"prop": prop, "level": level, "source": "kb-record"}
+
+    props = [f"step{i}(x)" for i in range(d)]
+    proposal = {"prop": props[-1], "assertedLevel": "strong"}
+    for prop in reversed(props[:-1]):
+        proposal = {"prop": prop, "assertedLevel": "strong", "children": [proposal]}
+    u_beliefs = [record(prop, "strong") for prop in props] if held else []
+    s_beliefs = [record(f"~{prop}", "warranted") for prop in props]
+    doc = {
+        "v": 1,
+        "agents": [
+            {"id": "U", "expertise": "non-expert", "beliefs": u_beliefs},
+            {"id": "S", "expertise": "expert", "beliefs": s_beliefs},
+        ],
+        "proposal": proposal,
+    }
+    return json.dumps(doc)
 
 
 def assert_index_covers(kb) -> None:

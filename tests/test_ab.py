@@ -1,12 +1,15 @@
 """The in-process comparator of two source trees, ``tools/ab.py``."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import parley
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +47,7 @@ def test_ab_diff_passes_a_tree_against_itself_and_names_a_renamed_trace_key(tmp_
         "deep_chain: 5 inputs, 0 differ",
         "search_fanout: 5 inputs, 0 differ",
         "disputed_correction: 20 inputs, 0 differ",
+        "rejected_chain: 20 inputs, 0 differ",
         f"sloc: base {total}, change {total}",
     ]
 
@@ -74,15 +78,32 @@ def test_ab_seed_draws_other_inputs_and_a_tree_still_matches_itself(ab):
         "deep_chain: 5 inputs, 0 differ",
         "search_fanout: 5 inputs, 0 differ",
         "disputed_correction: 5 inputs, 0 differ",
+        "rejected_chain: 5 inputs, 0 differ",
         f"sloc: base {total}, change {total}",
     ]
     # the comparator's own draw: the bundled files lead bundled_mix at every
     # seed, and every drawn input after them differs; the disputed
-    # corrections are the same seeds whatever the seed
+    # corrections and the rejected chains are the same whatever the seed
     for workload, limit, kept in [
         ("bundled_mix", 10, 6), ("wide_store", 5, 0), ("deep_chain", 5, 0), ("search_fanout", 5, 0),
-        ("disputed_correction", 5, 5),
+        ("disputed_correction", 5, 5), ("rejected_chain", 5, 5),
     ]:
         seed0, seed1 = ([case.text for case in ab.inputs(workload, seed, limit)] for seed in (0, 1))
         assert len(seed0) == len(seed1) == limit
         assert [a == b for a, b in zip(seed0, seed1)] == [True] * kept + [False] * (limit - kept)
+
+
+def test_ab_rejected_chains_predict_every_node_with_a_removal(ab):
+    # both shapes at every depth, and a removal predicted at each internal
+    # node of a rejected chain: d - 1 of them when the proposer holds
+    # nothing, and more over the rounds of a held chain.  The workloads
+    # reach such a prediction only a few times per input.
+    cases = ab.inputs("rejected_chain", 0, None)
+    assert len(cases) == 72
+    assert [case.label for case in cases[:3]] == ["rejected:d5", "rejected:d5held", "rejected:d6"]
+    assert cases[-1].label == "rejected:d40held"
+    predicted = []
+    for case in cases[:2]:
+        records = map(json.loads, ab.outputs(parley, case.text)["trace"].splitlines())
+        predicted.append(sum(r["kind"] == "predict" and r["payload"]["removed"] != [] for r in records))
+    assert predicted == [4, 10]

@@ -56,6 +56,7 @@ from conftest import (
     ground,
     random_revision_case,
     random_store,
+    seed_removal_closure,
 )
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
@@ -779,23 +780,6 @@ def seed_build_evidence_set(kb, target, presented=()):
         if prev is None or piece_strength(pc) > piece_strength(prev):
             best[key] = pc
     return tuple(best[key] for key in sorted(best))
-
-
-def seed_removal_closure(model, removed):
-    """The rescan-until-nothing-changes closure that the worklist replaced."""
-    closure = set(removed)
-    changed = True
-    while changed:
-        changed = False
-        for text in model._own:
-            belief = model._read(model._own, text)
-            if belief.prop in closure:
-                continue
-            e = belief.endorsement
-            if e.kind is SourceKind.DERIVED and e.support <= closure:
-                closure.add(belief.prop)
-                changed = True
-    return frozenset(closure)
 
 
 INDEX_LITERALS = [ground(n, neg) for n in ("p", "q", "r", "s") for neg in (False, True)]

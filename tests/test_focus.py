@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parley import (
     Belief,
@@ -7,18 +11,21 @@ from parley import (
     Expertise,
     KnowledgeBase,
     ProposalNode,
+    SourceKind,
     Speaker,
     StrengthLevel,
     evaluate_proposal,
     predict,
+    revise,
     select_focus_modification,
     supports_prop,
     VerdictOutcome,
 )
-from parley.focus import removal_closure, select_min_set
+from parley.beliefs import minimal_subsets, removal_closure
+from parley.focus import flips, select_min_set
 from parley.trace import Trace
 
-from conftest import ground
+from conftest import LEVELS, ground, seed_removal_closure
 
 W, S, T = StrengthLevel.WEAK, StrengthLevel.STRONG, StrengthLevel.WARRANTED
 A, Q, R, TGT = ground("a"), ground("q"), ground("r"), ground("t")
@@ -227,3 +234,144 @@ class TestFocusSelection:
         )
         root = run_sfm(evaluator, model, ProposalNode(TGT, S, (ProposalNode(A, T),)))
         assert (root["step"], root["focus"], root["cand"]) == ("nil", None, [])
+
+
+# ---------------------------------------------------------------------------
+# hypothetical removal against the closure-and-copy oracle
+
+
+def seed_predict(model, target, hypothesized=(), removed=(), tau=1):
+    """``predict`` as it once was: the whole closure, a copy of the model
+    without it (the target kept), then an ordinary revision."""
+    closure = seed_removal_closure(model, removed)
+    hyp = [
+        pc
+        for pc in hypothesized
+        if pc.belief.prop not in closure and pc.relation.prop not in closure
+    ]
+    dropped = closure - {target}
+    pruned = model.own_remove(*dropped) if dropped else model
+    return revise(pruned, target, hyp, tau)
+
+
+def seed_select_min_set(target, cand_set, model, tau=1, hypothesized=()):
+    """``select_min_set`` as it once was, one ``seed_predict`` per combination."""
+    cand = sorted(set(cand_set))
+    return next(
+        minimal_subsets(
+            cand, lambda combo: flips(seed_predict(model, target, hypothesized, combo, tau))
+        ),
+        None,
+    )
+
+
+ORACLE_LITERALS = [ground(n, neg) for n in ("a", "b", "q", "t") for neg in (False, True)]
+ORACLE_RELATIONS = [supports_prop(x, y) for x in ORACLE_LITERALS for y in ORACLE_LITERALS]
+ORACLE_PROPS = ORACLE_LITERALS + ORACLE_RELATIONS + [r.negate() for r in ORACLE_RELATIONS]
+ORACLE_TARGETS = [TGT, TGT.negate(), supports_prop(A, TGT)]
+oracle_beliefs = st.builds(
+    Belief,
+    st.one_of(
+        st.sampled_from(ORACLE_LITERALS),
+        # relations into a target, negated or not, as often as literals
+        st.sampled_from([supports_prop(x, t) for x in ORACLE_LITERALS for t in ORACLE_TARGETS[:2]]),
+        st.sampled_from(ORACLE_PROPS),
+    ),
+    st.one_of(
+        st.sampled_from(LEVELS).map(Endorsement.kb_record),
+        # derived over literals: chains, cycles and shared support members
+        st.builds(
+            Endorsement.derived,
+            st.sampled_from(LEVELS),
+            st.sets(st.sampled_from(ORACLE_LITERALS[:6] + [TGT]), min_size=1, max_size=3),
+        ),
+    ),
+)
+
+
+def oracle_store(beliefs) -> KnowledgeBase:
+    """``beliefs`` less each repeat and each contradiction of an earlier one."""
+    side = {}
+    for b in beliefs:
+        if b.prop not in side and b.prop.negate() not in side:
+            side[b.prop] = b
+    return kb_of(*side.values())
+
+
+@st.composite
+def oracle_cases(draw):
+    target = draw(st.sampled_from(ORACLE_TARGETS))
+    beliefs = draw(st.lists(oracle_beliefs, max_size=12))
+    # often a held self-relation of the target, whose bare piece shares
+    # its key with the bare assertion a case presents
+    if draw(st.booleans()):
+        beliefs.insert(0, rec(supports_prop(target, target), draw(st.sampled_from(LEVELS))))
+    model = oracle_store(beliefs)
+    held = [b.prop for b in model.own]
+    removable = st.sampled_from(held + ORACLE_LITERALS)
+    cand = draw(st.lists(removable, min_size=1, max_size=4, unique=True))
+    speaker = Speaker("u", draw(st.sampled_from(Expertise)))
+    backing = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ORACLE_LITERALS),
+                st.sampled_from((target, target.negate())),
+                st.sampled_from(LEVELS),
+                st.sampled_from(LEVELS),
+            ),
+            max_size=3,
+        )
+    )
+    hyp = ()
+    if draw(st.booleans()):
+        hyp = speaker.case(target, [(x, supports_prop(x, side), *levels) for x, side, *levels in backing])
+    return model, target, cand, hyp, draw(st.sampled_from((1, 1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_predict_and_min_set_match_the_closure_and_copy_oracle(case):
+    # the removal test read in place against the closure and a copy: the
+    # same verdict, pieces and prior included, for every combination of
+    # the candidates, and the same chosen set
+    model, target, cand, hyp, tau = case
+    for size in range(len(cand) + 1):
+        for combo in itertools.combinations(cand, size):
+            assert predict(model, target, hyp, combo, tau) == seed_predict(
+                model, target, hyp, combo, tau
+            )
+    expected = seed_select_min_set(target, cand, model, tau, hyp)
+    if expected is None:
+        with pytest.raises(ContractViolation):
+            select_min_set(target, cand, model, tau, hypothesized=hyp)
+    else:
+        assert select_min_set(target, cand, model, tau, hypothesized=hyp) == expected
+
+
+def test_removal_test_follows_a_cycle_only_through_a_removed_member():
+    # b and q derive from each other, q also from a, and t from b: the
+    # cycle outlives a, and is lost only with q, the member that b needs
+    B = ground("b")
+    model = kb_of(rec(A), der(B, S, Q), der(Q, S, B, A), der(TGT, S, B))
+    for removed in ([], [A], [B], [Q], [A, Q]):
+        assert removal_closure(model, removed) == seed_removal_closure(model, removed)
+        assert predict(model, TGT, removed=removed) == seed_predict(model, TGT, removed=removed)
+    assert removal_closure(model, [A]) == frozenset({A})
+    assert removal_closure(model, [B]) == frozenset({B, TGT})
+    assert removal_closure(model, [Q]) == frozenset({Q, B, TGT})
+
+
+def test_a_lost_target_keeps_its_held_self_relation_but_not_a_hypothesized_one():
+    # t is lost with a, but the judged store keeps the target: its held
+    # bare piece (t, supports(t, t)) still counts, while the presented one
+    # with the same key, stronger, is dropped before the two are merged
+    self_relation = supports_prop(TGT, TGT)
+    model = kb_of(
+        rec(A), der(TGT, W, A), rec(self_relation, W), rec(Q), rec(supports_prop(Q, TGT.negate()), W)
+    )
+    bare = Speaker("u", Expertise.EXPERT).case(TGT)
+    verdict = predict(model, TGT, bare, [A])
+    assert verdict == seed_predict(model, TGT, bare, [A])
+    ((piece, source),) = [(pc, pc.belief.endorsement.kind) for pc in verdict.support_pieces]
+    assert piece.relation.prop == self_relation and source is SourceKind.DERIVED
+    assert (verdict.support_score, verdict.attack_score) == (1, 1)

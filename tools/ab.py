@@ -11,11 +11,15 @@ relatively.  The inputs are those ``bench/workloads.py`` draws for
 ``--seed`` (default 0), read-only, so a gain can be checked on a seed other
 than the one a change was tuned on; ``--limit N`` takes the first N of each
 workload without drawing the rest, as ``bench/run.py`` does for its golden
-inputs.  One more input set, ``disputed_correction``, is
-``tests/conftest.py:disputed_correction_scenario`` at seeds 0-999 whatever
-``--seed``, each rendered once by the checkout's own ``parley`` and fed to
-both trees as text: these reach the round in which a disputed correction is
-proposed by its corrector, which no workload does.
+inputs.  Two more input sets do not depend on ``--seed``.
+``disputed_correction`` is ``tests/conftest.py:disputed_correction_scenario``
+at seeds 0-999, each rendered once by the checkout's own ``parley`` and fed
+to both trees as text: these reach the round in which a disputed correction
+is proposed by its corrector, which no workload does.  ``rejected_chain`` is
+``tests/conftest.py:rejected_chain_document`` at depths 5-40, each depth
+once with the proposer holding nothing and once holding every node: every
+node is rejected, so each reaches the focus walk's removal predictions
+node by node, which the workloads reach only a few times per input.
 
 ``--diff`` runs every input on both trees with ``bench/run.py``'s
 ``operation``, as ``parley run --trace`` does, and compares the transcript
@@ -56,7 +60,8 @@ from parley import render_scenario  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "parley" / "scenarios"
 DISPUTED = "disputed_correction"
-NAMES = (*workloads.WORKLOADS, DISPUTED)
+REJECTED = "rejected_chain"
+NAMES = (*workloads.WORKLOADS, DISPUTED, REJECTED)
 # CPU seconds the base tree should take per block; the passes per block are
 # set from one timed pass
 BLOCK_S = 0.2
@@ -81,6 +86,14 @@ def inputs(workload: str, seed: int, limit: int | None) -> list:
         seeds = range(min(limit or 1000, 1000))
         drawn = (conftest.disputed_correction_scenario(random.Random(i)) for i in seeds)
         return [workloads.Case(f"disputed:{i}", render_scenario(s)) for i, s in enumerate(drawn)]
+    if workload == REJECTED:
+        shapes = [(d, held) for d in range(5, 41) for held in (False, True)][:limit]
+        return [
+            workloads.Case(
+                f"rejected:d{d}{'held' if held else ''}", conftest.rejected_chain_document(d, held)
+            )
+            for d, held in shapes
+        ]
     if limit is None:
         return workloads.generate(workload, seed, SCENARIOS)
     if workload == "bundled_mix":
