@@ -1015,14 +1015,13 @@ class _Pool:
         found = [(pc, pc.belief.prop._text != text) for pc in build_evidence_set(model, target)]
         found += [(pc, True) for pc in _addressing(target, hypothesized)]
         readings: dict[tuple[str, str], list] = {}
-        # the texts a removal tests that no derived belief is held in: each
-        # is lost only if removed
-        self._plain = {}
         for order, (pc, basis_tested) in enumerate(found):
             basis, relation = key = pc.key()
             tested = (basis, relation) if basis_tested else (relation,)
             readings.setdefault(key, []).append((-piece_strength(pc), order, pc, tested))
-            self._plain.update((t, False) for t in tested if _support(own, t) is None)
+        # the texts a removal may test that no derived belief is held in:
+        # each is lost only if removed
+        self._plain = {t: False for key in readings for t in key if _support(own, t) is None}
         self._model, self._target = model, target
         self._readings = [sorted(readings[key]) for key in sorted(readings)]
 

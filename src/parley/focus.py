@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .beliefs import (
-    ContractViolation,
     EvidencePiece,
     KnowledgeBase,
     Proposition,
@@ -24,7 +23,6 @@ from .beliefs import (
     build_evidence_set,
     minimal_subsets,
     record_verdict,
-    revise,
 )
 from .evaluation import EvaluatedNode, fold
 
@@ -50,18 +48,14 @@ def predict(
     from the model, which is read in place, not copied; hypothesized
     evidence touching a lost proposition is discarded rather than
     presented.  The target itself is never deleted, so a derivation left
-    baseless is abandoned, not merely forgotten.  ``hypothesized`` may also
-    be the pool :func:`select_min_set` prepared for ``model`` and ``target``.
+    baseless is abandoned, not merely forgotten.  The target's evidence is
+    weighed as one prepared pool, which ``hypothesized`` may already be.
     """
     _check_count("threshold", tau)
     removed = tuple(removed)
-    if type(hypothesized) is _Pool:
-        verdict = hypothesized.judge(removed, tau)
-    elif removed:
-        verdict = _Pool(model, target, hypothesized).judge(removed, tau)
-    else:
-        # nothing lost: an ordinary revision of the model
-        verdict = revise(model, target, hypothesized, tau)
+    # with nothing removed nothing is lost, and the verdict is ``revise``'s
+    pool = hypothesized if type(hypothesized) is _Pool else _Pool(model, target, hypothesized)
+    verdict = pool.judge(removed, tau)
     record_verdict(trace, agent, target, verdict, note, removed=removed)
     return verdict
 
@@ -75,26 +69,26 @@ def select_min_set(
     hypothesized: Iterable[EvidencePiece] = (),
     trace=None,
     agent: str = "",
-) -> tuple[Proposition, ...]:
-    """Find a smallest subset of candidates whose removal flips the target.
-
-    The caller has checked that the full candidate set flips it.  Among
-    same-size subsets, the first in canonical text order wins.
+    note: str = "",
+) -> Optional[tuple[Proposition, ...]]:
+    """The smallest subset of ``cand_set`` whose removal flips ``target``,
+    the first in canonical text order among equals, searched only if
+    removing the whole set, traced under ``note``, flips it; else None.
+    Every combination is weighed against the pool of that check.
     """
     cand = sorted(set(cand_set))
     if not cand:
-        raise ContractViolation(f"no candidates to select from for {target}")
-    # the target's evidence, prepared once for every combination
+        return None
+    # the target's evidence, prepared once for the check and every combination
     pool = _Pool(model, target, hypothesized)
-    # the full set is the last subset tried, so a search that finds nothing
-    # means it does not flip; the candidates are sorted and combinations
-    # come in lexicographic order, so the first found is the canonical least
+    if not flips(predict(model, target, pool, cand, tau, trace=trace, agent=agent, note=note)):
+        return None
+    # the candidates are sorted and combinations come in lexicographic
+    # order, so the first found is the canonical least; the full set flips,
+    # so one is found
     chosen = next(
-        minimal_subsets(cand, lambda combo: flips(predict(model, target, pool, combo, tau))),
-        None,
+        minimal_subsets(cand, lambda combo: flips(predict(model, target, pool, combo, tau)))
     )
-    if chosen is None:
-        raise ContractViolation(f"full candidate set does not flip {target}")
     if trace is not None:
         trace.emit(
             "minset",
@@ -167,38 +161,33 @@ def select_focus_modification(
             )
         return focus
 
-    def flipped(prop: Proposition, hypothesized, removed, note: str) -> bool:
-        verdict = predict(
-            model, prop, hypothesized, removed, tau, trace=trace, agent=agent, note=note
-        )
-        return flips(verdict)
+    def flipped(prop: Proposition, case, note: str) -> bool:
+        return flips(predict(model, prop, case, tau=tau, trace=trace, agent=agent, note=note))
 
     def head_on(prop: Proposition, note: str) -> Optional[frozenset]:
         """``{prop}`` when the proposer's bare assertion of ``prop`` loses to
         this agent's standing case against it, else None."""
         case = proposer.case(prop) + _standing_attack(kb, prop, evaluator)
-        return frozenset({prop}) if flipped(prop, case, (), note) else None
+        return frozenset({prop}) if flipped(prop, case, note) else None
 
     def internal(ev: EvaluatedNode, member_focus) -> Optional[frozenset]:
         """The focus of the internal node ``ev``, given its members' foci."""
         cand = tuple(sorted(member_focus))
         presented = _asserted_evidence(ev, proposer)
 
-        def undermined(hypothesized, note: str, base: frozenset) -> Optional[frozenset]:
+        def undermined(case, note: str, base: frozenset) -> Optional[frozenset]:
             """``base`` plus the foci of the fewest members whose removal
             flips the node, or None when removing them all does not."""
-            if not cand or not flipped(ev.prop, hypothesized, cand, note):
-                return None
             chosen = select_min_set(
-                ev.prop, cand, model, tau, hypothesized=hypothesized, trace=trace, agent=agent
+                ev.prop, cand, model, tau, hypothesized=case, trace=trace, agent=agent, note=note
             )
-            return base.union(*(member_focus[m] for m in chosen))
+            return None if chosen is None else base.union(*(member_focus[m] for m in chosen))
 
         focus = undermined(presented, "evidence", frozenset())
         if focus is not None:
             return emit(ev.prop, "evidence", focus, cand)
         both_sides = presented + _standing_attack(kb, ev.prop, evaluator)
-        if flipped(ev.prop, both_sides, (), "belief"):
+        if flipped(ev.prop, both_sides, "belief"):
             return emit(ev.prop, "belief", frozenset({ev.prop}), cand)
         focus = undermined(both_sides, "both", frozenset({ev.prop}))
         if focus is not None:

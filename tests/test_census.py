@@ -6,7 +6,7 @@ import sys
 import time
 from pathlib import Path
 
-from parley import negotiation
+from parley import cli, negotiation
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,12 +25,16 @@ def test_bundled_census_is_repeatable_and_counts_what_runs(monkeypatch, capsys):
     assert outputs[0] == outputs[1]
     header, *modules = outputs[0].splitlines()
     assert header.startswith("bundled: 6 inputs, ")
-    # every negotiation runs ``negotiate``'s first statement after its docstring
-    source = Path(negotiation.__file__).read_text(encoding="utf-8")
-    (fn,) = (
-        node for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name == "negotiate"
-    )
-    first = fn.body[1].lineno
-    listed = [line.split(": ")[1].split() for line in modules if "negotiation.py:" in line]
-    assert str(first) not in [n for lines in listed for n in lines]
+    listed = {line.split(": ")[0].strip(): line.split(": ")[1].split() for line in modules}
+    # every input runs through the CLI, so ``cli.py`` is counted and its
+    # failure paths are listed; every run reaches the first statement after
+    # the docstring of ``negotiate``, and the first of the CLI's ``_run``
+    assert "cli.py" in listed
+    for module, name, after in ((negotiation, "negotiate", 1), (cli, "_run", 0)):
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        (fn,) = (
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        )
+        first = fn.body[after].lineno
+        assert str(first) not in listed.get(Path(module.__file__).name, [])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from parley import (
     Belief,
-    ContractViolation,
     Endorsement,
     Expertise,
     KnowledgeBase,
@@ -112,13 +111,30 @@ class TestSelectMinSet:
         assert chosen == (A,)  # canonical tie-break between equal singletons
 
     def test_requires_candidates(self):
-        with pytest.raises(ContractViolation):
-            select_min_set(TGT, [], self.model())
+        trace = Trace()
+        assert select_min_set(TGT, [], self.model(), trace=trace) is None
+        assert trace.records == []
 
     def test_requires_flipping_full_set(self):
         model = kb_of(rec(TGT), rec(A, S), rec(supports_prop(A, TGT)))
-        with pytest.raises(ContractViolation):
-            select_min_set(TGT, [A], model)
+        trace = Trace()
+        assert select_min_set(TGT, [A], model, trace=trace, note="evidence") is None
+        assert trace.by_kind("minset") == []
+        (record,) = trace.by_kind("predict")
+        assert record.payload["outcome"] == "accept"
+
+    def test_full_set_check_is_traced_under_note(self):
+        # the one traced prediction of a search is its full-set check, made
+        # before any combination and under the caller's note
+        trace = Trace()
+        chosen = select_min_set(
+            TGT, [ground("b"), A], self.model(), trace=trace, agent="s", note="both"
+        )
+        assert chosen == (A,)
+        assert [r.kind for r in trace.records] == ["predict", "minset"]
+        predicted = trace.records[0].payload
+        assert (predicted["agent"], predicted["note"]) == ("s", "both")
+        assert predicted["removed"] == ["a(x)", "b(x)"]
 
     def test_needs_both_when_singletons_fail(self):
         model = kb_of(
@@ -340,12 +356,12 @@ def test_predict_and_min_set_match_the_closure_and_copy_oracle(case):
             assert predict(model, target, hyp, combo, tau) == seed_predict(
                 model, target, hyp, combo, tau
             )
-    expected = seed_select_min_set(target, cand, model, tau, hyp)
-    if expected is None:
-        with pytest.raises(ContractViolation):
-            select_min_set(target, cand, model, tau, hypothesized=hyp)
-    else:
-        assert select_min_set(target, cand, model, tau, hypothesized=hyp) == expected
+    # the search runs only once removing every candidate flips the target;
+    # flipping need not be monotone, so a subset can flip where the whole
+    # set does not, and the search then finds None
+    whole = flips(seed_predict(model, target, hyp, cand, tau))
+    expected = seed_select_min_set(target, cand, model, tau, hyp) if whole else None
+    assert select_min_set(target, cand, model, tau, hypothesized=hyp) == expected
 
 
 def test_removal_test_follows_a_cycle_only_through_a_removed_member():

@@ -1008,14 +1008,6 @@ CONTRACT_CALLS = {
         ),
         ["trace must be a Trace or None, got 'out.ndjson'"],
     ),
-    "select_min_set-empty": (
-        lambda: select_min_set(ground("lonely"), [], KnowledgeBase(own=())),
-        ["lonely(x)"],
-    ),
-    "select_min_set-no-flip": (
-        lambda: select_min_set(ground("firm"), [ground("q")], KnowledgeBase(own=())),
-        ["firm(x)"],
-    ),
     "assimilate": (
         lambda: assimilate(
             KnowledgeBase(own=()), Verdict(VerdictOutcome.UNCERTAIN, 0, 0), ground("open")
@@ -1036,3 +1028,16 @@ def test_contract_violations_name_their_arguments(name):
         call()
     for text in named:
         assert text in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "target, cand",
+    [(ground("lonely"), []), (ground("firm"), [ground("q")])],
+    ids=["select_min_set-empty", "select_min_set-no-flip"],
+)
+def test_select_min_set_without_a_flipping_set_finds_none(target, cand):
+    # no candidates, or a full set whose removal leaves the target standing,
+    # is an answer of the search, not a broken precondition
+    trace = Trace()
+    assert select_min_set(target, cand, KnowledgeBase(own=()), trace=trace) is None
+    assert trace.by_kind("minset") == []

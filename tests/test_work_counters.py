@@ -36,15 +36,18 @@ COUNTERS = (
 
 # per scenario, in COUNTERS order.  A prediction with a removal reads the
 # user model in place: the store write of a pruned copy and the revision
-# of that copy are no longer counted for it, three of each in both and two
-# in evidence, nest and smith; tie and visit predict no removal.
+# of that copy are not counted for it.  Every prediction weighs a prepared
+# pool, so one with nothing removed is no longer a revision (two in both,
+# nest and visit, one in evidence and smith), and an undermine stage that
+# flips gathers its evidence once for the full-set check and the search,
+# not twice (one in both, evidence, nest and smith; visit has none).
 PINNED = {
-    "both": (11, 15, 5, 21, 1),
-    "evidence": (10, 13, 3, 17, 2),
-    "nest": (12, 18, 4, 24, 2),
-    "smith": (10, 13, 3, 17, 2),
+    "both": (11, 13, 5, 20, 1),
+    "evidence": (10, 12, 3, 16, 2),
+    "nest": (12, 16, 4, 23, 2),
+    "smith": (10, 12, 3, 16, 2),
     "tie": (1, 1, 0, 1, 0),
-    "visit": (6, 13, 2, 16, 1),
+    "visit": (6, 11, 2, 16, 1),
 }
 
 
@@ -115,6 +118,31 @@ def test_rejected_chain_work_grows_linearly_with_depth(monkeypatch):
     (short, short_writes), (long, long_writes) = found[100], found[200]
     assert long <= 2.05 * short
     assert short_writes == long_writes
+
+
+def test_each_traced_prediction_builds_one_pool(monkeypatch):
+    # every hypothetical judgement weighs a prepared pool, and a minimal-set
+    # search weighs its combinations against the pool of its own traced
+    # full-set check; a check made apart from the search would build a
+    # second pool for the same record
+    scenarios = [load_bundled(name) for name in sorted(PINNED)]
+    scenarios += [random_scenario(random.Random(seed)) for seed in range(500)]
+    scenarios += [disputed_correction_scenario(random.Random(seed)) for seed in range(300)]
+    documents = [rejected_chain_document(d, held) for d in (5, 20) for held in (False, True)]
+    scenarios += [parse_scenario(text) for text in documents]
+    built = []
+    prepare = beliefs._Pool.__init__
+    monkeypatch.setattr(
+        beliefs._Pool, "__init__", lambda pool, *args: built.append(pool) or prepare(pool, *args)
+    )
+    differ = []
+    for i, scenario in enumerate(scenarios):
+        built.clear()
+        trace = Trace()
+        run_scenario(scenario, trace)
+        if len(built) != len(trace.by_kind("predict")):
+            differ.append(i)
+    assert differ == []
 
 
 def test_a_negotiation_leaves_no_cyclic_garbage():

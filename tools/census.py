@@ -12,14 +12,15 @@ The corpora, all run by default in this order:
 - ``disputed``: ``tests/conftest.py:disputed_correction_scenario`` at seeds
   0-999.
 
-Each input is drawn as scenario text first, then negotiated with
-``bench/run.py``'s ``operation``, as ``parley run --trace`` does, under
-``sys.settrace``; an input the engine refuses still counts what it reached.
-The engine is every ``parley`` module but ``cli`` and ``__main__``, which
-``operation`` does not run.  A statement owns the lines it spans less those
-of the statements nested in it, so the lines of a multi-line condition count
-as one statement, and it is reached when any line it owns runs.  A statement
-that owns no bytecode, such as a docstring, is not counted.
+Each input is drawn as scenario text first, written to a temporary file and
+run in-process as ``parley run FILE --trace PATH`` through
+``parley.cli.main``, its output captured, under ``sys.settrace``; an input
+the engine refuses still counts what it reached.  The engine is every
+``parley`` module but ``__main__``, which only calls ``main``.  A statement
+owns the lines it spans less those of the statements nested in it, so the
+lines of a multi-line condition count as one statement, and it is reached
+when any line it owns runs.  A statement that owns no bytecode, such as a
+docstring, is not counted.
 
 For each corpus the output is one header line, then one line per module with
 the first line of each statement no input reached, in line order.
@@ -29,16 +30,20 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import ab
 import parley
+import parley.cli
 
 # the files the imported package runs from, so that code objects name them
 PACKAGE = Path(parley.__file__).parent
-NOT_ENGINE = ("cli.py", "__main__.py")
+NOT_ENGINE = ("__main__.py",)
 SEEDS = range(1000)
 
 
@@ -70,7 +75,7 @@ def statements(path: Path) -> dict[int, frozenset[int]]:
 
 def reached_lines(texts: list[str], counted: dict[str, set[int]]) -> set[tuple[str, int]]:
     """Each ``(file, line)`` that a line event reached while ``texts`` were
-    negotiated, of the lines ``counted`` lists by file path."""
+    run, of the lines ``counted`` lists by file path."""
     reached: set[tuple[str, int]] = set()
     # the counted lines of each code object that no line event has reached;
     # a code object with none left runs untraced, which keeps a large
@@ -91,16 +96,20 @@ def reached_lines(texts: list[str], counted: dict[str, set[int]]) -> set[tuple[s
             lines = left[code] = own & counted.get(code.co_filename, set())
         return on_line if lines else None
 
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        for text in texts:
-            try:
-                ab.run.operation(parley, text)
-            except (ValueError, RuntimeError):
-                pass  # a refused input still reached what it reached
-    finally:
-        sys.settrace(previous)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, trace = Path(tmp, "input.scenario"), Path(tmp, "trace.ndjson")
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            for text in texts:
+                path.write_text(text, encoding="utf-8")
+                # a refused input exits 1 with a diagnostic, having reached
+                # what it reached
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    parley.cli.main(["run", str(path), "--trace", str(trace)])
+        finally:
+            sys.settrace(previous)
     return reached
 
 
