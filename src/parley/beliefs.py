@@ -1037,6 +1037,26 @@ class _Pool:
                     break
         return _judged(lost, target, pool, tau)
 
+    def smallest_flip(self, tau: int) -> int:
+        """A size below which no removal flips the target.  A removal only
+        drops pieces and priors, so none rejects the target if the attack
+        side with nothing removed, every key at its strongest reading, falls
+        short of ``tau``.  Then only abandoning flips, and that removes
+        every held, non-derived support member of the target's derived
+        prior, each of which keeps the prior standing."""
+        model, target = self._model, self._target
+        negated = target.negate()
+        against = model.own_belief(negated)
+        reach = 0 if against is None else against.endorsement.level
+        text = negated._text
+        # a key's readings come strongest first, as (-strength, ...)
+        reach -= sum(r[0][0] for r in self._readings if r[0][2].consequent._text == text)
+        prior = model.own_belief(target)
+        if reach >= tau or prior is None or prior.endorsement.kind is not SourceKind.DERIVED:
+            return 1
+        held = [model.own_belief(m) for m in prior.endorsement.support]
+        return max(1, sum(b is not None and b.endorsement.kind is not SourceKind.DERIVED for b in held))
+
 
 def removal_closure(model: KnowledgeBase, removed: Iterable[Proposition]) -> frozenset:
     """Everything lost when ``removed`` goes, as :class:`_Removal` decides
@@ -1050,18 +1070,21 @@ def removal_closure(model: KnowledgeBase, removed: Iterable[Proposition]) -> fro
 
 
 def minimal_subsets(
-    items: Sequence, sufficient: Callable[[tuple], bool]
+    items: Sequence, sufficient: Callable[[tuple], bool], smallest: int = 1
 ) -> Iterator[tuple]:
     """Each sufficient subset of ``items`` that holds no smaller sufficient
     one, yielded as soon as it is found.
 
-    Sizes run from 1 upwards, and each size tries its combinations in
-    ``itertools.combinations`` order.  A combination holding one already
-    found is skipped without calling ``sufficient``.  Nothing past the last
-    subset taken is tried, so ``next(...)`` stops at the first hit.
+    Sizes run from ``smallest`` upwards, and each size tries its
+    combinations in ``itertools.combinations`` order.  ``smallest`` is a
+    size below which no subset is sufficient: sizes below it are not
+    tried, so if that holds the yields are those from size 1.  A
+    combination holding one already found is skipped without calling
+    ``sufficient``.  Nothing past the last subset taken is tried, so
+    ``next(...)`` stops at the first hit.
     """
     alone = set()
-    for i, item in enumerate(items):
+    for i, item in enumerate(items if smallest <= 1 else ()):
         if sufficient((item,)):
             alone.add(i)
             yield (item,)
@@ -1069,7 +1092,7 @@ def minimal_subsets(
     # sizes combine only the rest, in the same relative order
     pool = [i for i in range(len(items)) if i not in alone]
     found: list[frozenset] = []
-    for size in range(2, len(pool) + 1):
+    for size in range(max(2, smallest), len(pool) + 1):
         for combo in itertools.combinations(pool, size):
             members = frozenset(combo)
             if any(f <= members for f in found):

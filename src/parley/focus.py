@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .beliefs import (
+    ContractViolation,
     EvidencePiece,
     KnowledgeBase,
     Proposition,
@@ -74,7 +75,8 @@ def select_min_set(
     """The smallest subset of ``cand_set`` whose removal flips ``target``,
     the first in canonical text order among equals, searched only if
     removing the whole set, traced under ``note``, flips it; else None.
-    Every combination is weighed against the pool of that check.
+    Every combination is weighed against the pool of that check, from the
+    pool's ``smallest_flip`` size up.
     """
     cand = sorted(set(cand_set))
     if not cand:
@@ -85,10 +87,16 @@ def select_min_set(
         return None
     # the candidates are sorted and combinations come in lexicographic
     # order, so the first found is the canonical least; the full set flips,
-    # so one is found
-    chosen = next(
-        minimal_subsets(cand, lambda combo: flips(predict(model, target, pool, combo, tau)))
+    # so one is found unless the search started past it
+    found = minimal_subsets(
+        cand, lambda combo: flips(predict(model, target, pool, combo, tau)), pool.smallest_flip(tau)
     )
+    chosen = next(found, None)
+    if chosen is None:
+        raise ContractViolation(
+            f"removing {', '.join(m.render() for m in cand)} flips {target.render()}, "
+            "but the search found no subset that does"
+        )
     if trace is not None:
         trace.emit(
             "minset",

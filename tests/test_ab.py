@@ -48,6 +48,7 @@ def test_ab_diff_passes_a_tree_against_itself_and_names_a_renamed_trace_key(tmp_
         "search_fanout: 5 inputs, 0 differ",
         "disputed_correction: 20 inputs, 0 differ",
         "rejected_chain: 20 inputs, 0 differ",
+        "wide_dispute: 9 inputs, 0 differ",
         f"sloc: base {total}, change {total}",
     ]
 
@@ -79,14 +80,16 @@ def test_ab_seed_draws_other_inputs_and_a_tree_still_matches_itself(ab):
         "search_fanout: 5 inputs, 0 differ",
         "disputed_correction: 5 inputs, 0 differ",
         "rejected_chain: 5 inputs, 0 differ",
+        "wide_dispute: 5 inputs, 0 differ",
         f"sloc: base {total}, change {total}",
     ]
     # the comparator's own draw: the bundled files lead bundled_mix at every
     # seed, and every drawn input after them differs; the disputed
-    # corrections and the rejected chains are the same whatever the seed
+    # corrections, the rejected chains and the wide disputes are the same
+    # whatever the seed
     for workload, limit, kept in [
         ("bundled_mix", 10, 6), ("wide_store", 5, 0), ("deep_chain", 5, 0), ("search_fanout", 5, 0),
-        ("disputed_correction", 5, 5), ("rejected_chain", 5, 5),
+        ("disputed_correction", 5, 5), ("rejected_chain", 5, 5), ("wide_dispute", 5, 5),
     ]:
         seed0, seed1 = ([case.text for case in ab.inputs(workload, seed, limit)] for seed in (0, 1))
         assert len(seed0) == len(seed1) == limit
@@ -107,3 +110,10 @@ def test_ab_rejected_chains_predict_every_node_with_a_removal(ab):
         records = map(json.loads, ab.outputs(parley, case.text)["trace"].splitlines())
         predicted.append(sum(r["kind"] == "predict" and r["payload"]["removed"] != [] for r in records))
     assert predicted == [4, 10]
+
+
+def test_ab_wide_disputes_run_two_to_ten_children(ab):
+    # one input per width, whatever the seed: a search from size 1 over
+    # the widest tries 2^10 - 1 subsets
+    cases = ab.inputs("wide_dispute", 0, None)
+    assert [case.label for case in cases] == [f"search_fanout:k10c{c}" for c in range(2, 11)]

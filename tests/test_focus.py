@@ -20,7 +20,14 @@ from parley import (
     supports_prop,
     VerdictOutcome,
 )
-from parley.beliefs import minimal_subsets, removal_closure
+from parley.beliefs import (
+    ContractViolation,
+    _Pool,
+    build_evidence_set,
+    minimal_subsets,
+    piece_strength,
+    removal_closure,
+)
 from parley.focus import flips, select_min_set
 from parley.trace import Trace
 
@@ -122,6 +129,12 @@ class TestSelectMinSet:
         assert trace.by_kind("minset") == []
         (record,) = trace.by_kind("predict")
         assert record.payload["outcome"] == "accept"
+
+    def test_a_search_that_finds_nothing_fails_loudly(self, monkeypatch):
+        # the full set flips, so only a bound past it leaves the search empty
+        monkeypatch.setattr(_Pool, "smallest_flip", lambda pool, tau: 3)
+        with pytest.raises(ContractViolation, match=r"removing a\(x\), b\(x\) flips t\(x\)"):
+            select_min_set(TGT, [ground("b"), A], self.model())
 
     def test_full_set_check_is_traced_under_note(self):
         # the one traced prediction of a search is its full-set check, made
@@ -315,7 +328,7 @@ def oracle_store(beliefs) -> KnowledgeBase:
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_cases(draw, max_cand=4):
     target = draw(st.sampled_from(ORACLE_TARGETS))
     beliefs = draw(st.lists(oracle_beliefs, max_size=12))
     # often a held self-relation of the target, whose bare piece shares
@@ -325,7 +338,7 @@ def oracle_cases(draw):
     model = oracle_store(beliefs)
     held = [b.prop for b in model.own]
     removable = st.sampled_from(held + ORACLE_LITERALS)
-    cand = draw(st.lists(removable, min_size=1, max_size=4, unique=True))
+    cand = draw(st.lists(removable, min_size=1, max_size=max_cand, unique=True))
     speaker = Speaker("u", draw(st.sampled_from(Expertise)))
     backing = draw(
         st.lists(
@@ -362,6 +375,62 @@ def test_predict_and_min_set_match_the_closure_and_copy_oracle(case):
     whole = flips(seed_predict(model, target, hyp, cand, tau))
     expected = seed_select_min_set(target, cand, model, tau, hyp) if whole else None
     assert select_min_set(target, cand, model, tau, hypothesized=hyp) == expected
+
+
+@st.composite
+def anchored_oracle_cases(draw):
+    """An oracle case with up to 6 candidates whose model, half the time,
+    first derives the target from two or three held plain literals, each
+    often a candidate: the cases where a search can start past size 1."""
+    model, target, cand, hyp, tau = draw(oracle_cases(max_cand=6))
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from("abq"), min_size=2, max_size=3, unique=True))
+        anchors = [ground(n, draw(st.booleans())) for n in names]
+        level = draw(st.sampled_from(LEVELS))
+        prior = Belief(target, Endorsement.derived(level, anchors))
+        model = oracle_store([prior, *(rec(m, level) for m in anchors), *model.own])
+        chosen = [m for m in anchors if draw(st.integers(0, 3))]
+        cand = list(dict.fromkeys(chosen + cand))[:6]
+    return model, target, cand, hyp, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchored_oracle_cases())
+def test_no_removal_below_the_smallest_flip_flips_the_target(case):
+    # the search's starting size is sound against the closure-and-copy
+    # oracle, and prunes nothing while the attack side could reject
+    model, target, cand, hyp, tau = case
+    smallest = _Pool(model, target, hyp).smallest_flip(tau)
+    for size in range(1, min(smallest, len(cand) + 1)):
+        for combo in itertools.combinations(cand, size):
+            assert not flips(seed_predict(model, target, hyp, combo, tau))
+    # the attack side with nothing removed, each key at its strongest reading
+    negated = target.negate()
+    against = model.own_belief(negated)
+    reach = sum(
+        piece_strength(pc) for pc in build_evidence_set(model, target, hyp) if pc.consequent == negated
+    )
+    if reach + (0 if against is None else against.endorsement.level) >= tau:
+        assert smallest == 1
+    # and a search started there chooses what one from size 1 chooses
+    if flips(seed_predict(model, target, hyp, cand, tau)):
+        expected = seed_select_min_set(target, cand, model, tau, hyp)
+        assert select_min_set(target, cand, model, tau, hypothesized=hyp) == expected
+
+
+def test_smallest_flip_counts_the_held_plain_support_of_a_derived_prior():
+    # t derives from a, q and r, all held, so it stands while any of them
+    # is; r is derived from q, so only a and q need go before it abandons
+    model = kb_of(rec(A), rec(Q), der(R, S, Q), der(TGT, S, A, Q, R))
+    pool = _Pool(model, TGT)
+    assert pool.smallest_flip(1) == 2
+    assert select_min_set(TGT, [A, Q, R], model) == (A, Q)
+    assert flips(predict(model, TGT, removed=[A, Q]))
+    # a weak counter-case could reject at τ = 1, so nothing is pruned
+    # there, but not at τ = 2
+    attack = (rec(ground("c")), rec(supports_prop(ground("c"), TGT.negate()), W))
+    attacked = _Pool(kb_of(*model.own, *attack), TGT)
+    assert (attacked.smallest_flip(1), attacked.smallest_flip(2)) == (1, 2)
 
 
 def test_removal_test_follows_a_cycle_only_through_a_removed_member():

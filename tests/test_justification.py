@@ -315,6 +315,24 @@ def test_minimal_subsets_matches_oracle(monotone):
             assert calls == want_calls[: want_calls.index(first) + 1], case
 
 
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "non-monotone"])
+def test_minimal_subsets_from_a_smallest_size_tries_nothing_smaller(monotone):
+    # any size up to that of the smallest sufficient subset, one past the
+    # items when none is, yields what size 1 does
+    rng = random.Random(11)
+    for case in range(300):
+        k = rng.randint(0, 8)
+        sufficient = random_predicate(rng, k, monotone)
+        items = list(range(k))
+        want = list(minimal_subsets(items, sufficient))
+        least = min((len(c) for c in all_subsets(items) if sufficient(c)), default=k + 1)
+        for smallest in range(1, least + 1):
+            calls = []
+            found = minimal_subsets(items, lambda c: calls.append(c) or sufficient(c), smallest)
+            assert list(found) == want, case
+            assert min(map(len, calls), default=smallest) >= smallest, case
+
+
 def seed_accepts(model, claim, combo, expertise, tau):
     # the seed's piece builders: the bare assertion over a kb-record
     # self-relation, and each top link as kb-record evidence

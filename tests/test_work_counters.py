@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import parley.scenario
-from parley import beliefs, evaluation, parse_scenario
+from parley import beliefs, evaluation, focus, parse_scenario
 from parley.trace import Trace
 
 from conftest import (
@@ -143,6 +143,29 @@ def test_each_traced_prediction_builds_one_pool(monkeypatch):
         if len(built) != len(trace.by_kind("predict")):
             differ.append(i)
     assert differ == []
+
+
+@pytest.mark.parametrize("children", [2, 4, 8])
+def test_a_wide_dispute_searches_one_combination(children, monkeypatch):
+    # only removing all c disputed children flips the proposer, whose
+    # root derives from them, and no removal can reject it: the search
+    # starts at size c, so it predicts the traced full set and the one
+    # size-c combination, where starting at size 1 made 2^c predictions
+    case = load_bench("workloads").search_fanout_case(random.Random(0), children=children)
+    scenario = parse_scenario(case.text)
+    predicts, searches = [], []
+    predict, search = focus.predict, focus.select_min_set
+
+    def counted(*args, **kwargs):
+        before = len(predicts)
+        chosen = search(*args, **kwargs)
+        searches.append((len(predicts) - before, len(chosen)))
+        return chosen
+
+    monkeypatch.setattr(focus, "predict", lambda *a, **k: predicts.append(a) or predict(*a, **k))
+    monkeypatch.setattr(focus, "select_min_set", counted)
+    run_scenario(scenario, Trace())
+    assert searches == [(2, children)]
 
 
 def test_a_negotiation_leaves_no_cyclic_garbage():

@@ -11,7 +11,7 @@ relatively.  The inputs are those ``bench/workloads.py`` draws for
 ``--seed`` (default 0), read-only, so a gain can be checked on a seed other
 than the one a change was tuned on; ``--limit N`` takes the first N of each
 workload without drawing the rest, as ``bench/run.py`` does for its golden
-inputs.  Two more input sets do not depend on ``--seed``.
+inputs.  Three more input sets do not depend on ``--seed``.
 ``disputed_correction`` is ``tests/conftest.py:disputed_correction_scenario``
 at seeds 0-999, each rendered once by the checkout's own ``parley`` and fed
 to both trees as text: these reach the round in which a disputed correction
@@ -20,6 +20,10 @@ is proposed by its corrector, which no workload does.  ``rejected_chain`` is
 once with the proposer holding nothing and once holding every node: every
 node is rejected, so each reaches the focus walk's removal predictions
 node by node, which the workloads reach only a few times per input.
+``wide_dispute`` is ``bench/workloads.py:search_fanout_case`` at 2-10
+disputed children, one input each: only removing every child flips the
+proposer, so a minimal-set search run from size 1 tries up to 1,023
+subsets, where the search_fanout workload has at most 6 children.
 
 ``--diff`` runs every input on both trees with ``bench/run.py``'s
 ``operation``, as ``parley run --trace`` does, and compares the transcript
@@ -61,7 +65,8 @@ from parley import render_scenario  # noqa: E402
 SCENARIOS = ROOT / "src" / "parley" / "scenarios"
 DISPUTED = "disputed_correction"
 REJECTED = "rejected_chain"
-NAMES = (*workloads.WORKLOADS, DISPUTED, REJECTED)
+WIDE = "wide_dispute"
+NAMES = (*workloads.WORKLOADS, DISPUTED, REJECTED, WIDE)
 # CPU seconds the base tree should take per block; the passes per block are
 # set from one timed pass
 BLOCK_S = 0.2
@@ -94,6 +99,9 @@ def inputs(workload: str, seed: int, limit: int | None) -> list:
             )
             for d, held in shapes
         ]
+    if workload == WIDE:
+        widths = range(2, 11)[:limit]
+        return [workloads.search_fanout_case(random.Random(c), children=c) for c in widths]
     if limit is None:
         return workloads.generate(workload, seed, SCENARIOS)
     if workload == "bundled_mix":
