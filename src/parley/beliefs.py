@@ -194,8 +194,8 @@ def _trusted_prop(negated: bool, predicate: str, args: tuple, text: str) -> Prop
 def supports_prop(antecedent: Proposition, consequent: Proposition) -> Proposition:
     if not (isinstance(antecedent, Proposition) and isinstance(consequent, Proposition)):
         raise StructureError("supports(...) takes exactly two propositions")
-    args = (antecedent, consequent)
-    return _trusted_prop(False, SUPPORTS, args, _text_of(False, SUPPORTS, args))
+    text = f"{SUPPORTS}({antecedent._text}, {consequent._text})"
+    return _trusted_prop(False, SUPPORTS, (antecedent, consequent), text)
 
 
 def parse_proposition(text: str) -> Proposition:
@@ -463,19 +463,22 @@ class Speaker:
         bare piece's self-relation is warranted, so it carries exactly
         ``level``."""
         endorse = self.endorse
-        bare = _trusted_piece(
-            Belief(claim, endorse(self.level)),
-            Belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
-        )
-        return (
-            bare,
-            *(
-                EvidencePiece(
-                    Belief(prop, endorse(belief_level)), Belief(relation, endorse(relation_level))
-                )
-                for prop, relation, belief_level, relation_level in backing
-            ),
-        )
+        pieces = [
+            _trusted_piece(
+                Belief(claim, endorse(self.level)),
+                Belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
+            )
+        ]
+        for prop, relation, belief_level, relation_level in backing:
+            belief = Belief(prop, endorse(belief_level))
+            held = Belief(relation, endorse(relation_level))
+            # ``EvidencePiece``'s checks, made here once
+            if not relation.is_relation or relation.negated:
+                raise StructureError("evidence relation must be a positive supports(...)")
+            if relation.args[0] != prop:
+                raise StructureError("relation antecedent must match the believed proposition")
+            pieces.append(_trusted_piece(belief, held))
+        return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +778,11 @@ def build_evidence_set(
     pieces += _addressing(target, presented)
     best: dict[tuple[str, str], tuple[EvidencePiece, StrengthLevel]] = {}
     for pc in pieces:
-        strength = piece_strength(pc)
-        key = pc.key()
+        # ``piece_strength`` and ``key`` inline: this runs for every piece
+        # of every judgement
+        belief, relation = pc.belief, pc.relation
+        strength = min(belief.endorsement.level, relation.endorsement.level)
+        key = (belief.prop._text, relation.prop._text)
         prev = best.get(key)
         if prev is None or strength > prev[1]:
             best[key] = (pc, strength)
@@ -816,33 +822,27 @@ def _standing(kb: KnowledgeBase | _Removal, belief: Belief) -> bool:
     return False
 
 
-def _weigh(
-    kb: KnowledgeBase | _Removal, pool: Sequence[EvidencePiece], prop: Proposition
-) -> tuple[Optional[Belief], bool, tuple[EvidencePiece, ...], int]:
-    """One side of a judgement: the judge's own belief in ``prop``, whether
-    it stands, the pieces of ``pool`` credited to ``prop`` and the side's
-    score.  A standing prior counts at its level and replaces a bare
-    self-assertion of ``prop``.  ``kb`` is a store, or a :class:`_Removal`
-    view of one."""
-    text = prop._text
-    prior = kb.own_belief(prop)
-    counts = prior is not None and _standing(kb, prior)
-    score = prior.endorsement.level if counts else 0
-    pieces = []
-    for pc in pool:
-        if pc.relation.prop.args[1]._text == text and not (counts and pc.belief.prop._text == text):
-            pieces.append(pc)
-            score += piece_strength(pc)
-    return prior, counts, tuple(pieces), int(score)
-
-
 def _judged(
     kb: KnowledgeBase | _Removal, target: Proposition, pool: Sequence[EvidencePiece], tau: int
 ) -> Verdict:
     """The verdict on ``target`` of the judge whose own beliefs ``kb``
-    reads, a store or a :class:`_Removal` view of one, weighing ``pool``."""
-    prior, counts, support, support_score = _weigh(kb, pool, target)
-    _, _, attack, attack_score = _weigh(kb, pool, target.negate())
+    reads, a store or a :class:`_Removal` view of one, weighing ``pool``,
+    whose pieces each count for ``target`` or its negation."""
+    # per side, keyed by its text: the judge's own belief in it, whether
+    # that stands, the side's score and its credited pieces.  A standing
+    # prior counts at its level and replaces a bare self-assertion of the side.
+    sides = {}
+    for prop in (target, target.negate()):
+        prior = kb.own_belief(prop)
+        counts = prior is not None and _standing(kb, prior)
+        sides[prop._text] = [prior, counts, int(prior.endorsement.level) if counts else 0, []]
+    for pc in pool:
+        text = pc.relation.prop.args[1]._text
+        side = sides[text]
+        if not (side[1] and pc.belief.prop._text == text):
+            side[2] += min(pc.belief.endorsement.level, pc.relation.endorsement.level)
+            side[3].append(pc)
+    (prior, counts, support_score, support), (_, _, attack_score, attack) = sides.values()
     if support_score - attack_score >= tau:
         outcome = VerdictOutcome.ACCEPT
     elif attack_score - support_score >= tau:
@@ -852,7 +852,12 @@ def _judged(
     else:
         outcome = VerdictOutcome.UNCERTAIN
     return Verdict(
-        outcome, support_score, attack_score, support, attack, prior if counts else None
+        outcome,
+        support_score,
+        attack_score,
+        tuple(support),
+        tuple(attack),
+        prior if counts else None,
     )
 
 

@@ -304,4 +304,5 @@ def assimilate_evaluated(
         if parent is not None and parent.relation_verdicts[i].outcome is VerdictOutcome.ACCEPT:
             agreed.append(parent.node.relations[i])
             pending.adopt(parent.node.relations[i], parent.relation_verdicts[i].support_pieces)
-    return pending.store(), tuple(sorted(set(agreed)))
+    # by text, which is how propositions order, without a Python call per comparison
+    return pending.store(), tuple(sorted(set(agreed), key=str))

@@ -206,7 +206,7 @@ def _hypothetical_concession(
 def _observe_acceptance(session: _Session, observer: str, acceptor: str, props) -> None:
     speaker = session.speakers[acceptor]
     pending = _PendingAdds(session.kbs[observer], own=False)
-    for prop in sorted(props):
+    for prop in sorted(props, key=str):
         existing = pending.belief(prop)
         if existing is None or existing.endorsement.level < speaker.level:
             pending.add(Belief(prop, speaker.endorse(speaker.level)))

@@ -117,3 +117,22 @@ def test_ab_wide_disputes_run_two_to_ten_children(ab):
     # the widest tries 2^10 - 1 subsets
     cases = ab.inputs("wide_dispute", 0, None)
     assert [case.label for case in cases] == [f"search_fanout:k10c{c}" for c in range(2, 11)]
+
+
+def test_ab_time_checks_every_workload_once_then_times_each(ab, capsys, monkeypatch):
+    # one output check over all the named workloads, then one result line
+    # per workload, in the order given; the timing itself is stubbed
+    # the two trees are loaded under these names; they leave with the test
+    for name in ("parley_base", "parley_change"):
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setattr(
+        ab, "time_pairs", lambda base, change, workload, *rest: print(f"{workload}: timed")
+    )
+    src = str(ROOT / "src")
+    names = ["deep_chain", "search_fanout", "wide_dispute"]
+    argv = [src, src, "--time", "--aa", "--limit", "1", "--blocks", "2"]
+    assert ab.main(argv + [arg for name in names for arg in ("--workload", name)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"{name}: 1 inputs, 0 differ" for name in names),
+        *(f"{name}: timed" for name in names),
+    ]

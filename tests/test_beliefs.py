@@ -1334,6 +1334,22 @@ GUARDED = [
         StructureError,
         "relation antecedent must match the believed proposition",
     ),
+    # a speaker's case checks each backing as the piece above would, once
+    (
+        lambda: Speaker("S", Expertise.EXPERT).case(Q, [(P, supports_prop(P, Q).negate(), T, T)]),
+        StructureError,
+        "evidence relation must be a positive supports(...)",
+    ),
+    (
+        lambda: Speaker("S", Expertise.EXPERT).case(Q, [(P, Q, T, T)]),
+        StructureError,
+        "evidence relation must be a positive supports(...)",
+    ),
+    (
+        lambda: Speaker("S", Expertise.EXPERT).case(P, [(P, supports_prop(Q, P), T, T)]),
+        StructureError,
+        "relation antecedent must match the believed proposition",
+    ),
     (
         lambda: kb_of(rec(P), rec(Q), rec(P, S)),
         StructureError,

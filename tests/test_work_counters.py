@@ -478,3 +478,14 @@ def test_bundled_negotiation_endorsement_checks(name, monkeypatch):
     calls = count_checks(monkeypatch, beliefs.Endorsement)
     run_scenario(scenario, Trace())
     assert calls["Endorsement"] == ENDORSEMENT_CHECKS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bundled_negotiation_runs_no_evidence_piece_check(name, monkeypatch):
+    # a speaker's case checks each backing tuple once and builds its piece
+    # trusted, and every other piece is built from beliefs already held:
+    # no piece of a negotiation is checked again by its constructor
+    scenario = load_bundled(name)
+    calls = count_checks(monkeypatch, beliefs.EvidencePiece)
+    run_scenario(scenario, Trace())
+    assert calls == {"EvidencePiece": 0}

@@ -2,7 +2,8 @@
 their speed.
 
     python3 tools/ab.py BASE_SRC CHANGE_SRC --diff [--workload W ...] [--limit N] [--seed N]
-    python3 tools/ab.py BASE_SRC CHANGE_SRC --time --workload W --blocks N [--aa] [--seed N]
+    python3 tools/ab.py BASE_SRC CHANGE_SRC --time --workload W [--workload W ...] --blocks N
+        [--aa] [--seed N]
 
 ``BASE_SRC`` and ``CHANGE_SRC`` are directories that each hold a ``parley``
 package, such as the ``src`` of two checkouts.  Each is loaded under its own
@@ -36,12 +37,14 @@ module whose count differs, both counts.  It counts as ``bench/run.py``'s
 ``sloc`` does (non-blank lines not starting with ``#``), with that one-line
 rule repeated here, since ``run.sloc`` reads only its own checkout.
 
-``--time`` first checks that the workload's outputs are identical.  It then
-times ``--blocks`` pairs of blocks, each block the same passes over the
-inputs, with the tree that runs first alternating from pair to pair.  It
-prints the median change/base ratio of CPU time, its quartiles and in how
-many pairs the change was faster.  ``--aa`` loads the base tree a second
-time in place of the change, which shows the spread of identical code.
+``--time`` first checks that the outputs of every named workload are
+identical, as ``--diff`` does.  It then times each workload in turn:
+``--blocks`` pairs of blocks, each block the same passes over the inputs,
+with the tree that runs first alternating from pair to pair.  It prints one
+line per workload with the median change/base ratio of CPU time, its
+quartiles and in how many pairs the change was faster.  ``--aa`` loads the
+base tree a second time in place of the change, which shows the spread of
+identical code.
 """
 
 from __future__ import annotations
@@ -261,12 +264,12 @@ def main(argv: list[str] | None = None) -> int:
         status = diff(base, change, names, args.seed, args.limit)
         print(sloc_line(args.base, change_src))
         return status
-    if args.workload is None or len(args.workload) != 1:
-        parser.error("--time takes exactly one --workload")
-    (workload,) = args.workload
-    if diff(base, change, [workload], args.seed, args.limit):
+    if args.workload is None:
+        parser.error("--time takes at least one --workload")
+    if diff(base, change, args.workload, args.seed, args.limit):
         return 1
-    time_pairs(base, change, workload, args.blocks, args.seed, args.limit)
+    for workload in args.workload:
+        time_pairs(base, change, workload, args.blocks, args.seed, args.limit)
     return 0
 
 
