@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
 from functools import partial, total_ordering
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -108,6 +108,22 @@ MAX_PROP_NESTING = 100
 _setattr = object.__setattr__
 
 
+def _builder(cls: type, **fixed) -> Callable:
+    """A function that builds a ``cls`` from its fields' values, in field
+    order, without ``__init__`` or ``__post_init__``: it checks nothing, so
+    each caller passes parts it has checked.  A field in ``fixed`` takes
+    that value and is no parameter."""
+    names = [f.name for f in fields(cls)]
+    params = ", ".join(name for name in names if name not in fixed)
+    # written out as the generated ``__init__`` writes them: a loop over the
+    # names would cost half as much again per object, or more
+    writes = "".join(f"    _setattr(obj, {name!r}, {name})\n" for name in names)
+    source = f"def build({params}):\n    obj = _new(cls)\n{writes}    return obj\n"
+    scope = {"_new": object.__new__, "_setattr": _setattr, "cls": cls, **fixed}
+    exec(compile(source, f"<trusted {cls.__name__}>", "exec"), scope)
+    return scope["build"]
+
+
 @total_ordering
 @dataclass(frozen=True, eq=False)
 class Proposition:
@@ -180,15 +196,8 @@ def _text_of(negated: bool, predicate: str, args: tuple) -> str:
     return f"¬{body}" if negated else body
 
 
-def _trusted_prop(negated: bool, predicate: str, args: tuple, text: str) -> Proposition:
-    """A proposition from parts already checked, and its text, built without
-    ``__post_init__``."""
-    prop = object.__new__(Proposition)
-    _setattr(prop, "negated", negated)
-    _setattr(prop, "predicate", predicate)
-    _setattr(prop, "args", args)
-    _setattr(prop, "_text", text)
-    return prop
+# a proposition from parts already checked, and its text
+_trusted_prop = _builder(Proposition)
 
 
 def supports_prop(antecedent: Proposition, consequent: Proposition) -> Proposition:
@@ -385,10 +394,19 @@ _PLAIN = {
 _PLAIN_SOURCES = {(kind.value, level.render()): e for (kind, level), e in _PLAIN.items()}
 
 
+# a derived endorsement at a checked level, from a nonempty frozenset of
+# propositions
+_trusted_derived = _builder(Endorsement, kind=SourceKind.DERIVED, speaker=None, expertise=None)
+
+
 @dataclass(frozen=True)
 class Belief:
     prop: Proposition
     endorsement: Endorsement
+
+
+# a belief in a proposition, held as an endorsement, each already checked
+_trusted_belief = _builder(Belief)
 
 
 @dataclass(frozen=True)
@@ -415,13 +433,9 @@ class EvidencePiece:
         return (self.belief.prop._text, self.relation.prop._text)
 
 
-def _trusted_piece(belief: Belief, relation: Belief) -> EvidencePiece:
-    """A piece whose relation is a positive ``supports(...)`` from
-    ``belief``'s proposition, built without ``__post_init__``."""
-    piece = object.__new__(EvidencePiece)
-    _setattr(piece, "belief", belief)
-    _setattr(piece, "relation", relation)
-    return piece
+# a piece whose relation is a positive ``supports(...)`` from ``belief``'s
+# proposition
+_trusted_piece = _builder(EvidencePiece)
 
 
 def piece_strength(piece: EvidencePiece) -> StrengthLevel:
@@ -449,8 +463,9 @@ class Speaker:
 
     def endorse(self, level: StrengthLevel) -> Endorsement:
         """This speaker's assertion endorsement at ``level``, shared per level."""
-        # checked before the lookup: an int finds the level it equals
-        endorsement = self._endorsements.get(_check_level(level))
+        # the type before the lookup: an int finds the level it equals.  A
+        # miss builds the endorsement, whose constructor checks the level.
+        endorsement = self._endorsements.get(level) if type(level) is StrengthLevel else None
         if endorsement is None:
             endorsement = Endorsement(level, SourceKind.ASSERTION, self.name, self.expertise)
             self._endorsements[level] = endorsement
@@ -465,13 +480,13 @@ class Speaker:
         endorse = self.endorse
         pieces = [
             _trusted_piece(
-                Belief(claim, endorse(self.level)),
-                Belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
+                _trusted_belief(claim, endorse(self.level)),
+                _trusted_belief(supports_prop(claim, claim), endorse(StrengthLevel.WARRANTED)),
             )
         ]
         for prop, relation, belief_level, relation_level in backing:
-            belief = Belief(prop, endorse(belief_level))
-            held = Belief(relation, endorse(relation_level))
+            belief = _trusted_belief(prop, endorse(belief_level))
+            held = _trusted_belief(relation, endorse(relation_level))
             # ``EvidencePiece``'s checks, made here once
             if not relation.is_relation or relation.negated:
                 raise StructureError("evidence relation must be a positive supports(...)")
@@ -745,6 +760,10 @@ class Verdict:
         return max(ranks)
 
 
+# a verdict from the scores and pieces a judgement weighed
+_trusted_verdict = _builder(Verdict)
+
+
 def build_evidence_set(
     kb: KnowledgeBase,
     target: Proposition,
@@ -851,12 +870,8 @@ def _judged(
         outcome = VerdictOutcome.ABANDON
     else:
         outcome = VerdictOutcome.UNCERTAIN
-    return Verdict(
-        outcome,
-        support_score,
-        attack_score,
-        tuple(support),
-        tuple(attack),
+    return _trusted_verdict(
+        outcome, support_score, attack_score, tuple(support), tuple(attack),
         prior if counts else None,
     )
 
@@ -1127,14 +1142,14 @@ def _adopted(
         return None
     basis = {pc.belief.prop for pc in evidence if pc.belief.prop != prop}
     if basis:
-        return Belief(prop, Endorsement.derived(win, basis))
+        return _trusted_belief(prop, _trusted_derived(win, frozenset(basis)))
     # bare assertion: keep the assertion provenance rather than a
     # self-referential derivation, at the piece's strength, which a
     # caller-built self-relation may hold below the assertion's level
     endorsement = max(evidence, key=piece_strength).belief.endorsement
     if endorsement.level != win:
         endorsement = replace(endorsement, level=win)
-    return Belief(prop, endorsement)
+    return _trusted_belief(prop, endorsement)
 
 
 def assimilate(kb: KnowledgeBase, verdict: Verdict, target: Proposition) -> KnowledgeBase:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .beliefs import (
-    Belief,
     ContractViolation,
-    Endorsement,
     KnowledgeBase,
     Proposition,
     Speaker,
@@ -25,6 +23,8 @@ from .beliefs import (
     VerdictOutcome,
     _check_level,
     _PendingAdds,
+    _trusted_belief,
+    _trusted_derived,
     record_verdict,
     revise_detail,
     supports_prop,
@@ -144,19 +144,20 @@ def validate_tree(tree: ProposalNode) -> None:
     is marked, so it is walked once however often it is checked."""
     if tree._valid:
         return
-    path: set[Proposition] = set()
-    asserted: set[Proposition] = set()
+    # keyed by text, which is what a proposition hashes, without a Python call
+    path: set[str] = set()
+    asserted: set[str] = set()
     for node, parent, i, done in walk(tree):
         if done:
-            path.discard(node.prop)
+            path.discard(node.prop._text)
             continue
-        if node.prop in path or node.prop.negate() in path:
+        if node.prop._text in path or node.prop.negate()._text in path:
             raise StructureError(f"proposal tree revisits {node.prop}")
-        path.add(node.prop)
+        path.add(node.prop._text)
         for prop in (node.prop,) if parent is None else (parent.relations[i], node.prop):
-            if prop.negate() in asserted:
+            if prop.negate()._text in asserted:
                 raise StructureError(f"proposal tree asserts both {prop.negate()} and {prop}")
-            asserted.add(prop)
+            asserted.add(prop._text)
     object.__setattr__(tree, "_valid", True)
 
 
@@ -191,15 +192,16 @@ def record_proposal(kb: KnowledgeBase, tree: ProposalNode, *, speaker: Speaker) 
     for node, parent, i, done in walk(tree):
         if not done:
             continue
+        # the node's level and children were checked when it was built
         if pending.belief(node.prop) is None:
             if node.children:
-                support = (child.prop for child in node.children)
-                endorsement = Endorsement.derived(node.asserted_level, support)
+                support = frozenset([child.prop for child in node.children])
+                endorsement = _trusted_derived(node.asserted_level, support)
             else:
                 endorsement = endorse(node.asserted_level)
-            pending.add(Belief(node.prop, endorsement))
+            pending.add(_trusted_belief(node.prop, endorsement))
         if parent is not None and pending.belief(parent.relations[i]) is None:
-            pending.add(Belief(parent.relations[i], endorse(node.asserted_level)))
+            pending.add(_trusted_belief(parent.relations[i], endorse(node.asserted_level)))
     return pending.store()
 
 

@@ -73,11 +73,15 @@ class DiscourseAct:
     speaker: str
     prop: Optional[Proposition] = None
     proposal: Optional[ProposalNode] = None
+    # not a field: the content, once rendered
+    _content = None
 
     def content(self) -> str:
-        """The move as uttered, without the speaker."""
-        body = render_tree(self.proposal) if self.proposal is not None else self.prop.render()
-        return f"{_VERBS[self.kind]} {body}"
+        """The move as uttered, without the speaker, rendered once."""
+        if self._content is None:
+            body = render_tree(self.proposal) if self.proposal is not None else self.prop.render()
+            object.__setattr__(self, "_content", f"{_VERBS[self.kind]} {body}")
+        return self._content
 
     def realize(self) -> str:
         return f"{self.speaker}: {self.content()}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import AbstractSet, Any, Callable, Optional
 
 from .beliefs import (
     Belief,
@@ -25,6 +25,8 @@ from .beliefs import (
     _PLAIN_SOURCES,
     _index,
     _trusted,
+    _trusted_belief,
+    _trusted_derived,
     proposition_parser,
 )
 from .evaluation import ProposalNode, fold, validate_tree
@@ -64,20 +66,24 @@ class Scenario:
         return self.agents[1]
 
 
-# the fields of the objects the readers check
+# the fields of the objects the readers check: the required ones in order,
+# and every one allowed
 _BELIEF = ("prop", "level", "source")
+_BELIEF_FIELDS = frozenset(_BELIEF)
 _ASSERTION = ("speaker", "expertise")
+_ASSERTION_FIELDS = frozenset(_ASSERTION)
+_DERIVED_FIELDS = frozenset({"from"})
 _NODE = ("prop", "assertedLevel")
-_NODE_FIELDS = (*_NODE, "children")
+_NODE_FIELDS = frozenset({*_NODE, "children"})
 _AGENT = ("id", "expertise", "beliefs")
-_AGENT_FIELDS = (*_AGENT, "userModel")
+_AGENT_FIELDS = frozenset({*_AGENT, "userModel"})
 
 
-def _expect_object(value: Any, path: str, allowed: Iterable, required: tuple = ()) -> dict:
+def _expect_object(value: Any, path: str, allowed: AbstractSet, required: tuple = ()) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
-    unknown = value.keys() - allowed
-    if unknown:
+    if not value.keys() <= allowed:
+        unknown = value.keys() - allowed
         raise ScenarioError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
     for key in required:
         if key not in value:
@@ -124,7 +130,7 @@ def _parse_source(value: Any, level: StrengthLevel, parse: Callable) -> Endorsem
     if not isinstance(value, dict):
         raise ScenarioError(".source", f"bad source: {value!r}")
     if set(value) == {"derived"}:
-        body = _expect_object(value["derived"], ".source.derived", ("from",))
+        body = _expect_object(value["derived"], ".source.derived", _DERIVED_FIELDS)
         props = _expect_list(body.get("from"), ".source.derived.from")
         if not props:
             raise ScenarioError(".source.derived.from", "must not be empty")
@@ -134,9 +140,12 @@ def _parse_source(value: Any, level: StrengthLevel, parse: Callable) -> Endorsem
                 support.append(_parse_str(text, "", parse))
             except ScenarioError as exc:
                 raise _under(f".source.derived.from[{i}]", exc) from None
-        return Endorsement.derived(level, support)
+        # a parsed level and a nonempty list of parsed propositions
+        return _trusted_derived(level, frozenset(support))
     if set(value) == {"assertion"}:
-        body = _expect_object(value["assertion"], ".source.assertion", _ASSERTION, _ASSERTION)
+        body = _expect_object(
+            value["assertion"], ".source.assertion", _ASSERTION_FIELDS, _ASSERTION
+        )
         speaker = _expect_str(body["speaker"], ".source.assertion.speaker")
         expertise = _parse_str(body["expertise"], ".source.assertion.expertise", Expertise.parse)
         return Speaker(speaker, expertise).endorse(level)
@@ -145,10 +154,10 @@ def _parse_source(value: Any, level: StrengthLevel, parse: Callable) -> Endorsem
 
 def _parse_belief(value: Any, parse: Callable[[str], Proposition]) -> Belief:
     # the belief ``value`` spells; errors are raised at paths relative to it
-    obj = _expect_object(value, "", _BELIEF, _BELIEF)
+    obj = _expect_object(value, "", _BELIEF_FIELDS, _BELIEF)
     prop = _parse_str(obj["prop"], ".prop", parse)
     level = _parse_str(obj["level"], ".level", StrengthLevel.parse)
-    return Belief(prop, _parse_source(obj["source"], level, parse))
+    return _trusted_belief(prop, _parse_source(obj["source"], level, parse))
 
 
 def _parse_beliefs(
@@ -164,7 +173,8 @@ def _parse_beliefs(
         except ScenarioError as exc:
             raise _under(f"{path}[{i}]", exc) from None
 
-    return _index(_expect_list(value, path), label, index, read, _PLAIN_SOURCES)
+    items = _expect_list(value, path)
+    return _index(items, label, index, read, _PLAIN_SOURCES) if items else ({}, None)
 
 
 def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> AgentSpec:
@@ -236,7 +246,7 @@ def _parse_document(text: str) -> Scenario:
         raise ScenarioError("$.proposal", str(exc)) from None
 
     limits = {"tau": NegotiationConfig.tau, "maxDepth": NegotiationConfig.max_depth}
-    config = _expect_object(obj.get("config", {}), "$.config", limits)
+    config = _expect_object(obj.get("config", {}), "$.config", limits.keys())
     for key in limits:
         value = config.get(key, limits[key])
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:

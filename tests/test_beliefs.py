@@ -38,9 +38,12 @@ from parley import (
     revise,
     supports_prop,
 )
+from parley import beliefs
 from parley.beliefs import (
     MAX_PROP_NESTING,
     _standing,
+    _trusted_belief,
+    _trusted_derived,
     piece_strength,
     proposition_parser,
     removal_closure,
@@ -53,9 +56,12 @@ from conftest import (
     added_in_turn,
     assert_index_covers,
     asserted,
+    disputed_correction_scenario,
     ground,
     random_revision_case,
+    random_scenario,
     random_store,
+    run_scenario,
     seed_removal_closure,
 )
 
@@ -1420,6 +1426,35 @@ GUARDED = [
 @pytest.mark.parametrize("build, error, message", GUARDED)
 def test_public_constructors_keep_every_check(build, error, message):
     assert guarded(build) == (error, message)
+
+
+def assert_same_value(built, checked) -> None:
+    # equal, hashed and printed alike, with the same attributes set on the
+    # instance, and accepted by the public checks that ``replace`` re-runs
+    assert built == checked and hash(built) == hash(checked)
+    assert repr(built) == repr(checked) and vars(built) == vars(checked)
+    assert replace(built) == built
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(LEVELS), st.lists(propositions, min_size=1, max_size=4))
+def test_built_endorsements_and_beliefs_are_their_checked_construction(level, support):
+    built = _trusted_derived(level, frozenset(support))
+    checked = Endorsement.derived(level, support)
+    assert_same_value(built, checked)
+    assert_same_value(_trusted_belief(support[0], built), Belief(support[0], checked))
+
+
+def test_every_judged_verdict_is_its_checked_construction(monkeypatch):
+    judged = []
+    judge = beliefs._judged
+    monkeypatch.setattr(beliefs, "_judged", lambda *args: judged.append(judge(*args)) or judged[-1])
+    for seed in range(150):
+        run_scenario(random_scenario(random.Random(seed)))
+        run_scenario(disputed_correction_scenario(random.Random(seed)))
+    assert len({v.outcome for v in judged}) == len(VerdictOutcome)
+    for verdict in judged:
+        assert_same_value(verdict, Verdict(**vars(verdict)))
 
 
 # ---------------------------------------------------------------------------

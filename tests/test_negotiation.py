@@ -409,6 +409,21 @@ def test_act_content_leaves_out_a_speaker_id_with_a_colon():
     assert transcript.realize()[0] == f"U: x: {first['content']}"
 
 
+def test_each_act_is_rendered_once(smith, monkeypatch):
+    # the session renders each act's content for the trace, and the
+    # transcript reuses that text: realizing it walks no proposal again
+    transcript = run_scenario(smith)
+    walked = []
+    render = negotiation.render_tree
+    monkeypatch.setattr(negotiation, "render_tree", lambda t: walked.append(t) or render(t))
+    assert transcript.realize() == FIXTURES["smith"][0] and walked == []
+    # the kept text takes no part in equality or repr
+    act = transcript.acts[0]
+    fresh = negotiation.DiscourseAct(act.kind, act.speaker, act.prop, act.proposal)
+    assert fresh == act and hash(fresh) == hash(act) and repr(fresh) == repr(act)
+    assert fresh.content() == act.content() and len(walked) == 1
+
+
 VERDICT_KEYS = {"agent", "target", "supportScore", "attackScore", "outcome"}
 VERDICT_RECORDS = {
     # (kind, method, has note) -> exact payload keys

@@ -241,13 +241,13 @@ def test_bundled_negotiation_never_reads_stores_in_text_order(name, monkeypatch)
     assert reads == []
 
 
-# Endorsement.__post_init__ calls during one negotiation of each bundled
-# scenario: the assertion and derived endorsements the dialogue creates.
-# Each agent is one Speaker for the whole negotiation, so everything it
-# asserts (its cases, its recorded proposals, its observed acceptances)
-# shares one assertion endorsement per level, the focus search's counter-
-# cases included.  A derived endorsement is
-# built only for a belief actually written, and adoption keeps an
+# Endorsements created during one negotiation of each bundled scenario,
+# checked or built from checked parts: the assertion and derived
+# endorsements the dialogue creates.  Each agent is one Speaker for the
+# whole negotiation, so everything it asserts (its cases, its recorded
+# proposals, its observed acceptances) shares one assertion endorsement per
+# level, the focus search's counter-cases included.  A derived endorsement
+# is built only for a belief actually written, and adoption keeps an
 # endorsement already at the winning level.
 ENDORSEMENT_CHECKS = {
     "both": 5,
@@ -256,6 +256,19 @@ ENDORSEMENT_CHECKS = {
     "smith": 7,
     "tie": 2,
     "visit": 6,
+}
+
+# of those, the ones the constructor checks: each speaker's first
+# endorsement at each level it asserts.  A derived endorsement's level and
+# support come from a checked proposal node or from credited evidence, so it
+# is built without a check.
+CHECKED_ENDORSEMENTS = {
+    "both": 3,
+    "evidence": 4,
+    "nest": 3,
+    "smith": 4,
+    "tie": 2,
+    "visit": 3,
 }
 
 
@@ -472,12 +485,62 @@ def test_late_duplicate_and_contradiction_are_reported_in_file_terms(extra, mess
     assert (raised.value.path, raised.value.message) == ("$.agents[1]", message)
 
 
+def endorsements_made(run) -> dict:
+    """How many endorsements ``run()`` creates: ``checked`` by the
+    constructor's ``__post_init__``, and ``built`` by the derived builder,
+    under whatever name a module imported it, seen by a profile hook, so
+    nothing is patched."""
+    codes = {
+        beliefs.Endorsement.__post_init__.__code__: "checked",
+        beliefs._trusted_derived.__code__: "built",
+    }
+    made = dict.fromkeys(codes.values(), 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            made[codes[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return made
+
+
 @pytest.mark.parametrize("name", sorted(ENDORSEMENT_CHECKS))
-def test_bundled_negotiation_endorsement_checks(name, monkeypatch):
+def test_bundled_negotiation_endorsement_checks(name):
     scenario = load_bundled(name)
-    calls = count_checks(monkeypatch, beliefs.Endorsement)
-    run_scenario(scenario, Trace())
-    assert calls["Endorsement"] == ENDORSEMENT_CHECKS[name]
+    made = endorsements_made(lambda: run_scenario(scenario, Trace()))
+    assert made["checked"] + made["built"] == ENDORSEMENT_CHECKS[name]
+    assert made["checked"] == CHECKED_ENDORSEMENTS[name]
+
+
+def test_chain_endorsement_checks_do_not_grow_with_depth():
+    # a derived source in a file, a recorded inner node and an adopted node
+    # are each built from checked parts: parsing and negotiating a chain
+    # check as many endorsements whatever its depth, where checking each
+    # one made about three checks per node
+    found = {}
+    for d in (20, 40):
+        text = chain_document(d)
+        found[d] = endorsements_made(lambda: run_scenario(parse_scenario(text), Trace()))
+    assert found[20]["checked"] == found[40]["checked"]
+    assert found[20]["built"] < found[40]["built"]
+
+
+def test_validating_a_chain_hashes_no_proposition(monkeypatch):
+    # validate_tree keys what it has seen by text: a set of propositions
+    # hashed each one through the Python-level ``Proposition.__hash__``
+    parsed = parse_scenario(chain_document(40)).proposal
+    # an equal tree not yet validated, built from checked nodes
+    tree = evaluation.fold(
+        parsed, lambda n, p, i, kids: evaluation.ProposalNode(n.prop, n.asserted_level, tuple(kids))
+    )
+    assert tree == parsed and not tree._valid
+    hashed = count_calls(monkeypatch, beliefs.Proposition, "__hash__")
+    evaluation.validate_tree(tree)
+    assert tree._valid and hashed == []
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
