@@ -397,6 +397,9 @@ _PLAIN_SOURCES = {(kind.value, level.render()): e for (kind, level), e in _PLAIN
 # a derived endorsement at a checked level, from a nonempty frozenset of
 # propositions
 _trusted_derived = _builder(Endorsement, kind=SourceKind.DERIVED, speaker=None, expertise=None)
+# an assertion endorsement at a checked level, by a checked speaker name and
+# expertise
+_trusted_assertion = _builder(Endorsement, kind=SourceKind.ASSERTION, support=frozenset())
 
 
 @dataclass(frozen=True)
@@ -453,7 +456,8 @@ class Speaker:
     expertise: Expertise
     # what its bare say-so is worth: warranted from an expert, else strong
     level: StrengthLevel = field(init=False, repr=False, compare=False)
-    # one checked assertion endorsement per level, built on first use
+    # one assertion endorsement per level, built on first use from the
+    # checked name and expertise
     _endorsements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -463,13 +467,15 @@ class Speaker:
 
     def endorse(self, level: StrengthLevel) -> Endorsement:
         """This speaker's assertion endorsement at ``level``, shared per level."""
-        # the type before the lookup: an int finds the level it equals.  A
-        # miss builds the endorsement, whose constructor checks the level.
-        endorsement = self._endorsements.get(level) if type(level) is StrengthLevel else None
-        if endorsement is None:
-            endorsement = Endorsement(level, SourceKind.ASSERTION, self.name, self.expertise)
-            self._endorsements[level] = endorsement
-        return endorsement
+        # the type before the lookup, where an int would find the level it
+        # equals: any other value goes to the constructor, which refuses it,
+        # and nothing is kept
+        if type(level) is not StrengthLevel:
+            return Endorsement(level, SourceKind.ASSERTION, self.name, self.expertise)
+        if level not in self._endorsements:
+            # the name and expertise were checked when the speaker was built
+            self._endorsements[level] = _trusted_assertion(level, self.name, self.expertise)
+        return self._endorsements[level]
 
     def case(self, claim: Proposition, backing: Iterable[tuple] = ()) -> tuple[EvidencePiece, ...]:
         """What the speaker puts forward for ``claim``: the bare assertion,
@@ -735,6 +741,10 @@ class VerdictOutcome(str, Enum):
     UNCERTAIN = "uncertain"
 
 
+# each outcome's text, read without the enum's ``value`` descriptor
+_OUTCOME_TEXTS = {outcome: outcome.value for outcome in VerdictOutcome}
+
+
 @dataclass(frozen=True)
 class Verdict:
     """One judgement of a proposition: the outcome, the score of each side,
@@ -805,7 +815,8 @@ def build_evidence_set(
         prev = best.get(key)
         if prev is None or strength > prev[1]:
             best[key] = (pc, strength)
-    return tuple(best[key][0] for key in sorted(best))
+    # a list, where a generator would cost a Python call per piece
+    return tuple([best[key][0] for key in sorted(best)])
 
 
 def _addressing(target: Proposition, presented: Iterable[EvidencePiece]) -> list[EvidencePiece]:
@@ -895,7 +906,7 @@ def record_verdict(
         "target": target.render(),
         "supportScore": verdict.support_score,
         "attackScore": verdict.attack_score,
-        "outcome": verdict.outcome.value,
+        "outcome": _OUTCOME_TEXTS[verdict.outcome],
     }
     if removed is None:
         kind, payload["method"] = "revise", method
@@ -1137,7 +1148,7 @@ def _adopted(
         if prior is None:
             raise ContractViolation(f"cannot adopt {prop} with no evidence and no prior")
         return None
-    win = max(piece_strength(pc) for pc in evidence)
+    win = max(map(piece_strength, evidence))
     if prior is not None and prior.endorsement.level >= win:
         return None
     basis = {pc.belief.prop for pc in evidence if pc.belief.prop != prop}

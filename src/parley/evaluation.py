@@ -10,7 +10,7 @@ relation have themselves been accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .beliefs import (
     ContractViolation,
@@ -77,7 +77,7 @@ class ProposalNode:
         first use and kept."""
         relations = self._relations
         if relations is None:
-            relations = tuple(supports_prop(child.prop, self.prop) for child in self.children)
+            relations = tuple([supports_prop(child.prop, self.prop) for child in self.children])
             object.__setattr__(self, "_relations", relations)
         return relations
 
@@ -91,22 +91,24 @@ class ProposalNode:
         return tuple(out)
 
 
-def walk(root, enter: Optional[Callable] = None) -> Iterator[tuple]:
-    """Yield ``(node, parent, i, done)`` for each node under ``root``, where
-    ``node`` is ``parent.children[i]`` and the root's parent is None: depth
-    first, once on the way down and again with ``done`` after the subtree,
-    which is skipped if ``enter(node, parent, i)``, asked after the way down,
-    is false.  The walk keeps its own stack, so a tree of any depth walks."""
+def walk(root, enter: Optional[Callable] = None) -> list[tuple]:
+    """``(node, parent, i, done)`` for each node under ``root``, in a list,
+    where ``node`` is ``parent.children[i]`` and the root's parent is None:
+    depth first, once on the way down and again with ``done`` after the
+    subtree, which is skipped if ``enter(node, parent, i)``, asked after the
+    way down, is false.  It keeps its own stack, so a tree of any depth walks."""
+    visits = []
     stack = [(root, None, 0, False)]
     while stack:
         node, parent, i, done = visit = stack.pop()
-        yield visit
+        visits.append(visit)
         if not done:
             stack.append((node, parent, i, True))
             if enter is None or enter(node, parent, i):
                 children = node.children
                 for j in range(len(children) - 1, -1, -1):
                     stack.append((children[j], node, j, False))
+    return visits
 
 
 def fold(root, make: Callable, enter: Optional[Callable] = None):
@@ -291,20 +293,21 @@ def assimilate_evaluated(
     adopts one, and all in one write, each node before the relation to it;
     nothing is taken from beneath a rejected node, and a relation accepted
     by lookup is held already.  Returns the updated store and every
-    proposition now agreed to.
+    proposition now agreed to, in text order.
     """
     if not evaluated.accepted:
         raise ContractViolation(f"cannot assimilate {evaluated.prop}: proposal not accepted")
-    agreed: list[Proposition] = []
+    # each proposition agreed to, keyed by its text, which is how
+    # propositions hash and order, without a Python call per hash or comparison
+    agreed: dict[str, Proposition] = {}
     pending = _PendingAdds(kb, own=True)
     for ev, parent, i, done in walk(evaluated, lambda ev, *_: ev.accepted):
         if not done:
             continue
         if ev.accepted:
-            agreed.append(ev.prop)
+            agreed[ev.prop._text] = ev.prop
             pending.adopt(ev.prop, ev.verdict.support_pieces)
         if parent is not None and parent.relation_verdicts[i].outcome is VerdictOutcome.ACCEPT:
-            agreed.append(parent.node.relations[i])
+            agreed[parent.node.relations[i]._text] = parent.node.relations[i]
             pending.adopt(parent.node.relations[i], parent.relation_verdicts[i].support_pieces)
-    # by text, which is how propositions order, without a Python call per comparison
-    return pending.store(), tuple(sorted(set(agreed), key=str))
+    return pending.store(), tuple(map(agreed.__getitem__, sorted(agreed)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import NoReturn, Optional
 
 from .beliefs import (
@@ -26,6 +27,7 @@ from .beliefs import (
     VerdictOutcome,
     _PendingAdds,
     _check_count,
+    _trusted_belief,
     assimilate,
     removal_closure,
     revise_detail,
@@ -63,6 +65,8 @@ _VERBS = {
     ActKind.ACCEPT: "ACCEPT",
     ActKind.INFO_SHARE_REQUEST: "INFOSHARE",
 }
+# each kind's text, read without the enum's ``value`` descriptor
+_ACT_TEXTS = {kind: kind.value for kind in ActKind}
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,9 @@ class _Session:
     config: NegotiationConfig
     trace: Trace
     acts: list[DiscourseAct] = field(default_factory=list)
-    # the (speaker, claim, proposition) triples presented so far
-    presented: set[tuple[str, Proposition, Proposition]] = field(default_factory=set)
+    # the (speaker, claim, proposition) triples presented so far, each
+    # proposition as its text, which hashes without a Python call
+    presented: set[tuple[str, str, str]] = field(default_factory=set)
     conceded_by: Optional[str] = None
     depth_max: int = 0
     rounds: int = 0
@@ -139,14 +144,14 @@ class _Session:
     ) -> None:
         act = DiscourseAct(kind, speaker, prop=prop, proposal=proposal)
         self.acts.append(act)
-        self.trace.emit("act", speaker=speaker, act=kind.value, content=act.content())
+        self.trace.emit("act", speaker=speaker, act=_ACT_TEXTS[kind], content=act.content())
 
     def propose(self, speaker: str, tree: ProposalNode) -> None:
         self.act(ActKind.PROPOSE, speaker, proposal=tree)
         self.already_presented(speaker, tree.prop, tree.props())
 
     def already_presented(self, speaker: str, claim: Proposition, props) -> bool:
-        triples = {(speaker, claim, prop) for prop in props}
+        triples = {(speaker, claim._text, prop._text) for prop in props}
         if triples <= self.presented:
             return True
         self.presented |= triples
@@ -209,11 +214,13 @@ def _hypothetical_concession(
 
 def _observe_acceptance(session: _Session, observer: str, acceptor: str, props) -> None:
     speaker = session.speakers[acceptor]
+    endorsement = speaker.endorse(speaker.level)
     pending = _PendingAdds(session.kbs[observer], own=False)
-    for prop in sorted(props, key=str):
+    # in text order, which is how propositions order, without a Python call
+    for prop in sorted(props, key=attrgetter("_text")):
         existing = pending.belief(prop)
         if existing is None or existing.endorsement.level < speaker.level:
-            pending.add(Belief(prop, speaker.endorse(speaker.level)))
+            pending.add(_trusted_belief(prop, endorsement))
     session.kbs[observer] = pending.store()
 
 
@@ -256,7 +263,7 @@ def negotiate(
         raise ContractViolation(f"config must be a NegotiationConfig, got {config!r}")
     if not isinstance(trace, (Trace, type(None))):
         raise ContractViolation(f"trace must be a Trace or None, got {trace!r}")
-    evaluator = next(a for a in kbs if a != proposer)
+    (evaluator,) = kbs.keys() - {proposer}
     speakers = {agent: Speaker(agent, kb.expertise) for agent, kb in kbs.items()}
     session = _Session(dict(kbs), speakers, config, trace or Trace())
 

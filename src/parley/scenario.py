@@ -19,12 +19,14 @@ from .beliefs import (
     KnowledgeBase,
     Proposition,
     SourceKind,
-    Speaker,
     StrengthLevel,
     StructureError,
+    _EXPERTISE_BY_TEXT,
+    _LEVELS_BY_TEXT,
     _PLAIN_SOURCES,
     _index,
     _trusted,
+    _trusted_assertion,
     _trusted_belief,
     _trusted_derived,
     proposition_parser,
@@ -66,50 +68,41 @@ class Scenario:
         return self.agents[1]
 
 
-# the fields of the objects the readers check: the required ones in order,
-# and every one allowed
-_BELIEF = ("prop", "level", "source")
-_BELIEF_FIELDS = frozenset(_BELIEF)
-_ASSERTION = ("speaker", "expertise")
-_ASSERTION_FIELDS = frozenset(_ASSERTION)
-_DERIVED_FIELDS = frozenset({"from"})
-_NODE = ("prop", "assertedLevel")
-_NODE_FIELDS = frozenset({*_NODE, "children"})
-_AGENT = ("id", "expertise", "beliefs")
-_AGENT_FIELDS = frozenset({*_AGENT, "userModel"})
+# the fields of the objects the readers check: the required ones, as the
+# keys of a dict, in the order a missing one is reported, and every one
+# allowed.  A reader compares a value's keys with these inline, and calls a
+# helper only to spell the error of a test that failed.
+_DOCUMENT = dict.fromkeys(("v", "agents", "proposal")).keys()
+_BELIEF = dict.fromkeys(("prop", "level", "source")).keys()
+_ASSERTION = dict.fromkeys(("speaker", "expertise")).keys()
+_NODE = dict.fromkeys(("prop", "assertedLevel")).keys()
+_NODE_FIELDS = _NODE | {"children"}
+_AGENT = dict.fromkeys(("id", "expertise", "beliefs")).keys()
+_AGENT_FIELDS = _AGENT | {"userModel"}
 
 
-def _expect_object(value: Any, path: str, allowed: AbstractSet, required: tuple = ()) -> dict:
+def _object_error(value: Any, path: str, allowed: AbstractSet, required=()) -> ScenarioError:
     if not isinstance(value, dict):
-        raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
+        return ScenarioError(path, f"expected an object, got {type(value).__name__}")
     if not value.keys() <= allowed:
-        unknown = value.keys() - allowed
-        raise ScenarioError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
-    for key in required:
-        if key not in value:
-            raise ScenarioError(path, f"missing field: {key}")
-    return value
+        return ScenarioError(path, f"unknown field(s): {', '.join(sorted(value.keys() - allowed))}")
+    return ScenarioError(path, f"missing field: {next(k for k in required if k not in value)}")
 
 
-def _expect_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
-    return value
+def _list_error(value: Any, path: str) -> ScenarioError:
+    return ScenarioError(path, f"expected a list, got {type(value).__name__}")
 
 
-def _expect_str(value: Any, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ScenarioError(path, "expected a non-empty string")
-    return value
-
-
-def _parse_str(value: Any, path: str, parse: Callable[[str], Any]) -> Any:
-    """``parse`` applied to a non-empty string, its errors reported at ``path``."""
-    raw = _expect_str(value, path)
-    try:
-        return parse(raw)
-    except StructureError as exc:
-        raise ScenarioError(path, str(exc)) from None
+def _text_error(value: Any, path: str, parse: Optional[Callable] = None) -> ScenarioError:
+    # ``value`` is no non-empty string, or one that ``parse`` refuses.  The
+    # document's parser refuses a text with a StructureError and what is no
+    # string with a TypeError, so its callers catch both and ask this which.
+    if parse is not None and isinstance(value, str) and value:
+        try:
+            parse(value)
+        except StructureError as exc:
+            return ScenarioError(path, str(exc))
+    return ScenarioError(path, "expected a non-empty string")
 
 
 def _under(prefix: str, exc: ScenarioError) -> ScenarioError:
@@ -129,84 +122,112 @@ def _parse_source(value: Any, level: StrengthLevel, parse: Callable) -> Endorsem
         return endorsement
     if not isinstance(value, dict):
         raise ScenarioError(".source", f"bad source: {value!r}")
-    if set(value) == {"derived"}:
-        body = _expect_object(value["derived"], ".source.derived", _DERIVED_FIELDS)
-        props = _expect_list(body.get("from"), ".source.derived.from")
+    if value.keys() == {"derived"}:
+        body = value["derived"]
+        if not isinstance(body, dict) or not body.keys() <= {"from"}:
+            raise _object_error(body, ".source.derived", {"from"})
+        props = body.get("from")
+        if not isinstance(props, list):
+            raise _list_error(props, ".source.derived.from")
         if not props:
             raise ScenarioError(".source.derived.from", "must not be empty")
         support = []
         for i, text in enumerate(props):
             try:
-                support.append(_parse_str(text, "", parse))
-            except ScenarioError as exc:
-                raise _under(f".source.derived.from[{i}]", exc) from None
+                support.append(parse(text))
+            except (StructureError, TypeError):
+                raise _text_error(text, f".source.derived.from[{i}]", parse) from None
         # a parsed level and a nonempty list of parsed propositions
         return _trusted_derived(level, frozenset(support))
-    if set(value) == {"assertion"}:
-        body = _expect_object(
-            value["assertion"], ".source.assertion", _ASSERTION_FIELDS, _ASSERTION
-        )
-        speaker = _expect_str(body["speaker"], ".source.assertion.speaker")
-        expertise = _parse_str(body["expertise"], ".source.assertion.expertise", Expertise.parse)
-        return Speaker(speaker, expertise).endorse(level)
+    if value.keys() == {"assertion"}:
+        body = value["assertion"]
+        if not isinstance(body, dict) or body.keys() != _ASSERTION:
+            raise _object_error(body, ".source.assertion", _ASSERTION, _ASSERTION)
+        speaker, raw = body["speaker"], body["expertise"]
+        if not isinstance(speaker, str) or not speaker:
+            raise _text_error(speaker, ".source.assertion.speaker")
+        if not isinstance(raw, str) or raw not in _EXPERTISE_BY_TEXT:
+            raise _text_error(raw, ".source.assertion.expertise", Expertise.parse)
+        # a parsed level, a non-empty name and a parsed expertise
+        return _trusted_assertion(level, speaker, _EXPERTISE_BY_TEXT[raw])
     raise ScenarioError(".source", "source object must be {'assertion': ...} or {'derived': ...}")
 
 
 def _parse_belief(value: Any, parse: Callable[[str], Proposition]) -> Belief:
     # the belief ``value`` spells; errors are raised at paths relative to it
-    obj = _expect_object(value, "", _BELIEF_FIELDS, _BELIEF)
-    prop = _parse_str(obj["prop"], ".prop", parse)
-    level = _parse_str(obj["level"], ".level", StrengthLevel.parse)
-    return _trusted_belief(prop, _parse_source(obj["source"], level, parse))
+    if not isinstance(value, dict) or value.keys() != _BELIEF:
+        raise _object_error(value, "", _BELIEF, _BELIEF)
+    try:
+        prop = parse(value["prop"])
+    except (StructureError, TypeError):
+        raise _text_error(value["prop"], ".prop", parse) from None
+    raw = value["level"]
+    if not isinstance(raw, str) or raw not in _LEVELS_BY_TEXT:
+        raise _text_error(raw, ".level", StrengthLevel.parse)
+    return _trusted_belief(prop, _parse_source(value["source"], _LEVELS_BY_TEXT[raw], parse))
 
 
 def _parse_beliefs(
-    value: Any, path: str, label: str, parse: Callable[[str], Proposition], index: dict
+    value: dict, path: str, key: str, label: str, parse: Callable[[str], Proposition], index: dict
 ) -> tuple[dict, Optional[StructureError]]:
-    """The store side of the belief list at ``path``, read by
-    ``beliefs._index``, and its first duplicate or contradiction."""
+    # the store side of the agent's belief list ``key``, read by
+    # ``beliefs._index``, and its first duplicate or contradiction
+    items = value.get(key, [])
+    if not isinstance(items, list):
+        raise _list_error(items, f"{path}.{key}")
+    if not items:
+        return {}, None
 
     def read(item: Any, i: int) -> Belief:
         # an item the plain path of ``_index`` does not take
         try:
             return _parse_belief(item, parse)
         except ScenarioError as exc:
-            raise _under(f"{path}[{i}]", exc) from None
+            raise _under(f"{path}.{key}[{i}]", exc) from None
 
-    items = _expect_list(value, path)
-    return _index(items, label, index, read, _PLAIN_SOURCES) if items else ({}, None)
+    return _index(items, label, index, read, _PLAIN_SOURCES)
 
 
 def _parse_agent(value: Any, path: str, parse: Callable[[str], Proposition]) -> AgentSpec:
-    obj = _expect_object(value, path, _AGENT_FIELDS, _AGENT)
-    agent_id = _expect_str(obj["id"], f"{path}.id")
-    expertise = _parse_str(obj["expertise"], f"{path}.expertise", Expertise.parse)
+    if not isinstance(value, dict) or not _AGENT <= value.keys() <= _AGENT_FIELDS:
+        raise _object_error(value, path, _AGENT_FIELDS, _AGENT)
+    agent_id, raw = value["id"], value["expertise"]
+    if not isinstance(agent_id, str) or not agent_id:
+        raise _text_error(agent_id, f"{path}.id")
+    if not isinstance(raw, str) or raw not in _EXPERTISE_BY_TEXT:
+        raise _text_error(raw, f"{path}.expertise", Expertise.parse)
     # a malformed item in either list is reported before a duplicate or a
     # contradiction in either
     index: dict = {}
-    own, fault = _parse_beliefs(obj["beliefs"], f"{path}.beliefs", "own beliefs", parse, index)
-    model, model_fault = _parse_beliefs(
-        obj.get("userModel", []), f"{path}.userModel", "user model", parse, index
-    )
+    own, fault = _parse_beliefs(value, path, "beliefs", "own beliefs", parse, index)
+    model, model_fault = _parse_beliefs(value, path, "userModel", "user model", parse, index)
     if fault or model_fault:
         raise ScenarioError(path, str(fault or model_fault))
-    return AgentSpec(agent_id, _trusted(own, model, expertise, index, parse))
+    return AgentSpec(agent_id, _trusted(own, model, _EXPERTISE_BY_TEXT[raw], index, parse))
 
 
 def _parse_node(value: Any, path: str, parse: Callable[[str], Proposition]) -> ProposalNode:
     """The proposal node at ``path``.  Its children are read at the empty
     path, and an error's path is put after this node's as it unwinds, so a
     valid tree spells no path below its root."""
-    obj = _expect_object(value, path, _NODE_FIELDS, _NODE)
-    prop = _parse_str(obj["prop"], f"{path}.prop", parse)
-    level = _parse_str(obj["assertedLevel"], f"{path}.assertedLevel", StrengthLevel.parse)
+    if not isinstance(value, dict) or not _NODE <= value.keys() <= _NODE_FIELDS:
+        raise _object_error(value, path, _NODE_FIELDS, _NODE)
+    try:
+        prop = parse(value["prop"])
+    except (StructureError, TypeError):
+        raise _text_error(value["prop"], f"{path}.prop", parse) from None
+    raw, items = value["assertedLevel"], value.get("children", [])
+    if not isinstance(raw, str) or raw not in _LEVELS_BY_TEXT:
+        raise _text_error(raw, f"{path}.assertedLevel", StrengthLevel.parse)
+    if not isinstance(items, list):
+        raise _list_error(items, f"{path}.children")
     children = []
-    for i, child in enumerate(_expect_list(obj.get("children", []), f"{path}.children")):
+    for i, child in enumerate(items):
         try:
             children.append(_parse_node(child, "", parse))
         except ScenarioError as exc:
             raise _under(f"{path}.children[{i}]", exc) from None
-    return ProposalNode(prop, level, tuple(children))
+    return ProposalNode(prop, _LEVELS_BY_TEXT[raw], tuple(children))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -223,30 +244,33 @@ def _parse_document(text: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError("", f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
-    obj = _expect_object(
-        data, "$", {"v", "agents", "proposal", "config"}, ("v", "agents", "proposal")
-    )
-    version = obj["v"]
+    if not isinstance(data, dict) or not _DOCUMENT <= data.keys() <= _DOCUMENT | {"config"}:
+        raise _object_error(data, "$", _DOCUMENT | {"config"}, _DOCUMENT)
+    version = data["v"]
     if not isinstance(version, int) or isinstance(version, bool) or version != FORMAT_VERSION:
         raise ScenarioError("$.v", f"unsupported version: {version!r}")
 
-    agents_raw = _expect_list(obj["agents"], "$.agents")
+    agents_raw = data["agents"]
+    if not isinstance(agents_raw, list):
+        raise _list_error(agents_raw, "$.agents")
     if len(agents_raw) != 2:
         raise ScenarioError("$.agents", f"expected exactly 2 agents, got {len(agents_raw)}")
     # one parser for the whole document, so each text is parsed once
     parse = proposition_parser()
-    agents = tuple(_parse_agent(a, f"$.agents[{i}]", parse) for i, a in enumerate(agents_raw))
+    agents = tuple(map(_parse_agent, agents_raw, ("$.agents[0]", "$.agents[1]"), (parse, parse)))
     if agents[0].id == agents[1].id:
         raise ScenarioError("$.agents", f"agent ids must differ, both are {agents[0].id!r}")
 
-    proposal = _parse_node(obj["proposal"], "$.proposal", parse)
+    proposal = _parse_node(data["proposal"], "$.proposal", parse)
     try:
         validate_tree(proposal)
     except StructureError as exc:
         raise ScenarioError("$.proposal", str(exc)) from None
 
     limits = {"tau": NegotiationConfig.tau, "maxDepth": NegotiationConfig.max_depth}
-    config = _expect_object(obj.get("config", {}), "$.config", limits.keys())
+    config = data.get("config", {})
+    if not isinstance(config, dict) or not config.keys() <= limits.keys():
+        raise _object_error(config, "$.config", limits.keys())
     for key in limits:
         value = config.get(key, limits[key])
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:

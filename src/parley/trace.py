@@ -20,7 +20,11 @@ class TraceRecord:
     payload: dict[str, Any]
 
     def to_json(self) -> str:
-        return _ENCODER.encode({"step": self.step, "kind": self.kind, "payload": self.payload})
+        # the record as that encoder writes it, keys in order, with only the
+        # payload encoded by it: ``encode_basestring`` is the function it
+        # writes a string with when ``ensure_ascii`` is off
+        kind, payload = json.encoder.encode_basestring(self.kind), _ENCODER.encode(self.payload)
+        return f'{{"kind": {kind}, "payload": {payload}, "step": {self.step}}}'
 
 
 @dataclass
@@ -40,4 +44,4 @@ class Trace:
         return [r for r in self.records if r.kind == kind]
 
     def to_ndjson(self) -> str:
-        return "".join(r.to_json() + "\n" for r in self.records)
+        return "".join([r.to_json() + "\n" for r in self.records])

@@ -91,6 +91,17 @@ def load_bench(name: str):
     return module
 
 
+@pytest.fixture
+def ab(monkeypatch):
+    """The comparator of two source trees, ``tools/ab.py``, loaded in-process."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+    spec = importlib.util.spec_from_file_location("ab", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def ground(name: str, negated: bool = False) -> Proposition:
     return Proposition(negated, name, ("x",))
 

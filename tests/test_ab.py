@@ -1,6 +1,5 @@
 """The in-process comparator of two source trees, ``tools/ab.py``."""
 
-import importlib.util
 import json
 import shutil
 import subprocess
@@ -12,16 +11,6 @@ import pytest
 import parley
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture
-def ab(monkeypatch):
-    """The comparator, loaded in-process."""
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def ab_diff(base: Path, change: Path, limit=20, seed=0) -> subprocess.CompletedProcess:
@@ -136,3 +125,23 @@ def test_ab_time_checks_every_workload_once_then_times_each(ab, capsys, monkeypa
         *(f"{name}: 1 inputs, 0 differ" for name in names),
         *(f"{name}: timed" for name in names),
     ]
+
+
+def test_ab_calls_counts_each_trees_calls_per_operation(ab, capsys, monkeypatch):
+    # the same output check as --time, then each tree's mean Python-level
+    # calls per operation: a tree against itself counts the same, and the
+    # mean is that of the counts of the single inputs
+    for name in ("parley_base", "parley_change"):
+        monkeypatch.setitem(sys.modules, name, None)
+    src = str(ROOT / "src")
+    assert ab.main([src, src, "--calls", "--aa", "--limit", "6", "--workload", "bundled_mix"]) == 0
+    checked, counted = capsys.readouterr().out.splitlines()
+    assert checked == "bundled_mix: 6 inputs, 0 differ"
+    texts = [case.text for case in ab.inputs("bundled_mix", 0, 6)]
+    each = [ab.calls(parley, [text]) for text in texts]
+    mean = sum(each) / len(each)
+    assert min(each) > 0 and ab.calls(parley, texts) == mean
+    assert counted == (
+        f"bundled_mix: 6 inputs, calls per operation base {mean:.1f}, "
+        f"change {mean:.1f} (change/base 1.000)"
+    )

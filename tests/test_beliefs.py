@@ -42,6 +42,7 @@ from parley import beliefs
 from parley.beliefs import (
     MAX_PROP_NESTING,
     _standing,
+    _trusted_assertion,
     _trusted_belief,
     _trusted_derived,
     piece_strength,
@@ -1443,6 +1444,27 @@ def test_built_endorsements_and_beliefs_are_their_checked_construction(level, su
     checked = Endorsement.derived(level, support)
     assert_same_value(built, checked)
     assert_same_value(_trusted_belief(support[0], built), Belief(support[0], checked))
+
+
+@pytest.mark.parametrize("expertise", list(Expertise))
+@pytest.mark.parametrize("level", LEVELS)
+def test_built_assertion_endorsements_are_their_checked_construction(level, expertise):
+    speaker = Speaker("s", expertise)
+    built = speaker.endorse(level)
+    assert_same_value(built, Endorsement(level, SourceKind.ASSERTION, "s", expertise))
+    assert_same_value(_trusted_assertion(level, "s", expertise), built)
+    assert speaker.endorse(level) is built
+
+
+@pytest.mark.parametrize("level", [2, "strong", True])
+def test_a_speaker_refuses_what_is_no_level_and_keeps_nothing(level):
+    # an int or a bool equals a level, but is refused by type before the
+    # lookup, with the checked constructor's message
+    speaker = Speaker("s", Expertise.EXPERT)
+    checked = guarded(lambda: Endorsement(level, SourceKind.ASSERTION, "s", Expertise.EXPERT))
+    assert checked is not None
+    assert guarded(lambda: speaker.endorse(level)) == checked
+    assert speaker._endorsements == {}
 
 
 def test_every_judged_verdict_is_its_checked_construction(monkeypatch):

@@ -31,15 +31,7 @@ from parley.beliefs import (
     _trusted,
     proposition_parser,
 )
-from parley.scenario import (
-    _PLAIN_SOURCES,
-    _expect_list,
-    _expect_object,
-    _expect_str,
-    _parse_agent,
-    _parse_belief,
-    _parse_str,
-)
+from parley.scenario import _PLAIN_SOURCES, _parse_agent, _parse_belief
 from parley.trace import Trace
 
 from conftest import asserted, load_bench, load_bundled, run_scenario
@@ -335,6 +327,42 @@ def test_one_object_per_text(which):
 # the checked parser that was given each belief's path
 
 
+# the checks the seed parsers call, each returning the value it passes: a
+# copy of the reader's helpers from before it made its checks inline
+
+
+def seed_expect_object(value, path, allowed, required=()):
+    if not isinstance(value, dict):
+        raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
+    unknown = set(value) - set(allowed)
+    if unknown:
+        raise ScenarioError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in value:
+            raise ScenarioError(path, f"missing field: {key}")
+    return value
+
+
+def seed_expect_list(value, path):
+    if not isinstance(value, list):
+        raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def seed_expect_str(value, path):
+    if not isinstance(value, str) or not value:
+        raise ScenarioError(path, "expected a non-empty string")
+    return value
+
+
+def seed_parse_str(value, path, parse):
+    raw = seed_expect_str(value, path)
+    try:
+        return parse(raw)
+    except StructureError as exc:
+        raise ScenarioError(path, str(exc)) from None
+
+
 def seed_parse_source(value, level, path, parse):
     if isinstance(value, str):
         if value == "kb-record":
@@ -345,19 +373,19 @@ def seed_parse_source(value, level, path, parse):
     if isinstance(value, dict):
         if set(value) == {"assertion"}:
             fields = ("speaker", "expertise")
-            body = _expect_object(value["assertion"], f"{path}.assertion", set(fields), fields)
-            speaker = _expect_str(body["speaker"], f"{path}.assertion.speaker")
-            expertise = _parse_str(
+            body = seed_expect_object(value["assertion"], f"{path}.assertion", set(fields), fields)
+            speaker = seed_expect_str(body["speaker"], f"{path}.assertion.speaker")
+            expertise = seed_parse_str(
                 body["expertise"], f"{path}.assertion.expertise", Expertise.parse
             )
             return asserted(level, speaker, expertise)
         if set(value) == {"derived"}:
-            body = _expect_object(value["derived"], f"{path}.derived", {"from"})
-            props = _expect_list(body.get("from"), f"{path}.derived.from")
+            body = seed_expect_object(value["derived"], f"{path}.derived", {"from"})
+            props = seed_expect_list(body.get("from"), f"{path}.derived.from")
             if not props:
                 raise ScenarioError(f"{path}.derived.from", "must not be empty")
             support = [
-                _parse_str(p, f"{path}.derived.from[{i}]", parse)
+                seed_parse_str(p, f"{path}.derived.from[{i}]", parse)
                 for i, p in enumerate(props)
             ]
             return Endorsement.derived(level, support)
@@ -367,9 +395,9 @@ def seed_parse_source(value, level, path, parse):
 
 def seed_parse_belief(value, path, parse):
     fields = ("prop", "level", "source")
-    obj = _expect_object(value, path, set(fields), fields)
-    prop = _parse_str(obj["prop"], f"{path}.prop", parse)
-    level = _parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
+    obj = seed_expect_object(value, path, set(fields), fields)
+    prop = seed_parse_str(obj["prop"], f"{path}.prop", parse)
+    level = seed_parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
     return Belief(prop, seed_parse_source(obj["source"], level, f"{path}.source", parse))
 
 
@@ -466,9 +494,9 @@ def seed_fast_parse_belief(value, path, parse):
                 except StructureError:
                     pass
     fields = ("prop", "level", "source")
-    obj = _expect_object(value, path, set(fields), fields)
-    prop = _parse_str(obj["prop"], f"{path}.prop", parse)
-    level = _parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
+    obj = seed_expect_object(value, path, set(fields), fields)
+    prop = seed_parse_str(obj["prop"], f"{path}.prop", parse)
+    level = seed_parse_str(obj["level"], f"{path}.level", StrengthLevel.parse)
     return Belief(prop, seed_parse_source(obj["source"], level, f"{path}.source", parse))
 
 
@@ -489,18 +517,18 @@ def seed_index(beliefs, label, by_consequent):
 
 
 def seed_parse_agent(value, path, parse):
-    obj = _expect_object(
+    obj = seed_expect_object(
         value, path, {"id", "expertise", "beliefs", "userModel"}, ("id", "expertise", "beliefs")
     )
-    agent_id = _expect_str(obj["id"], f"{path}.id")
-    expertise = _parse_str(obj["expertise"], f"{path}.expertise", Expertise.parse)
+    agent_id = seed_expect_str(obj["id"], f"{path}.id")
+    expertise = seed_parse_str(obj["expertise"], f"{path}.expertise", Expertise.parse)
     beliefs = [
         seed_fast_parse_belief(b, f"{path}.beliefs[{i}]", parse)
-        for i, b in enumerate(_expect_list(obj["beliefs"], f"{path}.beliefs"))
+        for i, b in enumerate(seed_expect_list(obj["beliefs"], f"{path}.beliefs"))
     ]
     model = [
         seed_fast_parse_belief(b, f"{path}.userModel[{i}]", parse)
-        for i, b in enumerate(_expect_list(obj.get("userModel", []), f"{path}.userModel"))
+        for i, b in enumerate(seed_expect_list(obj.get("userModel", []), f"{path}.userModel"))
     ]
     by_consequent = {}
     try:

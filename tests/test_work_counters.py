@@ -10,11 +10,13 @@ import json
 import random
 import re
 import sys
+import types
+from importlib import resources
 
 import pytest
 
 import parley.scenario
-from parley import beliefs, evaluation, focus, parse_scenario
+from parley import beliefs, evaluation, focus, negotiation, parse_scenario
 from parley.trace import Trace
 
 from conftest import (
@@ -49,6 +51,57 @@ PINNED = {
     "tie": (1, 1, 0, 1, 0),
     "visit": (6, 11, 2, 16, 1),
 }
+
+
+# Python-level calls of one ``bench/run.py`` operation on each bundled
+# scenario, at most: the parse, the negotiation, the transcript's lines and
+# the trace's NDJSON, counted by a profile hook under CPython 3.11 (3.12 and
+# 3.13 make fewer), as ``tools/ab.py --calls`` counts them.  The reader
+# checks each field inline; an assertion endorsement is built from checked
+# parts; the propositions presented and agreed are keyed by text; and a
+# walk returns its visits as a list.
+OPERATION_CALLS = {
+    "both": 1479,
+    "evidence": 1260,
+    "nest": 1642,
+    "smith": 1260,
+    "tie": 144,
+    "visit": 1130,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATION_CALLS))
+def test_bundled_operation_calls(name, ab):
+    text = resources.files("parley.scenarios").joinpath(f"{name}.scenario").read_text()
+    # the first run may import or compile what later runs find ready
+    ab.calls(parley, [text])
+    assert ab.calls(parley, [text]) <= OPERATION_CALLS[name]
+
+
+def test_presented_and_agreed_propositions_are_hashed_by_text():
+    # the triples presented so far and the propositions agreed are keyed by
+    # text, which hashes without a Python call: a set of propositions hashed
+    # each one through ``Proposition.__hash__``, twice per presented triple
+    callers = set()
+    for function in (negotiation._Session.already_presented, evaluation.assimilate_evaluated):
+        code = function.__code__
+        # a comprehension's frame is its own, with its code among the constants
+        callers |= {code, *(c for c in code.co_consts if isinstance(c, types.CodeType))}
+    hash_code = beliefs.Proposition.__hash__.__code__
+    hashed = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is hash_code and frame.f_back.f_code in callers:
+            hashed.append(frame.f_back.f_code.co_name)
+
+    scenario = parse_scenario(chain_document(40))
+    sys.setprofile(hook)
+    try:
+        transcript = run_scenario(scenario, Trace())
+    finally:
+        sys.setprofile(None)
+    assert transcript.outcome == "agreement"
+    assert hashed == []
 
 
 def work_counters(scenario) -> dict:
@@ -258,17 +311,19 @@ ENDORSEMENT_CHECKS = {
     "visit": 6,
 }
 
-# of those, the ones the constructor checks: each speaker's first
-# endorsement at each level it asserts.  A derived endorsement's level and
-# support come from a checked proposal node or from credited evidence, so it
-# is built without a check.
+# of those, the ones the constructor checks: none.  A speaker's name and
+# expertise are checked when it is built and its level by type before the
+# lookup, so its first endorsement at each level is built from checked
+# parts, as the reader builds a file's assertion sources.  A derived
+# endorsement's level and support come from a checked proposal node or from
+# credited evidence, so it is built without a check too.
 CHECKED_ENDORSEMENTS = {
-    "both": 3,
-    "evidence": 4,
-    "nest": 3,
-    "smith": 4,
-    "tie": 2,
-    "visit": 3,
+    "both": 0,
+    "evidence": 0,
+    "nest": 0,
+    "smith": 0,
+    "tie": 0,
+    "visit": 0,
 }
 
 
@@ -381,9 +436,9 @@ def test_bad_basis_text_deep_in_a_chain_is_reported_at_its_full_path(monkeypatch
         parse_scenario(json.dumps(doc))
     assert info.value.path == f"$.agents[0].beliefs[{last}].source.derived.from[1]"
     assert str(info.value).startswith(f"{info.value.path}: ")
-    # one prefix per list the error leaves: the basis texts, then the beliefs
-    prefixes = [".source.derived.from[1]", f"$.agents[0].beliefs[{last}]"]
-    assert [args[0] for args in calls] == prefixes
+    # the basis text's error is raised at its path within the belief, and
+    # the belief list puts the belief's path before it as it leaves
+    assert [args[0] for args in calls] == [f"$.agents[0].beliefs[{last}]"]
 
 
 def test_parsing_relations_rebuilds_no_text(monkeypatch):
@@ -398,18 +453,22 @@ def test_parsing_relations_rebuilds_no_text(monkeypatch):
 
 
 def test_proposal_paths_grow_linearly_with_depth(monkeypatch):
-    # a node below the root builds its JSON path only to report an error,
-    # so each node hands the checks the same path text; a path repeating
-    # every ancestor's made a chain of d nodes cost about 6·d² characters
+    # a node below the root is read at the empty path and spells its JSON
+    # path only to report an error, so each node hands its children the
+    # same path text, and a valid chain calls no error helper; a path
+    # repeating every ancestor's made a chain of d nodes cost about 6·d²
+    # characters
+    spelt = [
+        count_calls(monkeypatch, parley.scenario, name)
+        for name in ("_object_error", "_list_error", "_text_error", "_under")
+    ]
+    nodes = count_calls(monkeypatch, parley.scenario, "_parse_node")
     built = {}
     for d in (100, 200, 300):
-        checks = [
-            count_calls(monkeypatch, parley.scenario, name)
-            for name in ("_expect_object", "_expect_list", "_parse_str")
-        ]
+        nodes.clear()
         parse_scenario(chain_document(d))
-        built[d] = sum(len(args[1]) for calls in checks for args in calls)
-        monkeypatch.undo()
+        built[d] = sum(len(args[1]) for args in nodes)
+    assert spelt == [[], [], [], []]
     assert built[300] - built[200] == built[200] - built[100]
 
 
@@ -487,12 +546,13 @@ def test_late_duplicate_and_contradiction_are_reported_in_file_terms(extra, mess
 
 def endorsements_made(run) -> dict:
     """How many endorsements ``run()`` creates: ``checked`` by the
-    constructor's ``__post_init__``, and ``built`` by the derived builder,
-    under whatever name a module imported it, seen by a profile hook, so
-    nothing is patched."""
+    constructor's ``__post_init__``, and ``built`` by the derived or the
+    assertion builder, under whatever name a module imported it, seen by a
+    profile hook, so nothing is patched."""
     codes = {
         beliefs.Endorsement.__post_init__.__code__: "checked",
         beliefs._trusted_derived.__code__: "built",
+        beliefs._trusted_assertion.__code__: "built",
     }
     made = dict.fromkeys(codes.values(), 0)
 

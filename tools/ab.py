@@ -4,6 +4,8 @@ their speed.
     python3 tools/ab.py BASE_SRC CHANGE_SRC --diff [--workload W ...] [--limit N] [--seed N]
     python3 tools/ab.py BASE_SRC CHANGE_SRC --time --workload W [--workload W ...] --blocks N
         [--aa] [--seed N]
+    python3 tools/ab.py BASE_SRC CHANGE_SRC --calls --workload W [--workload W ...] [--limit N]
+        [--seed N]
 
 ``BASE_SRC`` and ``CHANGE_SRC`` are directories that each hold a ``parley``
 package, such as the ``src`` of two checkouts.  Each is loaded under its own
@@ -45,6 +47,13 @@ line per workload with the median change/base ratio of CPU time, its
 quartiles and in how many pairs the change was faster.  ``--aa`` loads the
 base tree a second time in place of the change, which shows the spread of
 identical code.
+
+``--calls`` makes the same output check, then prints one line per workload
+with each tree's mean Python-level calls per operation, counted by a
+profile hook.  The count does not depend on the host's speed, so it
+resolves a change that the spread of ``--time`` hides; only the order in
+which the hash seed iterates sets can move a mean, by about 0.01 on
+bundled_mix.
 """
 
 from __future__ import annotations
@@ -239,6 +248,40 @@ def time_pairs(base, change, workload: str, blocks: int, seed: int, limit: int |
     )
 
 
+def calls(parley, texts: list[str]) -> float:
+    """Mean Python-level calls of one operation over ``texts``.  The
+    collector is off meanwhile: what it frees of earlier work, such as a
+    generator it closes, would count."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            sys.setprofile(hook)
+            try:
+                run.operation(parley, text)
+            finally:
+                sys.setprofile(None)
+    finally:
+        gc.enable()
+    return count / len(texts)
+
+
+def count_calls(base, change, workload: str, seed: int, limit: int | None) -> None:
+    texts = [case.text for case in inputs(workload, seed, limit)]
+    based, changed = calls(base, texts), calls(change, texts)
+    print(
+        f"{workload}: {len(texts)} inputs, calls per operation base {based:.1f}, "
+        f"change {changed:.1f} (change/base {changed / based:.3f})"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, metavar="BASE_SRC")
@@ -246,6 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--diff", action="store_true")
     mode.add_argument("--time", action="store_true")
+    mode.add_argument("--calls", action="store_true")
     parser.add_argument("--workload", action="append", choices=NAMES)
     parser.add_argument("--limit", type=int)
     parser.add_argument("--seed", type=int, default=0)
@@ -265,11 +309,14 @@ def main(argv: list[str] | None = None) -> int:
         print(sloc_line(args.base, change_src))
         return status
     if args.workload is None:
-        parser.error("--time takes at least one --workload")
+        parser.error(f"--{'time' if args.time else 'calls'} takes at least one --workload")
     if diff(base, change, args.workload, args.seed, args.limit):
         return 1
     for workload in args.workload:
-        time_pairs(base, change, workload, args.blocks, args.seed, args.limit)
+        if args.time:
+            time_pairs(base, change, workload, args.blocks, args.seed, args.limit)
+        else:
+            count_calls(base, change, workload, args.seed, args.limit)
     return 0
 
 
